@@ -1,28 +1,16 @@
 """Relaxation-time lower bounds for a gas in a box with repulsive walls.
 
 Closed-form constants and bounds, Gibbs-measure sampling, and ensemble
-Hamiltonian dynamics for verifying the bounds empirically.
+Hamiltonian dynamics for verifying the bounds empirically.  The package root
+re-exports the names of the README library example; everything else is
+imported from its submodule (`gasrelax.model`, `gasrelax.gibbs`, ...).
 """
 
 __version__ = "0.1.0"
 
-from .model import (ModelParams, PhaseState, wall_potential, wall_force,
-                    observable_A, observable_B, poisson_B_H0, hamiltonian)
-from .numerics import (QuadratureError, QuadratureResult, integrate_finite,
-                       integrate_semi_infinite, gamma_function, gaussian_moment)
-from .gibbs import (WallMarginal, NormEstimate, HoelderCertificate,
-                    build_marginal, sample_state, sample_batch, norm0_B_closed,
-                    norm0_mc, norm0_poisson_B_H0_quadrature, mgf_z, log_mgf_z,
-                    gamma_h, gamma_tilde_h, exponential_moment,
-                    hoelder_certificate)
-from .bounds import (RegimeError, PhysicalUnits, InequalityCheck, BoundReport,
-                     BOLTZMANN_J_PER_K, constant_c, eta_analytic, eta_empirical,
-                     t_relax_lower, t0_physical, per_term_integral_bound_check,
-                     bound_sweep_rows, build_bound_report)
-from .dynamics import (WallBreachError, EnergyDriftError, IntegratorConfig,
-                       CorrelationSeries, TrajectoryRecord, RelaxationReport,
-                       step, evolve, autocorr_B, delta_meanB,
-                       empirical_relax_time, displacement_norm,
-                       displacement_norms, lower_bound_curve,
-                       make_relaxation_report)
-from .rng import substream
+from .model import ModelParams
+from .bounds import eta_analytic, t_relax_lower
+from .dynamics import IntegratorConfig, autocorr_B
+
+__all__ = ["ModelParams", "IntegratorConfig", "autocorr_B", "eta_analytic",
+           "t_relax_lower"]

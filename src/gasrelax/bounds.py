@@ -36,7 +36,6 @@ __all__ = [
     "t_relax_lower",
     "t0_physical",
     "per_term_integral_bound_check",
-    "bound_sweep_rows",
     "build_bound_report",
 ]
 
@@ -80,7 +79,8 @@ def eta_empirical(params: ModelParams, marginal: WallMarginal, n_samples: int,
     """Sampled ratio ||[B,H0]||_0 / ||B||_0 that the analytic eta must dominate."""
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
-    est = norm0_mc(lambda s: poisson_B_H0(s, params), marginal, n_samples, rng)
+    est = norm0_mc(lambda z, p: poisson_B_H0(z, params), marginal, n_samples,
+                   rng)
     denom = norm0_B_closed(params)
     return NormEstimate(value=est.value / denom, std_error=est.std_error / denom,
                         n_samples=n_samples, which_measure=est.which_measure)
@@ -183,25 +183,6 @@ class BoundReport:
         doc = {"meta": meta or {}}
         doc.update(self.to_json_dict())
         return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def bound_sweep_rows(params_list) -> tuple[list[str], list[tuple]]:
-    """Per-parameter-set bound quantities and pass flags, for CSV emission."""
-    header = ["beta", "delta_wall", "box_side", "eta", "t0", "z_tilde",
-              "bracket_norm_ok", "per_term_ok", "z_tilde_ok"]
-    rows = []
-    for params in params_list:
-        eta = eta_analytic(params)
-        marginal = build_marginal(params, grid_size=64)
-        bracket = norm0_poisson_B_H0_quadrature(params)
-        rows.append((
-            params.beta, params.delta_wall, params.box_side, eta,
-            math.sqrt(2.0) / eta, marginal.z_tilde,
-            bracket <= eta * norm0_B_closed(params),
-            per_term_integral_bound_check(params).passed,
-            marginal.z_tilde > params.box_side / 4.0,
-        ))
-    return header, rows
 
 
 def build_bound_report(params: ModelParams, n_samples: int,

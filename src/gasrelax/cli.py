@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -108,20 +108,17 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-_INT_KEYS = {"n_particles", "n_samples", "n_traj", "n_times", "grid_size",
-             "h_points", "seed", "workers"}
-_STR_KEYS = {"output_dir"}
-_OPTIONAL_FLOAT_KEYS = {"mass_kg", "sigma_m", "box_m", "temperature_k", "t_end"}
-_ALL_KEYS = {f.name for f in fields(RunConfig)}
+# key -> declared type; str stays raw, int goes through int(), the rest
+# (float and Optional[float]) through float()
+_KEY_TYPES = get_type_hints(RunConfig)
 
 
 def _coerce(key: str, raw: str):
+    kind = _KEY_TYPES[key]
+    if kind is str:
+        return raw
     try:
-        if key in _STR_KEYS:
-            return raw
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        return int(raw) if kind is int else float(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
@@ -136,7 +133,7 @@ def parse_config_file(path: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = _coerce(key, raw)
     return values
@@ -144,7 +141,7 @@ def parse_config_file(path: str) -> dict:
 
 def load_config(args: argparse.Namespace) -> RunConfig:
     values = parse_config_file(args.config) if args.config else {}
-    for key in _ALL_KEYS:
+    for key in _KEY_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = _coerce(key, flag) if isinstance(flag, str) else flag

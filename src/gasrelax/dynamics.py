@@ -28,8 +28,7 @@ import numpy as np
 from . import bounds as _bounds
 from .gibbs import (WallMarginal, NormEstimate, build_marginal, gamma_h,
                     gamma_tilde_h, norm0_mc, sample_batch)
-from .model import (ModelParams, PhaseState, observable_B,
-                    _wall_force_raw, _wall_potential_raw)
+from .model import ModelParams, hamiltonian, observable_B, _wall_force_raw
 from .rng import substream
 
 __all__ = [
@@ -37,14 +36,9 @@ __all__ = [
     "EnergyDriftError",
     "IntegratorConfig",
     "CorrelationSeries",
-    "TrajectoryRecord",
     "RelaxationReport",
-    "step",
-    "evolve",
     "autocorr_B",
-    "delta_meanB",
     "empirical_relax_time",
-    "displacement_norm",
     "displacement_norms",
     "lower_bound_curve",
     "make_relaxation_report",
@@ -119,21 +113,6 @@ class CorrelationSeries:
         }
 
 
-@dataclass
-class TrajectoryRecord:
-    times: np.ndarray
-    b_values: np.ndarray
-    final_state: PhaseState
-    max_energy_drift: float
-
-
-def _energy_rows(z, p, params: ModelParams, h: float):
-    with np.errstate(over="ignore"):
-        v = _wall_potential_raw(z, params.half_box, params.delta_wall)
-    return (0.5 / params.mass) * np.sum(p * p, axis=1) + np.sum(v, axis=1) \
-        - h * np.sum(z, axis=1)
-
-
 def _evolve_batch(z, p, params: ModelParams, h: float, dt: float,
                   steps_per_record: int, n_records: int,
                   energy_tol: float, wall_guard: float):
@@ -148,8 +127,8 @@ def _evolve_batch(z, p, params: ModelParams, h: float, dt: float,
     half_dt = 0.5 * dt
 
     b_rec = np.empty((n_records, z.shape[0]))
-    b_rec[0] = p.sum(axis=1)
-    e_ref = _energy_rows(z, p, params, h)
+    b_rec[0] = observable_B(z, p)
+    e_ref = hamiltonian(z, p, params, h)
     e_scale = np.maximum(np.abs(e_ref), 1e-30)
     max_drift = 0.0
 
@@ -158,52 +137,24 @@ def _evolve_batch(z, p, params: ModelParams, h: float, dt: float,
         for _ in range(steps_per_record):
             p += half_dt * f
             z += dt_over_m * p
-            if np.max(np.abs(z)) >= guard:
+            # written so that a NaN position fails the check too
+            if not np.max(np.abs(z)) < guard:
                 raise WallBreachError(
                     f"particle beyond {wall_guard:g} of the half-box at "
                     f"record {rec}; reduce dt")
             f = _wall_force_raw(z, half, delta) + h
             p += half_dt * f
-        b_rec[rec] = p.sum(axis=1)
-        drift = float(np.max(np.abs(_energy_rows(z, p, params, h) - e_ref)
+        b_rec[rec] = observable_B(z, p)
+        drift = float(np.max(np.abs(hamiltonian(z, p, params, h) - e_ref)
                              / e_scale))
-        max_drift = max(max_drift, drift)
-        if max_drift > energy_tol:
+        # checked before max(), which would drop a NaN drift
+        if not drift <= energy_tol:
             raise EnergyDriftError(
-                f"relative H1 drift {max_drift:.3e} exceeds tolerance "
+                f"relative H1 drift {drift:.3e} exceeds tolerance "
                 f"{energy_tol:.3e} at t={rec * steps_per_record * dt:.6g}",
-                max_drift, energy_tol)
+                drift, energy_tol)
+        max_drift = max(max_drift, drift)
     return b_rec, max_drift
-
-
-def step(state: PhaseState, params: ModelParams, h: float, dt: float) -> PhaseState:
-    """One velocity-Verlet step under wall force plus the uniform field."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    half = params.half_box
-    if np.any(np.abs(state.z) >= half):
-        raise ValueError("state has a particle at or beyond the wall")
-    f0 = _wall_force_raw(state.z, half, params.delta_wall) + h
-    p_mid = state.p + 0.5 * dt * f0
-    z_new = state.z + dt * p_mid / params.mass
-    if np.any(np.abs(z_new) >= half):
-        raise WallBreachError("step would cross the wall; reduce dt")
-    f1 = _wall_force_raw(z_new, half, params.delta_wall) + h
-    p_new = p_mid + 0.5 * dt * f1
-    return PhaseState(z=z_new, p=p_new)
-
-
-def evolve(state: PhaseState, params: ModelParams, h: float,
-           config: IntegratorConfig, n_records: int = 65) -> TrajectoryRecord:
-    """Integrate one state to t_end, recording B on a uniform grid."""
-    times, dt, spr = _records_grid(config, n_records)
-    z = state.z[np.newaxis, :].copy()
-    p = state.p[np.newaxis, :].copy()
-    b_rec, drift = _evolve_batch(z, p, params, h, dt, spr, n_records,
-                                 config.energy_drift_tol, config.wall_guard)
-    return TrajectoryRecord(times=times, b_values=b_rec[:, 0],
-                            final_state=PhaseState(z=z[0], p=p[0]),
-                            max_energy_drift=drift)
 
 
 def _records_grid(config: IntegratorConfig, n_records: int):
@@ -297,18 +248,6 @@ def autocorr_B(params: ModelParams, h: float, config: IntegratorConfig,
                              max_energy_drift=max_drift)
 
 
-def delta_meanB(series: CorrelationSeries, params: ModelParams) -> np.ndarray:
-    """Response increment: beta*h times the running trapezoid of C(t).
-
-    Returns an (n, 2) array of (t, increment); the t = 0 entry is 0.
-    """
-    t = series.times
-    c = series.c_values
-    segments = 0.5 * (c[1:] + c[:-1]) * np.diff(t)
-    integral = np.concatenate(([0.0], np.cumsum(segments)))
-    return np.column_stack((t, params.beta * series.field_h * integral))
-
-
 def empirical_relax_time(series: CorrelationSeries) -> Optional[float]:
     """First grid time where C drops below zero by more than two errors."""
     below = series.c_values < -2.0 * series.std_errors
@@ -361,14 +300,6 @@ def displacement_norms(params: ModelParams, h: float, times: Sequence[float],
         sem = sem_q / (2.0 * value) if value > 0.0 else math.sqrt(sem_q)
         out.append(NormEstimate(value, sem, n_traj, marginal.which_measure))
     return out
-
-
-def displacement_norm(params: ModelParams, h: float, t: float, n_traj: int,
-                      seed: int, config: IntegratorConfig,
-                      marginal: Optional[WallMarginal] = None,
-                      n_workers: int = 1) -> NormEstimate:
-    return displacement_norms(params, h, [t], n_traj, seed, config,
-                              marginal=marginal, n_workers=n_workers)[0]
 
 
 def lower_bound_curve(params: ModelParams, h: float, t):

@@ -4,7 +4,7 @@ The full phase-space measure factorizes over particles and over (z, p), so
 everything here reduces to the one-dimensional wall marginal with density
 proportional to exp(-beta V(z)) (or its field-tilted variant
 exp(-beta V(z) + h beta z) for the perturbed measure) times independent
-Gaussian momenta of variance 1/beta.
+Gaussian momenta of variance m/beta.
 
 Positions are drawn by inverse-CDF lookup from a tabulated marginal with a
 monotone-cubic inverse; naive rejection would accept with probability
@@ -16,13 +16,12 @@ the wall limit, but the power overflows first if formed naively.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, PhaseState, _wall_potential_raw
+from .model import ModelParams, _wall_potential_raw
 from .numerics import _kronrod_panel, integrate_finite
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "NormEstimate",
     "HoelderCertificate",
     "build_marginal",
-    "sample_state",
     "sample_batch",
     "norm0_B_closed",
     "norm0_mc",
@@ -39,7 +37,6 @@ __all__ = [
     "log_mgf_z",
     "gamma_h",
     "gamma_tilde_h",
-    "exponential_moment",
     "hoelder_certificate",
 ]
 
@@ -123,7 +120,6 @@ class WallMarginal:
     z_tilde: float
     z_nodes: np.ndarray
     cdf_values: np.ndarray
-    density_values: np.ndarray
     # strictly increasing knots of the inverse map u -> z and its tangents
     _inv_u: np.ndarray = field(repr=False, default=None)
     _inv_z: np.ndarray = field(repr=False, default=None)
@@ -136,9 +132,6 @@ class WallMarginal:
     def density(self, z):
         """Normalized marginal density at z (0 outside the box)."""
         return _weight(z, self.params, self.tilt) / self.z_tilde
-
-    def cdf(self, z):
-        return np.interp(np.asarray(z, dtype=float), self.z_nodes, self.cdf_values)
 
     def inverse_cdf(self, u):
         """Monotone-cubic inverse of the tabulated CDF, for u in [0, 1)."""
@@ -156,16 +149,6 @@ class WallMarginal:
         t3 = t2 * t
         return ((2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + t) * m0
                 + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * m1)
-
-    def export_csv(self, path, meta_lines=()) -> None:
-        """Write (z, density, cdf) rows for plotting."""
-        with open(path, "w", newline="") as fh:
-            for line in meta_lines:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["z", "density", "cdf"])
-            for z, d, c in zip(self.z_nodes, self.density_values, self.cdf_values):
-                writer.writerow([repr(float(z)), repr(float(d)), repr(float(c))])
 
 
 def _monotone_tangents(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -224,7 +207,6 @@ def build_marginal(params: ModelParams, grid_size: int = 2048,
     total = cdf[-1]
     cdf /= total
     cdf[-1] = 1.0
-    density = w(nodes) / z_tilde
 
     keep = np.concatenate(([True], np.diff(cdf) > 0.0))
     inv_u = cdf[keep]
@@ -234,24 +216,22 @@ def build_marginal(params: ModelParams, grid_size: int = 2048,
     inv_m = _monotone_tangents(inv_u, inv_z)
 
     return WallMarginal(params=params, tilt=tilt, z_tilde=z_tilde,
-                        z_nodes=nodes, cdf_values=cdf, density_values=density,
+                        z_nodes=nodes, cdf_values=cdf,
                         _inv_u=inv_u, _inv_z=inv_z, _inv_m=inv_m)
 
 
 def sample_batch(marginal: WallMarginal, rng: np.random.Generator,
                  n_states: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (Z, P) arrays of shape (n_states, N): iid particles, Gaussian p."""
+    """Draw (Z, P) arrays of shape (n_states, N): iid particles, Gaussian p.
+
+    The momenta have variance m / beta, from the factor exp(-beta p^2 / 2m).
+    """
     params = marginal.params
     n = params.n_particles
     z = marginal.inverse_cdf(rng.random((n_states, n)))
-    p = rng.normal(0.0, 1.0 / math.sqrt(params.beta), (n_states, n))
+    p = rng.normal(0.0, math.sqrt(params.mass) / math.sqrt(params.beta),
+                   (n_states, n))
     return z, p
-
-
-def sample_state(marginal: WallMarginal, rng: np.random.Generator) -> PhaseState:
-    """Draw one equilibrium state: inverse-CDF heights, Gaussian momenta."""
-    z, p = sample_batch(marginal, rng, 1)
-    return PhaseState(z=z[0], p=p[0])
 
 
 def norm0_B_closed(params: ModelParams) -> float:
@@ -270,16 +250,17 @@ def norm0_mc(f, marginal: WallMarginal, n_samples: int,
              rng: np.random.Generator) -> NormEstimate:
     """Monte-Carlo L2 norm sqrt(E[f^2]) with a delta-method standard error.
 
-    f maps a PhaseState to a float.  Sampling follows the marginal's measure
-    (rho0, or rho1 when the marginal is tilted).
+    f maps the sampled (Z, P) arrays of shape (n_samples, N) to one value per
+    row.  Sampling follows the marginal's measure (rho0, or rho1 when the
+    marginal is tilted).
     """
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
     z, p = sample_batch(marginal, rng, n_samples)
-    sq = np.empty(n_samples)
-    for i in range(n_samples):
-        val = f(PhaseState(z=z[i], p=p[i]))
-        sq[i] = val * val
+    values = np.asarray(f(z, p), dtype=float)
+    if values.shape != (n_samples,):
+        raise ValueError("observable must return one value per sampled state")
+    sq = values * values
     if not np.all(np.isfinite(sq)):
         raise ValueError("observable returned a non-finite value")
     mean_sq = float(np.mean(sq))
@@ -362,18 +343,6 @@ def gamma_tilde_h(params: ModelParams, marginal: WallMarginal,
     expo = params.n_particles * (log_mgf_z(t, marginal)
                                  + log_mgf_z(-t, marginal))
     return math.expm1(expo)
-
-
-def exponential_moment(params: ModelParams, delta_moment: float,
-                       marginal: WallMarginal | None = None) -> float:
-    """K = max over signs of E[exp(+/- delta_moment A)]: finite on the box."""
-    if not delta_moment > 0.0:
-        raise ValueError("delta_moment must be positive")
-    if marginal is None:
-        marginal = build_marginal(params)
-    log_k = params.n_particles * max(log_mgf_z(delta_moment, marginal),
-                                     log_mgf_z(-delta_moment, marginal))
-    return math.exp(log_k)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""The box-with-repulsive-walls model: parameters, states, observables.
+"""The box-with-repulsive-walls model: parameters, potential, observables.
 
 N non-interacting particles in a cubic box of side L.  Only the vertical
 degrees of freedom are kept: the height sum A, its flow derivative B (the
@@ -9,6 +9,10 @@ the horizontal coordinates, so those are never stored.
 The walls at z = +/- L/2 repel with the r^-12 core of the Lennard-Jones
 potential, with strength delta_wall.  Bracket sign convention:
 [f, g] = sum_j (df/dz_j dg/dp_j - df/dp_j dg/dz_j), so that [A, H0] = B.
+
+Phase-space states are the position and momentum arrays z, p of shape
+(rows, N), or (N,) for a single state; observables reduce over the last axis
+and return one value per row.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "PhaseState",
     "wall_potential",
     "wall_force",
     "observable_A",
@@ -66,24 +69,6 @@ class ModelParams:
     @property
     def half_box(self) -> float:
         return 0.5 * self.box_side
-
-
-@dataclass
-class PhaseState:
-    """Vertical positions and momenta of the N reduced degrees of freedom."""
-
-    z: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        self.z = np.atleast_1d(np.asarray(self.z, dtype=float))
-        self.p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        if self.z.shape != self.p.shape or self.z.ndim != 1:
-            raise ValueError("z and p must be 1-d arrays of equal length")
-
-    @property
-    def n(self) -> int:
-        return self.z.size
 
 
 def _recip_pow12(u):
@@ -135,23 +120,24 @@ def wall_force(z, params: ModelParams):
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
-def observable_A(state: PhaseState) -> float:
+def observable_A(z, p):
     """Height sum: the observable conjugate to the uniform field."""
-    return float(state.z.sum())
+    return np.sum(z, axis=-1)
 
 
-def observable_B(state: PhaseState) -> float:
+def observable_B(z, p):
     """Vertical momentum sum: the flow derivative of the height sum."""
-    return float(state.p.sum())
+    return np.sum(p, axis=-1)
 
 
-def poisson_B_H0(state: PhaseState, params: ModelParams) -> float:
+def poisson_B_H0(z, params: ModelParams):
     """[B, H0] = sum_j wall_force(z_j): the total force the walls exert."""
-    return float(np.sum(wall_force(state.z, params)))
+    return np.sum(wall_force(z, params), axis=-1)
 
 
-def hamiltonian(state: PhaseState, params: ModelParams, h: float = 0.0) -> float:
-    """Total energy sum p^2/2m + sum V(z) - h * sum z."""
-    kinetic = float(np.sum(state.p * state.p)) / (2.0 * params.mass)
-    potential = float(np.sum(wall_potential(state.z, params)))
-    return kinetic + potential - h * float(np.sum(state.z))
+def hamiltonian(z, p, params: ModelParams, h: float = 0.0):
+    """H1 = sum p^2/2m + sum V(z) - h sum z; positions must lie in the box."""
+    with np.errstate(over="ignore"):
+        v = _wall_potential_raw(z, params.half_box, params.delta_wall)
+    return (0.5 / params.mass) * np.sum(p * p, axis=-1) + np.sum(v, axis=-1) \
+        - h * np.sum(z, axis=-1)

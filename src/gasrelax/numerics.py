@@ -1,4 +1,4 @@
-"""Shared numerical kernels: adaptive 1D quadrature, Gamma, Gaussian moments.
+"""Shared numerical kernels: adaptive 1D quadrature and the Gamma function.
 
 The quadrature is a globally adaptive Gauss-Kronrod scheme (7-point Gauss
 nested in a 15-point Kronrod rule).  Integrands must accept and return numpy
@@ -18,9 +18,7 @@ __all__ = [
     "QuadratureError",
     "QuadratureResult",
     "integrate_finite",
-    "integrate_semi_infinite",
     "gamma_function",
-    "gaussian_moment",
 ]
 
 
@@ -118,20 +116,6 @@ def integrate_finite(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
         evaluations += 30
 
 
-def integrate_semi_infinite(f: Callable, a: float, rel_tol: float = 1e-10,
-                            abs_floor: float = 1e-14,
-                            max_panels: int = 4096) -> QuadratureResult:
-    """Integrate f over (a, +inf) via the map u = a + t/(1-t), t in (0, 1)."""
-
-    def mapped(t):
-        t = np.asarray(t, dtype=float)
-        w = 1.0 - t
-        return f(a + t / w) / (w * w)
-
-    return integrate_finite(mapped, 0.0, 1.0, rel_tol=rel_tol,
-                            abs_floor=abs_floor, max_panels=max_panels)
-
-
 # Lanczos approximation, g = 7, 9 coefficients: relative accuracy well below
 # 1e-12 for real x >= 0.5; smaller arguments go through Gamma(x) = Gamma(x+1)/x.
 _LANCZOS_G = 7.0
@@ -161,21 +145,3 @@ def gamma_function(x: float) -> float:
         acc += _LANCZOS_C[k] / (z + k)
     t = z + _LANCZOS_G + 0.5
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
-
-def gaussian_moment(n: int, beta: float) -> float:
-    """E[p^n] under the density proportional to exp(-beta p^2 / 2).
-
-    Even n: (n-1)!! * beta^(-n/2).  Odd moments vanish by symmetry.
-    """
-    if n < 0 or int(n) != n:
-        raise ValueError("moment order must be a nonnegative integer")
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    n = int(n)
-    if n % 2 == 1:
-        return 0.0
-    acc = 1.0
-    for k in range(n - 1, 0, -2):
-        acc *= k
-    return acc * beta ** (-n / 2)

@@ -1,6 +1,7 @@
 import pytest
 
-from gasrelax import ModelParams, build_marginal
+from gasrelax.gibbs import build_marginal
+from gasrelax.model import ModelParams
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
 from gasrelax.dynamics import _evolve_batch, _records_grid
-from gasrelax.model import PhaseState
+from gasrelax.numerics import integrate_finite
 
 
 def norm0_B_sq_exact(params):
@@ -27,19 +27,64 @@ def norm0_B_sq_exact(params):
     return params.n_particles * params.mass / params.beta
 
 
-def numerical_poisson_bracket(f, g, state, eps=1e-6):
-    """Central-difference canonical bracket sum_j (df/dz dg/dp - df/dp dg/dz)."""
-    z, p = state.z, state.p
+def gaussian_moment(n, beta):
+    """E[p^n] under the density proportional to exp(-beta p^2 / 2).
+
+    Even n: (n-1)!! * beta^(-n/2).  Odd moments vanish by symmetry.  A
+    momentum of mass m has the moments of gaussian_moment(n, beta / m).
+    """
+    if n < 0 or int(n) != n:
+        raise ValueError("moment order must be a nonnegative integer")
+    if beta <= 0.0:
+        raise ValueError("beta must be positive")
+    n = int(n)
+    if n % 2 == 1:
+        return 0.0
+    acc = 1.0
+    for k in range(n - 1, 0, -2):
+        acc *= k
+    return acc * beta ** (-n / 2)
+
+
+def integrate_semi_infinite(f, a, rel_tol=1e-10, abs_floor=1e-14,
+                            max_panels=4096):
+    """Integrate f over (a, +inf) via the map u = a + t/(1-t), t in (0, 1)."""
+
+    def mapped(t):
+        t = np.asarray(t, dtype=float)
+        w = 1.0 - t
+        return f(a + t / w) / (w * w)
+
+    return integrate_finite(mapped, 0.0, 1.0, rel_tol=rel_tol,
+                            abs_floor=abs_floor, max_panels=max_panels)
+
+
+def numerical_poisson_bracket(f, g, z, p, eps=1e-6):
+    """Central-difference canonical bracket sum_j (df/dz dg/dp - df/dp dg/dz).
+
+    f and g map 1-d position and momentum arrays (z, p) to a number.
+    """
     total = 0.0
     for j in range(z.size):
         bump = np.zeros(z.size)
         bump[j] = eps
-        df_dz = (f(PhaseState(z + bump, p)) - f(PhaseState(z - bump, p))) / (2 * eps)
-        df_dp = (f(PhaseState(z, p + bump)) - f(PhaseState(z, p - bump))) / (2 * eps)
-        dg_dz = (g(PhaseState(z + bump, p)) - g(PhaseState(z - bump, p))) / (2 * eps)
-        dg_dp = (g(PhaseState(z, p + bump)) - g(PhaseState(z, p - bump))) / (2 * eps)
+        df_dz = (f(z + bump, p) - f(z - bump, p)) / (2 * eps)
+        df_dp = (f(z, p + bump) - f(z, p - bump)) / (2 * eps)
+        dg_dz = (g(z + bump, p) - g(z - bump, p)) / (2 * eps)
+        dg_dp = (g(z, p + bump) - g(z, p - bump)) / (2 * eps)
         total += df_dz * dg_dp - df_dp * dg_dz
     return total
+
+
+def verlet_steps(z, p, params, h, dt, n_steps):
+    """n_steps velocity-Verlet steps of _evolve_batch, without a drift abort.
+
+    z, p are 1-d (one state) or (rows, N); returns the final (rows, N) arrays.
+    """
+    z = np.array(z, dtype=float, ndmin=2)
+    p = np.array(p, dtype=float, ndmin=2)
+    _evolve_batch(z, p, params, h, dt, 1, n_steps + 1, 1.0, 0.999)
+    return z, p
 
 
 def simpson_integral(f, a, b, n=1 << 15):
@@ -166,7 +211,7 @@ def quadrature_autocorr_n1(params, h, t_end, n_times, n_z=256, n_p=64,
     z_nodes = 0.5 * params.box_side * x
     wz = wz * 0.5 * params.box_side * marginal.density(z_nodes)
     xp, wp = hermegauss(n_p)
-    p_nodes = xp / math.sqrt(params.beta)
+    p_nodes = xp * math.sqrt(params.mass) / math.sqrt(params.beta)
     wp = wp / math.sqrt(2.0 * math.pi)
     z0 = np.repeat(z_nodes, n_p)
     p0 = np.tile(p_nodes, n_z)

@@ -20,12 +20,14 @@ import numpy as np
 import pytest
 
 import helpers
-from gasrelax import (IntegratorConfig, ModelParams, PhysicalUnits,
-                      autocorr_B, build_marginal, constant_c,
-                      displacement_norms, eta_analytic, gamma_h, gamma_tilde_h,
-                      hoelder_certificate, norm0_B_closed,
-                      norm0_mc, norm0_poisson_B_H0_quadrature, observable_B,
-                      poisson_B_H0, substream, t0_physical, t_relax_lower)
+from gasrelax.bounds import (PhysicalUnits, constant_c, eta_analytic,
+                             t0_physical, t_relax_lower)
+from gasrelax.dynamics import IntegratorConfig, autocorr_B, displacement_norms
+from gasrelax.gibbs import (build_marginal, gamma_h, gamma_tilde_h,
+                            hoelder_certificate, norm0_B_closed, norm0_mc,
+                            norm0_poisson_B_H0_quadrature)
+from gasrelax.model import ModelParams, observable_B, poisson_B_H0
+from gasrelax.rng import substream
 
 SEED = 20260808
 REF = ModelParams(n_particles=64, beta=1.0, delta_wall=1.0, box_side=10.0,
@@ -101,8 +103,8 @@ def test_criterion_3_eta_inequality():
         rhs = eta_analytic(params) * norm0_B_closed(params)
         worst = max(worst, lhs / rhs)
         ok = ok and lhs <= rhs
-    mc = norm0_mc(lambda s: poisson_B_H0(s, REF), build_marginal(REF), 100000,
-                  substream(SEED, 301))
+    mc = norm0_mc(lambda z, p: poisson_B_H0(z, REF), build_marginal(REF),
+                  100000, substream(SEED, 301))
     quad = norm0_poisson_B_H0_quadrature(REF)
     agree = abs(mc.value - quad) <= 3.0 * mc.std_error
     ok = ok and agree

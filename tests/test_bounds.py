@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from gasrelax import (ModelParams, PhysicalUnits, RegimeError, bound_sweep_rows,
-                      build_bound_report, build_marginal, constant_c,
-                      eta_analytic, eta_empirical, norm0_B_closed,
-                      norm0_poisson_B_H0_quadrature,
-                      per_term_integral_bound_check, substream, t0_physical,
-                      t_relax_lower)
-from gasrelax.numerics import integrate_semi_infinite
+import helpers
+from gasrelax.bounds import (PhysicalUnits, RegimeError, build_bound_report,
+                             constant_c, eta_analytic, eta_empirical,
+                             per_term_integral_bound_check, t0_physical,
+                             t_relax_lower)
+from gasrelax.gibbs import (build_marginal, norm0_B_closed,
+                            norm0_poisson_B_H0_quadrature)
+from gasrelax.model import ModelParams
+from gasrelax.rng import substream
 
 # frozen 30-digit references
 C_REF = 24.453430550248926
@@ -34,7 +36,7 @@ class TestConstantC:
         assert abs(constant_c() - 25.0) < 0.6
 
     def test_quadrature_route_agrees(self):
-        integral = integrate_semi_infinite(
+        integral = helpers.integrate_semi_infinite(
             lambda u: u ** (13.0 / 12.0) * np.exp(-u), 0.0).value
         assert constant_c() == pytest.approx(24.0 * math.sqrt(integral),
                                              rel=1e-8)
@@ -132,14 +134,6 @@ class TestInequalityChain:
         for params in REGIME_SWEEP:
             marginal = build_marginal(params, grid_size=64)
             assert marginal.z_tilde > params.box_side / 4.0
-
-    def test_sweep_rows_for_csv(self):
-        header, rows = bound_sweep_rows(REGIME_SWEEP[:4])
-        assert header[:3] == ["beta", "delta_wall", "box_side"]
-        assert len(rows) == 4
-        for row in rows:
-            assert row[6] and row[7] and row[8]
-            assert row[4] == pytest.approx(math.sqrt(2.0) / row[3], rel=1e-14)
 
 
 class TestEtaEmpirical:

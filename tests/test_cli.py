@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -76,6 +77,18 @@ class TestConfigParsing:
         code = main(["bounds", "--config", path, "--delta_wall", "1e9"])
         assert code == EXIT_VALIDATION
         assert "box_side/3" in capsys.readouterr().err
+
+    def test_every_key_parses_to_its_type(self, tmp_path):
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{f.name} = 3\n" for f in fields(RunConfig)))
+        values = parse_config_file(str(path))
+        assert set(values) == {f.name for f in fields(RunConfig)}
+        # postponed annotations: the declared types read as strings here
+        expected = {"int": int, "str": str}
+        for f in fields(RunConfig):
+            kind = expected.get(f.type, float)
+            assert type(values[f.name]) is kind, f.name
+            assert values[f.name] == kind(3)
 
     def test_config_hash_stable(self):
         assert RunConfig(output_dir=".").hash() == RunConfig(output_dir=".").hash()

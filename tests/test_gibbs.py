@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import helpers
-from gasrelax import (ModelParams, build_marginal, exponential_moment, gamma_h,
-                      gamma_tilde_h, hoelder_certificate, log_mgf_z, mgf_z,
-                      norm0_B_closed, norm0_mc, norm0_poisson_B_H0_quadrature,
-                      observable_B, poisson_B_H0, sample_batch, sample_state,
-                      substream)
+from gasrelax.gibbs import (build_marginal, gamma_h, gamma_tilde_h,
+                            hoelder_certificate, log_mgf_z, mgf_z,
+                            norm0_B_closed, norm0_mc,
+                            norm0_poisson_B_H0_quadrature, sample_batch)
+from gasrelax.model import ModelParams, observable_B, poisson_B_H0
 from gasrelax.numerics import gamma_function
+from gasrelax.rng import substream
 
 # frozen 30-digit references for the N=64, beta=delta=1, L=10 configuration
 Z_TILDE_REF = 7.8889068703793547
@@ -64,28 +65,25 @@ class TestBuildMarginal:
         assert abs(mean_plain) < 1e-10
         assert mean_tilted > 0.1
 
-    def test_export_csv(self, ref_marginal, tmp_path):
-        path = tmp_path / "marginal.csv"
-        ref_marginal.export_csv(path, meta_lines=["test"])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# test"
-        assert lines[1] == "z,density,cdf"
-        assert len(lines) == 2 + ref_marginal.z_nodes.size
-
 
 class TestSampling:
     def test_state_inside_box(self, ref_marginal, ref_params):
-        state = sample_state(ref_marginal, substream(1, 0))
-        assert state.n == ref_params.n_particles
-        assert np.all(np.abs(state.z) < ref_params.half_box)
+        z, p = sample_batch(ref_marginal, substream(1, 0), 3)
+        assert z.shape == p.shape == (3, ref_params.n_particles)
+        assert np.all(np.abs(z) < ref_params.half_box)
 
     def test_momentum_moments(self, ref_marginal, ref_params):
-        z, p = sample_batch(ref_marginal, substream(2, 0), 16000)
-        draws = p.ravel()  # ~1e6 independent Gaussians
-        n = draws.size
-        sem = draws.std() / math.sqrt(n)
-        assert abs(draws.mean()) < 4.0 * sem
-        assert abs(draws.var() - 1.0 / ref_params.beta) < 0.01 / ref_params.beta
+        # variance m / beta, from the kinetic Boltzmann factor exp(-beta p^2/2m)
+        heavy = ModelParams(64, 1.0, 1.0, 10.0, field=1e-3, mass=4.0)
+        for marginal in (ref_marginal, build_marginal(heavy, grid_size=256)):
+            params = marginal.params
+            z, p = sample_batch(marginal, substream(2, 0), 16000)
+            draws = p.ravel()  # ~1e6 independent Gaussians
+            n = draws.size
+            sem = draws.std() / math.sqrt(n)
+            assert abs(draws.mean()) < 4.0 * sem
+            var = helpers.gaussian_moment(2, params.beta / params.mass)
+            assert abs(draws.var() - var) < 0.01 * var
 
     def test_positions_match_density_chi2(self, ref_marginal):
         z, _ = sample_batch(ref_marginal, substream(3, 0), 1600)
@@ -121,7 +119,8 @@ class TestNorms:
             pytest.approx(14.1421356, abs=1e-6)
 
     def test_norm0_mc_constant(self, ref_marginal):
-        est = norm0_mc(lambda s: 1.0, ref_marginal, 200, substream(6, 0))
+        est = norm0_mc(lambda z, p: np.ones(len(z)), ref_marginal, 200,
+                       substream(6, 0))
         assert est.value == 1.0
         assert est.std_error == 0.0
         assert est.which_measure == "rho0"
@@ -132,9 +131,19 @@ class TestNorms:
         exact = math.sqrt(ref_params.n_particles / ref_params.beta)
         assert abs(est.value - exact) <= 3.0 * est.std_error
 
+    def test_norm0_mc_equals_per_state_loop(self, ref_params, ref_marginal):
+        # one batched call gives the bits of evaluating state by state
+        est = norm0_mc(lambda z, p: poisson_B_H0(z, ref_params), ref_marginal,
+                       2000, substream(13, 0))
+        z, p = sample_batch(ref_marginal, substream(13, 0), 2000)
+        sq = np.array([float(poisson_B_H0(z[i], ref_params)) ** 2
+                       for i in range(2000)])
+        assert est.value == math.sqrt(float(np.mean(sq)))
+
     def test_norm0_mc_rejects_small_samples(self, ref_marginal):
         with pytest.raises(ValueError):
-            norm0_mc(lambda s: 1.0, ref_marginal, 50, substream(8, 0))
+            norm0_mc(lambda z, p: np.ones(len(z)), ref_marginal, 50,
+                     substream(8, 0))
 
     def test_bracket_norm_quadrature_reference(self):
         params = ModelParams(1, 1.0, 1.0, 10.0)
@@ -148,7 +157,7 @@ class TestNorms:
 
     def test_bracket_norm_vs_mc(self, ref_params, ref_marginal):
         quad = norm0_poisson_B_H0_quadrature(ref_params)
-        est = norm0_mc(lambda s: poisson_B_H0(s, ref_params), ref_marginal,
+        est = norm0_mc(lambda z, p: poisson_B_H0(z, ref_params), ref_marginal,
                        20000, substream(9, 0))
         assert abs(est.value - quad) <= 3.0 * est.std_error
 
@@ -240,22 +249,25 @@ class TestGammaDivergences:
 
 
 class TestExponentialMoment:
+    """K = max over signs of E[exp(+/- delta_moment A)] in the certificate."""
+
     def test_small_exponent_limit(self, ref_params, ref_marginal):
-        assert exponential_moment(ref_params, 1e-8, ref_marginal) == \
-            pytest.approx(1.0, abs=1e-6)
+        cert = hoelder_certificate(ref_params, ref_marginal, 1e-8, h=0.0)
+        assert cert.k == pytest.approx(1.0, abs=1e-6)
 
     def test_at_least_one(self, ref_params, ref_marginal):
         for dm in (0.01, 0.1, 0.5):
-            assert exponential_moment(ref_params, dm, ref_marginal) >= 1.0
+            assert hoelder_certificate(ref_params, ref_marginal, dm,
+                                       h=0.0).k >= 1.0
 
     def test_reference_value(self):
         params = ModelParams(4, 1.0, 1.0, 10.0)
-        assert exponential_moment(params, 0.1) == \
-            pytest.approx(K_N4_DM01_REF, rel=1e-9)
+        cert = hoelder_certificate(params, build_marginal(params), 0.1, h=0.0)
+        assert cert.k == pytest.approx(K_N4_DM01_REF, rel=1e-9)
 
     def test_validation(self, ref_params, ref_marginal):
         with pytest.raises(ValueError):
-            exponential_moment(ref_params, 0.0, ref_marginal)
+            hoelder_certificate(ref_params, ref_marginal, 0.0, h=0.0)
 
 
 class TestHoelderCertificate:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import helpers
-from gasrelax import (ModelParams, PhaseState, hamiltonian, observable_A,
-                      observable_B, poisson_B_H0, step, wall_force,
-                      wall_potential)
+from gasrelax.model import (ModelParams, hamiltonian, observable_A,
+                            observable_B, poisson_B_H0, wall_force,
+                            wall_potential)
 
 NARROW = ModelParams(n_particles=1, beta=1.0, delta_wall=1.0, box_side=2.0)
 
@@ -35,15 +35,6 @@ class TestModelParams:
         assert ModelParams(1, 1.0, 1.0, 10.0).bound_regime
         # (beta*delta)^(1/12) = 1 is not below 2/3
         assert not ModelParams(1, 1.0, 1.0, 2.0).bound_regime
-
-
-class TestPhaseState:
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            PhaseState(z=np.zeros(3), p=np.zeros(2))
-
-    def test_n(self):
-        assert PhaseState(z=np.zeros(5), p=np.ones(5)).n == 5
 
 
 class TestWallPotential:
@@ -103,80 +94,98 @@ class TestWallForce:
 
 class TestObservables:
     def test_trivial_sums(self):
-        s = PhaseState(z=np.array([0.1, -0.1, 0.3]), p=np.array([1.0, -2.0, 0.5]))
-        assert observable_A(s) == pytest.approx(0.3)
-        assert observable_B(s) == pytest.approx(-0.5)
-        zero = PhaseState(z=np.zeros(3), p=np.zeros(3))
-        assert observable_A(zero) == 0.0
-        assert observable_B(zero) == 0.0
+        z, p = np.array([0.1, -0.1, 0.3]), np.array([1.0, -2.0, 0.5])
+        assert observable_A(z, p) == pytest.approx(0.3)
+        assert observable_B(z, p) == pytest.approx(-0.5)
+        zero = np.zeros(3)
+        assert observable_A(zero, zero) == 0.0
+        assert observable_B(zero, zero) == 0.0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         z = rng.uniform(-4.0, 4.0, 8)
         p = rng.normal(size=8)
         perm = rng.permutation(8)
-        s = PhaseState(z=z, p=p)
-        s_perm = PhaseState(z=z[perm], p=p[perm])
-        assert observable_A(s) == pytest.approx(observable_A(s_perm))
-        assert observable_B(s) == pytest.approx(observable_B(s_perm))
+        zp, pp = z[perm], p[perm]
+        assert observable_A(z, p) == pytest.approx(observable_A(zp, pp))
+        assert observable_B(z, p) == pytest.approx(observable_B(zp, pp))
+
+    def test_batch_rows_equal_single_states(self):
+        # one value per row, bitwise equal to evaluating each row alone
+        params = ModelParams(64, 1.0, 1.0, 10.0)
+        rng = np.random.default_rng(5)
+        z = rng.uniform(-4.5, 4.5, (7, 64))
+        p = rng.normal(size=(7, 64))
+        batched = [observable_A(z, p), observable_B(z, p),
+                   poisson_B_H0(z, params), hamiltonian(z, p, params, 0.3)]
+        for values in batched:
+            assert values.shape == (7,)
+        for i in range(7):
+            single = [observable_A(z[i], p[i]), observable_B(z[i], p[i]),
+                      poisson_B_H0(z[i], params),
+                      hamiltonian(z[i], p[i], params, 0.3)]
+            for values, one in zip(batched, single):
+                assert values[i] == one
 
     def test_B_is_time_derivative_of_A(self):
         params = ModelParams(4, 1.0, 1.0, 10.0)
         rng = np.random.default_rng(11)
-        state = PhaseState(z=rng.uniform(-3.0, 3.0, 4), p=rng.normal(size=4))
+        z, p = rng.uniform(-3.0, 3.0, 4), rng.normal(size=4)
         dt = 1e-5
-        fwd = step(state, params, 0.0, dt)
-        rev = step(PhaseState(z=state.z, p=-state.p), params, 0.0, dt)
-        back = PhaseState(z=rev.z, p=-rev.p)
-        fd = (observable_A(fwd) - observable_A(back)) / (2.0 * dt)
-        assert fd == pytest.approx(observable_B(state), rel=1e-6, abs=1e-9)
+        z_fwd, p_fwd = helpers.verlet_steps(z, p, params, 0.0, dt, 1)
+        z_rev, p_rev = helpers.verlet_steps(z, -p, params, 0.0, dt, 1)
+        fd = (observable_A(z_fwd[0], p_fwd[0])
+              - observable_A(z_rev[0], -p_rev[0])) / (2.0 * dt)
+        assert fd == pytest.approx(observable_B(z, p), rel=1e-6, abs=1e-9)
 
 
 class TestBrackets:
     def test_zero_state(self):
         params = ModelParams(3, 1.0, 1.0, 10.0)
-        s = PhaseState(z=np.zeros(3), p=np.zeros(3))
-        assert poisson_B_H0(s, params) == 0.0
+        assert poisson_B_H0(np.zeros(3), params) == 0.0
 
     def test_single_particle_equals_wall_force(self):
-        s = PhaseState(z=np.array([0.5]), p=np.array([0.0]))
-        assert poisson_B_H0(s, NARROW) == wall_force(0.5, NARROW)
+        assert poisson_B_H0(np.array([0.5]), NARROW) == wall_force(0.5, NARROW)
 
     def test_equals_force_sum_exactly(self):
         params = ModelParams(6, 2.0, 0.5, 8.0)
         rng = np.random.default_rng(8)
-        s = PhaseState(z=rng.uniform(-3.0, 3.0, 6), p=rng.normal(size=6))
-        assert poisson_B_H0(s, params) == float(np.sum(wall_force(s.z, params)))
+        z = rng.uniform(-3.0, 3.0, 6)
+        assert poisson_B_H0(z, params) == float(np.sum(wall_force(z, params)))
 
     def test_finite_difference_bracket_of_B_with_H(self):
         params = ModelParams(3, 1.0, 1.0, 10.0)
         rng = np.random.default_rng(21)
-        s = PhaseState(z=rng.uniform(-2.5, 2.5, 3), p=rng.normal(size=3))
+        z, p = rng.uniform(-2.5, 2.5, 3), rng.normal(size=3)
         fd = helpers.numerical_poisson_bracket(
-            observable_B, lambda st: hamiltonian(st, params), s, eps=1e-5)
-        assert fd == pytest.approx(poisson_B_H0(s, params), rel=1e-5)
+            observable_B, lambda zz, pp: hamiltonian(zz, pp, params), z, p,
+            eps=1e-5)
+        assert fd == pytest.approx(poisson_B_H0(z, params), rel=1e-5)
 
     def test_bracket_A_with_B_is_N(self):
         # canonical pairing of the conjugate observable with its derivative
         params = ModelParams(5, 1.0, 1.0, 10.0)
         rng = np.random.default_rng(4)
         for _ in range(3):
-            s = PhaseState(z=rng.uniform(-3.0, 3.0, 5), p=rng.normal(size=5))
-            fd = helpers.numerical_poisson_bracket(observable_A, observable_B, s)
+            z, p = rng.uniform(-3.0, 3.0, 5), rng.normal(size=5)
+            fd = helpers.numerical_poisson_bracket(observable_A, observable_B,
+                                                   z, p)
             assert fd == pytest.approx(params.n_particles, rel=1e-8)
 
     def test_bracket_A_with_H_is_B(self):
         params = ModelParams(4, 1.0, 1.0, 10.0)
         rng = np.random.default_rng(17)
-        s = PhaseState(z=rng.uniform(-3.0, 3.0, 4), p=rng.normal(size=4))
+        z, p = rng.uniform(-3.0, 3.0, 4), rng.normal(size=4)
         fd = helpers.numerical_poisson_bracket(
-            observable_A, lambda st: hamiltonian(st, params), s, eps=1e-6)
-        assert fd == pytest.approx(observable_B(s), rel=1e-7)
+            observable_A, lambda zz, pp: hamiltonian(zz, pp, params), z, p,
+            eps=1e-6)
+        assert fd == pytest.approx(observable_B(z, p), rel=1e-7)
 
 
 def test_hamiltonian_terms():
     params = ModelParams(2, 1.0, 1.0, 10.0, mass=2.0)
-    s = PhaseState(z=np.array([0.0, 1.0]), p=np.array([2.0, 0.0]))
+    z, p = np.array([0.0, 1.0]), np.array([2.0, 0.0])
     expected = 4.0 / (2.0 * 2.0) + wall_potential(0.0, params) \
         + wall_potential(1.0, params) - 0.5 * 1.0
-    assert hamiltonian(s, params, h=0.5) == pytest.approx(expected, rel=1e-14)
+    assert hamiltonian(z, p, params, h=0.5) == pytest.approx(expected,
+                                                             rel=1e-14)

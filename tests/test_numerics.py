@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from helpers import gaussian_moment, integrate_semi_infinite
 from gasrelax.numerics import (QuadratureError, QuadratureResult,
-                               gamma_function, gaussian_moment,
-                               integrate_finite, integrate_semi_infinite)
+                               gamma_function, integrate_finite)
 
 # frozen high-precision reference (30-digit arithmetic)
 GAMMA_25_12 = 1.0381428223539019
