@@ -28,7 +28,7 @@ import numpy as np
 from . import bounds as _bounds
 from .gibbs import (WallMarginal, NormEstimate, build_marginal, gamma_h,
                     gamma_tilde_h, norm0_mc, sample_batch)
-from .model import ModelParams, hamiltonian, observable_B, _wall_force_raw
+from .model import ModelParams, hamiltonian, observable_B, _wall_force_into
 from .rng import substream
 
 __all__ = [
@@ -113,12 +113,20 @@ class CorrelationSeries:
         }
 
 
+def _beyond_guard(z, guard: float) -> bool:
+    # max|z| as two reductions without an abs temporary; a NaN position
+    # makes both NaN, so the check fails on it too
+    return not max(z.max(), -z.min()) < guard
+
+
 def _evolve_batch(z, p, params: ModelParams, h: float, dt: float,
                   steps_per_record: int, n_records: int,
                   energy_tol: float, wall_guard: float):
     """Velocity-Verlet the (rows, N) batch in place, recording B at each grid time.
 
     Returns (b_records of shape (n_records, rows), max relative H1 drift).
+    Every kick, drift and force evaluation runs in four buffers of the
+    batch's shape, allocated once.
     """
     half = params.half_box
     delta = params.delta_wall
@@ -126,24 +134,38 @@ def _evolve_batch(z, p, params: ModelParams, h: float, dt: float,
     dt_over_m = dt / params.mass
     half_dt = 0.5 * dt
 
+    # before the first force and energy, which divide by zero at a wall
+    if _beyond_guard(z, guard):
+        raise WallBreachError(
+            f"particle beyond {wall_guard:g} of the half-box at record 0")
     b_rec = np.empty((n_records, z.shape[0]))
     b_rec[0] = observable_B(z, p)
     e_ref = hamiltonian(z, p, params, h)
     e_scale = np.maximum(np.abs(e_ref), 1e-30)
     max_drift = 0.0
 
-    f = _wall_force_raw(z, half, delta) + h
+    f, s1, s2, s3 = (np.empty_like(z) for _ in range(4))
+
+    def force():
+        _wall_force_into(z, half, delta, f, s1, s2, s3)
+        np.add(f, h, out=f)
+
+    def kick():
+        np.multiply(f, half_dt, out=s1)
+        np.add(p, s1, out=p)
+
+    force()
     for rec in range(1, n_records):
         for _ in range(steps_per_record):
-            p += half_dt * f
-            z += dt_over_m * p
-            # written so that a NaN position fails the check too
-            if not np.max(np.abs(z)) < guard:
+            kick()
+            np.multiply(p, dt_over_m, out=s1)
+            np.add(z, s1, out=z)
+            if _beyond_guard(z, guard):
                 raise WallBreachError(
                     f"particle beyond {wall_guard:g} of the half-box at "
                     f"record {rec}; reduce dt")
-            f = _wall_force_raw(z, half, delta) + h
-            p += half_dt * f
+            force()
+            kick()
         b_rec[rec] = observable_B(z, p)
         drift = float(np.max(np.abs(hamiltonian(z, p, params, h) - e_ref)
                              / e_scale))

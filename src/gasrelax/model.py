@@ -77,10 +77,14 @@ def _recip_pow12(u):
     return 1.0 / (u4 * u4 * u4)
 
 
-def _recip_pow13(u):
-    u2 = u * u
-    u4 = u2 * u2
-    return 1.0 / (u4 * u4 * u4 * u)
+def _recip_pow13_into(u, u4, out):
+    """out = 1 / (((u4*u4)*u4)*u) with u4 = (u*u)*(u*u); u is left intact."""
+    np.multiply(u, u, out=u4)
+    np.multiply(u4, u4, out=u4)
+    np.multiply(u4, u4, out=out)
+    np.multiply(out, u4, out=out)
+    np.multiply(out, u, out=out)
+    np.divide(1.0, out, out=out)
 
 
 def _wall_potential_raw(z, half_box, delta_wall):
@@ -88,8 +92,20 @@ def _wall_potential_raw(z, half_box, delta_wall):
     return delta_wall * (_recip_pow12(z + half_box) + _recip_pow12(z - half_box))
 
 
-def _wall_force_raw(z, half_box, delta_wall):
-    return 12.0 * delta_wall * (_recip_pow13(z + half_box) + _recip_pow13(z - half_box))
+def _wall_force_into(z, half_box, delta_wall, out, u, u4, term):
+    """Write 12 delta [(z+L/2)^-13 + (z-L/2)^-13] into out and return it.
+
+    u, u4 and term are scratch arrays of z's shape, so a caller that keeps
+    the four buffers evaluates the force without allocating.  No domain
+    check; callers guarantee |z| < half_box.
+    """
+    np.add(z, half_box, out=u)
+    _recip_pow13_into(u, u4, out)
+    np.subtract(z, half_box, out=u)
+    _recip_pow13_into(u, u4, term)
+    np.add(out, term, out=out)
+    np.multiply(out, 12.0 * delta_wall, out=out)
+    return out
 
 
 def _checked(z, params: ModelParams) -> np.ndarray:
@@ -115,8 +131,10 @@ def wall_force(z, params: ModelParams):
     the center.  The (z - L/2) term is negative inside the box.
     """
     zz = _checked(z, params)
+    buffers = [np.empty_like(zz) for _ in range(4)]
     with np.errstate(over="ignore"):
-        out = _wall_force_raw(zz, params.half_box, params.delta_wall)
+        out = _wall_force_into(zz, params.half_box, params.delta_wall,
+                               *buffers)
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 

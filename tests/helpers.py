@@ -4,6 +4,9 @@ Everything here deliberately avoids the code paths it is used to check:
 finite differences instead of closed-form derivatives, composite Simpson
 instead of the adaptive rule, rejection sampling instead of inverse-CDF
 lookup, and a deterministic initial-condition grid instead of Monte Carlo.
+The allocating forms of the inverse CDF, the wall force and the Verlet loop
+are kept here as the references that the in-place kernels must match bit for
+bit.
 """
 
 import math
@@ -12,7 +15,9 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
-from gasrelax.dynamics import _evolve_batch, _records_grid
+from gasrelax.dynamics import (EnergyDriftError, WallBreachError,
+                               _evolve_batch, _records_grid)
+from gasrelax.model import hamiltonian, observable_B
 from gasrelax.numerics import integrate_finite
 
 
@@ -85,6 +90,79 @@ def verlet_steps(z, p, params, h, dt, n_steps):
     p = np.array(p, dtype=float, ndmin=2)
     _evolve_batch(z, p, params, h, dt, 1, n_steps + 1, 1.0, 0.999)
     return z, p
+
+
+def inverse_cdf_searchsorted(marginal, u):
+    """Monotone-cubic inverse CDF with a binary search over every knot.
+
+    The bracket lookup and cubic of WallMarginal.inverse_cdf before its guide
+    table, on the whole batch at once.
+    """
+    u = np.asarray(u, dtype=float)
+    inv_u, inv_z, inv_m = marginal._inv_u, marginal._inv_z, marginal._inv_m
+    idx = np.clip(np.searchsorted(inv_u, u, side="right") - 1,
+                  0, inv_u.size - 2)
+    x0 = inv_u[idx]
+    dx = inv_u[idx + 1] - x0
+    t = (u - x0) / dx
+    y0 = inv_z[idx]
+    y1 = inv_z[idx + 1]
+    m0 = inv_m[idx] * dx
+    m1 = inv_m[idx + 1] * dx
+    t2 = t * t
+    t3 = t2 * t
+    return ((2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + t) * m0
+            + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * m1)
+
+
+def _recip_pow13(u):
+    u2 = u * u
+    u4 = u2 * u2
+    return 1.0 / (u4 * u4 * u4 * u)
+
+
+def wall_force_reference(z, params):
+    """12 delta [(z+L/2)^-13 + (z-L/2)^-13] as one allocating expression."""
+    half = params.half_box
+    with np.errstate(over="ignore"):
+        return 12.0 * params.delta_wall * (_recip_pow13(z + half)
+                                           + _recip_pow13(z - half))
+
+
+def evolve_batch_reference(z, p, params, h, dt, steps_per_record, n_records,
+                           energy_tol, wall_guard):
+    """The allocating velocity-Verlet loop that _evolve_batch must match.
+
+    Same contract as _evolve_batch: evolves z, p in place and returns
+    (B records, max relative H1 drift).
+    """
+    half = params.half_box
+    guard = wall_guard * half
+    dt_over_m = dt / params.mass
+    half_dt = 0.5 * dt
+
+    b_rec = np.empty((n_records, z.shape[0]))
+    b_rec[0] = observable_B(z, p)
+    e_ref = hamiltonian(z, p, params, h)
+    e_scale = np.maximum(np.abs(e_ref), 1e-30)
+    max_drift = 0.0
+
+    f = wall_force_reference(z, params) + h
+    for rec in range(1, n_records):
+        for _ in range(steps_per_record):
+            p += half_dt * f
+            z += dt_over_m * p
+            if not np.max(np.abs(z)) < guard:
+                raise WallBreachError(f"wall breach at record {rec}")
+            f = wall_force_reference(z, params) + h
+            p += half_dt * f
+        b_rec[rec] = observable_B(z, p)
+        drift = float(np.max(np.abs(hamiltonian(z, p, params, h) - e_ref)
+                             / e_scale))
+        if not drift <= energy_tol:
+            raise EnergyDriftError("drift", drift, energy_tol)
+        max_drift = max(max_drift, drift)
+    return b_rec, max_drift
 
 
 def simpson_integral(f, a, b, n=1 << 15):

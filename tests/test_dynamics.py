@@ -64,9 +64,9 @@ class TestStep:
             helpers.verlet_steps([4.9], [10.0], self.PARAMS, 0.0, 0.05, 1)
 
     def test_state_already_at_wall(self):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(WallBreachError):
-                helpers.verlet_steps([5.0], [0.0], self.PARAMS, 0.0, 1e-3, 1)
+        # raised before any force or energy divides by the wall distance
+        with pytest.raises(WallBreachError, match="record 0"):
+            helpers.verlet_steps([5.0], [0.0], self.PARAMS, 0.0, 1e-3, 1)
 
 
 class TestEvolve:
@@ -92,6 +92,18 @@ class TestEvolve:
         with pytest.raises(EnergyDriftError) as err:
             _run([3.0], [1.0], params, 0.0, config, 61)
         assert err.value.max_drift > err.value.tolerance
+
+    @pytest.mark.parametrize("h", [1e-3, 0.0])
+    def test_bitwise_equal_to_allocating_loop(self, ref_params, ref_marginal,
+                                              h):
+        z, p = sample_batch(ref_marginal, substream(44, 0), 256)
+        z_ref, p_ref = z.copy(), p.copy()
+        args = (ref_params, h, 1e-3, 10, 6, 1e-3, 0.999)
+        b_rec, drift = _evolve_batch(z, p, *args)
+        b_ref, drift_ref = helpers.evolve_batch_reference(z_ref, p_ref, *args)
+        for got, want in ((b_rec, b_ref), (z, z_ref), (p, p_ref)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert drift == drift_ref > 0.0
 
     def test_nan_row_fails_a_monitor(self):
         # a non-finite state must stop the run, not pass as zero drift

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from gasrelax.gibbs import (build_marginal, gamma_h, gamma_tilde_h,
+from gasrelax.gibbs import (_GUIDE_CELLS, _INVERSE_CDF_CHUNK,
+                            build_marginal, gamma_h, gamma_tilde_h,
                             hoelder_certificate, log_mgf_z, mgf_z,
                             norm0_B_closed, norm0_mc,
                             norm0_poisson_B_H0_quadrature, sample_batch)
@@ -110,6 +113,51 @@ class TestSampling:
         reference = helpers.rejection_sample_z(ref_params, substream(5, 1), n,
                                                tilt=ref_params.field)
         assert helpers.ks_two_sample_pvalue(mine, reference) > 1e-3
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _assert_same_bits(marginal, u):
+    # outside [0, 1] the cubic extrapolates, and its powers of t overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = marginal.inverse_cdf(u)
+        expected = helpers.inverse_cdf_searchsorted(marginal, u)
+    assert np.shape(got) == np.shape(u)
+    assert np.array_equal(_bits(got), _bits(expected))
+
+
+@pytest.fixture(scope="module", params=["rho0", "rho1", "grid64"])
+def any_marginal(request, ref_params):
+    if request.param == "grid64":
+        return build_marginal(ref_params, grid_size=64)
+    return request.getfixturevalue(
+        {"rho0": "ref_marginal", "rho1": "ref_marginal_tilted"}[request.param])
+
+
+class TestInverseCdfBitwise:
+    """The guide-table lookup gives the bits of a binary search over all knots."""
+
+    def test_knots_cell_edges_and_out_of_range(self, any_marginal):
+        knots = any_marginal._inv_u
+        edges = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
+        u = np.concatenate([
+            [0.0, -0.0, np.nextafter(1.0, 0.0), 1.0, -0.5, 1.5, np.nan],
+            knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+            edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+        _assert_same_bits(any_marginal, u)
+
+    def test_shapes_and_chunk_boundaries(self, any_marginal):
+        rng = substream(14, 0)
+        for shape in [(_INVERSE_CDF_CHUNK - 1,), (_INVERSE_CDF_CHUNK,),
+                      (_INVERSE_CDF_CHUNK + 1,), (), (300, 64)]:
+            _assert_same_bits(any_marginal, rng.random(shape))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=64))
+    def test_property_near_unit_interval(self, ref_marginal, values):
+        _assert_same_bits(ref_marginal, np.array(values))
 
 
 class TestNorms:

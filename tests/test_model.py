@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import helpers
+from gasrelax.gibbs import sample_batch
 from gasrelax.model import (ModelParams, hamiltonian, observable_A,
                             observable_B, poisson_B_H0, wall_force,
                             wall_potential)
+from gasrelax.rng import substream
 
 NARROW = ModelParams(n_particles=1, beta=1.0, delta_wall=1.0, box_side=2.0)
 
@@ -83,6 +85,17 @@ class TestWallForce:
     def test_restoring_sign(self):
         assert wall_force(-0.4, NARROW) > 0.0
         assert wall_force(0.4, NARROW) < 0.0
+
+    def test_bitwise_equal_to_allocating_expression(self, ref_params,
+                                                     ref_marginal):
+        z, _ = sample_batch(ref_marginal, substream(15, 0), 256)
+        narrow_z = np.linspace(-0.99, 0.99, 199)
+        for params, zz in ((ref_params, z), (NARROW, narrow_z)):
+            assert np.array_equal(
+                wall_force(zz, params).view(np.int64),
+                helpers.wall_force_reference(zz, params).view(np.int64))
+        assert wall_force(4.99, ref_params) == \
+            float(helpers.wall_force_reference(4.99, ref_params))
 
     def test_matches_potential_gradient(self):
         eps = 1e-7
