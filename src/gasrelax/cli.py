@@ -20,6 +20,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from . import __version__
+from ._kernel import KernelBuildError
 from .bounds import (PhysicalUnits, RegimeError, build_bound_report,
                      t_relax_lower)
 from .dynamics import (EnergyDriftError, IntegratorConfig, WallBreachError,
@@ -254,11 +255,20 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK if report.all_ok else EXIT_RUNTIME
 
 
+def _last_time(path: Path) -> float:
+    """The t of the last row of a correlation.csv."""
+    rows = [line for line in path.read_text().splitlines()
+            if line and not line.startswith("#")]
+    return float(rows[-1].split(",", 1)[0])
+
+
 def cmd_report(config: RunConfig) -> int:
     out = Path(config.output_dir)
     bounds_path = out / "bounds_report.json"
     relax_path = out / "relaxation_report.json"
-    missing = [str(p) for p in (bounds_path, relax_path) if not p.exists()]
+    corr_path = out / "correlation.csv"
+    missing = [str(p) for p in (bounds_path, relax_path, corr_path)
+               if not p.exists()]
     if missing:
         raise ConfigError("missing input files: " + ", ".join(missing))
     bounds_doc = json.loads(bounds_path.read_text())
@@ -267,7 +277,11 @@ def cmd_report(config: RunConfig) -> int:
     t_star = relax_doc["t_star_empirical"]
     print(f"analytic lower bound t0 = {t0:.6f}")
     if isinstance(t_star, str):
-        print(f"empirical crossing t* : {t_star} (t* >= t0 holds)")
+        # no crossing says nothing about t0 unless the run got past it
+        t_end = _last_time(corr_path)
+        verdict = ("t* >= t0 holds" if t_end >= t0 else
+                   f"inconclusive: run stopped at t = {t_end:.6g} < t0")
+        print(f"empirical crossing t* : {t_star} ({verdict})")
     else:
         holds = "holds" if t_star >= t0 else "VIOLATED"
         print(f"empirical crossing t* = {t_star:.6f} (t* >= t0 {holds})")
@@ -314,7 +328,8 @@ def main(argv=None) -> int:
     except (ConfigError, RegimeError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (QuadratureError, EnergyDriftError, WallBreachError, OSError) as exc:
+    except (QuadratureError, EnergyDriftError, WallBreachError,
+            KernelBuildError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

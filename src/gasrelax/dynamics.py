@@ -25,10 +25,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _kernel
 from . import bounds as _bounds
 from .gibbs import (WallMarginal, NormEstimate, build_marginal, gamma_h,
                     gamma_tilde_h, norm0_mc, sample_batch)
-from .model import ModelParams, hamiltonian, observable_B, _wall_force_into
+from .model import ModelParams, hamiltonian, observable_B
 from .rng import substream
 
 __all__ = [
@@ -113,29 +114,29 @@ class CorrelationSeries:
         }
 
 
-def _beyond_guard(z, guard: float) -> bool:
-    # max|z| as two reductions without an abs temporary; a NaN position
-    # makes both NaN, so the check fails on it too
-    return not max(z.max(), -z.min()) < guard
-
-
 def _evolve_batch(z, p, params: ModelParams, h: float, dt: float,
                   steps_per_record: int, n_records: int,
                   energy_tol: float, wall_guard: float):
     """Velocity-Verlet the (rows, N) batch in place, recording B at each grid time.
 
-    Returns (b_records of shape (n_records, rows), max relative H1 drift).
-    Every kick, drift and force evaluation runs in four buffers of the
-    batch's shape, allocated once.
+    z and p are C-contiguous float64 arrays.  Returns (b_records of shape
+    (n_records, rows), max relative H1 drift).  The steps between two records
+    run in the C kernel `verlet_steps`, one fused pass over the batch per
+    step that also applies the wall guard; the guard on the initial state,
+    B, the energies and the drift monitor stay in NumPy.
     """
+    for a in (z, p):
+        if not (a.dtype == np.float64 and a.flags.c_contiguous
+                and a.flags.writeable and a.shape == z.shape):
+            raise ValueError("z and p must be writeable C-contiguous float64 "
+                             "arrays of one shape")
     half = params.half_box
-    delta = params.delta_wall
+    c12 = 12.0 * params.delta_wall
     guard = wall_guard * half
-    dt_over_m = dt / params.mass
-    half_dt = 0.5 * dt
 
-    # before the first force and energy, which divide by zero at a wall
-    if _beyond_guard(z, guard):
+    # before the first force and energy, which divide by zero at a wall;
+    # max|z| as two reductions, and a NaN position fails the test too
+    if not max(z.max(), -z.min()) < guard:
         raise WallBreachError(
             f"particle beyond {wall_guard:g} of the half-box at record 0")
     b_rec = np.empty((n_records, z.shape[0]))
@@ -144,28 +145,18 @@ def _evolve_batch(z, p, params: ModelParams, h: float, dt: float,
     e_scale = np.maximum(np.abs(e_ref), 1e-30)
     max_drift = 0.0
 
-    f, s1, s2, s3 = (np.empty_like(z) for _ in range(4))
-
-    def force():
-        _wall_force_into(z, half, delta, f, s1, s2, s3)
-        np.add(f, h, out=f)
-
-    def kick():
-        np.multiply(f, half_dt, out=s1)
-        np.add(p, s1, out=p)
-
-    force()
+    kernel = _kernel.library()
+    f = np.empty_like(z)
+    kernel.wall_force(z.ctypes.data, f.ctypes.data, z.size, half, c12)
+    np.add(f, h, out=f)
     for rec in range(1, n_records):
-        for _ in range(steps_per_record):
-            kick()
-            np.multiply(p, dt_over_m, out=s1)
-            np.add(z, s1, out=z)
-            if _beyond_guard(z, guard):
-                raise WallBreachError(
-                    f"particle beyond {wall_guard:g} of the half-box at "
-                    f"record {rec}; reduce dt")
-            force()
-            kick()
+        done = kernel.verlet_steps(z.ctypes.data, p.ctypes.data, f.ctypes.data,
+                                   z.size, steps_per_record, 0.5 * dt,
+                                   dt / params.mass, half, c12, h, guard)
+        if done < steps_per_record:
+            raise WallBreachError(
+                f"particle beyond {wall_guard:g} of the half-box at "
+                f"record {rec}; reduce dt")
         b_rec[rec] = observable_B(z, p)
         drift = float(np.max(np.abs(hamiltonian(z, p, params, h) - e_ref)
                              / e_scale))

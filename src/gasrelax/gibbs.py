@@ -42,7 +42,6 @@ __all__ = [
     "norm0_B_closed",
     "norm0_mc",
     "norm0_poisson_B_H0_quadrature",
-    "mgf_z",
     "log_mgf_z",
     "gamma_h",
     "gamma_tilde_h",
@@ -218,19 +217,23 @@ def _guide_table(inv_u: np.ndarray) -> np.ndarray:
 
 
 def _monotone_tangents(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Fritsch-Carlson limiter: keeps the cubic interpolant monotone.
+    # Fritsch-Carlson limiter: keeps the cubic interpolant monotone.  A knot
+    # interval of subnormal width (a CDF increment near 1e-313 next to a
+    # wall) overflows its secant; like a zero secant, it gets flat tangents
+    # at both ends, and no other knot changes.
     dx = np.diff(x)
-    secants = np.diff(y) / dx
+    with np.errstate(over="ignore"):
+        secants = np.diff(y) / dx
     m = np.empty_like(y)
     m[0] = secants[0]
     m[-1] = secants[-1]
     m[1:-1] = 0.5 * (secants[:-1] + secants[1:])
-    for k in range(secants.size):
-        if secants[k] == 0.0:
-            m[k] = m[k + 1] = 0.0
+    flat = (secants == 0.0) | ~np.isfinite(secants)
+    m[:-1][flat] = 0.0
+    m[1:][flat] = 0.0
     alpha = np.zeros_like(secants)
     beta_ = np.zeros_like(secants)
-    nz = secants != 0.0
+    nz = ~flat
     alpha[nz] = m[:-1][nz] / secants[nz]
     beta_[nz] = m[1:][nz] / secants[nz]
     r = np.hypot(alpha, beta_)
@@ -376,11 +379,6 @@ def _centered_mgf(t: float, marginal: WallMarginal) -> float:
     res = integrate_finite(g, -half, half, rel_tol=1e-10, abs_floor=1e-16,
                            breakpoints=_wall_breakpoints(params))
     return res.value / marginal.z_tilde
-
-
-def mgf_z(t: float, marginal: WallMarginal) -> float:
-    """Moment generating function E[exp(t z)] of the single-particle height."""
-    return 1.0 + _centered_mgf(t, marginal)
 
 
 def log_mgf_z(t: float, marginal: WallMarginal) -> float:

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
+
 __all__ = [
     "ModelParams",
     "wall_potential",
     "wall_force",
-    "observable_A",
     "observable_B",
     "poisson_B_H0",
     "hamiltonian",
@@ -77,35 +78,9 @@ def _recip_pow12(u):
     return 1.0 / (u4 * u4 * u4)
 
 
-def _recip_pow13_into(u, u4, out):
-    """out = 1 / (((u4*u4)*u4)*u) with u4 = (u*u)*(u*u); u is left intact."""
-    np.multiply(u, u, out=u4)
-    np.multiply(u4, u4, out=u4)
-    np.multiply(u4, u4, out=out)
-    np.multiply(out, u4, out=out)
-    np.multiply(out, u, out=out)
-    np.divide(1.0, out, out=out)
-
-
 def _wall_potential_raw(z, half_box, delta_wall):
     # No domain check; callers guarantee |z| < half_box.
     return delta_wall * (_recip_pow12(z + half_box) + _recip_pow12(z - half_box))
-
-
-def _wall_force_into(z, half_box, delta_wall, out, u, u4, term):
-    """Write 12 delta [(z+L/2)^-13 + (z-L/2)^-13] into out and return it.
-
-    u, u4 and term are scratch arrays of z's shape, so a caller that keeps
-    the four buffers evaluates the force without allocating.  No domain
-    check; callers guarantee |z| < half_box.
-    """
-    np.add(z, half_box, out=u)
-    _recip_pow13_into(u, u4, out)
-    np.subtract(z, half_box, out=u)
-    _recip_pow13_into(u, u4, term)
-    np.add(out, term, out=out)
-    np.multiply(out, 12.0 * delta_wall, out=out)
-    return out
 
 
 def _checked(z, params: ModelParams) -> np.ndarray:
@@ -128,19 +103,16 @@ def wall_force(z, params: ModelParams):
     """-d/dz of the wall potential: 12 delta * [(z+L/2)^-13 + (z-L/2)^-13].
 
     Positive for z < 0 and negative for z > 0: the walls push back toward
-    the center.  The (z - L/2) term is negative inside the box.
+    the center.  The (z - L/2) term is negative inside the box.  Evaluated
+    by the C kernel (`_verlet.c`), the one place the force expression lives.
     """
     zz = _checked(z, params)
-    buffers = [np.empty_like(zz) for _ in range(4)]
-    with np.errstate(over="ignore"):
-        out = _wall_force_into(zz, params.half_box, params.delta_wall,
-                               *buffers)
+    if not zz.flags.c_contiguous:
+        zz = zz.copy()
+    out = np.empty(zz.shape)
+    _kernel.library().wall_force(zz.ctypes.data, out.ctypes.data, zz.size,
+                                 params.half_box, 12.0 * params.delta_wall)
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
-
-
-def observable_A(z, p):
-    """Height sum: the observable conjugate to the uniform field."""
-    return np.sum(z, axis=-1)
 
 
 def observable_B(z, p):

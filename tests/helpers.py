@@ -4,9 +4,10 @@ Everything here deliberately avoids the code paths it is used to check:
 finite differences instead of closed-form derivatives, composite Simpson
 instead of the adaptive rule, rejection sampling instead of inverse-CDF
 lookup, and a deterministic initial-condition grid instead of Monte Carlo.
-The allocating forms of the inverse CDF, the wall force and the Verlet loop
-are kept here as the references that the in-place kernels must match bit for
-bit.
+The allocating NumPy forms of the inverse CDF, the wall force and the Verlet
+loop are kept here as the references that the guide-table lookup and the C
+kernels must match bit for bit.  Observables that only tests evaluate
+(the height sum A, the moment generating function of z) live here too.
 """
 
 import math
@@ -17,6 +18,7 @@ from numpy.polynomial.legendre import leggauss
 
 from gasrelax.dynamics import (EnergyDriftError, WallBreachError,
                                _evolve_batch, _records_grid)
+from gasrelax.gibbs import _centered_mgf
 from gasrelax.model import hamiltonian, observable_B
 from gasrelax.numerics import integrate_finite
 
@@ -30,6 +32,16 @@ def norm0_B_sq_exact(params):
     so E[B^2] = Var(B) = sum_j Var(p_j) = N m / beta.
     """
     return params.n_particles * params.mass / params.beta
+
+
+def observable_A(z, p):
+    """Height sum, the observable conjugate to the uniform field (B's integral)."""
+    return np.sum(z, axis=-1)
+
+
+def mgf_z(t, marginal):
+    """Moment generating function E[exp(t z)] of the single-particle height."""
+    return 1.0 + _centered_mgf(t, marginal)
 
 
 def gaussian_moment(n, beta):
@@ -153,7 +165,9 @@ def evolve_batch_reference(z, p, params, h, dt, steps_per_record, n_records,
             p += half_dt * f
             z += dt_over_m * p
             if not np.max(np.abs(z)) < guard:
-                raise WallBreachError(f"wall breach at record {rec}")
+                raise WallBreachError(
+                    f"particle beyond {wall_guard:g} of the half-box at "
+                    f"record {rec}; reduce dt")
             f = wall_force_reference(z, params) + h
             p += half_dt * f
         b_rec[rec] = observable_B(z, p)

@@ -195,7 +195,28 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert "t0" in out
         assert "not crossed" in out
+        assert "(t* >= t0 holds)" in out
         assert "e-09 s" in out
+
+    def test_run_stopped_before_t0_is_inconclusive(self, tmp_path, capsys):
+        # t0 = 0.129 here: a run to t = 0.01 cannot support t* >= t0
+        path = write_config(tmp_path, output_dir=str(tmp_path), n_traj=16,
+                            t_end=0.01)
+        main(["bounds", "--config", path])
+        main(["simulate", "--config", path])
+        capsys.readouterr()
+        assert main(["report", "--config", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "inconclusive: run stopped at t = 0.01 < t0" in out
+        assert "holds" not in out
+
+    def test_missing_correlation_csv(self, tmp_path, capsys):
+        path = write_config(tmp_path, output_dir=str(tmp_path), n_traj=16)
+        main(["bounds", "--config", path])
+        main(["simulate", "--config", path])
+        (tmp_path / "correlation.csv").unlink()
+        assert main(["report", "--config", path]) == EXIT_VALIDATION
+        assert "correlation.csv" in capsys.readouterr().err
 
 
 class TestOutputDirEnv:

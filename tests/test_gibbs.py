@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import mgf_z
 from gasrelax.gibbs import (_GUIDE_CELLS, _INVERSE_CDF_CHUNK,
                             build_marginal, gamma_h, gamma_tilde_h,
-                            hoelder_certificate, log_mgf_z, mgf_z,
+                            hoelder_certificate, log_mgf_z,
                             norm0_B_closed, norm0_mc,
                             norm0_poisson_B_H0_quadrature, sample_batch)
 from gasrelax.model import ModelParams, observable_B, poisson_B_H0
@@ -67,6 +69,30 @@ class TestBuildMarginal:
             lambda z: z * tilted.density(z), -5.0, 5.0)
         assert abs(mean_plain) < 1e-10
         assert mean_tilted > 0.1
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(beta=st.floats(0.2, 5.0), delta=st.floats(1e-3, 10.0),
+           box_side=st.floats(3.5, 40.0), field=st.floats(0.0, 0.1),
+           tilted=st.booleans())
+    @example(beta=1.0, delta=1.0, box_side=5.0, field=1e-3, tilted=False)
+    @example(beta=1.0, delta=1.0, box_side=15.0, field=1e-3, tilted=False)
+    @example(beta=1.0, delta=1.0, box_side=5.0, field=1e-3, tilted=True)
+    def test_in_regime_marginals_are_finite(self, beta, delta, box_side,
+                                            field, tilted):
+        # at L = 5 and 15 some CDF increments next to the walls are
+        # subnormal, and their secants overflowed into NaN tangents
+        params = ModelParams(1, beta, delta, box_side, field=field)
+        assume(params.bound_regime)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            marginal = build_marginal(params, tilted=tilted)
+        assert np.all(np.isfinite(marginal._inv_m))
+        u = np.concatenate([[0.0, 5e-324, 1e-300, 1e-200, 1e-16,
+                             np.nextafter(1.0, 0.0)],
+                            substream(16, 0).random(4096)])
+        z = marginal.inverse_cdf(u)
+        assert np.all(np.isfinite(z))
+        assert np.all(np.abs(z) <= params.half_box)
 
 
 class TestSampling:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import observable_A
 from gasrelax.gibbs import sample_batch
-from gasrelax.model import (ModelParams, hamiltonian, observable_A,
-                            observable_B, poisson_B_H0, wall_force,
-                            wall_potential)
+from gasrelax.model import (ModelParams, hamiltonian, observable_B,
+                            poisson_B_H0, wall_force, wall_potential)
 from gasrelax.rng import substream
 
 NARROW = ModelParams(n_particles=1, beta=1.0, delta_wall=1.0, box_side=2.0)
