@@ -62,8 +62,9 @@ def _load(cache_dir, cc: str) -> ctypes.CDLL:
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     ptr, n, d = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
-    lib.wall_force.argtypes = [ptr, ptr, n, d, d]
-    lib.wall_force.restype = None
+    for name in ("wall_potential", "wall_force"):
+        getattr(lib, name).argtypes = [ptr, ptr, n, d, d]
+        getattr(lib, name).restype = None
     lib.verlet_steps.argtypes = [ptr, ptr, ptr, n, ctypes.c_long,
                                  d, d, d, d, d, d]
     lib.verlet_steps.restype = ctypes.c_long

@@ -188,11 +188,15 @@ class BoundReport:
 def build_bound_report(params: ModelParams, n_samples: int,
                        rng: np.random.Generator,
                        marginal: Optional[WallMarginal] = None,
-                       units: Optional[PhysicalUnits] = None) -> BoundReport:
-    """Evaluate every bound quantity and inequality for one parameter set."""
+                       units: Optional[PhysicalUnits] = None,
+                       grid_size: int = 2048) -> BoundReport:
+    """Evaluate every bound quantity and inequality for one parameter set.
+
+    Without a marginal, one is built on a CDF table of grid_size cells.
+    """
     _require_regime(params)
     if marginal is None:
-        marginal = build_marginal(params)
+        marginal = build_marginal(params, grid_size=grid_size)
     eta = eta_analytic(params)
     t0 = math.sqrt(2.0) / eta
     bracket_norm = norm0_poisson_B_H0_quadrature(params)

@@ -185,7 +185,8 @@ def cmd_bounds(config: RunConfig) -> int:
     params = config.model_params()
     report = build_bound_report(params, n_samples=config.n_samples,
                                 rng=substream(config.seed, 101),
-                                units=config.physical_units())
+                                units=config.physical_units(),
+                                grid_size=config.grid_size)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "bounds_report.json").write_text(report.to_json(_meta(config)) + "\n")
@@ -232,7 +233,8 @@ def cmd_simulate(config: RunConfig) -> int:
     int_config = config.integrator_config(t0)
     report, series = make_relaxation_report(
         params, int_config, n_traj=config.n_traj, seed=config.seed,
-        n_times=config.n_times, n_workers=max(1, config.workers))
+        n_times=config.n_times, n_workers=max(1, config.workers),
+        grid_size=config.grid_size)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "relaxation_report.json").write_text(

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, _wall_potential_raw
-from .numerics import _kronrod_panel, integrate_finite
+from .model import ModelParams, _map_kernel
+from .numerics import _kronrod_panels, integrate_finite
 
 __all__ = [
     "WallMarginal",
@@ -75,10 +75,10 @@ def _log_weight(z, params: ModelParams, tilt: float = 0.0,
     inside = (u > 0.0) & (v > 0.0)
     us = np.where(inside, u, 1.0)
     vs = np.where(inside, v, 1.0)
+    pot = _map_kernel("wall_potential", np.where(inside, z, 0.0), half,
+                      params.delta_wall)
     with np.errstate(over="ignore"):
-        logw = -params.beta * (_wall_potential_raw(np.where(inside, z, 0.0),
-                                                   half, params.delta_wall)
-                               - tilt * z)
+        logw = -params.beta * (pot - tilt * z)
     if pow_left:
         logw = logw - pow_left * np.log(us)
     if pow_right:
@@ -128,17 +128,17 @@ class WallMarginal:
     """Tabulated single-particle height marginal with its normalization.
 
     `z_tilde` is the partition integral of the (possibly tilted) weight over
-    the box.  The CDF table, together with monotone-cubic inverse tangents,
-    supports vectorized inverse-CDF draws.  `_guide` holds, for each of the
-    _GUIDE_CELLS equal cells of u, the index of the CDF bracket containing
-    the whole cell, or -1 when a knot lies inside the cell; one more -1
-    entry at the end serves the inputs outside [0, 1) and NaN.
+    the box.  The CDF knots, the grid nodes where the CDF increases, and
+    their monotone-cubic inverse tangents support vectorized inverse-CDF
+    draws.  `_guide` holds, for each of the _GUIDE_CELLS equal cells of u,
+    the index of the CDF bracket containing the whole cell, or -1 when a
+    knot lies inside the cell; one more -1 entry at the end serves the
+    inputs outside [0, 1) and NaN.
     """
 
     params: ModelParams
     tilt: float
     z_tilde: float
-    cdf_values: np.ndarray
     # strictly increasing knots of the inverse map u -> z and its tangents
     _inv_u: np.ndarray = field(repr=False, default=None)
     _inv_z: np.ndarray = field(repr=False, default=None)
@@ -255,8 +255,8 @@ def build_marginal(params: ModelParams, grid_size: int = 2048,
         of the unperturbed one.  Requires params.field for the tilt.
 
     The normalization is computed by adaptive quadrature; the CDF table by a
-    fixed Kronrod pass per cell, then normalized so the endpoints are exactly
-    0 and 1.
+    fixed Kronrod pass per cell (one batched pass over all cells), then
+    normalized so the endpoints are exactly 0 and 1.
     """
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
@@ -269,9 +269,7 @@ def build_marginal(params: ModelParams, grid_size: int = 2048,
     z_tilde = integrate_finite(w, -half, half, rel_tol=1e-10,
                                breakpoints=_wall_breakpoints(params)).value
     nodes = np.linspace(-half, half, grid_size + 1)
-    masses = np.empty(grid_size)
-    for k in range(grid_size):
-        masses[k], _ = _kronrod_panel(w, nodes[k], nodes[k + 1])
+    masses, _ = _kronrod_panels(w, nodes[:-1], nodes[1:])
     cdf = np.concatenate(([0.0], np.cumsum(masses)))
     total = cdf[-1]
     cdf /= total
@@ -285,8 +283,24 @@ def build_marginal(params: ModelParams, grid_size: int = 2048,
     inv_m = _monotone_tangents(inv_u, inv_z)
 
     return WallMarginal(params=params, tilt=tilt, z_tilde=z_tilde,
-                        cdf_values=cdf, _inv_u=inv_u, _inv_z=inv_z,
-                        _inv_m=inv_m, _guide=_guide_table(inv_u))
+                        _inv_u=inv_u, _inv_z=inv_z, _inv_m=inv_m,
+                        _guide=_guide_table(inv_u))
+
+
+def _open_uniforms(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform draws on the open interval (0, 1).
+
+    inverse_cdf(0.0) is the wall itself, so an exact 0.0 from rng.random
+    (probability 2^-53 per draw) is redrawn from the same generator.
+    Without a zero, the draws are those of rng.random(shape).
+    """
+    u = rng.random(shape)
+    if not u.all():
+        zero = np.flatnonzero(u == 0.0)
+        while zero.size:
+            u.flat[zero] = rng.random(zero.size)
+            zero = zero[u.flat[zero] == 0.0]
+    return u
 
 
 def sample_batch(marginal: WallMarginal, rng: np.random.Generator,
@@ -297,7 +311,7 @@ def sample_batch(marginal: WallMarginal, rng: np.random.Generator,
     """
     params = marginal.params
     n = params.n_particles
-    z = marginal.inverse_cdf(rng.random((n_states, n)))
+    z = marginal.inverse_cdf(_open_uniforms(rng, (n_states, n)))
     p = rng.normal(0.0, math.sqrt(params.mass) / math.sqrt(params.beta),
                    (n_states, n))
     return z, p

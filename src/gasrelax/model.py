@@ -72,15 +72,27 @@ class ModelParams:
         return 0.5 * self.box_side
 
 
-def _recip_pow12(u):
-    u2 = u * u
-    u4 = u2 * u2
-    return 1.0 / (u4 * u4 * u4)
+def _map_kernel(name: str, z, half: float, coeff: float, out=None):
+    """out = the C function `name` of `_verlet.c` at every element of z.
 
-
-def _wall_potential_raw(z, half_box, delta_wall):
-    # No domain check; callers guarantee |z| < half_box.
-    return delta_wall * (_recip_pow12(z + half_box) + _recip_pow12(z - half_box))
+    `name` is "wall_potential" (coeff = delta) or "wall_force" (coeff =
+    12 delta).  No domain check: callers guarantee |z| < half.  The kernel
+    walks memory, so out, when given, must be laid out like z; a new out
+    keeps z's layout (C or Fortran order), so that row sums over it add in
+    the order they did over the NumPy expressions.
+    """
+    z = np.asarray(z, dtype=float)
+    if not (z.flags.c_contiguous or z.flags.f_contiguous):
+        z = z.copy(order="K")
+    if out is None:
+        out = np.empty_like(z)
+    elif not (out.dtype == np.float64 and out.flags.writeable
+              and out.shape == z.shape and out.strides == z.strides):
+        raise ValueError("out must be a writeable float64 array laid out "
+                         "like z")
+    getattr(_kernel.library(), name)(z.ctypes.data, out.ctypes.data, z.size,
+                                     half, coeff)
+    return out
 
 
 def _checked(z, params: ModelParams) -> np.ndarray:
@@ -92,10 +104,13 @@ def _checked(z, params: ModelParams) -> np.ndarray:
 
 
 def wall_potential(z, params: ModelParams):
-    """delta * [(z + L/2)^-12 + (z - L/2)^-12]; diverges at the walls."""
-    zz = _checked(z, params)
-    with np.errstate(over="ignore"):
-        out = _wall_potential_raw(zz, params.half_box, params.delta_wall)
+    """delta * [(z + L/2)^-12 + (z - L/2)^-12]; diverges at the walls.
+
+    Evaluated by the C kernel (`_verlet.c`), the one place the potential
+    expression lives.
+    """
+    out = _map_kernel("wall_potential", _checked(z, params), params.half_box,
+                      params.delta_wall)
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
@@ -106,12 +121,8 @@ def wall_force(z, params: ModelParams):
     the center.  The (z - L/2) term is negative inside the box.  Evaluated
     by the C kernel (`_verlet.c`), the one place the force expression lives.
     """
-    zz = _checked(z, params)
-    if not zz.flags.c_contiguous:
-        zz = zz.copy()
-    out = np.empty(zz.shape)
-    _kernel.library().wall_force(zz.ctypes.data, out.ctypes.data, zz.size,
-                                 params.half_box, 12.0 * params.delta_wall)
+    out = _map_kernel("wall_force", _checked(z, params), params.half_box,
+                      12.0 * params.delta_wall)
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
@@ -125,9 +136,14 @@ def poisson_B_H0(z, params: ModelParams):
     return np.sum(wall_force(z, params), axis=-1)
 
 
-def hamiltonian(z, p, params: ModelParams, h: float = 0.0):
-    """H1 = sum p^2/2m + sum V(z) - h sum z; positions must lie in the box."""
-    with np.errstate(over="ignore"):
-        v = _wall_potential_raw(z, params.half_box, params.delta_wall)
-    return (0.5 / params.mass) * np.sum(p * p, axis=-1) + np.sum(v, axis=-1) \
+def hamiltonian(z, p, params: ModelParams, h: float = 0.0, v=None, pp=None):
+    """H1 = sum p^2/2m + sum V(z) - h sum z; positions must lie in the box.
+
+    v and pp are optional scratch buffers laid out like z and p, for V(z)
+    and p*p, which a caller evaluating H1 again and again allocates once.
+    The row sums are NumPy's, whose pairwise order the bits depend on.
+    """
+    v = _map_kernel("wall_potential", z, params.half_box, params.delta_wall, v)
+    pp = np.multiply(p, p, out=pp)
+    return (0.5 / params.mass) * np.sum(pp, axis=-1) + np.sum(v, axis=-1) \
         - h * np.sum(z, axis=-1)

@@ -55,24 +55,37 @@ _WG = np.array([0.129484966168870, 0.279705391489277,
                 0.381830050505119, 0.417959183673469])
 
 
-def _kronrod_panel(f, a: float, b: float):
-    """One K15/G7 pass over [a, b]: returns (k15, |k15 - g7|)."""
-    center = 0.5 * (a + b)
+def _kronrod_panels(f, a, b):
+    """One K15/G7 pass over each panel [a[k], b[k]]: returns (k15, |k15 - g7|).
+
+    f is evaluated once, on the 15 nodes of every panel.  Each panel's
+    weighted sums stay one np.dot of their own: a matrix-vector product over
+    all panels sums in another order and changes last bits.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    center = (0.5 * (a + b))[:, None]
     halfw = 0.5 * (b - a)
-    nodes = np.concatenate((center - halfw * _XGK[:7],
-                            [center],
-                            center + halfw * _XGK[6::-1]))
-    fv = np.asarray(f(nodes), dtype=float)
-    if fv.shape != nodes.shape:
+    offsets = halfw[:, None] * _XGK[:7]
+    nodes = np.concatenate((center - offsets, center,
+                            center + offsets[:, ::-1]), axis=1)
+    fv = np.asarray(f(nodes.reshape(-1)), dtype=float)
+    if fv.shape != (nodes.size,):
         raise QuadratureError("integrand must be vectorized over numpy arrays")
-    if not np.all(np.isfinite(fv)):
-        raise QuadratureError(
-            f"non-finite integrand value on panel [{a!r}, {b!r}]")
-    pairs = fv[:7] + fv[14:7:-1]
-    fc = fv[7]
-    k15 = halfw * (np.dot(_WGK[:7], pairs) + _WGK[7] * fc)
-    g7 = halfw * (np.dot(_WG[:3], pairs[1::2]) + _WG[3] * fc)
-    return k15, abs(k15 - g7)
+    fv = fv.reshape(nodes.shape)
+    bad = np.flatnonzero(~np.isfinite(fv).all(axis=1))
+    if bad.size:
+        k = bad[0]
+        raise QuadratureError(f"non-finite integrand value on panel "
+                              f"[{float(a[k])!r}, {float(b[k])!r}]")
+    pairs = fv[:, :7] + fv[:, 14:7:-1]
+    fc = fv[:, 7]
+    wk, wg = _WGK[:7], _WG[:3]
+    k15 = halfw * (np.array([np.dot(wk, row) for row in pairs])
+                   + _WGK[7] * fc)
+    g7 = halfw * (np.array([np.dot(wg, row[1::2]) for row in pairs])
+                  + _WG[3] * fc)
+    return k15, np.abs(k15 - g7)
 
 
 def integrate_finite(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
@@ -91,12 +104,9 @@ def integrate_finite(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
     if not a < b:
         raise ValueError("require a < b")
     edges = sorted({a, b, *(float(x) for x in breakpoints if a < x < b)})
-    panels = []
-    evaluations = 0
-    for pa, pb in zip(edges[:-1], edges[1:]):
-        value, err = _kronrod_panel(f, pa, pb)
-        panels.append((err, pa, pb, value))
-        evaluations += 15
+    values, errs = _kronrod_panels(f, edges[:-1], edges[1:])
+    panels = list(zip(errs, edges[:-1], edges[1:], values))
+    evaluations = 15 * len(panels)
     while True:
         total = math.fsum(p[3] for p in panels)
         total_err = math.fsum(p[0] for p in panels)
@@ -109,8 +119,7 @@ def integrate_finite(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
         worst = max(range(len(panels)), key=lambda i: panels[i][0])
         _, pa, pb, _ = panels.pop(worst)
         mid = 0.5 * (pa + pb)
-        vl, el = _kronrod_panel(f, pa, mid)
-        vr, er = _kronrod_panel(f, mid, pb)
+        (vl, vr), (el, er) = _kronrod_panels(f, (pa, mid), (mid, pb))
         panels.append((el, pa, mid, vl))
         panels.append((er, mid, pb, vr))
         evaluations += 30

@@ -4,9 +4,10 @@ Everything here deliberately avoids the code paths it is used to check:
 finite differences instead of closed-form derivatives, composite Simpson
 instead of the adaptive rule, rejection sampling instead of inverse-CDF
 lookup, and a deterministic initial-condition grid instead of Monte Carlo.
-The allocating NumPy forms of the inverse CDF, the wall force and the Verlet
-loop are kept here as the references that the guide-table lookup and the C
-kernels must match bit for bit.  Observables that only tests evaluate
+The allocating NumPy forms of the inverse CDF, the wall potential and force,
+H1 and the Verlet loop, and the per-panel Kronrod loop, are kept here as the
+references that the guide-table lookup, the C kernels and the batched
+Kronrod pass must match bit for bit.  Observables that only tests evaluate
 (the height sum A, the moment generating function of z) live here too.
 """
 
@@ -18,9 +19,10 @@ from numpy.polynomial.legendre import leggauss
 
 from gasrelax.dynamics import (EnergyDriftError, WallBreachError,
                                _evolve_batch, _records_grid)
-from gasrelax.gibbs import _centered_mgf
-from gasrelax.model import hamiltonian, observable_B
-from gasrelax.numerics import integrate_finite
+from gasrelax.gibbs import _centered_mgf, _monotone_tangents
+from gasrelax.model import observable_B
+from gasrelax.numerics import (_WG, _WGK, _XGK, QuadratureError,
+                               integrate_finite)
 
 
 def norm0_B_sq_exact(params):
@@ -127,6 +129,107 @@ def inverse_cdf_searchsorted(marginal, u):
             + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * m1)
 
 
+def _recip_pow12(u):
+    u2 = u * u
+    u4 = u2 * u2
+    return 1.0 / (u4 * u4 * u4)
+
+
+def wall_potential_reference(z, params):
+    """delta [(z+L/2)^-12 + (z-L/2)^-12] as one allocating expression."""
+    half = params.half_box
+    with np.errstate(over="ignore"):
+        return params.delta_wall * (_recip_pow12(z + half)
+                                    + _recip_pow12(z - half))
+
+
+def hamiltonian_reference(z, p, params, h=0.0):
+    """H1 per row with the NumPy potential and allocating passes."""
+    v = wall_potential_reference(z, params)
+    return (0.5 / params.mass) * np.sum(p * p, axis=-1) + np.sum(v, axis=-1) \
+        - h * np.sum(z, axis=-1)
+
+
+def weight_reference(z, params, tilt=0.0):
+    """gibbs._weight (no wall-distance powers) with the NumPy potential."""
+    z = np.asarray(z, dtype=float)
+    half = params.half_box
+    inside = (z + half > 0.0) & (half - z > 0.0)
+    with np.errstate(over="ignore"):
+        logw = -params.beta * (wall_potential_reference(
+            np.where(inside, z, 0.0), params) - tilt * z)
+    logw = np.where(inside, logw, -np.inf)
+    return np.exp(np.maximum(logw, -745.0)) * (logw > -745.0)
+
+
+def kronrod_panel(f, a, b):
+    """One K15/G7 pass over [a, b], one call of f: (k15, |k15 - g7|)."""
+    center = 0.5 * (a + b)
+    halfw = 0.5 * (b - a)
+    nodes = np.concatenate((center - halfw * _XGK[:7],
+                            [center],
+                            center + halfw * _XGK[6::-1]))
+    fv = np.asarray(f(nodes), dtype=float)
+    if not np.all(np.isfinite(fv)):
+        raise QuadratureError(
+            f"non-finite integrand value on panel [{a!r}, {b!r}]")
+    pairs = fv[:7] + fv[14:7:-1]
+    fc = fv[7]
+    k15 = halfw * (np.dot(_WGK[:7], pairs) + _WGK[7] * fc)
+    g7 = halfw * (np.dot(_WG[:3], pairs[1::2]) + _WG[3] * fc)
+    return k15, abs(k15 - g7)
+
+
+def kronrod_panels_loop(f, a, b):
+    """numerics._kronrod_panels as a loop of one-panel passes."""
+    done = [kronrod_panel(f, float(pa), float(pb)) for pa, pb in zip(a, b)]
+    return (np.array([k15 for k15, _ in done]),
+            np.array([err for _, err in done]))
+
+
+def kronrod_masses_loop(params, grid_size=2048, tilted=False):
+    """The cell masses of build_marginal, one Kronrod pass per cell.
+
+    The weight is weight_reference, so the NumPy potential is checked too.
+    """
+    tilt = params.field if tilted else 0.0
+    half = params.half_box
+    nodes = np.linspace(-half, half, grid_size + 1)
+    masses, _ = kronrod_panels_loop(
+        lambda z: weight_reference(z, params, tilt), nodes[:-1], nodes[1:])
+    return masses
+
+
+def cdf_reference(params, grid_size=2048, tilted=False):
+    """The normalized CDF at every grid node, from kronrod_masses_loop."""
+    cdf = np.concatenate(([0.0], np.cumsum(
+        kronrod_masses_loop(params, grid_size, tilted))))
+    cdf /= cdf[-1]
+    cdf[-1] = 1.0
+    return cdf
+
+
+def inverse_table_reference(params, grid_size=2048, tilted=False):
+    """(inv_u, inv_z, inv_m) of build_marginal from kronrod_masses_loop."""
+    half = params.half_box
+    nodes = np.linspace(-half, half, grid_size + 1)
+    cdf = cdf_reference(params, grid_size, tilted)
+    keep = np.concatenate(([True], np.diff(cdf) > 0.0))
+    return cdf[keep], nodes[keep], _monotone_tangents(cdf[keep], nodes[keep])
+
+
+def cdf_values(marginal, grid_size=2048):
+    """The normalized CDF at every node of the marginal's grid.
+
+    build_marginal keeps only the nodes where the CDF increases; a dropped
+    node has the CDF value of the last kept node before it.
+    """
+    half = marginal.params.half_box
+    nodes = np.linspace(-half, half, grid_size + 1)
+    kept = np.searchsorted(marginal._inv_z, nodes, side="right") - 1
+    return marginal._inv_u[kept]
+
+
 def _recip_pow13(u):
     u2 = u * u
     u4 = u2 * u2
@@ -155,7 +258,7 @@ def evolve_batch_reference(z, p, params, h, dt, steps_per_record, n_records,
 
     b_rec = np.empty((n_records, z.shape[0]))
     b_rec[0] = observable_B(z, p)
-    e_ref = hamiltonian(z, p, params, h)
+    e_ref = hamiltonian_reference(z, p, params, h)
     e_scale = np.maximum(np.abs(e_ref), 1e-30)
     max_drift = 0.0
 
@@ -171,12 +274,36 @@ def evolve_batch_reference(z, p, params, h, dt, steps_per_record, n_records,
             f = wall_force_reference(z, params) + h
             p += half_dt * f
         b_rec[rec] = observable_B(z, p)
-        drift = float(np.max(np.abs(hamiltonian(z, p, params, h) - e_ref)
-                             / e_scale))
+        drift = float(np.max(np.abs(hamiltonian_reference(z, p, params, h)
+                                    - e_ref) / e_scale))
         if not drift <= energy_tol:
             raise EnergyDriftError("drift", drift, energy_tol)
         max_drift = max(max_drift, drift)
     return b_rec, max_drift
+
+
+class ZeroDraws:
+    """A Generator stand-in whose k-th `random` call has exact 0.0 draws.
+
+    zeros[k] holds the flat indices set to 0.0 in the k-th call's array;
+    later calls, and `normal`, pass through to rng.  `sizes` records the
+    size of every `random` call.
+    """
+
+    def __init__(self, rng, zeros):
+        self._rng = rng
+        self._zeros = list(zeros)
+        self.sizes = []
+
+    def random(self, size=None):
+        u = self._rng.random(size)
+        self.sizes.append(size)
+        if self._zeros:
+            u.flat[self._zeros.pop(0)] = 0.0
+        return u
+
+    def normal(self, *args):
+        return self._rng.normal(*args)
 
 
 def simpson_integral(f, a, b, n=1 << 15):

@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import pytest
 
+import helpers
+from gasrelax import bounds, cli, dynamics
 from gasrelax.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, RunConfig,
                           main, parse_config_file)
 
@@ -176,6 +178,50 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", path])
         assert code in (EXIT_OK, EXIT_RUNTIME)
         assert (tmp_path / "correlation.csv").exists()
+
+
+class TestConfigReachesTheRun:
+    def test_grid_size_reaches_every_marginal(self, tmp_path, monkeypatch):
+        seen = []
+        for module in (bounds, dynamics):
+            def spy(params, grid_size=2048, tilted=False,
+                    _real=module.build_marginal):
+                seen.append(grid_size)
+                return _real(params, grid_size=grid_size, tilted=tilted)
+            monkeypatch.setattr(module, "build_marginal", spy)
+        path = write_config(tmp_path, output_dir=str(tmp_path))
+        assert main(["bounds", "--config", path]) == EXIT_OK
+        assert main(["simulate", "--config", path]) == EXIT_RUNTIME
+        # one rho0 marginal for bounds, rho0 and rho1 for simulate
+        assert seen == [256, 256, 256]
+
+
+class TestZeroUniformDraw:
+    """A uniform draw of exactly 0.0 is redrawn, not placed on the wall."""
+
+    @staticmethod
+    def _zero_first_draw(module, monkeypatch):
+        # every stream's first uniform draw starts with an exact 0.0, which
+        # rng.random returns with probability 2^-53
+        real = module.substream
+        monkeypatch.setattr(module, "substream", lambda seed, index:
+                            helpers.ZeroDraws(real(seed, index), [[0]]))
+
+    def test_bounds(self, tmp_path, monkeypatch, capsys):
+        self._zero_first_draw(cli, monkeypatch)
+        path = write_config(tmp_path, output_dir=str(tmp_path))
+        assert main(["bounds", "--config", path]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_simulate(self, tmp_path, monkeypatch, capsys):
+        self._zero_first_draw(dynamics, monkeypatch)
+        path = write_config(tmp_path, output_dir=str(tmp_path))
+        # exit 1 is the curve_check verdict, not a wall breach
+        assert main(["simulate", "--config", path]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "relaxation_report.json").read_text())
+        assert doc["positivity_ok"] is True
+        assert doc["curve_check"] is False
 
 
 class TestReportCommand:

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import mgf_z
+from gasrelax import numerics
 from gasrelax.gibbs import (_GUIDE_CELLS, _INVERSE_CDF_CHUNK,
-                            build_marginal, gamma_h, gamma_tilde_h,
-                            hoelder_certificate, log_mgf_z,
-                            norm0_B_closed, norm0_mc,
+                            _wall_breakpoints, _weight, build_marginal,
+                            gamma_h, gamma_tilde_h, hoelder_certificate,
+                            log_mgf_z, norm0_B_closed, norm0_mc,
                             norm0_poisson_B_H0_quadrature, sample_batch)
 from gasrelax.model import ModelParams, observable_B, poisson_B_H0
-from gasrelax.numerics import gamma_function
+from gasrelax.numerics import _kronrod_panels, gamma_function, integrate_finite
 from gasrelax.rng import substream
 
 # frozen 30-digit references for the N=64, beta=delta=1, L=10 configuration
@@ -46,11 +47,11 @@ class TestBuildMarginal:
         assert abs(marginal.z_tilde - 10.0) / 10.0 < 1e-6  # delta = 1e-80
 
     def test_cdf_symmetry(self, ref_marginal):
-        cdf = ref_marginal.cdf_values
+        cdf = helpers.cdf_values(ref_marginal)
         assert np.all(np.abs(cdf + cdf[::-1] - 1.0) < 1e-12)
 
     def test_cdf_monotone_with_endpoints(self, ref_marginal):
-        cdf = ref_marginal.cdf_values
+        cdf = helpers.cdf_values(ref_marginal)
         assert cdf[0] == 0.0 and cdf[-1] == 1.0
         assert np.all(np.diff(cdf) >= 0.0)
 
@@ -95,11 +96,97 @@ class TestBuildMarginal:
         assert np.all(np.abs(z) <= params.half_box)
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+# (name, grid_size, tilted) of the tables checked bit for bit
+TABLES = [("rho0", 2048, False), ("rho1", 2048, True), ("grid64", 64, False)]
+
+
+class TestMarginalTableBitwise:
+    """One batched Kronrod pass gives the bits of the per-cell loop."""
+
+    @pytest.mark.parametrize("name, grid_size, tilted", TABLES)
+    def test_masses_and_inverse_table(self, ref_params, name, grid_size,
+                                      tilted):
+        tilt = ref_params.field if tilted else 0.0
+        half = ref_params.half_box
+        nodes = np.linspace(-half, half, grid_size + 1)
+        masses, _ = _kronrod_panels(lambda z: _weight(z, ref_params, tilt),
+                                    nodes[:-1], nodes[1:])
+        want = helpers.kronrod_masses_loop(ref_params, grid_size, tilted)
+        assert np.array_equal(_bits(masses), _bits(want))
+        marginal = build_marginal(ref_params, grid_size, tilted)
+        got = (marginal._inv_u, marginal._inv_z, marginal._inv_m)
+        for mine, theirs in zip(got, helpers.inverse_table_reference(
+                ref_params, grid_size, tilted)):
+            assert np.array_equal(_bits(mine), _bits(theirs))
+
+    def test_cdf_values_rebuilt_from_the_knots(self, ref_params):
+        for grid_size in (64, 2048):
+            marginal = build_marginal(ref_params, grid_size)
+            assert np.array_equal(helpers.cdf_values(marginal, grid_size),
+                                  helpers.cdf_reference(ref_params, grid_size))
+
+
+class TestQuadratureBitwise:
+    """integrate_finite on the gibbs integrands: batched or looped panels."""
+
+    @pytest.mark.parametrize("integrand", [
+        "weight", "tilted", "pow_left_26", "pow_13_13", "expm1"])
+    def test_value_and_evaluations(self, ref_params, integrand, monkeypatch):
+        params = ref_params
+        f = {
+            "weight": lambda z: _weight(z, params),
+            "tilted": lambda z: _weight(z, params, params.field),
+            "pow_left_26": lambda z: _weight(z, params, pow_left=26.0),
+            "pow_13_13": lambda z: _weight(z, params, pow_left=13.0,
+                                           pow_right=13.0),
+            "expm1": lambda z: np.expm1(0.1 * z) * _weight(z, params),
+        }[integrand]
+        kwargs = dict(rel_tol=1e-10, abs_floor=1e-16,
+                      breakpoints=_wall_breakpoints(params))
+        half = params.half_box
+        got = integrate_finite(f, -half, half, **kwargs)
+        monkeypatch.setattr(numerics, "_kronrod_panels",
+                            helpers.kronrod_panels_loop)
+        want = integrate_finite(f, -half, half, **kwargs)
+        assert _bits(got.value) == _bits(want.value)
+        assert _bits(got.error_estimate) == _bits(want.error_estimate)
+        assert got.evaluations == want.evaluations > 15 * 9
+
+
 class TestSampling:
     def test_state_inside_box(self, ref_marginal, ref_params):
         z, p = sample_batch(ref_marginal, substream(1, 0), 3)
         assert z.shape == p.shape == (3, ref_params.n_particles)
         assert np.all(np.abs(z) < ref_params.half_box)
+
+    def test_draws_without_a_zero_are_unchanged(self, ref_marginal,
+                                                ref_params):
+        z, p = sample_batch(ref_marginal, substream(17, 0), 500)
+        rng = substream(17, 0)
+        u = rng.random((500, ref_params.n_particles))
+        assert u.min() > 0.0
+        assert np.array_equal(_bits(z), _bits(ref_marginal.inverse_cdf(u)))
+        assert np.array_equal(_bits(p), _bits(rng.normal(
+            0.0, 1.0, (500, ref_params.n_particles))))
+
+    def test_zero_uniform_is_redrawn(self, ref_marginal, ref_params):
+        # inverse_cdf(0.0) is the wall itself; the second redraw of flat
+        # index 70 is 0.0 again and is redrawn once more
+        assert ref_marginal.inverse_cdf(0.0) == -ref_params.half_box
+        stub = helpers.ZeroDraws(substream(18, 0), [[3, 70, 127], [1], []])
+        z, p = sample_batch(ref_marginal, stub, 2)
+        assert stub.sizes == [(2, 64), 3, 1]
+        assert np.all(np.abs(z) < ref_params.half_box)
+        rng = substream(18, 0)
+        u = rng.random((2, 64))
+        u.flat[[3, 70, 127]] = rng.random(3)
+        u.flat[70] = rng.random(1)[0]
+        assert np.array_equal(_bits(z), _bits(ref_marginal.inverse_cdf(u)))
+        assert np.array_equal(_bits(p), _bits(rng.normal(0.0, 1.0, (2, 64))))
 
     def test_momentum_moments(self, ref_marginal, ref_params):
         # variance m / beta, from the kinetic Boltzmann factor exp(-beta p^2/2m)
@@ -139,10 +226,6 @@ class TestSampling:
         reference = helpers.rejection_sample_z(ref_params, substream(5, 1), n,
                                                tilt=ref_params.field)
         assert helpers.ks_two_sample_pvalue(mine, reference) > 1e-3
-
-
-def _bits(x):
-    return np.asarray(x, dtype=float).view(np.int64)
 
 
 def _assert_same_bits(marginal, u):

@@ -2,6 +2,8 @@
 the build-on-first-use loader."""
 
 import os
+import re
+import shutil
 import subprocess
 import sys
 import time
@@ -15,7 +17,8 @@ import gasrelax
 from gasrelax import _kernel
 from gasrelax.cli import EXIT_RUNTIME, main
 from gasrelax.dynamics import WallBreachError, _evolve_batch
-from gasrelax.model import ModelParams, wall_force
+from gasrelax.model import (ModelParams, hamiltonian, wall_force,
+                            wall_potential)
 
 PARAMS = ModelParams(4, 1.0, 1.0, 10.0)
 
@@ -61,13 +64,16 @@ class TestVerletSteps:
                               0.999)
 
 
+LAYOUTS = pytest.mark.parametrize("z", [
+    0.3, np.float64(-4.2), np.array(4.99), np.linspace(-4.9, 4.9, 64),
+    np.linspace(-4.9, 4.9, 21).reshape(3, 7),
+    np.linspace(-4.9, 4.9, 120).reshape(8, 15)[::2, 1::3],
+    np.asfortranarray(np.linspace(-4.9, 4.9, 21).reshape(3, 7)),
+], ids=["float", "float64", "0-d", "(N,)", "3x7", "sliced", "fortran"])
+
+
 class TestWallForceLayouts:
-    @pytest.mark.parametrize("z", [
-        0.3, np.float64(-4.2), np.array(4.99), np.linspace(-4.9, 4.9, 64),
-        np.linspace(-4.9, 4.9, 21).reshape(3, 7),
-        np.linspace(-4.9, 4.9, 120).reshape(8, 15)[::2, 1::3],
-        np.asfortranarray(np.linspace(-4.9, 4.9, 21).reshape(3, 7)),
-    ], ids=["float", "float64", "0-d", "(N,)", "3x7", "sliced", "fortran"])
+    @LAYOUTS
     def test_bit_equal_to_reference(self, z):
         got = wall_force(z, PARAMS)
         want = helpers.wall_force_reference(np.asarray(z, dtype=float), PARAMS)
@@ -75,6 +81,36 @@ class TestWallForceLayouts:
         assert np.array_equal(_bits(got), _bits(want))
         if np.ndim(z) == 0:
             assert isinstance(got, float)
+
+    @LAYOUTS
+    def test_potential_and_energy_bit_equal_to_reference(self, z):
+        got = wall_potential(z, PARAMS)
+        want = helpers.wall_potential_reference(np.asarray(z, dtype=float),
+                                                PARAMS)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(_bits(got), _bits(want))
+        if np.ndim(z) == 0:
+            assert isinstance(got, float)
+        # the row sums of H1 add in the order of the input's layout
+        p = -0.5 * np.asarray(z, dtype=float)
+        assert np.array_equal(
+            _bits(hamiltonian(z, p, PARAMS, 0.3)),
+            _bits(helpers.hamiltonian_reference(np.asarray(z, dtype=float),
+                                                p, PARAMS, 0.3)))
+
+
+class TestBuildFlags:
+    def test_no_fused_multiply_add_in_the_library(self):
+        # -ffp-contract=off keeps every a*b+c rounding twice, as NumPy did
+        objdump = shutil.which("objdump")
+        if objdump is None:
+            pytest.skip("objdump is not on PATH")
+        path = _kernel.library()._name
+        text = subprocess.run([objdump, "-d", path], capture_output=True,
+                              text=True, check=True).stdout
+        assert "<wall_potential" in text and "<verlet_steps" in text
+        fused = re.findall(r"\bv(?:fn?madd|fn?msub)\w*", text)
+        assert fused == []
 
 
 def _loader_script(cache, start):

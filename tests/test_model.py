@@ -11,6 +11,16 @@ from gasrelax.rng import substream
 NARROW = ModelParams(n_particles=1, beta=1.0, delta_wall=1.0, box_side=2.0)
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.fixture(scope="module")
+def shard(ref_marginal):
+    """One sampled 1024 x 64 shard (z, p), the size _evolve_batch runs."""
+    return sample_batch(ref_marginal, substream(16, 0), 1024)
+
+
 class TestModelParams:
     def test_field_zero_allowed(self):
         p = ModelParams(1, 1.0, 1.0, 1.0, field=0.0)
@@ -67,6 +77,17 @@ class TestWallPotential:
         z = np.linspace(-0.95, 0.95, 1901)
         v = wall_potential(z, NARROW)
         assert np.argmin(v) == 950
+
+    def test_bitwise_equal_to_allocating_expression(self, ref_params, shard):
+        z, _ = shard
+        narrow_z = np.linspace(-0.999, 0.999, 1999)
+        for params, zz in ((ref_params, z), (NARROW, narrow_z),
+                           (NARROW, narrow_z[::3])):
+            assert np.array_equal(
+                _bits(wall_potential(zz, params)),
+                _bits(helpers.wall_potential_reference(zz, params)))
+        assert wall_potential(4.99, ref_params) == \
+            float(helpers.wall_potential_reference(4.99, ref_params))
 
 
 class TestWallForce:
@@ -193,6 +214,28 @@ class TestBrackets:
             observable_A, lambda zz, pp: hamiltonian(zz, pp, params), z, p,
             eps=1e-6)
         assert fd == pytest.approx(observable_B(z, p), rel=1e-7)
+
+
+@pytest.mark.parametrize("h, mass", [(0.0, 1.0), (1e-3, 1.0), (0.3, 4.0)])
+def test_hamiltonian_bitwise_equal_to_allocating_expression(shard, h, mass):
+    params = ModelParams(64, 1.0, 1.0, 10.0, field=h, mass=mass)
+    z, p = shard
+    want = _bits(helpers.hamiltonian_reference(z, p, params, h))
+    assert np.array_equal(_bits(hamiltonian(z, p, params, h)), want)
+    # the buffers of _evolve_batch, reused from call to call
+    v, pp = np.empty_like(z), np.empty_like(p)
+    for _ in range(2):
+        got = hamiltonian(z, p, params, h, v, pp)
+        assert np.array_equal(_bits(got), want)
+
+
+def test_hamiltonian_rejects_buffers_laid_out_unlike_z(shard):
+    z, p = shard
+    params = ModelParams(64, 1.0, 1.0, 10.0)
+    for bad in (np.empty((64, 1024)).T, np.empty(z.shape, dtype=np.float32),
+                np.empty((1024, 32))):
+        with pytest.raises(ValueError, match="laid out like z"):
+            hamiltonian(z, p, params, 0.0, bad, np.empty_like(p))
 
 
 def test_hamiltonian_terms():

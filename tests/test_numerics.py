@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from helpers import gaussian_moment, integrate_semi_infinite
 from gasrelax.numerics import (QuadratureError, QuadratureResult,
                                gamma_function, integrate_finite)
@@ -88,6 +89,21 @@ def test_nan_integrand_raises():
 
     with pytest.raises(QuadratureError):
         integrate_finite(bad, 0.0, 1.0)
+
+
+def test_non_finite_integrand_names_its_first_bad_panel():
+    def bad(x):
+        return np.where(x > 0.6, np.inf, 1.0)
+
+    # seed panels [0, .25], [.25, .5], [.5, .75], [.75, 1]: the last two
+    # see x > 0.6, and the error names the first of them
+    with pytest.raises(QuadratureError,
+                       match=r"on panel \[0\.5, 0\.75\]$") as err:
+        integrate_finite(bad, 0.0, 1.0, breakpoints=(0.25, 0.5, 0.75))
+    with pytest.raises(QuadratureError) as looped:
+        helpers.kronrod_panels_loop(bad, [0.0, 0.25, 0.5, 0.75],
+                                    [0.25, 0.5, 0.75, 1.0])
+    assert str(err.value) == str(looped.value)
 
 
 def test_bad_interval_raises():
