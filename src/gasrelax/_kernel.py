@@ -68,6 +68,8 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.verlet_steps.argtypes = [ptr, ptr, ptr, n, ctypes.c_long,
                                  d, d, d, d, d, d]
     lib.verlet_steps.restype = ctypes.c_long
+    lib.inverse_cdf.argtypes = [ptr, ptr, n, ptr, ptr, ptr, ptr, n, n]
+    lib.inverse_cdf.restype = None
     return lib
 
 

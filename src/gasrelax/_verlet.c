@@ -1,15 +1,16 @@
-/* The wall potential, the wall force and the velocity-Verlet step of
- * gasrelax, the step in one fused pass.
+/* The wall potential, the wall force, the velocity-Verlet step and the
+ * inverse CDF of the wall marginal in gasrelax, the step in one fused pass.
  *
  * Every result is bit for bit what the former NumPy expressions gave, so the
  * operation order below is part of the contract.  Potential: u*u, u2*u2,
  * (u4*u4)*u4, 1/x, the sum of the two walls, the product with delta.
  * Force: u*u, u2*u2, ((u4*u4)*u4)*u, 1/x, the sum of the two walls, the
- * product with 12 delta, then + h.  Build with -ffp-contract=off (a fused
- * multiply-add rounds once where the NumPy passes rounded twice) and never
- * with fast-math options, which reassociate.  The clones only widen the
- * vector registers: every lane makes the same correctly rounded IEEE
- * operations as scalar code.
+ * product with 12 delta, then + h.  Inverse CDF: the Hermite cubic as the
+ * sum, left to right, of its four basis terms (see hermite below).  Build
+ * with -ffp-contract=off (a fused multiply-add rounds once where the NumPy
+ * passes rounded twice) and never with fast-math options, which reassociate.
+ * The clones only widen the vector registers: every lane makes the same
+ * correctly rounded IEEE operations as scalar code.
  */
 
 #include <math.h>
@@ -81,4 +82,81 @@ KERNEL long verlet_steps(double *restrict z, double *restrict p,
             return s;
     }
     return steps;
+}
+
+/* values per inverse_cdf pass: the copy of u and the bracket indices of one
+ * chunk stay in L1, so the three passes over it read no main memory */
+#define INVERSE_CDF_CHUNK 512
+
+const ptrdiff_t inverse_cdf_chunk = INVERSE_CDF_CHUNK;
+
+/* clip(searchsorted(x, u, "right") - 1, 0, k - 2) over the k sorted knots
+ * x: a NaN u sorts after every knot, as in NumPy */
+static ptrdiff_t bracket(const double *x, ptrdiff_t k, double u)
+{
+    ptrdiff_t lo = 0, hi = k;
+    while (lo < hi) {
+        ptrdiff_t mid = lo + (hi - lo) / 2;
+        if (u < x[mid])
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    if (lo < 1)
+        return 0;
+    return lo - 1 < k - 2 ? lo - 1 : k - 2;
+}
+
+/* (2t^3 - 3t^2 + 1) y0 + (t^3 - 2t^2 + t) m0 + (-2t^3 + 3t^2) y1
+ * + (t^3 - t^2) m1, with the tangents m0, m1 already scaled by dx */
+static inline double hermite(double t, double y0, double m0, double y1,
+                             double m1)
+{
+    double t2 = t * t;
+    double t3 = t2 * t;
+    return (2.0 * t3 - 3.0 * t2 + 1.0) * y0 + (t3 - 2.0 * t2 + t) * m0
+        + (-2.0 * t3 + 3.0 * t2) * y1 + (t3 - t2) * m1;
+}
+
+/* out[i] = the monotone-cubic inverse of the CDF knots (inv_u, inv_z) with
+ * tangents inv_m at u[i], for i < n; out may be u itself.
+ *
+ * guide[j] is the bracket of every u in [j, j+1) / cells, or -1 when a knot
+ * splits that cell.  A u outside [0, 1), a NaN or a -1 cell falls back to
+ * the binary search over all k knots, so every value is the one that
+ * search gives.  Each chunk is copied, bracketed and then interpolated.
+ */
+KERNEL void inverse_cdf(const double *u, double *out, ptrdiff_t n,
+                        const double *restrict inv_u,
+                        const double *restrict inv_z,
+                        const double *restrict inv_m,
+                        const ptrdiff_t *restrict guide, ptrdiff_t k,
+                        ptrdiff_t cells)
+{
+    double uc[INVERSE_CDF_CHUNK];
+    ptrdiff_t idx[INVERSE_CDF_CHUNK];
+    double width = (double)cells;
+
+    for (ptrdiff_t start = 0; start < n; start += INVERSE_CDF_CHUNK) {
+        ptrdiff_t len = n - start;
+        if (len > INVERSE_CDF_CHUNK)
+            len = INVERSE_CDF_CHUNK;
+        for (ptrdiff_t i = 0; i < len; i++) {
+            double ui = u[start + i];
+            double cell = ui * width;
+            uc[i] = ui;
+            idx[i] = cell >= 0.0 && cell < width ? guide[(ptrdiff_t)cell] : -1;
+        }
+        for (ptrdiff_t i = 0; i < len; i++)
+            if (idx[i] < 0)
+                idx[i] = bracket(inv_u, k, uc[i]);
+        for (ptrdiff_t i = 0; i < len; i++) {
+            ptrdiff_t j = idx[i];
+            double x0 = inv_u[j];
+            double dx = inv_u[j + 1] - x0;
+            double t = (uc[i] - x0) / dx;
+            out[start + i] = hermite(t, inv_z[j], inv_m[j] * dx,
+                                     inv_z[j + 1], inv_m[j + 1] * dx);
+        }
+    }
 }

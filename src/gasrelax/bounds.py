@@ -80,7 +80,7 @@ def eta_empirical(params: ModelParams, marginal: WallMarginal, n_samples: int,
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
     est = norm0_mc(lambda z, p: poisson_B_H0(z, params), marginal, n_samples,
-                   rng)
+                   rng, momenta=False)
     denom = norm0_B_closed(params)
     return NormEstimate(value=est.value / denom, std_error=est.std_error / denom,
                         n_samples=n_samples, which_measure=est.which_measure)

@@ -330,6 +330,12 @@ def main(argv=None) -> int:
     except (ConfigError, RegimeError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except ArithmeticError as exc:
+        # finite parameters so large or small that a derived quantity
+        # leaves the float range
+        print(f"validation error: parameters out of numeric range: {exc}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
     except (QuadratureError, EnergyDriftError, WallBreachError,
             KernelBuildError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

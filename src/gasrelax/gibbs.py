@@ -9,14 +9,15 @@ Gaussian momenta of variance m/beta.
 Positions are drawn by inverse-CDF lookup from a tabulated marginal with a
 monotone-cubic inverse; naive rejection would accept with probability
 z_tilde / L, which degrades for strong walls and is kept only as a test
-oracle.  The lookup is a guide-table (indexed) search: 2^16 equal cells of
-u in [0, 1) each store the CDF bracket that covers the whole cell, so most
-draws find their bracket with one gather.  Cells that a CDF knot splits
-(about 2.6 % of them on the reference grid), and inputs outside [0, 1) or
-NaN, fall back to a binary search.  The cubic is evaluated in fixed chunks
-of 2^13 values, so its temporaries stay small instead of a dozen arrays the
-size of the batch.  Every drawn value is bitwise what a binary search over
-the whole batch gives.
+oracle.  The lookup runs in the C kernel (`_verlet.c`) and is a guide-table
+(indexed) search: 2^16 equal cells of u in [0, 1) each store the CDF
+bracket that covers the whole cell, so most draws find their bracket with
+one gather.  Cells that a CDF knot splits (about 2.6 % of them on the
+reference grid), and inputs outside [0, 1) or NaN, fall back to a binary
+search.  The kernel works through the values in chunks of a few hundred,
+so it needs no temporaries beyond the stack, and it may write over its
+input.  Every drawn value is bitwise what a binary search over the whole
+batch and the NumPy cubic give.
 
 Integrands that multiply the Gibbs weight by inverse powers of the wall
 distance are evaluated in log space: the exponential kills the power in the
@@ -54,11 +55,6 @@ _LOG_FLOOR = -745.0
 # cells of the inverse-CDF guide table over u in [0, 1); a power of two, so
 # u * _GUIDE_CELLS is exact and its floor is the cell that holds u
 _GUIDE_CELLS = 1 << 16
-# values per inverse-CDF evaluation pass.  Its 64 KiB temporaries stay below
-# glibc's 128 KiB mmap threshold, so they are reused from the heap; with 2^15
-# values they were mmapped and page-faulted afresh, and a draw cost twice as
-# much (33 against 17 ns per value on an AMD EPYC core)
-_INVERSE_CDF_CHUNK = 1 << 13
 
 
 def _log_weight(z, params: ModelParams, tilt: float = 0.0,
@@ -132,18 +128,31 @@ class WallMarginal:
     their monotone-cubic inverse tangents support vectorized inverse-CDF
     draws.  `_guide` holds, for each of the _GUIDE_CELLS equal cells of u,
     the index of the CDF bracket containing the whole cell, or -1 when a
-    knot lies inside the cell; one more -1 entry at the end serves the
-    inputs outside [0, 1) and NaN.
+    knot lies inside the cell.
     """
 
     params: ModelParams
     tilt: float
     z_tilde: float
     # strictly increasing knots of the inverse map u -> z and its tangents
-    _inv_u: np.ndarray = field(repr=False, default=None)
-    _inv_z: np.ndarray = field(repr=False, default=None)
-    _inv_m: np.ndarray = field(repr=False, default=None)
-    _guide: np.ndarray = field(repr=False, default=None)
+    _inv_u: np.ndarray = field(repr=False)
+    _inv_z: np.ndarray = field(repr=False)
+    _inv_m: np.ndarray = field(repr=False)
+    _guide: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        # the C inverse CDF reads these tables through bare pointers
+        k = self._inv_u.size
+        tables = (self._inv_u, self._inv_z, self._inv_m)
+        if not (k >= 2
+                and all(a.dtype == np.float64 and a.shape == (k,)
+                        and a.flags.c_contiguous for a in tables)
+                and self._guide.dtype == np.intp
+                and self._guide.shape == (_GUIDE_CELLS,)
+                and self._guide.flags.c_contiguous
+                and -1 <= self._guide.min() and self._guide.max() <= k - 2):
+            raise ValueError("inverse-CDF tables of inconsistent size or "
+                             "layout")
 
     @property
     def which_measure(self) -> str:
@@ -153,52 +162,17 @@ class WallMarginal:
         """Normalized marginal density at z (0 outside the box)."""
         return _weight(z, self.params, self.tilt) / self.z_tilde
 
-    def inverse_cdf(self, u):
+    def inverse_cdf(self, u, out=None):
         """Monotone-cubic inverse of the tabulated CDF, for u in [0, 1).
 
-        Evaluated in chunks of _INVERSE_CDF_CHUNK values written into one
-        output array; a 0-d input gives a scalar.
+        out, when given, must be laid out like u, and may be u itself; a 0-d
+        input gives a scalar.
         """
-        u = np.asarray(u, dtype=float)
-        out = np.empty(u.shape)
-        flat_u = u.reshape(-1)
-        flat_out = out.reshape(-1)
-        for start in range(0, flat_u.size, _INVERSE_CDF_CHUNK):
-            stop = start + _INVERSE_CDF_CHUNK
-            flat_out[start:stop] = self._invert(flat_u[start:stop])
+        out = _map_kernel("inverse_cdf", u, self._inv_u.ctypes.data,
+                          self._inv_z.ctypes.data, self._inv_m.ctypes.data,
+                          self._guide.ctypes.data, self._inv_u.size,
+                          _GUIDE_CELLS, out=out)
         return out if out.ndim else out[()]
-
-    def _bracket(self, u):
-        """Index k of the knot bracket [_inv_u[k], _inv_u[k+1]) of each u.
-
-        Equal to clip(searchsorted(_inv_u, u, "right") - 1, 0, size - 2).
-        """
-        cell = np.floor(u * _GUIDE_CELLS)
-        # u < 0 and NaN go to cell -1, u >= 1 to cell _GUIDE_CELLS: both
-        # index the trailing -1 entry of the guide
-        np.fmax(cell, -1.0, out=cell)
-        np.fmin(cell, _GUIDE_CELLS, out=cell)
-        idx = self._guide[cell.astype(np.intp)]
-        miss = np.flatnonzero(idx < 0)
-        if miss.size:
-            idx[miss] = np.clip(
-                np.searchsorted(self._inv_u, u[miss], side="right") - 1,
-                0, self._inv_u.size - 2)
-        return idx
-
-    def _invert(self, u):
-        idx = self._bracket(u)
-        x0 = self._inv_u[idx]
-        dx = self._inv_u[idx + 1] - x0
-        t = (u - x0) / dx
-        y0 = self._inv_z[idx]
-        y1 = self._inv_z[idx + 1]
-        m0 = self._inv_m[idx] * dx
-        m1 = self._inv_m[idx + 1] * dx
-        t2 = t * t
-        t3 = t2 * t
-        return ((2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + t) * m0
-                + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * m1)
 
 
 def _guide_table(inv_u: np.ndarray) -> np.ndarray:
@@ -206,13 +180,13 @@ def _guide_table(inv_u: np.ndarray) -> np.ndarray:
 
     Cell j holds u in [j, j+1) / _GUIDE_CELLS.  When no knot lies in
     (j, j+1] / _GUIDE_CELLS, every u of the cell has the bracket of the
-    cell's left edge.  The table ends with one extra -1 entry.
+    cell's left edge.
     """
     edges = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
     below = np.searchsorted(inv_u, edges, side="right")
-    guide = np.full(_GUIDE_CELLS + 1, -1, dtype=np.intp)
+    guide = np.full(_GUIDE_CELLS, -1, dtype=np.intp)
     whole = below[1:] == below[:-1]
-    guide[:-1][whole] = np.clip(below[:-1][whole] - 1, 0, inv_u.size - 2)
+    guide[whole] = np.clip(below[:-1][whole] - 1, 0, inv_u.size - 2)
     return guide
 
 
@@ -272,14 +246,14 @@ def build_marginal(params: ModelParams, grid_size: int = 2048,
     masses, _ = _kronrod_panels(w, nodes[:-1], nodes[1:])
     cdf = np.concatenate(([0.0], np.cumsum(masses)))
     total = cdf[-1]
+    if not 0.0 < total < math.inf:
+        raise ValueError("degenerate marginal: density has no support on the grid")
     cdf /= total
     cdf[-1] = 1.0
 
     keep = np.concatenate(([True], np.diff(cdf) > 0.0))
     inv_u = cdf[keep]
     inv_z = nodes[keep]
-    if inv_u.size < 2:
-        raise ValueError("degenerate marginal: density has no support on the grid")
     inv_m = _monotone_tangents(inv_u, inv_z)
 
     return WallMarginal(params=params, tilt=tilt, z_tilde=z_tilde,
@@ -304,14 +278,21 @@ def _open_uniforms(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def sample_batch(marginal: WallMarginal, rng: np.random.Generator,
-                 n_states: int) -> tuple[np.ndarray, np.ndarray]:
+                 n_states: int, *, momenta: bool = True
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Draw (Z, P) arrays of shape (n_states, N): iid particles, Gaussian p.
 
     The momenta have variance m / beta, from the factor exp(-beta p^2 / 2m).
+    They come after the heights in the generator's stream, so with
+    momenta=False, for an observable that reads only Z, the heights are the
+    same and P is None.  The uniforms are inverted in place.
     """
     params = marginal.params
     n = params.n_particles
-    z = marginal.inverse_cdf(_open_uniforms(rng, (n_states, n)))
+    u = _open_uniforms(rng, (n_states, n))
+    z = marginal.inverse_cdf(u, out=u)
+    if not momenta:
+        return z, None
     p = rng.normal(0.0, math.sqrt(params.mass) / math.sqrt(params.beta),
                    (n_states, n))
     return z, p
@@ -330,16 +311,18 @@ def norm0_B_closed(params: ModelParams) -> float:
 
 
 def norm0_mc(f, marginal: WallMarginal, n_samples: int,
-             rng: np.random.Generator) -> NormEstimate:
+             rng: np.random.Generator, *, momenta: bool = True
+             ) -> NormEstimate:
     """Monte-Carlo L2 norm sqrt(E[f^2]) with a delta-method standard error.
 
     f maps the sampled (Z, P) arrays of shape (n_samples, N) to one value per
     row.  Sampling follows the marginal's measure (rho0, or rho1 when the
-    marginal is tilted).
+    marginal is tilted).  With momenta=False, P is None and no momentum is
+    drawn, for an f that reads only Z; the estimate is unchanged.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
-    z, p = sample_batch(marginal, rng, n_samples)
+    z, p = sample_batch(marginal, rng, n_samples, momenta=momenta)
     values = np.asarray(f(z, p), dtype=float)
     if values.shape != (n_samples,):
         raise ValueError("observable must return one value per sampled state")

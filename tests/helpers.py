@@ -5,10 +5,11 @@ finite differences instead of closed-form derivatives, composite Simpson
 instead of the adaptive rule, rejection sampling instead of inverse-CDF
 lookup, and a deterministic initial-condition grid instead of Monte Carlo.
 The allocating NumPy forms of the inverse CDF, the wall potential and force,
-H1 and the Verlet loop, and the per-panel Kronrod loop, are kept here as the
-references that the guide-table lookup, the C kernels and the batched
-Kronrod pass must match bit for bit.  Observables that only tests evaluate
-(the height sum A, the moment generating function of z) live here too.
+the bracket [B, H0], H1 and the Verlet loop, and the per-panel Kronrod loop,
+are kept here as the references that the C kernels, the row-chunked bracket
+and the batched Kronrod pass must match bit for bit.  Observables that only
+tests evaluate (the height sum A, the moment generating function of z) live
+here too.
 """
 
 import math
@@ -109,8 +110,8 @@ def verlet_steps(z, p, params, h, dt, n_steps):
 def inverse_cdf_searchsorted(marginal, u):
     """Monotone-cubic inverse CDF with a binary search over every knot.
 
-    The bracket lookup and cubic of WallMarginal.inverse_cdf before its guide
-    table, on the whole batch at once.
+    The NumPy bracket lookup and cubic of WallMarginal.inverse_cdf before
+    its guide table and its C kernel, on the whole batch at once.
     """
     u = np.asarray(u, dtype=float)
     inv_u, inv_z, inv_m = marginal._inv_u, marginal._inv_z, marginal._inv_m
@@ -242,6 +243,11 @@ def wall_force_reference(z, params):
     with np.errstate(over="ignore"):
         return 12.0 * params.delta_wall * (_recip_pow13(z + half)
                                            + _recip_pow13(z - half))
+
+
+def poisson_B_H0_reference(z, params):
+    """[B, H0] per row from one force array over the whole batch."""
+    return np.sum(wall_force_reference(z, params), axis=-1)
 
 
 def evolve_batch_reference(z, p, params, h, dt, steps_per_record, n_records,

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from gasrelax import bounds, cli, dynamics
@@ -124,6 +129,68 @@ class TestBoundsCommand:
                             delta_wall=1e12)
         assert main(["bounds", "--config", path]) == EXIT_VALIDATION
         assert "box_side/3" in capsys.readouterr().err
+
+
+def _run_quietly(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _mostly(good, bad):
+    """A draw of good, or one time in five of bad."""
+    return st.tuples(st.integers(0, 4), good, bad).map(
+        lambda draw: draw[2] if draw[0] == 0 else draw[1])
+
+
+def _flag(lo, hi):
+    """Mostly a float in [lo, hi], else one that no parameter accepts or
+    that the regime may reject."""
+    return _mostly(st.floats(lo, hi), st.sampled_from(
+        [0.0, -1.0, math.nan, math.inf, -math.inf, 1.0, 1e9]))
+
+
+@pytest.fixture(scope="module")
+def flags_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("flags"))
+
+
+class TestBoundsFlags:
+    """Any mix of bounds flags: a result or a validation error, never a
+    traceback (RuntimeWarnings are errors in the test run)."""
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(n_samples=_mostly(st.integers(1000, 3000), st.integers(-5, 999)),
+           grid_size=_mostly(st.integers(64, 300), st.integers(-5, 63)),
+           box_side=_flag(3.5, 40.0), beta=_flag(0.2, 5.0),
+           delta_wall=_flag(1e-3, 10.0))
+    def test_exit_code_and_no_traceback(self, flags_dir, n_samples,
+                                        grid_size, box_side, beta,
+                                        delta_wall):
+        code, _, err = _run_quietly([
+            "bounds", "--n_particles", "4", f"--n_samples={n_samples}",
+            f"--grid_size={grid_size}", f"--box_side={box_side!r}",
+            f"--beta={beta!r}", f"--delta_wall={delta_wall!r}",
+            "--output_dir", flags_dir])
+        assert code in (EXIT_OK, EXIT_VALIDATION)
+        assert "Traceback" not in err
+        assert (err == "") == (code == EXIT_OK)
+
+    @pytest.mark.parametrize("extreme", [
+        # 1/eta: eta underflows to zero
+        ["--box_side=1e300", "--beta=1e300", "--delta_wall=21.4"],
+        # delta^2 overflows in the bracket norm
+        ["--box_side=3.4e165", "--beta=0.001", "--delta_wall=3.4e165"],
+    ])
+    def test_float_range_is_a_validation_error(self, flags_dir, extreme):
+        code, _, err = _run_quietly(["bounds", "--n_particles", "4",
+                                     "--n_samples=1000", "--grid_size=100",
+                                     *extreme, "--output_dir", flags_dir])
+        assert code == EXIT_VALIDATION
+        assert err.startswith("validation error: parameters out of numeric "
+                              "range")
 
 
 class TestGammaCommand:

@@ -1,3 +1,6 @@
+import ctypes
+import dataclasses
+import functools
 import math
 import warnings
 
@@ -8,12 +11,12 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import mgf_z
-from gasrelax import numerics
-from gasrelax.gibbs import (_GUIDE_CELLS, _INVERSE_CDF_CHUNK,
-                            _wall_breakpoints, _weight, build_marginal,
-                            gamma_h, gamma_tilde_h, hoelder_certificate,
-                            log_mgf_z, norm0_B_closed, norm0_mc,
-                            norm0_poisson_B_H0_quadrature, sample_batch)
+from gasrelax import _kernel, numerics
+from gasrelax.gibbs import (_GUIDE_CELLS, _wall_breakpoints, _weight,
+                            build_marginal, gamma_h, gamma_tilde_h,
+                            hoelder_certificate, log_mgf_z, norm0_B_closed,
+                            norm0_mc, norm0_poisson_B_H0_quadrature,
+                            sample_batch)
 from gasrelax.model import ModelParams, observable_B, poisson_B_H0
 from gasrelax.numerics import _kronrod_panels, gamma_function, integrate_finite
 from gasrelax.rng import substream
@@ -173,6 +176,14 @@ class TestSampling:
         assert np.array_equal(_bits(p), _bits(rng.normal(
             0.0, 1.0, (500, ref_params.n_particles))))
 
+    def test_heights_only_are_the_same_heights(self, ref_marginal):
+        # the momenta follow the heights in the generator's stream
+        z, _ = sample_batch(ref_marginal, substream(21, 0), 500)
+        z_only, p = sample_batch(ref_marginal, substream(21, 0), 500,
+                                 momenta=False)
+        assert p is None
+        assert np.array_equal(_bits(z_only), _bits(z))
+
     def test_zero_uniform_is_redrawn(self, ref_marginal, ref_params):
         # inverse_cdf(0.0) is the wall itself; the second redraw of flat
         # index 70 is 0.0 again and is redrawn once more
@@ -237,12 +248,26 @@ def _assert_same_bits(marginal, u):
     assert np.array_equal(_bits(got), _bits(expected))
 
 
-@pytest.fixture(scope="module", params=["rho0", "rho1", "grid64"])
+@functools.lru_cache(maxsize=None)
+def _box_marginal(box_side):
+    return build_marginal(ModelParams(64, 1.0, 1.0, box_side, field=1e-3))
+
+
+@pytest.fixture(scope="module",
+                params=["rho0", "rho1", "grid64", "L5", "L15", "L20"])
 def any_marginal(request, ref_params):
     if request.param == "grid64":
         return build_marginal(ref_params, grid_size=64)
+    if request.param.startswith("L"):
+        return _box_marginal(float(request.param[1:]))
     return request.getfixturevalue(
         {"rho0": "ref_marginal", "rho1": "ref_marginal_tilted"}[request.param])
+
+
+def _inverse_cdf_chunk():
+    """The values per pass of the C inverse CDF."""
+    return ctypes.c_ssize_t.in_dll(_kernel.library(),
+                                   "inverse_cdf_chunk").value
 
 
 class TestInverseCdfBitwise:
@@ -259,14 +284,55 @@ class TestInverseCdfBitwise:
 
     def test_shapes_and_chunk_boundaries(self, any_marginal):
         rng = substream(14, 0)
-        for shape in [(_INVERSE_CDF_CHUNK - 1,), (_INVERSE_CDF_CHUNK,),
-                      (_INVERSE_CDF_CHUNK + 1,), (), (300, 64)]:
+        chunk = _inverse_cdf_chunk()
+        for shape in [(chunk - 1,), (chunk,), (chunk + 1,), (), (300, 64)]:
             _assert_same_bits(any_marginal, rng.random(shape))
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=64))
     def test_property_near_unit_interval(self, ref_marginal, values):
         _assert_same_bits(ref_marginal, np.array(values))
+
+    def test_in_place(self, any_marginal):
+        u = substream(19, 0).random((300, 64))
+        expected = helpers.inverse_cdf_searchsorted(any_marginal, u)
+        assert any_marginal.inverse_cdf(u, out=u) is u
+        assert np.array_equal(_bits(u), _bits(expected))
+
+    def test_fortran_and_strided_inputs(self, any_marginal):
+        u = substream(20, 0).random((96, 64))
+        fortran = np.asfortranarray(u)
+        for view in (fortran, u[::3, 1::2], u.T, fortran[5:70:2]):
+            _assert_same_bits(any_marginal, view)
+        out = np.empty_like(fortran)
+        assert any_marginal.inverse_cdf(fortran, out=out) is out
+        assert np.array_equal(_bits(out), _bits(any_marginal.inverse_cdf(u)))
+        with pytest.raises(ValueError, match="laid out like z"):
+            any_marginal.inverse_cdf(fortran, out=np.empty_like(u))
+
+    def test_infinities_and_smallest_subnormal(self, any_marginal):
+        tiny = np.nextafter(0.0, 1.0)
+        _assert_same_bits(any_marginal, np.array(
+            [np.inf, -np.inf, tiny, -tiny, 2 * tiny, np.nextafter(tiny, 0.0)]))
+
+    def test_tables_are_checked_before_the_kernel_reads_them(
+            self, ref_marginal):
+        guide = ref_marginal._guide
+        past_last = np.full_like(guide, ref_marginal._inv_u.size - 1)
+        for bad in (dict(_guide=guide[:-1]), dict(_guide=past_last),
+                    dict(_guide=guide.astype(np.int32)),
+                    dict(_inv_z=ref_marginal._inv_z[:-1]),
+                    dict(_inv_m=ref_marginal._inv_m[::-1])):
+            with pytest.raises(ValueError, match="inverse-CDF tables"):
+                dataclasses.replace(ref_marginal, **bad)
+
+    @pytest.mark.parametrize("box_side", [5.0, 15.0])
+    def test_subnormal_cdf_increments_are_covered(self, box_side):
+        # the L5 and L15 marginals checked above have a knot interval of
+        # subnormal width (about 1e-313) next to each wall; L20 has none,
+        # its narrowest is about 3e-271
+        widths = np.diff(_box_marginal(box_side)._inv_u)
+        assert 0.0 < widths.min() < np.finfo(float).tiny
 
 
 class TestNorms:
@@ -296,6 +362,21 @@ class TestNorms:
         sq = np.array([float(poisson_B_H0(z[i], ref_params)) ** 2
                        for i in range(2000)])
         assert est.value == math.sqrt(float(np.mean(sq)))
+
+    def test_norm0_mc_without_momenta_is_unchanged(self, ref_params,
+                                                   ref_marginal):
+        def bracket(z, p):
+            seen.append(p)
+            return poisson_B_H0(z, ref_params)
+
+        seen = []
+        full = norm0_mc(bracket, ref_marginal, 2000, substream(22, 0))
+        heights = norm0_mc(bracket, ref_marginal, 2000, substream(22, 0),
+                           momenta=False)
+        assert seen[0].shape == (2000, 64) and seen[1] is None
+        assert heights == full
+        assert _bits(heights.value) == _bits(full.value)
+        assert _bits(heights.std_error) == _bits(full.std_error)
 
     def test_norm0_mc_rejects_small_samples(self, ref_marginal):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
-"""Edges of the C kernels: breaches, non-finite states, array layouts, and
-the build-on-first-use loader."""
+"""Edges of the C kernels: breaches, non-finite states, array layouts, the
+ctypes bindings and the build-on-first-use loader."""
 
+import ctypes
 import os
 import re
 import shutil
@@ -99,7 +100,39 @@ class TestWallForceLayouts:
                                                 p, PARAMS, 0.3)))
 
 
+# C parameter and return types of the kernels and their ctypes
+_CTYPES = {"void": None, "long": ctypes.c_long, "double": ctypes.c_double,
+           "ptrdiff_t": ctypes.c_ssize_t}
+
+
+def _kernel_signatures():
+    """{name: (restype, argtypes)} of the KERNEL functions of _verlet.c."""
+    text = _kernel._SOURCE.read_text()
+    out = {}
+    for ret, name, params in re.findall(r"^KERNEL\s+(\w+)\s+(\w+)\(([^)]*)\)",
+                                        text, re.MULTILINE):
+        args = []
+        for param in params.split(","):
+            words = param.replace("*", " * ").split()
+            args.append(ctypes.c_void_p if "*" in words
+                        else _CTYPES[" ".join(w for w in words[:-1]
+                                              if w != "const")])
+        out[name] = (_CTYPES[ret], args)
+    return out
+
+
 class TestBuildFlags:
+    def test_every_kernel_is_bound_with_its_c_types(self):
+        # an unbound argument list passes doubles as C ints
+        signatures = _kernel_signatures()
+        assert {"wall_potential", "wall_force", "verlet_steps",
+                "inverse_cdf"} <= set(signatures)
+        lib = _kernel.library()
+        for name, (restype, argtypes) in signatures.items():
+            fn = getattr(lib, name)
+            assert fn.restype is restype, name
+            assert list(fn.argtypes or ()) == argtypes, name
+
     def test_no_fused_multiply_add_in_the_library(self):
         # -ffp-contract=off keeps every a*b+c rounding twice, as NumPy did
         objdump = shutil.which("objdump")
@@ -108,7 +141,8 @@ class TestBuildFlags:
         path = _kernel.library()._name
         text = subprocess.run([objdump, "-d", path], capture_output=True,
                               text=True, check=True).stdout
-        assert "<wall_potential" in text and "<verlet_steps" in text
+        for name in _kernel_signatures():
+            assert f"<{name}" in text, name
         fused = re.findall(r"\bv(?:fn?madd|fn?msub)\w*", text)
         assert fused == []
 

@@ -4,8 +4,9 @@ import pytest
 import helpers
 from helpers import observable_A
 from gasrelax.gibbs import sample_batch
-from gasrelax.model import (ModelParams, hamiltonian, observable_B,
-                            poisson_B_H0, wall_force, wall_potential)
+from gasrelax.model import (_BRACKET_CHUNK, ModelParams, hamiltonian,
+                            observable_B, poisson_B_H0, wall_force,
+                            wall_potential)
 from gasrelax.rng import substream
 
 NARROW = ModelParams(n_particles=1, beta=1.0, delta_wall=1.0, box_side=2.0)
@@ -36,6 +37,10 @@ class TestModelParams:
         dict(field=-1e-9),
         dict(mass=0.0),
         dict(sigma=-1.0),
+        dict(beta=float("inf")),
+        dict(box_side=float("nan")),
+        dict(delta_wall=float("inf")),
+        dict(field=float("inf")),
     ])
     def test_invalid(self, kwargs):
         base = dict(n_particles=4, beta=1.0, delta_wall=1.0, box_side=10.0)
@@ -186,6 +191,19 @@ class TestBrackets:
         rng = np.random.default_rng(8)
         z = rng.uniform(-3.0, 3.0, 6)
         assert poisson_B_H0(z, params) == float(np.sum(wall_force(z, params)))
+
+    @pytest.mark.parametrize("n", [64, 7])
+    def test_row_chunks_bit_equal_to_one_shot(self, ref_marginal, n):
+        # two whole chunks of rows and part of a third, in each layout
+        params = ModelParams(n, 1.0, 1.0, 10.0)
+        rows = 2 * (_BRACKET_CHUNK // n) + 37
+        z = ref_marginal.inverse_cdf(substream(23, 0).random((rows, n)))
+        for layout in (z, np.asfortranarray(z), z[::-1, ::2],
+                       z[:90].reshape(3, 30, n)):
+            got = poisson_B_H0(layout, params)
+            want = helpers.poisson_B_H0_reference(layout, params)
+            assert got.shape == layout.shape[:-1]
+            assert np.array_equal(_bits(got), _bits(want))
 
     def test_finite_difference_bracket_of_B_with_H(self):
         params = ModelParams(3, 1.0, 1.0, 10.0)
