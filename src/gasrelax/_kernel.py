@@ -65,9 +65,9 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     for name in ("wall_potential", "wall_force"):
         getattr(lib, name).argtypes = [ptr, ptr, n, d, d]
         getattr(lib, name).restype = None
-    lib.verlet_steps.argtypes = [ptr, ptr, ptr, n, ctypes.c_long,
-                                 d, d, d, d, d, d]
-    lib.verlet_steps.restype = ctypes.c_long
+    lib.verlet_records.argtypes = [ptr, ptr, n, n, n, n, d, d, d, d, d, d, d,
+                                   ptr, ptr]
+    lib.verlet_records.restype = n
     lib.inverse_cdf.argtypes = [ptr, ptr, n, ptr, ptr, ptr, ptr, n, n]
     lib.inverse_cdf.restype = None
     return lib

@@ -1,16 +1,18 @@
-/* The wall potential, the wall force, the velocity-Verlet step and the
- * inverse CDF of the wall marginal in gasrelax, the step in one fused pass.
+/* The wall potential, the wall force, the velocity-Verlet trajectory with
+ * its energy records, and the inverse CDF of the wall marginal in gasrelax.
  *
  * Every result is bit for bit what the former NumPy expressions gave, so the
  * operation order below is part of the contract.  Potential: u*u, u2*u2,
  * (u4*u4)*u4, 1/x, the sum of the two walls, the product with delta.
  * Force: u*u, u2*u2, ((u4*u4)*u4)*u, 1/x, the sum of the two walls, the
- * product with 12 delta, then + h.  Inverse CDF: the Hermite cubic as the
- * sum, left to right, of its four basis terms (see hermite below).  Build
- * with -ffp-contract=off (a fused multiply-add rounds once where the NumPy
- * passes rounded twice) and never with fast-math options, which reassociate.
- * The clones only widen the vector registers: every lane makes the same
- * correctly rounded IEEE operations as scalar code.
+ * product with 12 delta, then + h.  Row sums: 0.0 plus NumPy's pairwise sum
+ * of the row (see pairwise below), as np.sum(axis=-1) adds a C-contiguous
+ * row.  Inverse CDF: the Hermite cubic as the sum, left to right, of its
+ * four basis terms (see hermite below).  Build with -ffp-contract=off (a
+ * fused multiply-add rounds once where the NumPy passes rounded twice) and
+ * never with fast-math options, which reassociate.  The clones only widen
+ * the vector registers: every lane makes the same correctly rounded IEEE
+ * operations as scalar code.
  */
 
 #include <math.h>
@@ -40,11 +42,16 @@ static inline double force(double z, double half, double c12)
 }
 
 /* delta [(z + L/2)^-12 + (z - L/2)^-12] */
+static inline double potential(double z, double half, double delta)
+{
+    return delta * (recip_pow12(z + half) + recip_pow12(z - half));
+}
+
 KERNEL void wall_potential(const double *restrict z, double *restrict out,
                            ptrdiff_t n, double half, double delta)
 {
     for (ptrdiff_t i = 0; i < n; i++)
-        out[i] = delta * (recip_pow12(z[i] + half) + recip_pow12(z[i] - half));
+        out[i] = potential(z[i], half, delta);
 }
 
 KERNEL void wall_force(const double *restrict z, double *restrict out,
@@ -54,20 +61,96 @@ KERNEL void wall_force(const double *restrict z, double *restrict out,
         out[i] = force(z[i], half, c12);
 }
 
-/* Advance n independent particles by up to `steps` velocity-Verlet steps.
+/* NumPy's pairwise summation stops splitting at this many values */
+#define PAIRWISE_LEAF 128
+
+enum term { VALUE, SQUARE, POTENTIAL };
+
+/* NumPy's pairwise sum of the terms a[i], a[i]*a[i] or V(a[i]), i < n.
  *
- * f holds the force plus h at the current z on entry and on return.  Each
- * step kicks p by half a step, drifts z, evaluates the force and kicks
- * again.  A step after which some |z| is not below guard (NaN included) is
- * the last one made; the return value is the number of steps completed
- * before it, so `steps` means no breach.
+ * Fewer than 8 values are added in sequence from -0.0; up to 128 values in
+ * 8 accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and then
+ * the rest in sequence; longer runs split at n/2 - (n/2)%8.  np.sum adds
+ * the result to 0.0, so callers do too: that turns a row of -0.0 into +0.0.
+ * The terms are made one leaf of at most 128 values at a time.
  */
-KERNEL long verlet_steps(double *restrict z, double *restrict p,
-                         double *restrict f, ptrdiff_t n, long steps,
-                         double half_dt, double dt_over_m, double half,
-                         double c12, double h, double guard)
+static KERNEL double pairwise(const double *a, ptrdiff_t n, enum term kind,
+                              double half, double delta)
 {
-    for (long s = 0; s < steps; s++) {
+    if (n > PAIRWISE_LEAF) {
+        ptrdiff_t n2 = n / 2;
+        n2 -= n2 % 8;
+        return pairwise(a, n2, kind, half, delta)
+            + pairwise(a + n2, n - n2, kind, half, delta);
+    }
+    double t[PAIRWISE_LEAF];
+    if (kind == SQUARE) {
+        for (ptrdiff_t i = 0; i < n; i++)
+            t[i] = a[i] * a[i];
+        a = t;
+    } else if (kind == POTENTIAL) {
+        for (ptrdiff_t i = 0; i < n; i++)
+            t[i] = potential(a[i], half, delta);
+        a = t;
+    }
+    if (n < 8) {
+        double res = -0.0;
+        for (ptrdiff_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    double r[8];
+    for (int j = 0; j < 8; j++)
+        r[j] = a[j];
+    ptrdiff_t i;
+    for (i = 8; i < n - n % 8; i += 8)
+        for (int j = 0; j < 8; j++)
+            r[j] += a[i + j];
+    double res = ((r[0] + r[1]) + (r[2] + r[3]))
+        + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++)
+        res += a[i];
+    return res;
+}
+
+/* B = sum p and H1 = (sum p^2/2m + sum V(z)) - h sum z of each of `rows`
+ * rows of n values, into b[i] and e[i] */
+static inline void record(const double *z, const double *p, ptrdiff_t rows,
+                          ptrdiff_t n, double half, double delta, double h,
+                          double half_over_m, double *b, double *e)
+{
+    for (ptrdiff_t i = 0; i < rows; i++) {
+        const double *zi = z + i * n, *pi = p + i * n;
+        double kinetic = half_over_m
+            * (0.0 + pairwise(pi, n, SQUARE, half, delta));
+        double wall = 0.0 + pairwise(zi, n, POTENTIAL, half, delta);
+        double field = h * (0.0 + pairwise(zi, n, VALUE, half, delta));
+        b[i] = 0.0 + pairwise(pi, n, VALUE, half, delta);
+        e[i] = (kinetic + wall) - field;
+    }
+}
+
+/* f = the force plus h at z */
+static inline void forces(const double *restrict z, double *restrict f,
+                          ptrdiff_t n, double half, double c12, double h)
+{
+    for (ptrdiff_t i = 0; i < n; i++)
+        f[i] = force(z[i], half, c12) + h;
+}
+
+/* Up to `steps` velocity-Verlet steps of n independent particles.
+ *
+ * f holds the force plus h at z on entry and on return.  Each step kicks p
+ * by half a step, drifts z, evaluates the force and kicks again, in one
+ * pass.  A step after which some |z| is not below guard (NaN included) is
+ * the last one made, and 1 is returned; 0 means no breach.
+ */
+static inline int advance(double *restrict z, double *restrict p,
+                          double *restrict f, ptrdiff_t n, ptrdiff_t steps,
+                          double half_dt, double dt_over_m, double half,
+                          double c12, double h, double guard)
+{
+    for (ptrdiff_t s = 0; s < steps; s++) {
         int breach = 0;
         for (ptrdiff_t i = 0; i < n; i++) {
             double pi = p[i] + f[i] * half_dt;
@@ -79,9 +162,71 @@ KERNEL long verlet_steps(double *restrict z, double *restrict p,
             p[i] = pi + fi * half_dt;
         }
         if (breach)
-            return s;
+            return 1;
     }
-    return steps;
+    return 0;
+}
+
+/* values per verlet_records block: its z, p and force (12 KiB) stay in L1
+ * through every record */
+#define VERLET_BLOCK 512
+
+const ptrdiff_t verlet_block = VERLET_BLOCK;
+
+/* Evolve `rows` independent rows of n >= 1 particles, z and p row-major and
+ * changed in place, through records 0 .. n_records - 1 that lie `steps`
+ * velocity-Verlet steps apart.  Row i's B and H1 at record r go to
+ * b[r * rows + i] and e[r * rows + i]; record 0 is the initial state.
+ *
+ * The rows run in blocks of at most VERLET_BLOCK values, each block through
+ * every record before the next starts.  A row longer than that is a block
+ * of its own, stepped VERLET_BLOCK values at a time, each part from the
+ * force at its z (the same bits as the force kept from its last step).  A
+ * block stops after the step that breaches the guard (see advance), and
+ * later blocks stop before that record.  Returns the first record whose
+ * steps breached in any block, n_records if none did: every row's records
+ * below it are written, the later ones not.
+ */
+KERNEL ptrdiff_t verlet_records(double *restrict z, double *restrict p,
+                                ptrdiff_t rows, ptrdiff_t n,
+                                ptrdiff_t n_records, ptrdiff_t steps,
+                                double half_dt, double dt_over_m,
+                                double half, double delta, double h,
+                                double half_over_m, double guard,
+                                double *restrict b, double *restrict e)
+{
+    double f[VERLET_BLOCK];
+    double c12 = 12.0 * delta;
+    ptrdiff_t per_block = n < VERLET_BLOCK ? VERLET_BLOCK / n : 1;
+    ptrdiff_t end = n_records;
+
+    for (ptrdiff_t r0 = 0; r0 < rows; r0 += per_block) {
+        ptrdiff_t nr = rows - r0 < per_block ? rows - r0 : per_block;
+        ptrdiff_t len = nr * n;
+        int split = len > VERLET_BLOCK;
+        double *zb = z + r0 * n, *pb = p + r0 * n;
+
+        if (!split)
+            forces(zb, f, len, half, c12, h);
+        record(zb, pb, nr, n, half, delta, h, half_over_m, b + r0, e + r0);
+        for (ptrdiff_t rec = 1; rec < end; rec++) {
+            int breach = 0;
+            for (ptrdiff_t s0 = 0; s0 < len && !breach; s0 += VERLET_BLOCK) {
+                ptrdiff_t m = len - s0 < VERLET_BLOCK ? len - s0 : VERLET_BLOCK;
+                if (split)
+                    forces(zb + s0, f, m, half, c12, h);
+                breach = advance(zb + s0, pb + s0, f, m, steps, half_dt,
+                                 dt_over_m, half, c12, h, guard);
+            }
+            if (breach) {
+                end = rec;
+                break;
+            }
+            record(zb, pb, nr, n, half, delta, h, half_over_m,
+                   b + rec * rows + r0, e + rec * rows + r0);
+        }
+    }
+    return end;
 }
 
 /* values per inverse_cdf pass: the copy of u and the bracket indices of one

@@ -3,7 +3,10 @@
 Trajectories use a fixed-step velocity-Verlet scheme.  Adaptive stepping
 would break symplecticity, so accuracy is enforced the other way around: a
 per-trajectory energy monitor aborts loudly when the relative drift of H1
-exceeds the configured tolerance.
+exceeds the configured tolerance.  One call of the C kernel per shard runs
+the steps, the wall guard and, at every record time, the row sums of B and
+H1; the monitor then reads the recorded energies, so a shard's steps never
+return to Python.
 
 The central estimator follows the mixed-measure protocol of the bound being
 tested: initial conditions are drawn from the unperturbed Gibbs measure,
@@ -29,7 +32,7 @@ from . import _kernel
 from . import bounds as _bounds
 from .gibbs import (WallMarginal, NormEstimate, build_marginal, gamma_h,
                     gamma_tilde_h, norm0_mc, sample_batch)
-from .model import ModelParams, hamiltonian, observable_B
+from .model import ModelParams, observable_B
 from .rng import substream
 
 __all__ = [
@@ -120,19 +123,22 @@ def _evolve_batch(z, p, params: ModelParams, h: float, dt: float,
     """Velocity-Verlet the (rows, N) batch in place, recording B at each grid time.
 
     z and p are C-contiguous float64 arrays.  Returns (b_records of shape
-    (n_records, rows), max relative H1 drift).  The steps between two records
-    run in the C kernel `verlet_steps`, one fused pass over the batch per
-    step that also applies the wall guard.  The energies take V(z) from the
-    C kernel into a buffer allocated once; the guard on the initial state,
-    B, the row sums of H1 and the drift monitor stay in NumPy.
+    (n_records, rows), max relative H1 drift).  After the guard on the
+    initial state, one call of the C kernel `verlet_records` runs the whole
+    trajectory: blocks of whole rows step through every record, and at each
+    record it writes every row's B and H1, with NumPy's row sums.  The drift
+    monitor then reads the energies of the records below the first breach.
+    A drift beyond energy_tol at such a record raises EnergyDriftError at
+    the first one; otherwise a breach raises WallBreachError at its record.
     """
     for a in (z, p):
-        if not (a.dtype == np.float64 and a.flags.c_contiguous
+        if not (a.dtype == np.float64 and a.ndim == 2 and a.flags.c_contiguous
                 and a.flags.writeable and a.shape == z.shape):
             raise ValueError("z and p must be writeable C-contiguous float64 "
-                             "arrays of one shape")
+                             "arrays of one (rows, N) shape")
+    if n_records < 1:
+        raise ValueError("n_records must be >= 1")
     half = params.half_box
-    c12 = 12.0 * params.delta_wall
     guard = wall_guard * half
 
     # before the first force and energy, which divide by zero at a wall;
@@ -140,37 +146,30 @@ def _evolve_batch(z, p, params: ModelParams, h: float, dt: float,
     if not max(z.max(), -z.min()) < guard:
         raise WallBreachError(
             f"particle beyond {wall_guard:g} of the half-box at record 0")
-    b_rec = np.empty((n_records, z.shape[0]))
-    b_rec[0] = observable_B(z, p)
-    v = np.empty_like(z)
-    pp = np.empty_like(p)
-    e_ref = hamiltonian(z, p, params, h, v, pp)
-    e_scale = np.maximum(np.abs(e_ref), 1e-30)
-    max_drift = 0.0
+    rows, n = z.shape
+    b_rec = np.empty((n_records, rows))
+    e_rec = np.empty((n_records, rows))
+    end = _kernel.library().verlet_records(
+        z.ctypes.data, p.ctypes.data, rows, n, n_records, steps_per_record,
+        0.5 * dt, dt / params.mass, half, params.delta_wall, h,
+        0.5 / params.mass, guard, b_rec.ctypes.data, e_rec.ctypes.data)
 
-    kernel = _kernel.library()
-    f = np.empty_like(z)
-    kernel.wall_force(z.ctypes.data, f.ctypes.data, z.size, half, c12)
-    np.add(f, h, out=f)
-    for rec in range(1, n_records):
-        done = kernel.verlet_steps(z.ctypes.data, p.ctypes.data, f.ctypes.data,
-                                   z.size, steps_per_record, 0.5 * dt,
-                                   dt / params.mass, half, c12, h, guard)
-        if done < steps_per_record:
-            raise WallBreachError(
-                f"particle beyond {wall_guard:g} of the half-box at "
-                f"record {rec}; reduce dt")
-        b_rec[rec] = observable_B(z, p)
-        e = hamiltonian(z, p, params, h, v, pp)
-        drift = float(np.max(np.abs(e - e_ref) / e_scale))
-        # checked before max(), which would drop a NaN drift
-        if not drift <= energy_tol:
-            raise EnergyDriftError(
-                f"relative H1 drift {drift:.3e} exceeds tolerance "
-                f"{energy_tol:.3e} at t={rec * steps_per_record * dt:.6g}",
-                drift, energy_tol)
-        max_drift = max(max_drift, drift)
-    return b_rec, max_drift
+    # the drift of each record below the first breach; a NaN drift fails too
+    e_scale = np.maximum(np.abs(e_rec[0]), 1e-30)
+    drift = np.max(np.abs(e_rec[1:end] - e_rec[0]) / e_scale, axis=1)
+    failed = np.flatnonzero(~(drift <= energy_tol))
+    if failed.size:
+        rec = int(failed[0]) + 1
+        worst = float(drift[rec - 1])
+        raise EnergyDriftError(
+            f"relative H1 drift {worst:.3e} exceeds tolerance "
+            f"{energy_tol:.3e} at t={rec * steps_per_record * dt:.6g}",
+            worst, energy_tol)
+    if end < n_records:
+        raise WallBreachError(
+            f"particle beyond {wall_guard:g} of the half-box at "
+            f"record {end}; reduce dt")
+    return b_rec, float(drift.max()) if drift.size else 0.0
 
 
 def _records_grid(config: IntegratorConfig, n_records: int):

@@ -30,7 +30,6 @@ __all__ = [
     "wall_force",
     "observable_B",
     "poisson_B_H0",
-    "hamiltonian",
 ]
 
 
@@ -159,17 +158,3 @@ def poisson_B_H0(z, params: ModelParams):
         out[start:start + step] = np.sum(
             wall_force(z[start:start + step], params), axis=-1)
     return out
-
-
-def hamiltonian(z, p, params: ModelParams, h: float = 0.0, v=None, pp=None):
-    """H1 = sum p^2/2m + sum V(z) - h sum z; positions must lie in the box.
-
-    v and pp are optional scratch buffers laid out like z and p, for V(z)
-    and p*p, which a caller evaluating H1 again and again allocates once.
-    The row sums are NumPy's, whose pairwise order the bits depend on.
-    """
-    v = _map_kernel("wall_potential", z, params.half_box, params.delta_wall,
-                    out=v)
-    pp = np.multiply(p, p, out=pp)
-    return (0.5 / params.mass) * np.sum(pp, axis=-1) + np.sum(v, axis=-1) \
-        - h * np.sum(z, axis=-1)

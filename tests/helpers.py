@@ -8,8 +8,8 @@ The allocating NumPy forms of the inverse CDF, the wall potential and force,
 the bracket [B, H0], H1 and the Verlet loop, and the per-panel Kronrod loop,
 are kept here as the references that the C kernels, the row-chunked bracket
 and the batched Kronrod pass must match bit for bit.  Observables that only
-tests evaluate (the height sum A, the moment generating function of z) live
-here too.
+tests evaluate (the height sum A, the moment generating function of z, and
+H1 outside the trajectory kernel, which records it) live here too.
 """
 
 import math
@@ -18,6 +18,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
+from gasrelax import _kernel
 from gasrelax.dynamics import (EnergyDriftError, WallBreachError,
                                _evolve_batch, _records_grid)
 from gasrelax.gibbs import _centered_mgf, _monotone_tangents
@@ -283,9 +284,32 @@ def evolve_batch_reference(z, p, params, h, dt, steps_per_record, n_records,
         drift = float(np.max(np.abs(hamiltonian_reference(z, p, params, h)
                                     - e_ref) / e_scale))
         if not drift <= energy_tol:
-            raise EnergyDriftError("drift", drift, energy_tol)
+            raise EnergyDriftError(
+                f"relative H1 drift {drift:.3e} exceeds tolerance "
+                f"{energy_tol:.3e} at t={rec * steps_per_record * dt:.6g}",
+                drift, energy_tol)
         max_drift = max(max_drift, drift)
     return b_rec, max_drift
+
+
+def kernel_records(z, p, params, h, dt, steps_per_record, n_records,
+                   wall_guard=0.999):
+    """One call of the C kernel verlet_records on copies of the (rows, N) z, p.
+
+    Returns (first breach record, B records, H1 records, final z, final p);
+    record rows at or past the breach are NaN rather than unwritten.
+    """
+    z = np.array(z, dtype=float, order="C", ndmin=2)
+    p = np.array(p, dtype=float, order="C", ndmin=2)
+    rows, n = z.shape
+    b = np.full((n_records, rows), np.nan)
+    e = np.full((n_records, rows), np.nan)
+    end = _kernel.library().verlet_records(
+        z.ctypes.data, p.ctypes.data, rows, n, n_records, steps_per_record,
+        0.5 * dt, dt / params.mass, params.half_box, params.delta_wall, h,
+        0.5 / params.mass, wall_guard * params.half_box, b.ctypes.data,
+        e.ctypes.data)
+    return end, b, e, z, p
 
 
 class ZeroDraws:

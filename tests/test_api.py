@@ -1,5 +1,6 @@
-"""The public surface: what the package root exports and what the traced
-benchmark (perfbench/tracer.py) rebinds inside the package."""
+"""The public surface: what the package root and the modules export, and
+what the traced benchmark (perfbench/tracer.py) rebinds inside the
+package."""
 
 import ast
 import importlib.util
@@ -41,6 +42,19 @@ def test_root_exports_are_the_readme_example_imports():
     assert set(gasrelax.__all__) == names
     assert public == names
     assert gasrelax.__version__
+
+
+def test_module_exports_exist():
+    # H1 is evaluated inside the trajectory kernel; its NumPy form is the
+    # test oracle helpers.hamiltonian_reference
+    from gasrelax import bounds, dynamics, gibbs, model, numerics
+
+    for mod in (bounds, dynamics, gibbs, model, numerics):
+        for name in mod.__all__:
+            assert hasattr(mod, name), (mod.__name__, name)
+    assert set(model.__all__) == {"ModelParams", "wall_potential",
+                                  "wall_force", "observable_B",
+                                  "poisson_B_H0"}
 
 
 def test_tracer_install_and_restore(tmp_path):

@@ -246,6 +246,29 @@ class TestSimulateCommand:
         assert code in (EXIT_OK, EXIT_RUNTIME)
         assert (tmp_path / "correlation.csv").exists()
 
+    @pytest.mark.parametrize("n_particles", [1, 7, 65])
+    @pytest.mark.parametrize("n_traj", [1, 1023, 1025])
+    def test_outputs_equal_for_one_and_two_workers(self, tmp_path, n_traj,
+                                                   n_particles):
+        # 1025 trajectories are two 1024-row shards, which two workers run
+        # in a process pool; fewer are one shard, run in the calling process
+        path = write_config(tmp_path)
+        runs = []
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}"
+            code, stdout, err = _run_quietly([
+                "simulate", "--config", path, f"--n_traj={n_traj}",
+                f"--n_particles={n_particles}", f"--workers={workers}",
+                "--output_dir", str(out)])
+            doc = json.loads((out / "relaxation_report.json").read_text())
+            doc.pop("meta")
+            csv = [line for line in
+                   (out / "correlation.csv").read_text().splitlines()
+                   if not line.startswith("#")]
+            runs.append((code, stdout, err, doc, csv))
+        assert runs[0] == runs[1]
+        assert runs[0][2] == ""
+
 
 class TestConfigReachesTheRun:
     def test_grid_size_reaches_every_marginal(self, tmp_path, monkeypatch):

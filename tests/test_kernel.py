@@ -1,5 +1,6 @@
 """Edges of the C kernels: breaches, non-finite states, array layouts, the
-ctypes bindings and the build-on-first-use loader."""
+record pass of the trajectory kernel, the ctypes bindings, the build flags
+and the build-on-first-use loader."""
 
 import ctypes
 import os
@@ -15,11 +16,10 @@ import pytest
 
 import helpers
 import gasrelax
-from gasrelax import _kernel
+from gasrelax import _kernel, dynamics
 from gasrelax.cli import EXIT_RUNTIME, main
-from gasrelax.dynamics import WallBreachError, _evolve_batch
-from gasrelax.model import (ModelParams, hamiltonian, wall_force,
-                            wall_potential)
+from gasrelax.dynamics import EnergyDriftError, WallBreachError, _evolve_batch
+from gasrelax.model import ModelParams, wall_force, wall_potential
 
 PARAMS = ModelParams(4, 1.0, 1.0, 10.0)
 
@@ -65,6 +65,120 @@ class TestVerletSteps:
                               0.999)
 
 
+def _block():
+    """Values per verlet_records block, as built."""
+    return ctypes.c_ssize_t.in_dll(_kernel.library(), "verlet_block").value
+
+
+def _outcome(run, z, p, params, *args):
+    """(exception type, message) of one run on copies of z and p."""
+    try:
+        run(z.copy(), p.copy(), params, *args)
+    except (WallBreachError, EnergyDriftError) as exc:
+        return type(exc), str(exc)
+    return None, ""
+
+
+@pytest.fixture
+def nan_empty(monkeypatch):
+    """np.empty in dynamics hands out NaN: a record row the kernel did not
+    write fails the drift monitor if _evolve_batch reads it."""
+    class NaNEmpty:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def empty(*args, **kwargs):
+            return np.full_like(np.empty(*args, **kwargs), np.nan)
+
+    monkeypatch.setattr(dynamics, "np", NaNEmpty())
+
+
+# every pairwise branch (< 8, 8 accumulators, remainder, splits), and rows
+# beyond one block
+RECORD_N = [1, 7, 8, 9, 64, 65, 129, 600]
+RECORD_ROWS = [1, 37, 1027]
+
+
+class TestVerletRecords:
+    def test_cases_cover_partial_and_long_blocks(self):
+        block = _block()
+        assert max(RECORD_N) > block
+        for n in RECORD_N:
+            if n <= block:
+                # the last block of 37 or 1027 rows is not full
+                assert 37 % (block // n) and 1027 % (block // n), n
+
+    @pytest.mark.parametrize("rows", RECORD_ROWS)
+    @pytest.mark.parametrize("n", RECORD_N)
+    def test_bit_equal_to_reference(self, n, rows):
+        params = ModelParams(n, 1.0, 1.0, 10.0, mass=2.0)
+        rng = np.random.default_rng(1000 * n + rows)
+        z = rng.uniform(-4.0, 4.0, (rows, n))
+        p = rng.normal(size=(rows, n))
+        p[-1] = -0.0
+        args = (params, 1e-3, 1e-3, 2, 4, 1.0, 0.999)
+        z_ref, p_ref = z.copy(), p.copy()
+        b_ref, drift_ref = helpers.evolve_batch_reference(z_ref, p_ref, *args)
+        z_got, p_got = z.copy(), p.copy()
+        b_got, drift = _evolve_batch(z_got, p_got, *args)
+        for got, want in ((b_got, b_ref), (z_got, z_ref), (p_got, p_ref)):
+            assert np.array_equal(_bits(got), _bits(want))
+        assert drift == drift_ref
+        assert _bits(b_got[0, -1]) == _bits(0.0)
+        # each row's H1 at the first and the last record
+        end, _, e, _, _ = helpers.kernel_records(z, p, params, 1e-3, 1e-3, 2,
+                                                 4)
+        assert end == 4
+        for rec, (zz, pp) in ((0, (z, p)), (3, (z_ref, p_ref))):
+            want = helpers.hamiltonian_reference(zz, pp, params, 1e-3)
+            assert np.array_equal(_bits(e[rec]), _bits(want))
+
+    # 300 rows of 4 particles are three blocks; rows at rest at the centre
+    # stay there (h = 0) with zero drift.  With dt = 0.1 the particle at -3
+    # with momentum 8 steps into the wall layer during record 8, its drift
+    # below 1.2e-5 up to record 3; a particle leaving the centre with
+    # momentum 6 drifts beyond 1e-3 at record 3 (t = 0.6) and breaches at 7.
+    @pytest.mark.parametrize("breach_row, drift_row", [
+        (299, None), (0, 299), (299, 0), (299, 150)])
+    def test_error_paths_match_reference(self, nan_empty, breach_row,
+                                         drift_row):
+        z, p = np.zeros((300, 4)), np.zeros((300, 4))
+        z[breach_row, 0], p[breach_row, 0] = -3.0, 8.0
+        tol = 1e300
+        if drift_row is not None:
+            p[drift_row, 0] = 6.0
+            tol = 1e-3
+        args = (PARAMS, 0.0, 0.1, 2, 10, tol, 0.999)
+        ours = _outcome(_evolve_batch, z, p, *args)
+        assert ours == _outcome(helpers.evolve_batch_reference, z, p, *args)
+        if drift_row is None:
+            assert ours[0] is WallBreachError
+            assert ours[1].endswith("at record 8; reduce dt")
+        else:
+            assert ours[0] is EnergyDriftError
+            assert ours[1].endswith("at t=0.6")
+
+    def test_nan_momentum_in_a_later_block(self, nan_empty):
+        rng = np.random.default_rng(12)
+        z = rng.uniform(-3.0, 3.0, (300, 4))
+        p = rng.normal(size=(300, 4))
+        p[200, 1] = np.nan
+        args = (PARAMS, 1e-3, 1e-3, 3, 4, 1.0, 0.999)
+        ours = _outcome(_evolve_batch, z, p, *args)
+        assert ours == _outcome(helpers.evolve_batch_reference, z, p, *args)
+        assert ours[0] is WallBreachError and "record 1;" in ours[1]
+
+    def test_records_past_the_breach_are_not_written(self):
+        z, p = np.zeros((300, 4)), np.zeros((300, 4))
+        z[0, 0], p[0, 0] = -3.0, 8.0
+        end, b, e, _, _ = helpers.kernel_records(z, p, PARAMS, 0.0, 0.1, 2, 10)
+        assert end == 8
+        assert np.isfinite(b[:8]).all() and np.isfinite(e[:8]).all()
+        # the first block stopped at its breach, the later ones before it
+        assert np.isnan(b[8:]).all() and np.isnan(e[8:]).all()
+
+
 LAYOUTS = pytest.mark.parametrize("z", [
     0.3, np.float64(-4.2), np.array(4.99), np.linspace(-4.9, 4.9, 64),
     np.linspace(-4.9, 4.9, 21).reshape(3, 7),
@@ -92,12 +206,13 @@ class TestWallForceLayouts:
         assert np.array_equal(_bits(got), _bits(want))
         if np.ndim(z) == 0:
             assert isinstance(got, float)
-        # the row sums of H1 add in the order of the input's layout
-        p = -0.5 * np.asarray(z, dtype=float)
+        # H1 of the same values as C-ordered rows, as the kernel records it
+        rows = np.array(z, dtype=float, order="C", ndmin=2)
+        p = -0.5 * rows
+        _, _, e, _, _ = helpers.kernel_records(rows, p, PARAMS, 0.3, 1e-3, 1, 1)
         assert np.array_equal(
-            _bits(hamiltonian(z, p, PARAMS, 0.3)),
-            _bits(helpers.hamiltonian_reference(np.asarray(z, dtype=float),
-                                                p, PARAMS, 0.3)))
+            _bits(e[0]),
+            _bits(helpers.hamiltonian_reference(rows, p, PARAMS, 0.3)))
 
 
 # C parameter and return types of the kernels and their ctypes
@@ -125,7 +240,7 @@ class TestBuildFlags:
     def test_every_kernel_is_bound_with_its_c_types(self):
         # an unbound argument list passes doubles as C ints
         signatures = _kernel_signatures()
-        assert {"wall_potential", "wall_force", "verlet_steps",
+        assert {"wall_potential", "wall_force", "verlet_records",
                 "inverse_cdf"} <= set(signatures)
         lib = _kernel.library()
         for name, (restype, argtypes) in signatures.items():
@@ -145,6 +260,18 @@ class TestBuildFlags:
             assert f"<{name}" in text, name
         fused = re.findall(r"\bv(?:fn?madd|fn?msub)\w*", text)
         assert fused == []
+
+    def test_compiles_without_warnings(self):
+        # no variable-length array, and no stack frame past 64 KiB: the
+        # kernels' buffers are fixed-size arrays on the stack
+        cc = shutil.which("cc")
+        if cc is None:
+            pytest.skip("cc is not on PATH")
+        result = subprocess.run(
+            [cc, "-c", "-o", os.devnull, "-Wall", "-Wextra", "-Werror",
+             "-Wvla", "-Wframe-larger-than=65536", str(_kernel._SOURCE)],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 def _loader_script(cache, start):

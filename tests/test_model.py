@@ -4,9 +4,8 @@ import pytest
 import helpers
 from helpers import observable_A
 from gasrelax.gibbs import sample_batch
-from gasrelax.model import (_BRACKET_CHUNK, ModelParams, hamiltonian,
-                            observable_B, poisson_B_H0, wall_force,
-                            wall_potential)
+from gasrelax.model import (_BRACKET_CHUNK, ModelParams, observable_B,
+                            poisson_B_H0, wall_force, wall_potential)
 from gasrelax.rng import substream
 
 NARROW = ModelParams(n_particles=1, beta=1.0, delta_wall=1.0, box_side=2.0)
@@ -156,13 +155,12 @@ class TestObservables:
         z = rng.uniform(-4.5, 4.5, (7, 64))
         p = rng.normal(size=(7, 64))
         batched = [observable_A(z, p), observable_B(z, p),
-                   poisson_B_H0(z, params), hamiltonian(z, p, params, 0.3)]
+                   poisson_B_H0(z, params)]
         for values in batched:
             assert values.shape == (7,)
         for i in range(7):
             single = [observable_A(z[i], p[i]), observable_B(z[i], p[i]),
-                      poisson_B_H0(z[i], params),
-                      hamiltonian(z[i], p[i], params, 0.3)]
+                      poisson_B_H0(z[i], params)]
             for values, one in zip(batched, single):
                 assert values[i] == one
 
@@ -210,8 +208,9 @@ class TestBrackets:
         rng = np.random.default_rng(21)
         z, p = rng.uniform(-2.5, 2.5, 3), rng.normal(size=3)
         fd = helpers.numerical_poisson_bracket(
-            observable_B, lambda zz, pp: hamiltonian(zz, pp, params), z, p,
-            eps=1e-5)
+            observable_B,
+            lambda zz, pp: helpers.hamiltonian_reference(zz, pp, params),
+            z, p, eps=1e-5)
         assert fd == pytest.approx(poisson_B_H0(z, params), rel=1e-5)
 
     def test_bracket_A_with_B_is_N(self):
@@ -229,31 +228,20 @@ class TestBrackets:
         rng = np.random.default_rng(17)
         z, p = rng.uniform(-3.0, 3.0, 4), rng.normal(size=4)
         fd = helpers.numerical_poisson_bracket(
-            observable_A, lambda zz, pp: hamiltonian(zz, pp, params), z, p,
-            eps=1e-6)
+            observable_A,
+            lambda zz, pp: helpers.hamiltonian_reference(zz, pp, params),
+            z, p, eps=1e-6)
         assert fd == pytest.approx(observable_B(z, p), rel=1e-7)
 
 
 @pytest.mark.parametrize("h, mass", [(0.0, 1.0), (1e-3, 1.0), (0.3, 4.0)])
 def test_hamiltonian_bitwise_equal_to_allocating_expression(shard, h, mass):
+    # H1 of every row, as the kernel records it for the drift monitor
     params = ModelParams(64, 1.0, 1.0, 10.0, field=h, mass=mass)
     z, p = shard
+    _, _, e, _, _ = helpers.kernel_records(z, p, params, h, 1e-3, 1, 1)
     want = _bits(helpers.hamiltonian_reference(z, p, params, h))
-    assert np.array_equal(_bits(hamiltonian(z, p, params, h)), want)
-    # the buffers of _evolve_batch, reused from call to call
-    v, pp = np.empty_like(z), np.empty_like(p)
-    for _ in range(2):
-        got = hamiltonian(z, p, params, h, v, pp)
-        assert np.array_equal(_bits(got), want)
-
-
-def test_hamiltonian_rejects_buffers_laid_out_unlike_z(shard):
-    z, p = shard
-    params = ModelParams(64, 1.0, 1.0, 10.0)
-    for bad in (np.empty((64, 1024)).T, np.empty(z.shape, dtype=np.float32),
-                np.empty((1024, 32))):
-        with pytest.raises(ValueError, match="laid out like z"):
-            hamiltonian(z, p, params, 0.0, bad, np.empty_like(p))
+    assert np.array_equal(_bits(e[0]), want)
 
 
 def test_hamiltonian_terms():
@@ -261,5 +249,5 @@ def test_hamiltonian_terms():
     z, p = np.array([0.0, 1.0]), np.array([2.0, 0.0])
     expected = 4.0 / (2.0 * 2.0) + wall_potential(0.0, params) \
         + wall_potential(1.0, params) - 0.5 * 1.0
-    assert hamiltonian(z, p, params, h=0.5) == pytest.approx(expected,
-                                                             rel=1e-14)
+    _, _, e, _, _ = helpers.kernel_records(z, p, params, 0.5, 1e-3, 1, 1)
+    assert e[0, 0] == pytest.approx(expected, rel=1e-14)
