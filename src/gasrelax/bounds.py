@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -82,8 +82,8 @@ def eta_empirical(params: ModelParams, marginal: WallMarginal, n_samples: int,
     est = norm0_mc(lambda z, p: poisson_B_H0(z, params), marginal, n_samples,
                    rng, momenta=False)
     denom = norm0_B_closed(params)
-    return NormEstimate(value=est.value / denom, std_error=est.std_error / denom,
-                        n_samples=n_samples, which_measure=est.which_measure)
+    return replace(est, value=est.value / denom,
+                   std_error=est.std_error / denom)
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ class PhysicalUnits:
 
     def __post_init__(self):
         for name in ("mass_kg", "sigma_m", "box_m", "temperature_k"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     @property
     def beta_si(self) -> float:
@@ -109,14 +109,18 @@ def t0_physical(params: ModelParams, units: Optional[PhysicalUnits]) -> float:
     """t0 in seconds: (beta delta)^(1/24) sqrt(beta m L sigma) / c.
 
     The dimensionless (beta delta) factor comes from the natural-unit params;
-    beta, m, L, sigma enter in SI through `units`.
+    beta, m, L, sigma enter in SI through `units`.  Raises OverflowError
+    when finite constants still give no finite positive time.
     """
     if units is None:
         raise ValueError("physical unit constants (m, sigma, L, T) are required")
     bd = params.beta * params.delta_wall
-    return (bd ** (1.0 / 24.0)
-            * math.sqrt(units.beta_si * units.mass_kg * units.box_m * units.sigma_m)
-            / constant_c())
+    t0 = (bd ** (1.0 / 24.0)
+          * math.sqrt(units.beta_si * units.mass_kg * units.box_m * units.sigma_m)
+          / constant_c())
+    if not 0.0 < t0 < math.inf:
+        raise OverflowError(f"t0_physical = {t0!r} s is out of range")
+    return t0
 
 
 class InequalityCheck(NamedTuple):
@@ -159,30 +163,17 @@ class BoundReport:
     def all_passed(self) -> bool:
         return all(chk.passed for chk in self.inequality_checks)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "eta_analytic": self.eta_analytic,
-            "eta_empirical": {
-                "value": self.eta_empirical.value,
-                "std_error": self.eta_empirical.std_error,
-                "n_samples": self.eta_empirical.n_samples,
-                "which_measure": self.eta_empirical.which_measure,
-            },
-            "t0_natural": self.t0_natural,
-            "t0_physical_seconds": self.t0_physical,
-            "regime_ok": self.regime_ok,
-            "z_tilde": self.z_tilde,
-            "inequality_checks": [
-                {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "passed": c.passed}
-                for c in self.inequality_checks
-            ],
-        }
-
     def to_json(self, meta: Optional[dict] = None) -> str:
-        doc = {"meta": meta or {}}
-        doc.update(self.to_json_dict())
-        return json.dumps(doc, indent=2, sort_keys=True)
+        doc = asdict(self)
+        doc["t0_physical_seconds"] = doc.pop("t0_physical")
+        doc["inequality_checks"] = [c._asdict() for c in self.inequality_checks]
+        return _report_json(doc, meta)
+
+
+def _report_json(doc: dict, meta: Optional[dict]) -> str:
+    """Report fields under a "meta" header as strict JSON: no NaN or inf."""
+    return json.dumps({"meta": meta or {}, **doc}, indent=2, sort_keys=True,
+                      allow_nan=False)
 
 
 def build_bound_report(params: ModelParams, n_samples: int,

@@ -145,7 +145,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     for key in _KEY_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
-            values[key] = _coerce(key, flag) if isinstance(flag, str) else flag
+            values[key] = _coerce(key, flag)
     try:
         return RunConfig(**values)
     except TypeError as exc:
@@ -210,14 +210,15 @@ def cmd_gamma(config: RunConfig) -> int:
     rows = []
     cert_limit = config.delta_moment / (2.0 * params.beta)
     for h in h_grid:
-        gam = gamma_h(params, marginal, h)
-        gtl = gamma_tilde_h(params, marginal, h)
         if h < cert_limit:
             cert = hoelder_certificate(params, marginal, config.delta_moment,
                                        h, config.epsilon)
-            rows.append((h, gam, gtl, cert.hoelder_bound, cert.ok))
+            rows.append((h, cert.gamma, cert.gamma_tilde, cert.hoelder_bound,
+                         cert.ok))
         else:
-            rows.append((h, gam, gtl, float("nan"), False))
+            rows.append((h, gamma_h(params, marginal, h),
+                         gamma_tilde_h(params, marginal, h), float("nan"),
+                         False))
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "gamma_sweep.csv", config,

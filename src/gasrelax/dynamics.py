@@ -20,10 +20,10 @@ in shard order, so results are bitwise identical for any worker count.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -107,15 +107,6 @@ class CorrelationSeries:
         if np.any(self.std_errors < 0.0):
             raise ValueError("standard errors must be nonnegative")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "times": self.times.tolist(),
-            "c_values": self.c_values.tolist(),
-            "std_errors": self.std_errors.tolist(),
-            "n_trajectories": self.n_trajectories,
-            "field_h": self.field_h,
-        }
-
 
 def _evolve_batch(z, p, params: ModelParams, h: float, dt: float,
                   steps_per_record: int, n_records: int,
@@ -182,57 +173,59 @@ def _records_grid(config: IntegratorConfig, n_records: int):
     return times, dt, spr
 
 
-def _reduce_autocorr(b_rec):
-    prod = b_rec * b_rec[0]
-    return prod.sum(axis=1), (prod * prod).sum(axis=1)
+def _autocorr_terms(b_rec):
+    return b_rec * b_rec[0]
 
 
-def _reduce_displacement(b_rec):
+def _displacement_terms(b_rec):
     d = b_rec - b_rec[0]
-    q = d * d
-    return q.sum(axis=1), (q * q).sum(axis=1)
+    return d * d
 
 
-_REDUCERS = {"autocorr": _reduce_autocorr, "displacement": _reduce_displacement}
-
-
-def _run_shard(job):
-    (tag, seed, idx, rows, marginal, h, dt, spr, n_records, tol, guard) = job
-    rng = substream(seed, idx)
-    z, p = sample_batch(marginal, rng, rows)
+def _run_shard(terms, shard_size, n_traj, seed, marginal, h, dt, spr,
+               n_records, tol, guard, start):
+    rng = substream(seed, start // shard_size)
+    z, p = sample_batch(marginal, rng, min(shard_size, n_traj - start))
     b_rec, drift = _evolve_batch(z, p, marginal.params, h, dt, spr, n_records,
                                  tol, guard)
-    s1, s2 = _REDUCERS[tag](b_rec)
-    return idx, s1, s2, drift
+    x = terms(b_rec)
+    return x.sum(axis=1), (x * x).sum(axis=1), drift
 
 
-def _run_ensemble(tag: str, marginal: WallMarginal, h: float,
+def _run_ensemble(terms, marginal: WallMarginal, h: float,
                   config: IntegratorConfig, n_traj: int, seed: int,
                   n_records: int, shard_size: int, n_workers: int):
+    """Per-record sums s1, s2 of x and x^2, x = terms(b_records), over n_traj.
+
+    Shard k holds trajectories k*shard_size onward, drawn from
+    substream(seed, k).  The shards are summed in shard order whichever
+    process ran them, so the results do not depend on n_workers.  Returns
+    (record times, s1, s2, max relative H1 drift).
+    """
     times, dt, spr = _records_grid(config, n_records)
-    jobs = []
-    start = 0
-    idx = 0
-    while start < n_traj:
-        rows = min(shard_size, n_traj - start)
-        jobs.append((tag, seed, idx, rows, marginal, h, dt, spr, n_records,
-                     config.energy_drift_tol, config.wall_guard))
-        start += rows
-        idx += 1
-    if n_workers > 1 and len(jobs) > 1:
+    shard = functools.partial(_run_shard, terms, shard_size, n_traj, seed,
+                              marginal, h, dt, spr, n_records,
+                              config.energy_drift_tol, config.wall_guard)
+    starts = range(0, n_traj, shard_size)
+    if n_workers > 1 and len(starts) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            parts = {r[0]: r for r in pool.map(_run_shard, jobs)}
-        results = [parts[k] for k in range(len(jobs))]
+            results = list(pool.map(shard, starts))
     else:
-        results = [_run_shard(job) for job in jobs]
+        results = map(shard, starts)
     s1 = np.zeros(n_records)
     s2 = np.zeros(n_records)
     max_drift = 0.0
-    for _, p1, p2, drift in results:  # fixed shard order keeps sums bitwise stable
+    for p1, p2, drift in results:
         s1 += p1
         s2 += p2
         max_drift = max(max_drift, drift)
     return times, s1, s2, max_drift
+
+
+def _moments(s1, s2, n: int):
+    """Means and variances (ddof 1, or 0 for n = 1) from sums of x, x^2."""
+    mean = s1 / n
+    return mean, np.maximum((s2 - n * mean * mean) / max(n - 1, 1), 0.0)
 
 
 def autocorr_B(params: ModelParams, h: float, config: IntegratorConfig,
@@ -243,22 +236,18 @@ def autocorr_B(params: ModelParams, h: float, config: IntegratorConfig,
 
     The derivative of the response increment is beta*h*C(t).  At least ~100
     trajectories are needed for the quoted errors to mean anything; fewer are
-    allowed for smoke runs (standard errors are zeroed for n_traj < 2).
+    allowed for smoke runs (one trajectory gives standard errors of 0).
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     if marginal is None:
         marginal = build_marginal(params)
-    times, s1, s2, max_drift = _run_ensemble("autocorr", marginal, h, config,
-                                             n_traj, seed, n_times, shard_size,
-                                             n_workers)
-    c = s1 / n_traj
-    if n_traj > 1:
-        var = np.maximum((s2 - n_traj * c * c) / (n_traj - 1), 0.0)
-        sem = np.sqrt(var / n_traj)
-    else:
-        sem = np.zeros_like(c)
-    return CorrelationSeries(times=times, c_values=c, std_errors=sem,
+    times, s1, s2, max_drift = _run_ensemble(_autocorr_terms, marginal, h,
+                                             config, n_traj, seed, n_times,
+                                             shard_size, n_workers)
+    c, var = _moments(s1, s2, n_traj)
+    return CorrelationSeries(times=times, c_values=c,
+                             std_errors=np.sqrt(var / n_traj),
                              n_trajectories=n_traj, field_h=h,
                              max_energy_drift=max_drift)
 
@@ -296,25 +285,15 @@ def displacement_norms(params: ModelParams, h: float, times: Sequence[float],
     n_records = int(round(grid[-1] / base)) + 1
     if any(abs(t / base - round(t / base)) > 1e-9 for t in grid):
         raise ValueError("displacement times must be multiples of the smallest")
-    run_cfg = IntegratorConfig(dt=config.dt, t_end=grid[-1],
-                               energy_drift_tol=config.energy_drift_tol,
-                               wall_guard=config.wall_guard)
-    grid_times, s1, s2, _ = _run_ensemble("displacement", marginal, h, run_cfg,
-                                          n_traj, seed, n_records, shard_size,
-                                          n_workers)
-    out = []
-    for t in times:
-        if t == 0.0:
-            out.append(NormEstimate(0.0, 0.0, n_traj, marginal.which_measure))
-            continue
-        k = int(round(t / base))
-        mean_q = s1[k] / n_traj
-        var_q = max((s2[k] - n_traj * mean_q * mean_q) / max(n_traj - 1, 1), 0.0)
-        value = math.sqrt(max(mean_q, 0.0))
-        sem_q = math.sqrt(var_q / n_traj)
-        sem = sem_q / (2.0 * value) if value > 0.0 else math.sqrt(sem_q)
-        out.append(NormEstimate(value, sem, n_traj, marginal.which_measure))
-    return out
+    _, s1, s2, _ = _run_ensemble(
+        _displacement_terms, marginal, h,
+        replace(config, t_end=grid[-1]), n_traj, seed, n_records, shard_size,
+        n_workers)
+    mean_q, var_q = _moments(s1, s2, n_traj)
+    # record 0 has zero displacement, so t = 0 gives a norm of 0
+    return [NormEstimate.from_moments(mean_q[k], var_q[k], n_traj,
+                                      marginal.which_measure)
+            for k in (int(round(t / base)) for t in times)]
 
 
 def lower_bound_curve(params: ModelParams, h: float, t):
@@ -353,27 +332,11 @@ class RelaxationReport:
     def all_ok(self) -> bool:
         return self.positivity_ok and self.curve_check and self.displacement_ok
 
-    def to_json_dict(self) -> dict:
-        t_star = (self.t_star_empirical if self.t_star_empirical is not None
-                  else "not crossed within t_end")
-        return {
-            "t0_bound": self.t0_bound,
-            "t_star_empirical": t_star,
-            "positivity_ok": self.positivity_ok,
-            "curve_check": self.curve_check,
-            "displacement_ok": self.displacement_ok,
-            "gamma": self.gamma,
-            "gamma_tilde": self.gamma_tilde,
-            "field_h": self.field_h,
-            "n_trajectories": self.n_trajectories,
-            "max_energy_drift": self.max_energy_drift,
-            "displacement_details": self.displacement_details,
-        }
-
     def to_json(self, meta: Optional[dict] = None) -> str:
-        doc = {"meta": meta or {}}
-        doc.update(self.to_json_dict())
-        return json.dumps(doc, indent=2, sort_keys=True)
+        doc = asdict(self)
+        if self.t_star_empirical is None:
+            doc["t_star_empirical"] = "not crossed within t_end"
+        return _bounds._report_json(doc, meta)
 
 
 def make_relaxation_report(params: ModelParams, config: IntegratorConfig,
@@ -404,9 +367,9 @@ def make_relaxation_report(params: ModelParams, config: IntegratorConfig,
     e_win = series.std_errors[window]
     positivity_ok = bool(np.all(c_win - 2.0 * e_win > 0.0))
 
-    curve = lower_bound_curve(params, h, series.times[window]) if h > 0.0 else None
     if h > 0.0:
         bh = params.beta * h
+        curve = lower_bound_curve(params, h, series.times[window])
         curve_check = bool(np.all(bh * c_win >= curve - 3.0 * bh * e_win))
     else:
         curve_check = positivity_ok

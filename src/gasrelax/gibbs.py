@@ -118,6 +118,16 @@ class NormEstimate:
         if self.value < 0.0 or self.std_error < 0.0:
             raise ValueError("norm estimates are nonnegative")
 
+    @classmethod
+    def from_moments(cls, mean_sq: float, var_sq: float, n_samples: int,
+                     which_measure: str) -> NormEstimate:
+        """sqrt(E[f^2]) and its delta-method standard error, from the sample
+        mean and variance of f^2 over n_samples draws."""
+        value = math.sqrt(max(mean_sq, 0.0))
+        sem_sq = math.sqrt(var_sq / n_samples)
+        std_error = sem_sq / (2.0 * value) if value > 0.0 else math.sqrt(sem_sq)
+        return cls(value, std_error, n_samples, which_measure)
+
 
 @dataclass
 class WallMarginal:
@@ -157,10 +167,6 @@ class WallMarginal:
     @property
     def which_measure(self) -> str:
         return "rho1" if self.tilt != 0.0 else "rho0"
-
-    def density(self, z):
-        """Normalized marginal density at z (0 outside the box)."""
-        return _weight(z, self.params, self.tilt) / self.z_tilde
 
     def inverse_cdf(self, u, out=None):
         """Monotone-cubic inverse of the tabulated CDF, for u in [0, 1).
@@ -329,13 +335,9 @@ def norm0_mc(f, marginal: WallMarginal, n_samples: int,
     sq = values * values
     if not np.all(np.isfinite(sq)):
         raise ValueError("observable returned a non-finite value")
-    mean_sq = float(np.mean(sq))
-    var_sq = float(np.var(sq, ddof=1)) if n_samples > 1 else 0.0
-    value = math.sqrt(max(mean_sq, 0.0))
-    sem_sq = math.sqrt(var_sq / n_samples)
-    std_error = sem_sq / (2.0 * value) if value > 0.0 else math.sqrt(sem_sq)
-    return NormEstimate(value=value, std_error=std_error,
-                        n_samples=n_samples, which_measure=marginal.which_measure)
+    return NormEstimate.from_moments(float(np.mean(sq)),
+                                     float(np.var(sq, ddof=1)), n_samples,
+                                     marginal.which_measure)
 
 
 def norm0_poisson_B_H0_quadrature(params: ModelParams) -> float:

@@ -9,7 +9,8 @@ the bracket [B, H0], H1 and the Verlet loop, and the per-panel Kronrod loop,
 are kept here as the references that the C kernels, the row-chunked bracket
 and the batched Kronrod pass must match bit for bit.  Observables that only
 tests evaluate (the height sum A, the moment generating function of z, and
-H1 outside the trajectory kernel, which records it) live here too.
+H1 outside the trajectory kernel, which records it, and the normalized
+density of a wall marginal) live here too.
 """
 
 import math
@@ -21,10 +22,15 @@ from numpy.polynomial.legendre import leggauss
 from gasrelax import _kernel
 from gasrelax.dynamics import (EnergyDriftError, WallBreachError,
                                _evolve_batch, _records_grid)
-from gasrelax.gibbs import _centered_mgf, _monotone_tangents
+from gasrelax.gibbs import _centered_mgf, _monotone_tangents, _weight
 from gasrelax.model import observable_B
 from gasrelax.numerics import (_WG, _WGK, _XGK, QuadratureError,
                                integrate_finite)
+
+
+def density(marginal, z):
+    """Normalized density of a wall marginal at z (0 outside the box)."""
+    return _weight(z, marginal.params, marginal.tilt) / marginal.z_tilde
 
 
 def norm0_B_sq_exact(params):
@@ -458,7 +464,7 @@ def quadrature_autocorr_n1(params, h, t_end, n_times, n_z=256, n_p=64,
     marginal = build_marginal(params)
     x, wz = leggauss(n_z)
     z_nodes = 0.5 * params.box_side * x
-    wz = wz * 0.5 * params.box_side * marginal.density(z_nodes)
+    wz = wz * 0.5 * params.box_side * density(marginal, z_nodes)
     xp, wp = hermegauss(n_p)
     p_nodes = xp * math.sqrt(params.mass) / math.sqrt(params.beta)
     wp = wp / math.sqrt(2.0 * math.pi)

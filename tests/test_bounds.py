@@ -101,9 +101,12 @@ class TestPhysicalUnits:
             t0_physical(ref_params, None)
 
     def test_unit_validation(self):
-        with pytest.raises(ValueError):
-            PhysicalUnits(mass_kg=0.0, sigma_m=1e-10, box_m=1.0,
-                          temperature_k=300.0)
+        good = dict(mass_kg=4.65e-26, sigma_m=1e-10, box_m=1.0,
+                    temperature_k=300.0)
+        for key in good:
+            for bad in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(ValueError):
+                    PhysicalUnits(**{**good, key: bad})
 
 
 class TestPerTermBound:
@@ -182,6 +185,13 @@ class TestBoundReport:
             "z_tilde_gt_quarter_box",
         }
         assert all(c["passed"] for c in doc["inequality_checks"])
+
+    def test_non_finite_value_is_refused(self, ref_params):
+        report = build_bound_report(ref_params, n_samples=2000,
+                                    rng=substream(24, 0))
+        report.z_tilde = math.inf
+        with pytest.raises(ValueError):
+            report.to_json()
 
     def test_regime_refused(self):
         with pytest.raises(RegimeError):

@@ -192,6 +192,60 @@ class TestBoundsFlags:
         assert err.startswith("validation error: parameters out of numeric "
                               "range")
 
+    @pytest.mark.parametrize("units", [
+        *(f"--{key}=inf"
+          for key in ("mass_kg", "sigma_m", "box_m", "temperature_k")),
+        # finite constants whose product overflows
+        "--mass_kg=1e308 --box_m=1e308",
+    ])
+    def test_non_finite_physical_time_is_a_validation_error(self, tmp_path,
+                                                            units):
+        path = write_config(tmp_path, output_dir=str(tmp_path),
+                            mass_kg=4.65e-26, sigma_m=1e-10, box_m=1.0,
+                            temperature_k=300.0)
+        code, _, err = _run_quietly(["bounds", "--config", path,
+                                     *units.split()])
+        assert code == EXIT_VALIDATION
+        assert err.startswith("validation error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "bounds_report.json").exists()
+
+
+class TestReportShapes:
+    """The key sets of both JSON reports; the golden digests of the
+    benchmark pin their values only on the reference run."""
+
+    def test_bounds_report(self, tmp_path):
+        path = write_config(tmp_path, output_dir=str(tmp_path))
+        assert main(["bounds", "--config", path]) == EXIT_OK
+        doc = json.loads((tmp_path / "bounds_report.json").read_text())
+        assert set(doc) == {"meta", "c", "eta_analytic", "eta_empirical",
+                            "t0_natural", "t0_physical_seconds", "regime_ok",
+                            "z_tilde", "inequality_checks"}
+        assert set(doc["meta"]) == {"version", "config_hash", "seed"}
+        assert set(doc["eta_empirical"]) == {"value", "std_error",
+                                             "n_samples", "which_measure"}
+        assert doc["eta_empirical"]["n_samples"] == 2000
+        assert doc["eta_empirical"]["which_measure"] == "rho0"
+        # no physical units in the config
+        assert doc["t0_physical_seconds"] is None
+        assert [set(c) for c in doc["inequality_checks"]] == [
+            {"name", "lhs", "rhs", "passed"}] * 3
+
+    def test_relaxation_report(self, tmp_path):
+        path = write_config(tmp_path, output_dir=str(tmp_path))
+        assert main(["simulate", "--config", path]) == EXIT_RUNTIME
+        doc = json.loads((tmp_path / "relaxation_report.json").read_text())
+        assert set(doc) == {"meta", "t0_bound", "t_star_empirical",
+                            "positivity_ok", "curve_check", "displacement_ok",
+                            "gamma", "gamma_tilde", "field_h",
+                            "n_trajectories", "max_energy_drift",
+                            "displacement_details"}
+        assert doc["t_star_empirical"] == "not crossed within t_end"
+        assert doc["n_trajectories"] == 64
+        assert [set(d) for d in doc["displacement_details"]] == [
+            {"t", "norm", "std_error", "bound", "passed"}] * 3
+
 
 class TestGammaCommand:
     def test_sweep(self, tmp_path):

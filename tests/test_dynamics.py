@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -283,6 +284,6 @@ class TestRelaxationReport:
         assert report.gamma > 0.0 and report.gamma_tilde > 0.0
         assert report.max_energy_drift > 0.0
         assert len(report.displacement_details) == 3
-        doc = report.to_json_dict()
+        doc = json.loads(report.to_json())
         assert doc["t_star_empirical"] == "not crossed within t_end"
         assert series.n_trajectories == 400
