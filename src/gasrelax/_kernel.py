@@ -65,6 +65,8 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     for name in ("wall_potential", "wall_force"):
         getattr(lib, name).argtypes = [ptr, ptr, n, d, d]
         getattr(lib, name).restype = None
+    lib.bracket_rows.argtypes = [ptr, ptr, n, n, d, d]
+    lib.bracket_rows.restype = n
     lib.verlet_records.argtypes = [ptr, ptr, n, n, n, n, d, d, d, d, d, d, d,
                                    ptr, ptr]
     lib.verlet_records.restype = n

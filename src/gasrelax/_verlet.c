@@ -1,5 +1,6 @@
-/* The wall potential, the wall force, the velocity-Verlet trajectory with
- * its energy records, and the inverse CDF of the wall marginal in gasrelax.
+/* The wall potential, the wall force, the per-row wall-force sums, the
+ * velocity-Verlet trajectory with its energy records, and the inverse CDF of
+ * the wall marginal in gasrelax.
  *
  * Every result is bit for bit what the former NumPy expressions gave, so the
  * operation order below is part of the contract.  Potential: u*u, u2*u2,
@@ -64,9 +65,10 @@ KERNEL void wall_force(const double *restrict z, double *restrict out,
 /* NumPy's pairwise summation stops splitting at this many values */
 #define PAIRWISE_LEAF 128
 
-enum term { VALUE, SQUARE, POTENTIAL };
+enum term { VALUE, SQUARE, POTENTIAL, FORCE };
 
-/* NumPy's pairwise sum of the terms a[i], a[i]*a[i] or V(a[i]), i < n.
+/* NumPy's pairwise sum of the terms a[i], a[i]*a[i], V(a[i]) or F(a[i]),
+ * i < n, with c = delta for V and 12 delta for F.
  *
  * Fewer than 8 values are added in sequence from -0.0; up to 128 values in
  * 8 accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and then
@@ -75,13 +77,13 @@ enum term { VALUE, SQUARE, POTENTIAL };
  * The terms are made one leaf of at most 128 values at a time.
  */
 static KERNEL double pairwise(const double *a, ptrdiff_t n, enum term kind,
-                              double half, double delta)
+                              double half, double c)
 {
     if (n > PAIRWISE_LEAF) {
         ptrdiff_t n2 = n / 2;
         n2 -= n2 % 8;
-        return pairwise(a, n2, kind, half, delta)
-            + pairwise(a + n2, n - n2, kind, half, delta);
+        return pairwise(a, n2, kind, half, c)
+            + pairwise(a + n2, n - n2, kind, half, c);
     }
     double t[PAIRWISE_LEAF];
     if (kind == SQUARE) {
@@ -90,7 +92,11 @@ static KERNEL double pairwise(const double *a, ptrdiff_t n, enum term kind,
         a = t;
     } else if (kind == POTENTIAL) {
         for (ptrdiff_t i = 0; i < n; i++)
-            t[i] = potential(a[i], half, delta);
+            t[i] = potential(a[i], half, c);
+        a = t;
+    } else if (kind == FORCE) {
+        for (ptrdiff_t i = 0; i < n; i++)
+            t[i] = force(a[i], half, c);
         a = t;
     }
     if (n < 8) {
@@ -111,6 +117,25 @@ static KERNEL double pairwise(const double *a, ptrdiff_t n, enum term kind,
     for (; i < n; i++)
         res += a[i];
     return res;
+}
+
+/* out[i] = [B, H0] of row i, the sum of the wall force over its n values,
+ * for each of `rows` row-major rows of z.  Returns how many values are not
+ * strictly inside (-half, half), NaN included; the sums of a row holding one
+ * are not meaningful.
+ */
+KERNEL ptrdiff_t bracket_rows(const double *restrict z, double *restrict out,
+                              ptrdiff_t rows, ptrdiff_t n, double half,
+                              double c12)
+{
+    ptrdiff_t outside = 0;
+    for (ptrdiff_t i = 0; i < rows; i++) {
+        const double *zi = z + i * n;
+        for (ptrdiff_t j = 0; j < n; j++)
+            outside += !(fabs(zi[j]) < half);
+        out[i] = 0.0 + pairwise(zi, n, FORCE, half, c12);
+    }
+    return outside;
 }
 
 /* B = sum p and H1 = (sum p^2/2m + sum V(z)) - h sum z of each of `rows`
@@ -266,9 +291,11 @@ static inline double hermite(double t, double y0, double m0, double y1,
 /* out[i] = the monotone-cubic inverse of the CDF knots (inv_u, inv_z) with
  * tangents inv_m at u[i], for i < n; out may be u itself.
  *
- * guide[j] is the bracket of every u in [j, j+1) / cells, or -1 when a knot
- * splits that cell.  A u outside [0, 1), a NaN or a -1 cell falls back to
- * the binary search over all k knots, so every value is the one that
+ * guide[j] is the bracket of the left edge j / cells of cell j, so the
+ * bracket of a u in [j, j+1) / cells is guide[j] stepped up past every knot
+ * inv_u[i + 1] <= u, as long as i < k - 2: a step for each knot inside the
+ * cell, at most k / cells on average.  A u outside [0, 1) or a NaN falls
+ * back to the binary search over all k knots.  Every value is the one that
  * search gives.  Each chunk is copied, bracketed and then interpolated.
  */
 KERNEL void inverse_cdf(const double *u, double *out, ptrdiff_t n,
@@ -292,9 +319,15 @@ KERNEL void inverse_cdf(const double *u, double *out, ptrdiff_t n,
             uc[i] = ui;
             idx[i] = cell >= 0.0 && cell < width ? guide[(ptrdiff_t)cell] : -1;
         }
-        for (ptrdiff_t i = 0; i < len; i++)
-            if (idx[i] < 0)
-                idx[i] = bracket(inv_u, k, uc[i]);
+        for (ptrdiff_t i = 0; i < len; i++) {
+            ptrdiff_t j = idx[i];
+            if (j < 0)
+                j = bracket(inv_u, k, uc[i]);
+            else
+                while (j < k - 2 && uc[i] >= inv_u[j + 1])
+                    j++;
+            idx[i] = j;
+        }
         for (ptrdiff_t i = 0; i < len; i++) {
             ptrdiff_t j = idx[i];
             double x0 = inv_u[j];

@@ -11,13 +11,17 @@ monotone-cubic inverse; naive rejection would accept with probability
 z_tilde / L, which degrades for strong walls and is kept only as a test
 oracle.  The lookup runs in the C kernel (`_verlet.c`) and is a guide-table
 (indexed) search: 2^16 equal cells of u in [0, 1) each store the CDF
-bracket that covers the whole cell, so most draws find their bracket with
-one gather.  Cells that a CDF knot splits (about 2.6 % of them on the
-reference grid), and inputs outside [0, 1) or NaN, fall back to a binary
-search.  The kernel works through the values in chunks of a few hundred,
-so it needs no temporaries beyond the stack, and it may write over its
-input.  Every drawn value is bitwise what a binary search over the whole
+bracket of their left edge, so a draw finds its bracket with one gather and
+a step past each knot that lies in its cell (about 2.6 % of the cells on the
+reference grid hold one).  Only inputs outside [0, 1) or NaN fall back to a
+binary search.  The kernel works through the values in chunks of a few
+hundred, so it needs no temporaries beyond the stack, and it may write over
+its input.  Every drawn value is bitwise what a binary search over the whole
 batch and the NumPy cubic give.
+
+A heights-only Monte-Carlo norm draws, inverts and evaluates its states one
+block of _MC_BLOCK values at a time, so it holds no array of all the sampled
+heights.
 
 Integrands that multiply the Gibbs weight by inverse powers of the wall
 distance are evaluated in log space: the exponential kills the power in the
@@ -55,6 +59,10 @@ _LOG_FLOOR = -745.0
 # cells of the inverse-CDF guide table over u in [0, 1); a power of two, so
 # u * _GUIDE_CELLS is exact and its floor is the cell that holds u
 _GUIDE_CELLS = 1 << 16
+
+# heights per block of a heights-only norm0_mc: 1024 rows of 64 particles,
+# 512 KiB, which stay in L2 from the draw to the observable
+_MC_BLOCK = 1 << 16
 
 
 def _log_weight(z, params: ModelParams, tilt: float = 0.0,
@@ -137,8 +145,9 @@ class WallMarginal:
     the box.  The CDF knots, the grid nodes where the CDF increases, and
     their monotone-cubic inverse tangents support vectorized inverse-CDF
     draws.  `_guide` holds, for each of the _GUIDE_CELLS equal cells of u,
-    the index of the CDF bracket containing the whole cell, or -1 when a
-    knot lies inside the cell.
+    the index of the CDF bracket containing the cell's left edge; the
+    kernel steps up from it past any knot inside the cell.  `_log_mgf`
+    keeps the values of log_mgf_z already evaluated on this marginal.
     """
 
     params: ModelParams
@@ -149,6 +158,8 @@ class WallMarginal:
     _inv_z: np.ndarray = field(repr=False)
     _inv_m: np.ndarray = field(repr=False)
     _guide: np.ndarray = field(repr=False)
+    _log_mgf: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         # the C inverse CDF reads these tables through bare pointers
@@ -160,7 +171,7 @@ class WallMarginal:
                 and self._guide.dtype == np.intp
                 and self._guide.shape == (_GUIDE_CELLS,)
                 and self._guide.flags.c_contiguous
-                and -1 <= self._guide.min() and self._guide.max() <= k - 2):
+                and 0 <= self._guide.min() and self._guide.max() <= k - 2):
             raise ValueError("inverse-CDF tables of inconsistent size or "
                              "layout")
 
@@ -182,18 +193,14 @@ class WallMarginal:
 
 
 def _guide_table(inv_u: np.ndarray) -> np.ndarray:
-    """Bracket index per cell of u, -1 where a knot splits the cell.
+    """Bracket index of the left edge j / _GUIDE_CELLS of each cell j of u.
 
-    Cell j holds u in [j, j+1) / _GUIDE_CELLS.  When no knot lies in
-    (j, j+1] / _GUIDE_CELLS, every u of the cell has the bracket of the
-    cell's left edge.
+    No u of the cell has a lower bracket; one above it lies past a knot
+    inside the cell.
     """
-    edges = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
-    below = np.searchsorted(inv_u, edges, side="right")
-    guide = np.full(_GUIDE_CELLS, -1, dtype=np.intp)
-    whole = below[1:] == below[:-1]
-    guide[whole] = np.clip(below[:-1][whole] - 1, 0, inv_u.size - 2)
-    return guide
+    edges = np.arange(_GUIDE_CELLS) / _GUIDE_CELLS
+    return np.clip(np.searchsorted(inv_u, edges, side="right") - 1,
+                   0, inv_u.size - 2)
 
 
 def _monotone_tangents(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -321,23 +328,41 @@ def norm0_mc(f, marginal: WallMarginal, n_samples: int,
              ) -> NormEstimate:
     """Monte-Carlo L2 norm sqrt(E[f^2]) with a delta-method standard error.
 
-    f maps the sampled (Z, P) arrays of shape (n_samples, N) to one value per
-    row.  Sampling follows the marginal's measure (rho0, or rho1 when the
-    marginal is tilted).  With momenta=False, P is None and no momentum is
-    drawn, for an f that reads only Z; the estimate is unchanged.
+    f maps sampled (Z, P) arrays of shape (rows, N) to one value per row.
+    Sampling follows the marginal's measure (rho0, or rho1 when the marginal
+    is tilted).  With momenta=True, f sees all n_samples rows at once.  With
+    momenta=False, P is None and no momentum is drawn, for an f that reads
+    only Z: the states are drawn and passed to f a block of _MC_BLOCK
+    heights at a time, which are the heights of one whole batch unless a
+    uniform is an exact 0.0 (see _open_uniforms), and the mean and variance
+    are still taken over all the values at once, so the estimate is
+    unchanged.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
-    z, p = sample_batch(marginal, rng, n_samples, momenta=momenta)
-    values = np.asarray(f(z, p), dtype=float)
-    if values.shape != (n_samples,):
-        raise ValueError("observable must return one value per sampled state")
+    if momenta:
+        z, p = sample_batch(marginal, rng, n_samples)
+        values = _row_values(f(z, p), n_samples)
+    else:
+        values = np.empty(n_samples)
+        step = max(1, _MC_BLOCK // marginal.params.n_particles)
+        for start in range(0, n_samples, step):
+            rows = min(step, n_samples - start)
+            z, _ = sample_batch(marginal, rng, rows, momenta=False)
+            values[start:start + rows] = _row_values(f(z, None), rows)
     sq = values * values
     if not np.all(np.isfinite(sq)):
         raise ValueError("observable returned a non-finite value")
     return NormEstimate.from_moments(float(np.mean(sq)),
                                      float(np.var(sq, ddof=1)), n_samples,
                                      marginal.which_measure)
+
+
+def _row_values(values, rows: int) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.shape != (rows,):
+        raise ValueError("observable must return one value per sampled state")
+    return values
 
 
 def norm0_poisson_B_H0_quadrature(params: ModelParams) -> float:
@@ -384,6 +409,17 @@ def log_mgf_z(t: float, marginal: WallMarginal) -> float:
     return math.log1p(_centered_mgf(t, marginal))
 
 
+def _log_mgf(t: float, marginal: WallMarginal) -> float:
+    """log_mgf_z(t, marginal), evaluated once per marginal and argument.
+
+    The key keeps the sign of a zero t, which can reach the result's sign.
+    """
+    key = (t, math.copysign(1.0, t))
+    if key not in marginal._log_mgf:
+        marginal._log_mgf[key] = log_mgf_z(t, marginal)
+    return marginal._log_mgf[key]
+
+
 def gamma_h(params: ModelParams, marginal: WallMarginal,
             h: float | None = None) -> float:
     """Chi-square divergence of the tilted measure from rho0.
@@ -393,8 +429,8 @@ def gamma_h(params: ModelParams, marginal: WallMarginal,
     """
     hh = params.field if h is None else float(h)
     t = hh * params.beta
-    expo = params.n_particles * (log_mgf_z(2.0 * t, marginal)
-                                 - 2.0 * log_mgf_z(t, marginal))
+    expo = params.n_particles * (_log_mgf(2.0 * t, marginal)
+                                 - 2.0 * _log_mgf(t, marginal))
     return math.expm1(expo)
 
 
@@ -403,8 +439,8 @@ def gamma_tilde_h(params: ModelParams, marginal: WallMarginal,
     """Reverse-direction divergence (M(h beta) M(-h beta))^N - 1."""
     hh = params.field if h is None else float(h)
     t = hh * params.beta
-    expo = params.n_particles * (log_mgf_z(t, marginal)
-                                 + log_mgf_z(-t, marginal))
+    expo = params.n_particles * (_log_mgf(t, marginal)
+                                 + _log_mgf(-t, marginal))
     return math.expm1(expo)
 
 
@@ -448,8 +484,8 @@ def hoelder_certificate(params: ModelParams, marginal: WallMarginal,
         raise ValueError("delta_moment must be positive")
     if not hh < delta_moment / (2.0 * params.beta):
         raise ValueError("need h < delta_moment / (2 beta)")
-    log_k = params.n_particles * max(log_mgf_z(delta_moment, marginal),
-                                     log_mgf_z(-delta_moment, marginal))
+    log_k = params.n_particles * max(_log_mgf(delta_moment, marginal),
+                                     _log_mgf(-delta_moment, marginal))
     log_bound = 4.0 * params.beta * hh / delta_moment * log_k
     gamma = gamma_h(params, marginal, hh)
     gtilde = gamma_tilde_h(params, marginal, hh)

@@ -74,13 +74,6 @@ class ModelParams:
         return 0.5 * self.box_side
 
 
-# values per wall_force pass of poisson_B_H0: 1024 rows of 64 particles,
-# whose force and box-check temporaries (about 1 MiB) stay in L2.  On the
-# 10^5 x 64 bounds batch it took 6.7 ms against 12.5 ms in one pass, and
-# 2^14 values 8.6 ms (AMD EPYC, 1 MiB L2 per core)
-_BRACKET_CHUNK = 1 << 16
-
-
 def _map_kernel(name: str, z, *args, out=None):
     """out = the C function `name` of `_verlet.c` at every element of z.
 
@@ -106,11 +99,17 @@ def _map_kernel(name: str, z, *args, out=None):
     return out
 
 
+def _outside(params: ModelParams) -> ValueError:
+    return ValueError(f"position outside the open box (-{params.half_box}, "
+                      f"{params.half_box})")
+
+
 def _checked(z, params: ModelParams) -> np.ndarray:
+    """z as a float array, after checking that every value, and no NaN, lies
+    strictly inside the box."""
     z = np.asarray(z, dtype=float)
-    if np.any(np.abs(z) >= params.half_box):
-        raise ValueError(
-            f"position outside the open box (-{params.half_box}, {params.half_box})")
+    if not np.all(np.abs(z) < params.half_box):
+        raise _outside(params)
     return z
 
 
@@ -145,16 +144,19 @@ def observable_B(z, p):
 def poisson_B_H0(z, params: ModelParams):
     """[B, H0] = sum_j wall_force(z_j): the total force the walls exert.
 
-    A batch is evaluated _BRACKET_CHUNK values at a time, in whole rows, so
-    the force and the box check need no array the size of the batch.  Each
-    row is summed on its own, so its bits do not depend on the chunking.
+    C-contiguous rows take one pass of the C kernel, which sums each row's
+    forces in NumPy's pairwise order and checks the box on the way, so no
+    force array is made.  Other layouts are summed by np.sum, which adds the
+    rows of a Fortran-ordered array in sequence rather than pairwise; either
+    way the bits are those of np.sum(wall_force(z, params), axis=-1).
     """
     z = np.asarray(z, dtype=float)
-    if z.ndim < 2:
+    if z.ndim == 0 or not z.flags.c_contiguous:
         return np.sum(wall_force(z, params), axis=-1)
     out = np.empty(z.shape[:-1])
-    step = max(1, _BRACKET_CHUNK // max(z.shape[-1], 1))
-    for start in range(0, z.shape[0], step):
-        out[start:start + step] = np.sum(
-            wall_force(z[start:start + step], params), axis=-1)
-    return out
+    outside = _kernel.library().bracket_rows(
+        z.ctypes.data, out.ctypes.data, out.size, z.shape[-1],
+        params.half_box, 12.0 * params.delta_wall)
+    if outside:
+        raise _outside(params)
+    return out if out.ndim else out[()]

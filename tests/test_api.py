@@ -79,8 +79,9 @@ def test_tracer_install_and_restore(tmp_path):
              for key, value in vars(mod).items() if callable(value)}
     assert after == before
     metrics, _ = tracer.layer_metrics(spans.totals())
-    # the bracket norm is one batched call of the observable
-    assert metrics["model.poisson_B_H0.calls"] == 1
+    # the bracket norm is one call of the observable per block of 1024 rows
+    assert metrics["model.poisson_B_H0.calls"] == 2
+    assert metrics["gibbs.sample_batch.calls"] == 2
     assert metrics["gibbs.norm0_mc.samples"] == 2000
 
 

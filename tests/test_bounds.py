@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,17 @@ class TestEtaEmpirical:
         quad_ratio = norm0_poisson_B_H0_quadrature(ref_params) \
             / norm0_B_closed(ref_params)
         assert abs(est.value - quad_ratio) <= 3.0 * est.std_error
+
+    def test_heights_are_not_held_all_at_once(self, ref_params, ref_marginal):
+        # 10^5 states of 64 heights are 51.2 MB; a block of them is 0.5 MiB
+        eta_empirical(ref_params, ref_marginal, 2000, substream(27, 0))
+        tracemalloc.start()
+        try:
+            eta_empirical(ref_params, ref_marginal, 100_000, substream(27, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_sample_floor(self, ref_params, ref_marginal):
         with pytest.raises(ValueError):

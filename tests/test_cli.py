@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from gasrelax import bounds, cli, dynamics
+from gasrelax import bounds, cli, dynamics, gibbs
 from gasrelax.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, RunConfig,
                           main, parse_config_file)
 
@@ -264,6 +264,23 @@ class TestGammaCommand:
                 assert row[4] == "True"
         gammas = [float(r[1]) for r in rows]
         assert gammas == sorted(gammas)
+
+    def test_each_mgf_quadrature_runs_once(self, tmp_path, monkeypatch):
+        # the reference sweep certifies 9 of its 10 fields against one K
+        # and needs log M at 28 distinct arguments (29 with t = -0.0)
+        args = []
+
+        def counted(t, marginal):
+            args.append((t, math.copysign(1.0, t)))
+            return log_mgf_z(t, marginal)
+
+        log_mgf_z = gibbs.log_mgf_z
+        monkeypatch.setattr(gibbs, "log_mgf_z", counted)
+        path = write_config(tmp_path, output_dir=str(tmp_path),
+                            delta_moment=0.1, h_min=1e-5, h_max=1e-1,
+                            h_points=9)
+        assert main(["gamma", "--config", path]) == EXIT_OK
+        assert len(args) == len(set(args)) == 29
 
 
 class TestSimulateCommand:

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import helpers
 from helpers import mgf_z
 from gasrelax import _kernel, numerics
-from gasrelax.gibbs import (_GUIDE_CELLS, _wall_breakpoints, _weight,
-                            build_marginal, gamma_h, gamma_tilde_h,
+from gasrelax.gibbs import (_GUIDE_CELLS, _MC_BLOCK, NormEstimate,
+                            _wall_breakpoints, _weight, build_marginal,
+                            gamma_h, gamma_tilde_h,
                             hoelder_certificate, log_mgf_z, norm0_B_closed,
                             norm0_mc, norm0_poisson_B_H0_quadrature,
                             sample_batch)
@@ -335,6 +336,21 @@ class TestInverseCdfBitwise:
         assert 0.0 < widths.min() < np.finfo(float).tiny
 
 
+def _one_batch_estimate(marginal, u):
+    """The bracket norm of the states with uniforms u, all in one batch."""
+    z = helpers.inverse_cdf_searchsorted(marginal, u)
+    sq = helpers.poisson_B_H0_reference(z, marginal.params) ** 2
+    return NormEstimate.from_moments(float(np.mean(sq)),
+                                     float(np.var(sq, ddof=1)), len(u),
+                                     marginal.which_measure)
+
+
+def _assert_same_estimate(got, want):
+    assert got == want
+    assert _bits(got.value) == _bits(want.value)
+    assert _bits(got.std_error) == _bits(want.std_error)
+
+
 class TestNorms:
     def test_closed_form_values(self):
         assert norm0_B_closed(ModelParams(2, 1.0, 1.0, 10.0)) == pytest.approx(2.0)
@@ -377,6 +393,41 @@ class TestNorms:
         assert heights == full
         assert _bits(heights.value) == _bits(full.value)
         assert _bits(heights.std_error) == _bits(full.std_error)
+
+    @pytest.mark.parametrize("n, n_samples", [(64, 2500), (7, 20000),
+                                              (300, 1000)])
+    def test_heights_only_blocks_equal_one_batch(self, n, n_samples):
+        # blocks of _MC_BLOCK heights, the last one partial, give the bits
+        # of drawing, inverting and evaluating the whole batch at once
+        params = ModelParams(n, 1.0, 1.0, 10.0)
+        marginal = build_marginal(params, grid_size=256)
+        rows = []
+
+        def bracket(z, p):
+            rows.append(z.shape[0])
+            return poisson_B_H0(z, params)
+
+        est = norm0_mc(bracket, marginal, n_samples, substream(25, n),
+                       momenta=False)
+        step = _MC_BLOCK // n
+        assert rows == [step] * (n_samples // step) + [n_samples % step]
+        u = substream(25, n).random((n_samples, n))
+        assert u.min() > 0.0
+        _assert_same_estimate(est, _one_batch_estimate(marginal, u))
+
+    def test_zero_uniform_is_redrawn_within_its_block(self, ref_params,
+                                                      ref_marginal):
+        # the redraw follows block 2's draws, ahead of block 3's
+        stub = helpers.ZeroDraws(substream(26, 0), [[], [5, 700]])
+        est = norm0_mc(lambda z, p: poisson_B_H0(z, ref_params),
+                       ref_marginal, 2500, stub, momenta=False)
+        assert stub.sizes == [(1024, 64), (1024, 64), 2, (452, 64)]
+        rng = substream(26, 0)
+        blocks = [rng.random((1024, 64)), rng.random((1024, 64))]
+        blocks[1].flat[[5, 700]] = rng.random(2)
+        blocks.append(rng.random((452, 64)))
+        _assert_same_estimate(est, _one_batch_estimate(ref_marginal,
+                                                       np.vstack(blocks)))
 
     def test_norm0_mc_rejects_small_samples(self, ref_marginal):
         with pytest.raises(ValueError):

@@ -3,9 +3,9 @@ import pytest
 
 import helpers
 from helpers import observable_A
-from gasrelax.gibbs import sample_batch
-from gasrelax.model import (_BRACKET_CHUNK, ModelParams, observable_B,
-                            poisson_B_H0, wall_force, wall_potential)
+from gasrelax.gibbs import _MC_BLOCK, sample_batch
+from gasrelax.model import (ModelParams, observable_B, poisson_B_H0,
+                            wall_force, wall_potential)
 from gasrelax.rng import substream
 
 NARROW = ModelParams(n_particles=1, beta=1.0, delta_wall=1.0, box_side=2.0)
@@ -67,8 +67,8 @@ class TestWallPotential:
         assert val > 1e30 * NARROW.delta_wall / NARROW.box_side ** 12
 
     def test_domain_error(self):
-        for z in (1.0, -1.0, 1.2):
-            with pytest.raises(ValueError):
+        for z in (1.0, -1.0, 1.2, np.nan, [0.0, np.nan]):
+            with pytest.raises(ValueError, match="outside the open box"):
                 wall_potential(z, NARROW)
 
     def test_symmetry_and_positivity(self):
@@ -121,6 +121,11 @@ class TestWallForce:
                 helpers.wall_force_reference(zz, params).view(np.int64))
         assert wall_force(4.99, ref_params) == \
             float(helpers.wall_force_reference(4.99, ref_params))
+
+    def test_domain_error(self):
+        for z in (1.0, -1.0, -1.2, np.nan, [0.0, np.nan]):
+            with pytest.raises(ValueError, match="outside the open box"):
+                wall_force(z, NARROW)
 
     def test_matches_potential_gradient(self):
         eps = 1e-7
@@ -192,9 +197,10 @@ class TestBrackets:
 
     @pytest.mark.parametrize("n", [64, 7])
     def test_row_chunks_bit_equal_to_one_shot(self, ref_marginal, n):
-        # two whole chunks of rows and part of a third, in each layout
+        # two whole norm0_mc blocks of rows and part of a third, in each
+        # layout: C rows go through the kernel, the others through np.sum
         params = ModelParams(n, 1.0, 1.0, 10.0)
-        rows = 2 * (_BRACKET_CHUNK // n) + 37
+        rows = 2 * (_MC_BLOCK // n) + 37
         z = ref_marginal.inverse_cdf(substream(23, 0).random((rows, n)))
         for layout in (z, np.asfortranarray(z), z[::-1, ::2],
                        z[:90].reshape(3, 30, n)):
@@ -202,6 +208,29 @@ class TestBrackets:
             want = helpers.poisson_B_H0_reference(layout, params)
             assert got.shape == layout.shape[:-1]
             assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 128, 129, 300])
+    def test_kernel_row_sums_bit_equal_to_reference(self, ref_marginal, n):
+        # fewer than 8 values, one leaf of 8 accumulators with and without a
+        # tail, and pairwise splits of one and of two levels
+        params = ModelParams(n, 1.0, 1.0, 10.0)
+        z = ref_marginal.inverse_cdf(substream(24, 0).random((41, n)))
+        for batch in (z, z[5], z[:12].reshape(3, 4, n)):
+            got = poisson_B_H0(batch, params)
+            want = helpers.poisson_B_H0_reference(batch, params)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("bad", [np.nan, 5.0, -5.0, np.inf])
+    def test_positions_outside_the_box_raise(self, ref_params, bad):
+        z = np.zeros((3, 64))
+        for layout in (z, np.asfortranarray(z), z[1]):
+            layout = layout.copy(order="K")
+            layout[..., -1] = bad
+            with pytest.raises(ValueError, match="outside the open box"):
+                poisson_B_H0(layout, ref_params)
+        with pytest.raises(ValueError, match="outside the open box"):
+            poisson_B_H0(bad, ref_params)
 
     def test_finite_difference_bracket_of_B_with_H(self):
         params = ModelParams(3, 1.0, 1.0, 10.0)
