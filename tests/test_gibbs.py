@@ -321,6 +321,7 @@ class TestInverseCdfBitwise:
         guide = ref_marginal._guide
         past_last = np.full_like(guide, ref_marginal._inv_u.size - 1)
         for bad in (dict(_guide=guide[:-1]), dict(_guide=past_last),
+                    dict(_guide=np.full_like(guide, -1)),
                     dict(_guide=guide.astype(np.int32)),
                     dict(_inv_z=ref_marginal._inv_z[:-1]),
                     dict(_inv_m=ref_marginal._inv_m[::-1])):
