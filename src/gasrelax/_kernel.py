@@ -62,11 +62,8 @@ def _load(cache_dir, cc: str) -> ctypes.CDLL:
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     ptr, n, d = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
-    for name in ("wall_potential", "wall_force"):
-        getattr(lib, name).argtypes = [ptr, ptr, n, d, d]
-        getattr(lib, name).restype = None
-    lib.bracket_rows.argtypes = [ptr, ptr, n, n, d, d]
-    lib.bracket_rows.restype = n
+    lib.wall_sums.argtypes = [ptr, ptr, n, n, n, d, d]
+    lib.wall_sums.restype = n
     lib.verlet_records.argtypes = [ptr, ptr, n, n, n, n, d, d, d, d, d, d, d,
                                    ptr, ptr]
     lib.verlet_records.restype = n

@@ -1,4 +1,4 @@
-/* The wall potential, the wall force, the per-row wall-force sums, the
+/* The wall potential and force with their per-row sums, the
  * velocity-Verlet trajectory with its energy records, and the inverse CDF of
  * the wall marginal in gasrelax.
  *
@@ -46,20 +46,6 @@ static inline double force(double z, double half, double c12)
 static inline double potential(double z, double half, double delta)
 {
     return delta * (recip_pow12(z + half) + recip_pow12(z - half));
-}
-
-KERNEL void wall_potential(const double *restrict z, double *restrict out,
-                           ptrdiff_t n, double half, double delta)
-{
-    for (ptrdiff_t i = 0; i < n; i++)
-        out[i] = potential(z[i], half, delta);
-}
-
-KERNEL void wall_force(const double *restrict z, double *restrict out,
-                       ptrdiff_t n, double half, double c12)
-{
-    for (ptrdiff_t i = 0; i < n; i++)
-        out[i] = force(z[i], half, c12);
 }
 
 /* NumPy's pairwise summation stops splitting at this many values */
@@ -119,21 +105,31 @@ static KERNEL double pairwise(const double *a, ptrdiff_t n, enum term kind,
     return res;
 }
 
-/* out[i] = [B, H0] of row i, the sum of the wall force over its n values,
- * for each of `rows` row-major rows of z.  Returns how many values are not
- * strictly inside (-half, half), NaN included; the sums of a row holding one
- * are not meaningful.
+/* The wall potential (is_force = 0, c = delta) or the wall force
+ * (is_force != 0, c = 12 delta) over each of `rows` row-major rows of z of
+ * n values, into out[i]: the term itself when n is 1, else 0.0 plus the
+ * pairwise sum of the row's terms.  Returns how many values are not
+ * strictly inside (-half, half), NaN included; the results of a row holding
+ * one are not meaningful.
  */
-KERNEL ptrdiff_t bracket_rows(const double *restrict z, double *restrict out,
-                              ptrdiff_t rows, ptrdiff_t n, double half,
-                              double c12)
+KERNEL ptrdiff_t wall_sums(const double *restrict z, double *restrict out,
+                           ptrdiff_t rows, ptrdiff_t n, ptrdiff_t is_force,
+                           double half, double c)
 {
     ptrdiff_t outside = 0;
+    if (n == 1) {
+        for (ptrdiff_t i = 0; i < rows; i++) {
+            outside += !(fabs(z[i]) < half);
+            out[i] = is_force ? force(z[i], half, c)
+                : potential(z[i], half, c);
+        }
+        return outside;
+    }
     for (ptrdiff_t i = 0; i < rows; i++) {
         const double *zi = z + i * n;
         for (ptrdiff_t j = 0; j < n; j++)
             outside += !(fabs(zi[j]) < half);
-        out[i] = 0.0 + pairwise(zi, n, FORCE, half, c12);
+        out[i] = 0.0 + pairwise(zi, n, is_force ? FORCE : POTENTIAL, half, c);
     }
     return outside;
 }

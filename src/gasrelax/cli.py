@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -85,6 +86,12 @@ class RunConfig:
         if any(given) and not all(given):
             raise ConfigError("physical units require all of mass_kg, sigma_m, "
                               "box_m, temperature_k")
+        for name in ("delta_moment", "epsilon", "h_min", "h_max"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be strictly positive and "
+                                  "finite")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
 
     def model_params(self) -> ModelParams:
         return ModelParams(n_particles=self.n_particles, beta=self.beta,
@@ -234,7 +241,7 @@ def cmd_simulate(config: RunConfig) -> int:
     int_config = config.integrator_config(t0)
     report, series = make_relaxation_report(
         params, int_config, n_traj=config.n_traj, seed=config.seed,
-        n_times=config.n_times, n_workers=max(1, config.workers),
+        n_times=config.n_times, n_workers=config.workers,
         grid_size=config.grid_size)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -265,6 +272,36 @@ def _last_time(path: Path) -> float:
     return float(rows[-1].split(",", 1)[0])
 
 
+def _read(path: Path, parse):
+    """parse(path), with any content it cannot take apart a ConfigError
+    that names the file."""
+    try:
+        return parse(path)
+    except (AttributeError, IndexError, KeyError, TypeError,
+            ValueError) as exc:
+        raise ConfigError(f"malformed input file {path}: {exc!r}") from None
+
+
+def _relaxation_fields(path: Path) -> tuple:
+    """t0, t* (a float, or the string saying it was not crossed) and the
+    check flags of a relaxation_report.json."""
+    doc = json.loads(path.read_text())
+    t_star = doc["t_star_empirical"]
+    return (float(doc["t0_bound"]),
+            t_star if isinstance(t_star, str) else float(t_star),
+            {name: doc[name] for name in
+             ("positivity_ok", "curve_check", "displacement_ok")})
+
+
+def _bounds_fields(path: Path) -> tuple:
+    """eta_analytic, eta_empirical and t0 in seconds (None without units) of
+    a bounds_report.json."""
+    doc = json.loads(path.read_text())
+    t0_si = doc.get("t0_physical_seconds")
+    return (float(doc["eta_analytic"]), float(doc["eta_empirical"]["value"]),
+            None if t0_si is None else float(t0_si))
+
+
 def cmd_report(config: RunConfig) -> int:
     out = Path(config.output_dir)
     bounds_path = out / "bounds_report.json"
@@ -274,27 +311,22 @@ def cmd_report(config: RunConfig) -> int:
                if not p.exists()]
     if missing:
         raise ConfigError("missing input files: " + ", ".join(missing))
-    bounds_doc = json.loads(bounds_path.read_text())
-    relax_doc = json.loads(relax_path.read_text())
-    t0 = relax_doc["t0_bound"]
-    t_star = relax_doc["t_star_empirical"]
+    t0, t_star, flags = _read(relax_path, _relaxation_fields)
+    eta_analytic, eta_empirical, t0_si = _read(bounds_path, _bounds_fields)
+    t_end = _read(corr_path, _last_time)
     print(f"analytic lower bound t0 = {t0:.6f}")
     if isinstance(t_star, str):
         # no crossing says nothing about t0 unless the run got past it
-        t_end = _last_time(corr_path)
         verdict = ("t* >= t0 holds" if t_end >= t0 else
                    f"inconclusive: run stopped at t = {t_end:.6g} < t0")
         print(f"empirical crossing t* : {t_star} ({verdict})")
     else:
         holds = "holds" if t_star >= t0 else "VIOLATED"
         print(f"empirical crossing t* = {t_star:.6f} (t* >= t0 {holds})")
-    print(f"eta_analytic = {bounds_doc['eta_analytic']:.6f}, "
-          f"eta_empirical = {bounds_doc['eta_empirical']['value']:.6f}")
-    t0_si = bounds_doc.get("t0_physical_seconds")
+    print(f"eta_analytic = {eta_analytic:.6f}, "
+          f"eta_empirical = {eta_empirical:.6f}")
     if t0_si is not None:
         print(f"t0_physical = {t0_si:.6e} s")
-    flags = {name: relax_doc[name] for name in
-             ("positivity_ok", "curve_check", "displacement_ok")}
     print("checks: " + ", ".join(f"{k}={v}" for k, v in flags.items()))
     return EXIT_OK
 

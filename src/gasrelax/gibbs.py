@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, _map_kernel
+from . import _kernel
+from .model import ModelParams, wall_potential
 from .numerics import _kronrod_panels, integrate_finite
 
 __all__ = [
@@ -79,8 +80,7 @@ def _log_weight(z, params: ModelParams, tilt: float = 0.0,
     inside = (u > 0.0) & (v > 0.0)
     us = np.where(inside, u, 1.0)
     vs = np.where(inside, v, 1.0)
-    pot = _map_kernel("wall_potential", np.where(inside, z, 0.0), half,
-                      params.delta_wall)
+    pot = wall_potential(np.where(inside, z, 0.0), params)
     with np.errstate(over="ignore"):
         logw = -params.beta * (pot - tilt * z)
     if pow_left:
@@ -93,7 +93,10 @@ def _log_weight(z, params: ModelParams, tilt: float = 0.0,
 def _weight(z, params: ModelParams, tilt: float = 0.0,
             pow_left: float = 0.0, pow_right: float = 0.0):
     logw = _log_weight(z, params, tilt, pow_left, pow_right)
-    return np.exp(np.maximum(logw, _LOG_FLOOR)) * (logw > _LOG_FLOOR)
+    # a weight past the float range is a FloatingPointError, which the CLI
+    # reports as parameters out of numeric range
+    with np.errstate(over="raise"):
+        return np.exp(np.maximum(logw, _LOG_FLOOR)) * (logw > _LOG_FLOOR)
 
 
 def _wall_breakpoints(params: ModelParams) -> tuple:
@@ -183,12 +186,22 @@ class WallMarginal:
         """Monotone-cubic inverse of the tabulated CDF, for u in [0, 1).
 
         out, when given, must be laid out like u, and may be u itself; a 0-d
-        input gives a scalar.
+        input gives a scalar.  The kernel walks memory: a u in neither C nor
+        Fortran order is copied first, and a new out keeps u's layout.
         """
-        out = _map_kernel("inverse_cdf", u, self._inv_u.ctypes.data,
-                          self._inv_z.ctypes.data, self._inv_m.ctypes.data,
-                          self._guide.ctypes.data, self._inv_u.size,
-                          _GUIDE_CELLS, out=out)
+        u = np.asarray(u, dtype=float)
+        if not (u.flags.c_contiguous or u.flags.f_contiguous):
+            u = u.copy(order="K")
+        if out is None:
+            out = np.empty_like(u)
+        elif not (out.dtype == np.float64 and out.flags.writeable
+                  and out.shape == u.shape and out.strides == u.strides):
+            raise ValueError("out must be a writeable float64 array laid out "
+                             "like z")
+        _kernel.library().inverse_cdf(
+            u.ctypes.data, out.ctypes.data, u.size, self._inv_u.ctypes.data,
+            self._inv_z.ctypes.data, self._inv_m.ctypes.data,
+            self._guide.ctypes.data, self._inv_u.size, _GUIDE_CELLS)
         return out if out.ndim else out[()]
 
 
@@ -340,16 +353,13 @@ def norm0_mc(f, marginal: WallMarginal, n_samples: int,
     """
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
-    if momenta:
-        z, p = sample_batch(marginal, rng, n_samples)
-        values = _row_values(f(z, p), n_samples)
-    else:
-        values = np.empty(n_samples)
-        step = max(1, _MC_BLOCK // marginal.params.n_particles)
-        for start in range(0, n_samples, step):
-            rows = min(step, n_samples - start)
-            z, _ = sample_batch(marginal, rng, rows, momenta=False)
-            values[start:start + rows] = _row_values(f(z, None), rows)
+    values = np.empty(n_samples)
+    step = (n_samples if momenta
+            else max(1, _MC_BLOCK // marginal.params.n_particles))
+    for start in range(0, n_samples, step):
+        rows = min(step, n_samples - start)
+        z, p = sample_batch(marginal, rng, rows, momenta=momenta)
+        values[start:start + rows] = _row_values(f(z, p), rows)
     sq = values * values
     if not np.all(np.isfinite(sq)):
         raise ValueError("observable returned a non-finite value")

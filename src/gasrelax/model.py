@@ -74,43 +74,26 @@ class ModelParams:
         return 0.5 * self.box_side
 
 
-def _map_kernel(name: str, z, *args, out=None):
-    """out = the C function `name` of `_verlet.c` at every element of z.
+def _wall_sums(z, params: ModelParams, force: bool, per_row: bool):
+    """The wall force (or potential) at every value of z, or with per_row
+    its sum over each row of z's last axis, from one C kernel pass.
 
-    The call is name(z, out, z.size, *args): "wall_potential" takes
-    (half, delta), "wall_force" (half, 12 delta) and "inverse_cdf" its
-    tables.  No domain check: callers of the wall functions guarantee
-    |z| < half.  The kernel walks memory, so out, when given, must be laid
-    out like z, and may be z itself; a new out keeps z's layout (C or
-    Fortran order), so that row sums over it add in the order they did over
-    the NumPy expressions.
+    The kernel reads z as C-ordered rows, so the row sums, in NumPy's
+    pairwise order, do not depend on z's layout.  It counts the values not
+    strictly inside the box, NaN included, on the way.  A 0-d z gives a
+    float.
     """
-    z = np.asarray(z, dtype=float)
-    if not (z.flags.c_contiguous or z.flags.f_contiguous):
-        z = z.copy(order="K")
-    if out is None:
-        out = np.empty_like(z)
-    elif not (out.dtype == np.float64 and out.flags.writeable
-              and out.shape == z.shape and out.strides == z.strides):
-        raise ValueError("out must be a writeable float64 array laid out "
-                         "like z")
-    getattr(_kernel.library(), name)(z.ctypes.data, out.ctypes.data, z.size,
-                                     *args)
-    return out
-
-
-def _outside(params: ModelParams) -> ValueError:
-    return ValueError(f"position outside the open box (-{params.half_box}, "
-                      f"{params.half_box})")
-
-
-def _checked(z, params: ModelParams) -> np.ndarray:
-    """z as a float array, after checking that every value, and no NaN, lies
-    strictly inside the box."""
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.abs(z) < params.half_box):
-        raise _outside(params)
-    return z
+    z = np.asarray(z, dtype=float, order="C")
+    per_row = per_row and z.ndim > 0
+    out = np.empty(z.shape[:-1] if per_row else z.shape)
+    outside = _kernel.library().wall_sums(
+        z.ctypes.data, out.ctypes.data, out.size,
+        z.shape[-1] if per_row else 1, force, params.half_box,
+        12.0 * params.delta_wall if force else params.delta_wall)
+    if outside:
+        raise ValueError(f"position outside the open box (-{params.half_box}, "
+                         f"{params.half_box})")
+    return out if out.ndim else float(out)
 
 
 def wall_potential(z, params: ModelParams):
@@ -119,9 +102,7 @@ def wall_potential(z, params: ModelParams):
     Evaluated by the C kernel (`_verlet.c`), the one place the potential
     expression lives.
     """
-    out = _map_kernel("wall_potential", _checked(z, params), params.half_box,
-                      params.delta_wall)
-    return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
+    return _wall_sums(z, params, force=False, per_row=False)
 
 
 def wall_force(z, params: ModelParams):
@@ -131,9 +112,7 @@ def wall_force(z, params: ModelParams):
     the center.  The (z - L/2) term is negative inside the box.  Evaluated
     by the C kernel (`_verlet.c`), the one place the force expression lives.
     """
-    out = _map_kernel("wall_force", _checked(z, params), params.half_box,
-                      12.0 * params.delta_wall)
-    return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
+    return _wall_sums(z, params, force=True, per_row=False)
 
 
 def observable_B(z, p):
@@ -144,19 +123,8 @@ def observable_B(z, p):
 def poisson_B_H0(z, params: ModelParams):
     """[B, H0] = sum_j wall_force(z_j): the total force the walls exert.
 
-    C-contiguous rows take one pass of the C kernel, which sums each row's
-    forces in NumPy's pairwise order and checks the box on the way, so no
-    force array is made.  Other layouts are summed by np.sum, which adds the
-    rows of a Fortran-ordered array in sequence rather than pairwise; either
-    way the bits are those of np.sum(wall_force(z, params), axis=-1).
+    One pass of the C kernel, with no force array: the bits are those of
+    np.sum(wall_force(z, params), axis=-1) over z in C order.  The + 0.0 is
+    np.sum's, which turns the -0.0 of a one-value row into +0.0.
     """
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 0 or not z.flags.c_contiguous:
-        return np.sum(wall_force(z, params), axis=-1)
-    out = np.empty(z.shape[:-1])
-    outside = _kernel.library().bracket_rows(
-        z.ctypes.data, out.ctypes.data, out.size, z.shape[-1],
-        params.half_box, 12.0 * params.delta_wall)
-    if outside:
-        raise _outside(params)
-    return out if out.ndim else out[()]
+    return _wall_sums(z, params, force=True, per_row=True) + 0.0

@@ -183,6 +183,9 @@ class TestBoundsFlags:
         ["--box_side=1e300", "--beta=1e300", "--delta_wall=21.4"],
         # delta^2 overflows in the bracket norm
         ["--box_side=3.4e165", "--beta=0.001", "--delta_wall=3.4e165"],
+        # the Gibbs weight of the (z+L/2)^-26 term overflows exp, with no
+        # RuntimeWarning on the way
+        ["--delta_wall=1e-190"],
     ])
     def test_float_range_is_a_validation_error(self, flags_dir, extreme):
         code, _, err = _run_quietly(["bounds", "--n_particles", "4",
@@ -209,6 +212,25 @@ class TestBoundsFlags:
         assert err.startswith("validation error:")
         assert "Traceback" not in err
         assert not (tmp_path / "bounds_report.json").exists()
+
+
+class TestSweepAndRunControlKeys:
+    """Keys that only some commands read are checked for every command."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("gamma", "--delta_moment=-1"), ("gamma", "--epsilon=nan"),
+        ("gamma", "--h_min=inf"), ("gamma", "--h_max=inf"),
+        ("simulate", "--workers=0"),
+    ])
+    def test_bad_value_is_a_validation_error(self, tmp_path, command, flag):
+        path = write_config(tmp_path, output_dir=str(tmp_path))
+        code, _, err = _run_quietly([command, "--config", path, flag])
+        assert code == EXIT_VALIDATION
+        key = flag[2:].split("=")[0]
+        assert err == f"validation error: {key} must be " + (
+            ">= 1\n" if key == "workers" else
+            "strictly positive and finite\n")
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestReportShapes:
@@ -424,6 +446,37 @@ class TestReportCommand:
         (tmp_path / "correlation.csv").unlink()
         assert main(["report", "--config", path]) == EXIT_VALIDATION
         assert "correlation.csv" in capsys.readouterr().err
+
+
+def _report_inputs(out):
+    """Hand-made, well-formed inputs of `report` in out."""
+    (out / "bounds_report.json").write_text(json.dumps(
+        {"eta_analytic": 10.9, "eta_empirical": {"value": 1.3}}))
+    (out / "relaxation_report.json").write_text(json.dumps(
+        {"t0_bound": 0.13, "t_star_empirical": "not crossed within t_end",
+         "positivity_ok": True, "curve_check": False,
+         "displacement_ok": True}))
+    (out / "correlation.csv").write_text(
+        "# gasrelax\nt,c,stderr,bound_curve\n0.0,1.0,0.0,1.0\n"
+        "0.26,0.5,0.01,0.9\n")
+
+
+class TestMalformedReportInputs:
+    @pytest.mark.parametrize("name, text", [
+        ("relaxation_report.json", "{}"),
+        ("relaxation_report.json", "[1]"),
+        ("correlation.csv", "# gasrelax\n# no rows\n"),
+    ], ids=["empty-object", "list", "comments-only"])
+    def test_is_a_validation_error_naming_the_file(self, tmp_path, name,
+                                                   text):
+        _report_inputs(tmp_path)
+        (tmp_path / name).write_text(text)
+        code, out, err = _run_quietly(["report", "--output_dir",
+                                       str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith(f"validation error: malformed input file "
+                              f"{tmp_path / name}: ")
 
 
 class TestOutputDirEnv:

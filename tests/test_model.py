@@ -198,15 +198,37 @@ class TestBrackets:
     @pytest.mark.parametrize("n", [64, 7])
     def test_row_chunks_bit_equal_to_one_shot(self, ref_marginal, n):
         # two whole norm0_mc blocks of rows and part of a third, in each
-        # layout: C rows go through the kernel, the others through np.sum
+        # layout: every layout is summed as its C-ordered copy
         params = ModelParams(n, 1.0, 1.0, 10.0)
         rows = 2 * (_MC_BLOCK // n) + 37
         z = ref_marginal.inverse_cdf(substream(23, 0).random((rows, n)))
         for layout in (z, np.asfortranarray(z), z[::-1, ::2],
                        z[:90].reshape(3, 30, n)):
             got = poisson_B_H0(layout, params)
-            want = helpers.poisson_B_H0_reference(layout, params)
+            want = helpers.poisson_B_H0_reference(
+                np.ascontiguousarray(layout), params)
             assert got.shape == layout.shape[:-1]
+            assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("n", [7, 64, 129])
+    def test_layout_does_not_change_the_bits(self, ref_marginal, n):
+        params = ModelParams(n, 1.0, 1.0, 10.0)
+        z = ref_marginal.inverse_cdf(substream(25, 0).random((60, 2 * n)))
+        for layout in (np.asfortranarray(z[:, :n]), z[::-3, ::2],
+                       z[:, n:].T.copy().T):
+            want = poisson_B_H0(np.ascontiguousarray(layout), params)
+            assert np.array_equal(_bits(poisson_B_H0(layout, params)),
+                                  _bits(want))
+
+    def test_one_value_rows_sum_like_np_sum(self):
+        # the force at z > 0 underflows to -0.0 here; np.sum of a one-value
+        # row gives +0.0, the value itself does not
+        params = ModelParams(1, 1.0, 1e-100, 2e20)
+        z = np.array([[1e5], [-1e5], [2e5]])
+        assert np.signbit(wall_force(1e5, params))
+        for batch in (z, z[0]):
+            got = poisson_B_H0(batch, params)
+            want = helpers.poisson_B_H0_reference(batch, params)
             assert np.array_equal(_bits(got), _bits(want))
 
     @pytest.mark.parametrize("n", [1, 7, 8, 128, 129, 300])
