@@ -256,23 +256,6 @@ KERNEL ptrdiff_t verlet_records(double *restrict z, double *restrict p,
 
 const ptrdiff_t inverse_cdf_chunk = INVERSE_CDF_CHUNK;
 
-/* clip(searchsorted(x, u, "right") - 1, 0, k - 2) over the k sorted knots
- * x: a NaN u sorts after every knot, as in NumPy */
-static ptrdiff_t bracket(const double *x, ptrdiff_t k, double u)
-{
-    ptrdiff_t lo = 0, hi = k;
-    while (lo < hi) {
-        ptrdiff_t mid = lo + (hi - lo) / 2;
-        if (u < x[mid])
-            hi = mid;
-        else
-            lo = mid + 1;
-    }
-    if (lo < 1)
-        return 0;
-    return lo - 1 < k - 2 ? lo - 1 : k - 2;
-}
-
 /* (2t^3 - 3t^2 + 1) y0 + (t^3 - 2t^2 + t) m0 + (-2t^3 + 3t^2) y1
  * + (t^3 - t^2) m1, with the tangents m0, m1 already scaled by dx */
 static inline double hermite(double t, double y0, double m0, double y1,
@@ -290,9 +273,9 @@ static inline double hermite(double t, double y0, double m0, double y1,
  * guide[j] is the bracket of the left edge j / cells of cell j, so the
  * bracket of a u in [j, j+1) / cells is guide[j] stepped up past every knot
  * inv_u[i + 1] <= u, as long as i < k - 2: a step for each knot inside the
- * cell, at most k / cells on average.  A u outside [0, 1) or a NaN falls
- * back to the binary search over all k knots.  Every value is the one that
- * search gives.  Each chunk is copied, bracketed and then interpolated.
+ * cell, at most k / cells on average; a u below 0 or NaN starts from cell 0,
+ * one of 1 or more from the last.  Every value is the one a binary search
+ * gives (for a NaN, NaN).  Each chunk is copied, bracketed and interpolated.
  */
 KERNEL void inverse_cdf(const double *u, double *out, ptrdiff_t n,
                         const double *restrict inv_u,
@@ -313,15 +296,13 @@ KERNEL void inverse_cdf(const double *u, double *out, ptrdiff_t n,
             double ui = u[start + i];
             double cell = ui * width;
             uc[i] = ui;
-            idx[i] = cell >= 0.0 && cell < width ? guide[(ptrdiff_t)cell] : -1;
+            idx[i] = guide[!(cell >= 0.0) ? 0
+                           : cell < width ? (ptrdiff_t)cell : cells - 1];
         }
         for (ptrdiff_t i = 0; i < len; i++) {
             ptrdiff_t j = idx[i];
-            if (j < 0)
-                j = bracket(inv_u, k, uc[i]);
-            else
-                while (j < k - 2 && uc[i] >= inv_u[j + 1])
-                    j++;
+            while (j < k - 2 && uc[i] >= inv_u[j + 1])
+                j++;
             idx[i] = j;
         }
         for (ptrdiff_t i = 0; i < len; i++) {

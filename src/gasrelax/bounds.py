@@ -190,7 +190,7 @@ def build_bound_report(params: ModelParams, n_samples: int,
         marginal = build_marginal(params, grid_size=grid_size)
     eta = eta_analytic(params)
     t0 = math.sqrt(2.0) / eta
-    bracket_norm = norm0_poisson_B_H0_quadrature(params)
+    bracket_norm = norm0_poisson_B_H0_quadrature(marginal)
     b_norm = norm0_B_closed(params)
     emp = eta_empirical(params, marginal, n_samples, rng)
     checks = [

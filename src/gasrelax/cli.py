@@ -92,11 +92,18 @@ class RunConfig:
                                   "finite")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.sigma != 1.0:
+            raise ConfigError("sigma must be 1: lengths are in units of "
+                              "sigma; give its physical size as sigma_m")
+        # each class checks its own keys, for every command
+        self.model_params()
+        self.physical_units()
+        self.integrator_config(self.dt)
 
     def model_params(self) -> ModelParams:
         return ModelParams(n_particles=self.n_particles, beta=self.beta,
                            delta_wall=self.delta_wall, box_side=self.box_side,
-                           field=self.field, mass=self.mass, sigma=self.sigma)
+                           field=self.field, mass=self.mass)
 
     def physical_units(self) -> Optional[PhysicalUnits]:
         if self.mass_kg is None:
@@ -247,7 +254,7 @@ def cmd_simulate(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "relaxation_report.json").write_text(
         report.to_json(_meta(config)) + "\n")
-    curve = lower_bound_curve(params, params.field, series.times)
+    curve = lower_bound_curve(params, series.times)
     rows = list(zip((float(t) for t in series.times),
                     (float(c) for c in series.c_values),
                     (float(e) for e in series.std_errors),

@@ -35,6 +35,15 @@ from .gibbs import (WallMarginal, NormEstimate, build_marginal, gamma_h,
 from .model import ModelParams, observable_B
 from .rng import substream
 
+# trajectories per shard: shard k draws from substream(seed, k)
+_SHARD = 1024
+
+# the displacement checks of a campaign: at these fractions of t0, against
+# (1 + _ETA_MARGIN) * eta * t * ||B||_1, with ||B||_1 from _NORM_SAMPLES draws
+_DISPLACEMENT_FRACS = (0.25, 0.5, 1.0)
+_ETA_MARGIN = 0.05
+_NORM_SAMPLES = 20000
+
 __all__ = [
     "WallBreachError",
     "EnergyDriftError",
@@ -182,31 +191,30 @@ def _displacement_terms(b_rec):
     return d * d
 
 
-def _run_shard(terms, shard_size, n_traj, seed, marginal, h, dt, spr,
-               n_records, tol, guard, start):
-    rng = substream(seed, start // shard_size)
-    z, p = sample_batch(marginal, rng, min(shard_size, n_traj - start))
-    b_rec, drift = _evolve_batch(z, p, marginal.params, h, dt, spr, n_records,
-                                 tol, guard)
+def _run_shard(terms, n_traj, seed, marginal, dt, spr, n_records, tol, guard,
+               start):
+    rng = substream(seed, start // _SHARD)
+    z, p = sample_batch(marginal, rng, min(_SHARD, n_traj - start))
+    b_rec, drift = _evolve_batch(z, p, marginal.params, marginal.params.field,
+                                 dt, spr, n_records, tol, guard)
     x = terms(b_rec)
     return x.sum(axis=1), (x * x).sum(axis=1), drift
 
 
-def _run_ensemble(terms, marginal: WallMarginal, h: float,
-                  config: IntegratorConfig, n_traj: int, seed: int,
-                  n_records: int, shard_size: int, n_workers: int):
+def _run_ensemble(terms, marginal: WallMarginal, config: IntegratorConfig,
+                  n_traj: int, seed: int, n_records: int, n_workers: int):
     """Per-record sums s1, s2 of x and x^2, x = terms(b_records), over n_traj.
 
-    Shard k holds trajectories k*shard_size onward, drawn from
-    substream(seed, k).  The shards are summed in shard order whichever
-    process ran them, so the results do not depend on n_workers.  Returns
-    (record times, s1, s2, max relative H1 drift).
+    H1 has the field of marginal.params.  Shard k holds trajectories
+    k*_SHARD onward, drawn from substream(seed, k).  The shards are summed in
+    shard order whichever process ran them, so the results do not depend on
+    n_workers.  Returns (record times, s1, s2, max relative H1 drift).
     """
     times, dt, spr = _records_grid(config, n_records)
-    shard = functools.partial(_run_shard, terms, shard_size, n_traj, seed,
-                              marginal, h, dt, spr, n_records,
-                              config.energy_drift_tol, config.wall_guard)
-    starts = range(0, n_traj, shard_size)
+    shard = functools.partial(_run_shard, terms, n_traj, seed, marginal, dt,
+                              spr, n_records, config.energy_drift_tol,
+                              config.wall_guard)
+    starts = range(0, n_traj, _SHARD)
     if n_workers > 1 and len(starts) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(shard, starts))
@@ -228,13 +236,13 @@ def _moments(s1, s2, n: int):
     return mean, np.maximum((s2 - n * mean * mean) / max(n - 1, 1), 0.0)
 
 
-def autocorr_B(params: ModelParams, h: float, config: IntegratorConfig,
-               n_traj: int, seed: int, marginal: Optional[WallMarginal] = None,
-               n_times: int = 64, shard_size: int = 1024,
-               n_workers: int = 1) -> CorrelationSeries:
+def autocorr_B(params: ModelParams, config: IntegratorConfig, n_traj: int,
+               seed: int, marginal: Optional[WallMarginal] = None,
+               n_times: int = 64, n_workers: int = 1) -> CorrelationSeries:
     """Estimate C(t) = E[B(x_t) B(x_0)]: rho0 initial data, H1 flow.
 
-    The derivative of the response increment is beta*h*C(t).  At least ~100
+    marginal, if given, is the rho0 marginal of params.  The derivative of the
+    response increment is beta*h*C(t), h = params.field.  At least ~100
     trajectories are needed for the quoted errors to mean anything; fewer are
     allowed for smoke runs (one trajectory gives standard errors of 0).
     """
@@ -242,13 +250,16 @@ def autocorr_B(params: ModelParams, h: float, config: IntegratorConfig,
         raise ValueError("n_traj must be >= 1")
     if marginal is None:
         marginal = build_marginal(params)
-    times, s1, s2, max_drift = _run_ensemble(_autocorr_terms, marginal, h,
+    if marginal.params != params or marginal.tilt != 0.0:
+        raise ValueError("C(t) samples rho0: pass the untilted marginal of "
+                         "params")
+    times, s1, s2, max_drift = _run_ensemble(_autocorr_terms, marginal,
                                              config, n_traj, seed, n_times,
-                                             shard_size, n_workers)
+                                             n_workers)
     c, var = _moments(s1, s2, n_traj)
     return CorrelationSeries(times=times, c_values=c,
                              std_errors=np.sqrt(var / n_traj),
-                             n_trajectories=n_traj, field_h=h,
+                             n_trajectories=n_traj, field_h=params.field,
                              max_energy_drift=max_drift)
 
 
@@ -259,23 +270,23 @@ def empirical_relax_time(series: CorrelationSeries) -> Optional[float]:
     return float(series.times[hits[0]]) if hits.size else None
 
 
-def displacement_norms(params: ModelParams, h: float, times: Sequence[float],
+def displacement_norms(params: ModelParams, times: Sequence[float],
                        n_traj: int, seed: int, config: IntegratorConfig,
                        marginal: Optional[WallMarginal] = None,
-                       shard_size: int = 1024,
                        n_workers: int = 1) -> list[NormEstimate]:
     """rho1 norms ||B(x_t) - B(x_0)||_1 at the requested times.
 
-    Initial conditions come from the field-tilted measure, matching the
-    displacement bound being verified.
+    Initial conditions come from rho1, tilted by h = params.field, matching
+    the displacement bound being verified; marginal, if given, is its own.
     """
     times = sorted(float(t) for t in times)
     if not times or times[0] < 0.0:
         raise ValueError("displacement times must be nonnegative")
     if marginal is None:
         marginal = build_marginal(params, tilted=True)
-    if marginal.tilt == 0.0 and h != 0.0:
-        raise ValueError("displacement norms sample rho1: pass a tilted marginal")
+    if marginal.params != params or marginal.tilt != params.field:
+        raise ValueError("displacement norms sample rho1: pass the marginal "
+                         "of params tilted by its field")
     grid = [t for t in times if t > 0.0]
     if not grid:
         return [NormEstimate(0.0, 0.0, n_traj, marginal.which_measure)
@@ -286,9 +297,8 @@ def displacement_norms(params: ModelParams, h: float, times: Sequence[float],
     if any(abs(t / base - round(t / base)) > 1e-9 for t in grid):
         raise ValueError("displacement times must be multiples of the smallest")
     _, s1, s2, _ = _run_ensemble(
-        _displacement_terms, marginal, h,
-        replace(config, t_end=grid[-1]), n_traj, seed, n_records, shard_size,
-        n_workers)
+        _displacement_terms, marginal, replace(config, t_end=grid[-1]),
+        n_traj, seed, n_records, n_workers)
     mean_q, var_q = _moments(s1, s2, n_traj)
     # record 0 has zero displacement, so t = 0 gives a norm of 0
     return [NormEstimate.from_moments(mean_q[k], var_q[k], n_traj,
@@ -296,8 +306,9 @@ def displacement_norms(params: ModelParams, h: float, times: Sequence[float],
             for k in (int(round(t / base)) for t in times)]
 
 
-def lower_bound_curve(params: ModelParams, h: float, t):
-    """beta*h*(1 - eta^2 t^2 / 2) * ||B||_0^2 with the closed-form norm.
+def lower_bound_curve(params: ModelParams, t):
+    """beta*h*(1 - eta^2 t^2 / 2) * ||B||_0^2, h = params.field, with the
+    closed-form norm.
 
     ||B||_0^2 is the specified closed form 2N/beta (norm0_B_closed squared),
     twice E_rho0[B^2] = N m / beta.  At t = 0 the curve therefore sits a
@@ -307,7 +318,7 @@ def lower_bound_curve(params: ModelParams, h: float, t):
     """
     eta = _bounds.eta_analytic(params)
     t = np.asarray(t, dtype=float)
-    curve = (params.beta * h * (1.0 - 0.5 * eta * eta * t * t)
+    curve = (params.beta * params.field * (1.0 - 0.5 * eta * eta * t * t)
              * 2.0 * params.n_particles / params.beta)
     return float(curve) if curve.ndim == 0 else curve
 
@@ -341,14 +352,12 @@ class RelaxationReport:
 
 def make_relaxation_report(params: ModelParams, config: IntegratorConfig,
                            n_traj: int, seed: int, n_times: int = 64,
-                           displacement_fracs: Sequence[float] = (0.25, 0.5, 1.0),
-                           eta_margin: float = 0.05, norm_samples: int = 20000,
                            n_workers: int = 1, grid_size: int = 2048,
                            ) -> tuple[RelaxationReport, CorrelationSeries]:
     """Run the full dynamical campaign against the analytic bound.
 
     Positivity and curve checks cover the grid times up to t0; displacement
-    checks run at the given fractions of t0 against (1 + eta_margin) * eta *
+    checks run at _DISPLACEMENT_FRACS of t0 against (1 + _ETA_MARGIN) * eta *
     t * ||B||_1 plus three combined standard errors.  Both marginals are
     tabulated on grid_size cells.
     """
@@ -359,7 +368,7 @@ def make_relaxation_report(params: ModelParams, config: IntegratorConfig,
     marginal1 = (build_marginal(params, grid_size=grid_size, tilted=True)
                  if h != 0.0 else marginal0)
 
-    series = autocorr_B(params, h, config, n_traj, seed, marginal=marginal0,
+    series = autocorr_B(params, config, n_traj, seed, marginal=marginal0,
                         n_times=n_times, n_workers=n_workers)
 
     window = series.times <= t0 + 1e-12
@@ -369,21 +378,22 @@ def make_relaxation_report(params: ModelParams, config: IntegratorConfig,
 
     if h > 0.0:
         bh = params.beta * h
-        curve = lower_bound_curve(params, h, series.times[window])
+        curve = lower_bound_curve(params, series.times[window])
         curve_check = bool(np.all(bh * c_win >= curve - 3.0 * bh * e_win))
     else:
         curve_check = positivity_ok
 
-    disp_times = [f * t0 for f in displacement_fracs]
-    disp = displacement_norms(params, h, disp_times, n_traj,
-                              seed + 1, config, marginal=marginal1,
-                              n_workers=n_workers)
-    b1 = norm0_mc(observable_B, marginal1, norm_samples, substream(seed, 7001))
+    disp_times = [f * t0 for f in _DISPLACEMENT_FRACS]
+    disp = displacement_norms(params, disp_times, n_traj, seed + 1, config,
+                              marginal=marginal1, n_workers=n_workers)
+    b1 = norm0_mc(observable_B, marginal1, _NORM_SAMPLES,
+                  substream(seed, 7001))
     details = []
     displacement_ok = True
     for t, est in zip(disp_times, disp):
-        bound = (1.0 + eta_margin) * eta * t * b1.value
-        slack = 3.0 * (est.std_error + (1.0 + eta_margin) * eta * t * b1.std_error)
+        bound = (1.0 + _ETA_MARGIN) * eta * t * b1.value
+        slack = 3.0 * (est.std_error
+                       + (1.0 + _ETA_MARGIN) * eta * t * b1.std_error)
         passed = est.value <= bound + slack
         displacement_ok = displacement_ok and passed
         details.append({"t": t, "norm": est.value, "std_error": est.std_error,
@@ -395,8 +405,8 @@ def make_relaxation_report(params: ModelParams, config: IntegratorConfig,
         positivity_ok=positivity_ok,
         curve_check=curve_check,
         displacement_ok=displacement_ok,
-        gamma=gamma_h(params, marginal0),
-        gamma_tilde=gamma_tilde_h(params, marginal0),
+        gamma=gamma_h(params, marginal0, h),
+        gamma_tilde=gamma_tilde_h(params, marginal0, h),
         field_h=h,
         n_trajectories=n_traj,
         max_energy_drift=series.max_energy_drift,

@@ -13,11 +13,11 @@ oracle.  The lookup runs in the C kernel (`_verlet.c`) and is a guide-table
 (indexed) search: 2^16 equal cells of u in [0, 1) each store the CDF
 bracket of their left edge, so a draw finds its bracket with one gather and
 a step past each knot that lies in its cell (about 2.6 % of the cells on the
-reference grid hold one).  Only inputs outside [0, 1) or NaN fall back to a
-binary search.  The kernel works through the values in chunks of a few
-hundred, so it needs no temporaries beyond the stack, and it may write over
-its input.  Every drawn value is bitwise what a binary search over the whole
-batch and the NumPy cubic give.
+reference grid hold one); a u below 0 or NaN starts from the first cell,
+and one of 1 or more from the last.  The kernel works through the values in
+chunks of a few hundred, so it needs no temporaries beyond the stack, and it
+may write over its input.  Every drawn value is bitwise what a binary search
+over the whole batch and the NumPy cubic give.
 
 A heights-only Monte-Carlo norm draws, inverts and evaluates its states one
 block of _MC_BLOCK values at a time, so it holds no array of all the sampled
@@ -375,18 +375,20 @@ def _row_values(values, rows: int) -> np.ndarray:
     return values
 
 
-def norm0_poisson_B_H0_quadrature(params: ModelParams) -> float:
-    """Quadrature value of the rho0 norm of [B, H0].
+def norm0_poisson_B_H0_quadrature(marginal: WallMarginal) -> float:
+    """Quadrature value of the rho0 norm of [B, H0], from the rho0 marginal.
 
     Cross terms between distinct particles vanish (odd factors against an
     even density), leaving N copies of the single-particle integral.  Its
     three pieces (two identical wall terms and a negative cross term) are
-    integrated in log space.
+    integrated in log space and divided by the marginal's z_tilde.
     """
+    if marginal.tilt != 0.0:
+        raise ValueError("the bracket norm is a rho0 norm; pass an untilted "
+                         "marginal")
+    params = marginal.params
     half = params.half_box
     pts = _wall_breakpoints(params)
-    z_tilde = integrate_finite(lambda z: _weight(z, params), -half, half,
-                               rel_tol=1e-10, breakpoints=pts).value
 
     def term(pl, pr):
         return integrate_finite(
@@ -395,7 +397,7 @@ def norm0_poisson_B_H0_quadrature(params: ModelParams) -> float:
 
     # s(z)^2 = u^-26 + v^-26 - 2 u^-13 |v|^-13 with u = z+L/2, v = L/2-z
     single = 2.0 * term(26.0, 0.0) - 2.0 * term(13.0, 13.0)
-    per_particle = 144.0 * params.delta_wall ** 2 * single / z_tilde
+    per_particle = 144.0 * params.delta_wall ** 2 * single / marginal.z_tilde
     return math.sqrt(params.n_particles * per_particle)
 
 
@@ -430,25 +432,22 @@ def _log_mgf(t: float, marginal: WallMarginal) -> float:
     return marginal._log_mgf[key]
 
 
-def gamma_h(params: ModelParams, marginal: WallMarginal,
-            h: float | None = None) -> float:
+def gamma_h(params: ModelParams, marginal: WallMarginal, h: float) -> float:
     """Chi-square divergence of the tilted measure from rho0.
 
     Equals (M(2 h beta) / M(h beta)^2)^N - 1 by particle independence;
     nonnegative, and vanishing as h -> 0.
     """
-    hh = params.field if h is None else float(h)
-    t = hh * params.beta
+    t = float(h) * params.beta
     expo = params.n_particles * (_log_mgf(2.0 * t, marginal)
                                  - 2.0 * _log_mgf(t, marginal))
     return math.expm1(expo)
 
 
 def gamma_tilde_h(params: ModelParams, marginal: WallMarginal,
-                  h: float | None = None) -> float:
+                  h: float) -> float:
     """Reverse-direction divergence (M(h beta) M(-h beta))^N - 1."""
-    hh = params.field if h is None else float(h)
-    t = hh * params.beta
+    t = float(h) * params.beta
     expo = params.n_particles * (_log_mgf(t, marginal)
                                  + _log_mgf(-t, marginal))
     return math.expm1(expo)
@@ -483,22 +482,22 @@ class HoelderCertificate:
 
 
 def hoelder_certificate(params: ModelParams, marginal: WallMarginal,
-                        delta_moment: float, h: float | None = None,
+                        delta_moment: float, h: float,
                         epsilon: float = 0.01) -> HoelderCertificate:
     """Evaluate both sides of the small-field certificate at field size h.
 
     Requires h < delta_moment / (2 beta) so the interpolation step applies.
     """
-    hh = params.field if h is None else float(h)
+    h = float(h)
     if not delta_moment > 0.0:
         raise ValueError("delta_moment must be positive")
-    if not hh < delta_moment / (2.0 * params.beta):
+    if not h < delta_moment / (2.0 * params.beta):
         raise ValueError("need h < delta_moment / (2 beta)")
     log_k = params.n_particles * max(_log_mgf(delta_moment, marginal),
                                      _log_mgf(-delta_moment, marginal))
-    log_bound = 4.0 * params.beta * hh / delta_moment * log_k
-    gamma = gamma_h(params, marginal, hh)
-    gtilde = gamma_tilde_h(params, marginal, hh)
+    log_bound = 4.0 * params.beta * h / delta_moment * log_k
+    gamma = gamma_h(params, marginal, h)
+    gtilde = gamma_tilde_h(params, marginal, h)
     # tiny relative slack: both sides come from quadrature
     bound_holds = math.log1p(gamma) <= log_bound + 1e-12
     if log_k > 0.0:
@@ -507,9 +506,9 @@ def hoelder_certificate(params: ModelParams, marginal: WallMarginal,
                           / (4.0 * params.beta * log_k))
     else:
         h_threshold = delta_moment / (2.0 * params.beta)
-    below = hh < h_threshold
+    below = h < h_threshold
     return HoelderCertificate(
-        h=hh, delta_moment=delta_moment, epsilon=epsilon,
+        h=h, delta_moment=delta_moment, epsilon=epsilon,
         k=math.exp(log_k), log_k=log_k, hoelder_bound=math.exp(log_bound),
         gamma=gamma, gamma_tilde=gtilde, bound_holds=bound_holds,
         h_threshold=h_threshold, h_below_threshold=below,

@@ -38,8 +38,8 @@ class ModelParams:
     """Physical parameters: all finite, and strictly positive except field,
     which is >= 0.
 
-    Natural units (mass = sigma = 1) are used internally; physical values are
-    only introduced at the reporting boundary.
+    Lengths are in units of the wall range sigma = 1; physical values, its
+    size sigma_m among them, are only introduced at the reporting boundary.
     """
 
     n_particles: int
@@ -48,12 +48,11 @@ class ModelParams:
     box_side: float
     field: float = 0.0
     mass: float = 1.0
-    sigma: float = 1.0
 
     def __post_init__(self):
         if int(self.n_particles) != self.n_particles or self.n_particles < 1:
             raise ValueError("n_particles must be a positive integer")
-        for name in ("beta", "delta_wall", "box_side", "mass", "sigma"):
+        for name in ("beta", "delta_wall", "box_side", "mass"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be strictly positive and "
                                  "finite")

@@ -55,8 +55,7 @@ def reference_run():
     """Criterion 5 ensemble: 10^4 trajectories, 64 grid times on [0, 2 t0]."""
     t0 = t_relax_lower(REF)
     config = IntegratorConfig(dt=2.5e-4, t_end=2.0 * t0, energy_drift_tol=1e-5)
-    series = autocorr_B(REF, REF.field, config, n_traj=10000, seed=SEED,
-                        n_times=64)
+    series = autocorr_B(REF, config, n_traj=10000, seed=SEED, n_times=64)
     return t0, config, series
 
 
@@ -65,9 +64,8 @@ def displacement_run(reference_run):
     t0, config, _ = reference_run
     times = [0.25 * t0, 0.5 * t0, 1.0 * t0]
     marginal1 = build_marginal(REF, tilted=True)
-    estimates = displacement_norms(REF, REF.field, times, n_traj=10000,
-                                   seed=SEED + 1, config=config,
-                                   marginal=marginal1)
+    estimates = displacement_norms(REF, times, n_traj=10000, seed=SEED + 1,
+                                   config=config, marginal=marginal1)
     b1 = norm0_mc(observable_B, marginal1, 20000, substream(SEED, 501))
     return times, estimates, b1
 
@@ -99,13 +97,15 @@ def test_criterion_3_eta_inequality():
     ok = True
     worst = 0.0
     for params in SWEEP:
-        lhs = norm0_poisson_B_H0_quadrature(params)
+        lhs = norm0_poisson_B_H0_quadrature(build_marginal(params,
+                                                           grid_size=64))
         rhs = eta_analytic(params) * norm0_B_closed(params)
         worst = max(worst, lhs / rhs)
         ok = ok and lhs <= rhs
-    mc = norm0_mc(lambda z, p: poisson_B_H0(z, REF), build_marginal(REF),
-                  100000, substream(SEED, 301))
-    quad = norm0_poisson_B_H0_quadrature(REF)
+    marginal = build_marginal(REF)
+    mc = norm0_mc(lambda z, p: poisson_B_H0(z, REF), marginal, 100000,
+                  substream(SEED, 301))
+    quad = norm0_poisson_B_H0_quadrature(marginal)
     agree = abs(mc.value - quad) <= 3.0 * mc.std_error
     ok = ok and agree
     line = _verdict(
@@ -219,8 +219,8 @@ def test_criterion_7_deterministic_oracle_matches_mc():
     times, c_quad = helpers.quadrature_autocorr_n1(params, params.field, t_end,
                                                    n_times=8)
     config = IntegratorConfig(dt=2.5e-4, t_end=t_end, energy_drift_tol=1e-5)
-    series = autocorr_B(params, params.field, config, n_traj=10000,
-                        seed=SEED + 2, n_times=8)
+    series = autocorr_B(params, config, n_traj=10000, seed=SEED + 2,
+                        n_times=8)
     devs = (series.c_values - c_quad) / series.std_errors
     ok = bool(np.all(np.abs(devs) <= 3.0))
     line = _verdict(

@@ -8,18 +8,23 @@ import inspect
 import types
 from pathlib import Path
 
+import pytest
+
 import gasrelax
 from gasrelax import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _readme_example_imports():
+def _readme_example():
     text = (ROOT / "README.md").read_text()
     block = text.split("## Library example", 1)[1]
-    code = block.split("```python", 1)[1].split("```", 1)[0]
+    return block.split("```python", 1)[1].split("```", 1)[0]
+
+
+def _readme_example_imports():
     names = set()
-    for node in ast.walk(ast.parse(code)):
+    for node in ast.walk(ast.parse(_readme_example())):
         if isinstance(node, ast.ImportFrom) and node.module == "gasrelax":
             names.update(alias.name for alias in node.names)
     return names
@@ -42,6 +47,12 @@ def test_root_exports_are_the_readme_example_imports():
     assert set(gasrelax.__all__) == names
     assert public == names
     assert gasrelax.__version__
+
+
+def test_readme_example_runs(capsys):
+    exec(compile(_readme_example(), "README.md", "exec"), {})
+    # C(0) = E[B^2] = N / beta = 64, about 2 standard errors wide
+    assert float(capsys.readouterr().out) == pytest.approx(64.0, abs=8.0)
 
 
 def test_module_exports_exist():

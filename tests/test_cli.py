@@ -233,6 +233,35 @@ class TestSweepAndRunControlKeys:
         assert not list(tmp_path.glob("*.csv"))
 
 
+class TestEveryCommandChecksTheClassKeys:
+    """The model, unit and integrator keys are checked by their classes for
+    every command, also one that does not read them."""
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--beta=-1"],
+        ["gamma", "--dt=-1"],
+        ["bounds", "--wall_guard=2"],
+        ["gamma", "--mass_kg=-1", "--sigma_m=1", "--box_m=1",
+         "--temperature_k=1"],
+    ])
+    def test_bad_value_is_a_validation_error(self, tmp_path, argv):
+        code, out, err = _run_quietly([*argv, "--output_dir", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        key = argv[1][2:].split("=")[0]
+        assert err.startswith(f"validation error: {key} must ")
+        assert "Traceback" not in err
+        assert out == "" and not list(tmp_path.iterdir())
+
+    def test_sigma_other_than_one_is_a_validation_error(self, tmp_path):
+        # lengths are in units of sigma: its size is the SI key sigma_m
+        code, _, err = _run_quietly(["bounds", "--sigma", "2",
+                                     "--output_dir", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert err.startswith("validation error: sigma must be 1")
+        assert "sigma_m" in err
+        assert not list(tmp_path.iterdir())
+
+
 class TestReportShapes:
     """The key sets of both JSON reports; the golden digests of the
     benchmark pin their values only on the reference run."""

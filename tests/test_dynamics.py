@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,34 +138,44 @@ class TestAutocorr:
     def test_initial_value_matches_momentum_variance(self):
         params = ModelParams(8, 2.0, 1.0, 10.0, field=1e-3)
         config = IntegratorConfig(dt=1e-3, t_end=0.1, energy_drift_tol=1e-4)
-        series = autocorr_B(params, params.field, config, n_traj=3000, seed=33,
-                            n_times=8)
+        series = autocorr_B(params, config, n_traj=3000, seed=33, n_times=8)
         exact = params.n_particles / params.beta
         assert abs(series.c_values[0] - exact) <= 3.0 * series.std_errors[0]
 
     def test_bounded_by_initial_variance(self):
         params = ModelParams(8, 1.0, 1.0, 10.0)
         config = IntegratorConfig(dt=1e-3, t_end=0.5, energy_drift_tol=1e-4)
-        series = autocorr_B(params, 0.0, config, n_traj=2000, seed=34,
-                            n_times=16)
+        series = autocorr_B(params, config, n_traj=2000, seed=34, n_times=16)
         limit = series.c_values[0] + 3.0 * series.std_errors
         assert np.all(series.c_values <= limit)
 
     def test_deterministic_across_worker_counts(self):
         params = ModelParams(4, 1.0, 1.0, 10.0, field=1e-3)
         config = IntegratorConfig(dt=1e-3, t_end=0.05, energy_drift_tol=1e-4)
-        kwargs = dict(n_traj=256, seed=35, n_times=4, shard_size=64)
-        serial = autocorr_B(params, 1e-3, config, n_workers=1, **kwargs)
-        pooled = autocorr_B(params, 1e-3, config, n_workers=2, **kwargs)
-        rerun = autocorr_B(params, 1e-3, config, n_workers=1, **kwargs)
+        # three shards of at most 1024 trajectories, the last one partial
+        kwargs = dict(n_traj=2500, seed=35, n_times=4)
+        serial = autocorr_B(params, config, n_workers=1, **kwargs)
+        pooled = autocorr_B(params, config, n_workers=2, **kwargs)
+        rerun = autocorr_B(params, config, n_workers=1, **kwargs)
         assert np.array_equal(serial.c_values, pooled.c_values)
         assert np.array_equal(serial.std_errors, pooled.std_errors)
         assert np.array_equal(serial.c_values, rerun.c_values)
 
+    def test_marginal_of_another_measure_rejected(self):
+        # C(t) is a rho0 correlation of the params it flows with
+        params = ModelParams(4, 1.0, 1.0, 10.0, field=1e-3)
+        config = IntegratorConfig(dt=1e-3, t_end=0.05, energy_drift_tol=1e-4)
+        for marginal in (build_marginal(params, grid_size=64, tilted=True),
+                         build_marginal(replace(params, field=2e-3),
+                                        grid_size=64)):
+            with pytest.raises(ValueError, match="rho0"):
+                autocorr_B(params, config, n_traj=1, seed=36, n_times=4,
+                           marginal=marginal)
+
     def test_single_trajectory_smoke(self):
         params = ModelParams(4, 1.0, 1.0, 10.0, field=1e-3)
         config = IntegratorConfig(dt=1e-3, t_end=0.05, energy_drift_tol=1e-4)
-        series = autocorr_B(params, 1e-3, config, n_traj=1, seed=36, n_times=4)
+        series = autocorr_B(params, config, n_traj=1, seed=36, n_times=4)
         assert np.all(series.std_errors == 0.0)
 
     def test_quadrature_oracle_single_particle(self):
@@ -173,8 +184,7 @@ class TestAutocorr:
         times, c_quad = helpers.quadrature_autocorr_n1(
             params, 1e-3, t_end, n_times=4, n_z=128, n_p=32)
         config = IntegratorConfig(dt=2.5e-4, t_end=t_end, energy_drift_tol=1e-5)
-        series = autocorr_B(params, 1e-3, config, n_traj=2000, seed=37,
-                            n_times=4)
+        series = autocorr_B(params, config, n_traj=2000, seed=37, n_times=4)
         np.testing.assert_allclose(series.times, times, rtol=1e-12)
         for k in range(4):
             assert abs(series.c_values[k] - c_quad[k]) \
@@ -203,15 +213,15 @@ class TestDisplacement:
 
     def test_zero_time(self):
         config = IntegratorConfig(dt=1e-3, t_end=1.0)
-        [est] = displacement_norms(self.PARAMS, 1e-3, [0.0], n_traj=200,
-                                   seed=39, config=config)
+        [est] = displacement_norms(self.PARAMS, [0.0], n_traj=200, seed=39,
+                                   config=config)
         assert est.value == 0.0 and est.std_error == 0.0
         assert est.which_measure == "rho1"
 
     def test_at_most_linear_growth(self):
         t0 = t_relax_lower(self.PARAMS)
         config = IntegratorConfig(dt=5e-4, t_end=t0, energy_drift_tol=1e-4)
-        half, full = displacement_norms(self.PARAMS, 1e-3, [0.5 * t0, t0],
+        half, full = displacement_norms(self.PARAMS, [0.5 * t0, t0],
                                         n_traj=2000, seed=40, config=config)
         assert full.value <= 2.0 * half.value \
             + 3.0 * (full.std_error + 2.0 * half.std_error)
@@ -221,9 +231,8 @@ class TestDisplacement:
         eta = eta_analytic(self.PARAMS)
         config = IntegratorConfig(dt=5e-4, t_end=t0, energy_drift_tol=1e-4)
         marginal1 = build_marginal(self.PARAMS, tilted=True)
-        ests = displacement_norms(self.PARAMS, 1e-3, [0.5 * t0, t0],
-                                  n_traj=2000, seed=41, config=config,
-                                  marginal=marginal1)
+        ests = displacement_norms(self.PARAMS, [0.5 * t0, t0], n_traj=2000,
+                                  seed=41, config=config, marginal=marginal1)
         b1 = norm0_mc(observable_B, marginal1, 5000, substream(41, 99))
         for t, est in zip([0.5 * t0, t0], ests):
             bound = 1.05 * eta * t * b1.value
@@ -233,34 +242,42 @@ class TestDisplacement:
     def test_times_validation(self):
         config = IntegratorConfig(dt=1e-3, t_end=1.0)
         with pytest.raises(ValueError):
-            displacement_norms(self.PARAMS, 1e-3, [-0.1], n_traj=100, seed=1,
+            displacement_norms(self.PARAMS, [-0.1], n_traj=100, seed=1,
                                config=config)
         with pytest.raises(ValueError):
-            displacement_norms(self.PARAMS, 1e-3, [0.1, 0.15], n_traj=100,
-                               seed=1, config=config)
+            displacement_norms(self.PARAMS, [0.1, 0.15], n_traj=100, seed=1,
+                               config=config)
 
     def test_untilted_marginal_rejected(self):
         config = IntegratorConfig(dt=1e-3, t_end=1.0)
         with pytest.raises(ValueError):
-            displacement_norms(self.PARAMS, 1e-3, [0.1], n_traj=100, seed=1,
+            displacement_norms(self.PARAMS, [0.1], n_traj=100, seed=1,
                                config=config,
                                marginal=build_marginal(self.PARAMS))
 
 
+    def test_marginal_tilted_by_another_field_rejected(self):
+        config = IntegratorConfig(dt=1e-3, t_end=1.0)
+        other = build_marginal(replace(self.PARAMS, field=5e-2), grid_size=64,
+                               tilted=True)
+        with pytest.raises(ValueError, match="rho1"):
+            displacement_norms(self.PARAMS, [0.1], n_traj=100, seed=1,
+                               config=config, marginal=other)
+
+
 class TestLowerBoundCurve:
     def test_initial_value(self, ref_params):
-        h = ref_params.field
-        expected = 2.0 * ref_params.n_particles * h
-        assert lower_bound_curve(ref_params, h, 0.0) == pytest.approx(
+        expected = 2.0 * ref_params.n_particles * ref_params.field
+        assert lower_bound_curve(ref_params, 0.0) == pytest.approx(
             expected, rel=1e-14)
 
     def test_zero_at_t0(self, ref_params):
         t0 = t_relax_lower(ref_params)
-        assert abs(lower_bound_curve(ref_params, ref_params.field, t0)) < 1e-10
+        assert abs(lower_bound_curve(ref_params, t0)) < 1e-10
 
     def test_vectorized(self, ref_params):
         t = np.array([0.0, 0.05, 0.1])
-        vals = lower_bound_curve(ref_params, 1e-3, t)
+        vals = lower_bound_curve(ref_params, t)
         assert vals.shape == (3,)
         assert np.all(np.diff(vals) < 0.0)
 
@@ -272,8 +289,7 @@ class TestRelaxationReport:
         config = IntegratorConfig(dt=5e-4, t_end=2.0 * t0,
                                   energy_drift_tol=1e-4)
         report, series = make_relaxation_report(params, config, n_traj=400,
-                                                seed=42, n_times=16,
-                                                norm_samples=2000)
+                                                seed=42, n_times=16)
         assert report.t0_bound == pytest.approx(t0)
         assert report.positivity_ok
         assert report.displacement_ok

@@ -436,20 +436,25 @@ class TestNorms:
                      substream(8, 0))
 
     def test_bracket_norm_quadrature_reference(self):
-        params = ModelParams(1, 1.0, 1.0, 10.0)
-        assert norm0_poisson_B_H0_quadrature(params) == \
+        marginal = build_marginal(ModelParams(1, 1.0, 1.0, 10.0), grid_size=64)
+        assert norm0_poisson_B_H0_quadrature(marginal) == \
             pytest.approx(NORM_BRACKET_N1_REF, rel=1e-9)
 
     def test_bracket_norm_scales_as_sqrt_N(self):
-        one = norm0_poisson_B_H0_quadrature(ModelParams(1, 1.0, 1.0, 10.0))
-        many = norm0_poisson_B_H0_quadrature(ModelParams(49, 1.0, 1.0, 10.0))
+        one, many = (norm0_poisson_B_H0_quadrature(
+            build_marginal(ModelParams(n, 1.0, 1.0, 10.0), grid_size=64))
+            for n in (1, 49))
         assert many == pytest.approx(7.0 * one, rel=1e-12)
 
     def test_bracket_norm_vs_mc(self, ref_params, ref_marginal):
-        quad = norm0_poisson_B_H0_quadrature(ref_params)
+        quad = norm0_poisson_B_H0_quadrature(ref_marginal)
         est = norm0_mc(lambda z, p: poisson_B_H0(z, ref_params), ref_marginal,
                        20000, substream(9, 0))
         assert abs(est.value - quad) <= 3.0 * est.std_error
+
+    def test_bracket_norm_rejects_tilted_marginal(self, ref_marginal_tilted):
+        with pytest.raises(ValueError, match="rho0"):
+            norm0_poisson_B_H0_quadrature(ref_marginal_tilted)
 
     def test_cross_term_negative_everywhere(self, ref_params):
         z = np.linspace(-4.99, 4.99, 501)
@@ -457,7 +462,7 @@ class TestNorms:
         v = z - ref_params.half_box
         assert np.all(u ** -13.0 * v ** -13.0 < 0.0)
 
-    def test_bracket_norm_analytic_chain(self, ref_params):
+    def test_bracket_norm_analytic_chain(self, ref_params, ref_marginal):
         # wall terms bounded by (beta*delta)^(-23/12) Gamma(25/12), Z~ > L/4
         params = ref_params
         bound = math.sqrt(params.n_particles) * math.sqrt(2.0) * 12.0 \
@@ -465,7 +470,7 @@ class TestNorms:
             * (params.beta * params.delta_wall) ** (-23.0 / 24.0) \
             * math.sqrt(gamma_function(25.0 / 12.0)) \
             * math.sqrt(4.0 / params.box_side)
-        assert norm0_poisson_B_H0_quadrature(params) <= bound
+        assert norm0_poisson_B_H0_quadrature(ref_marginal) <= bound
 
 
 class TestMgf:
@@ -524,7 +529,7 @@ class TestGammaDivergences:
         blocks = w.reshape(20, -1)
         est = blocks.mean(axis=1) ** -2 * (blocks ** 2).mean(axis=1) - 1.0
         mc, sem = est.mean(), est.std(ddof=1) / math.sqrt(len(est))
-        assert abs(mc - gamma_h(params, marginal)) <= 3.0 * sem
+        assert abs(mc - gamma_h(params, marginal, params.field)) <= 3.0 * sem
 
     def test_gamma_tilde_mc_cross_check(self):
         params = ModelParams(4, 1.0, 1.0, 10.0, field=0.05)
@@ -535,7 +540,8 @@ class TestGammaDivergences:
         blocks_m = np.exp(-a).reshape(20, -1).mean(axis=1)
         est = blocks_p * blocks_m - 1.0
         mc, sem = est.mean(), est.std(ddof=1) / math.sqrt(len(est))
-        assert abs(mc - gamma_tilde_h(params, marginal)) <= 3.0 * sem
+        assert abs(mc - gamma_tilde_h(params, marginal, params.field)) \
+            <= 3.0 * sem
 
 
 class TestExponentialMoment:

@@ -35,7 +35,6 @@ class TestModelParams:
         dict(box_side=-2.0),
         dict(field=-1e-9),
         dict(mass=0.0),
-        dict(sigma=-1.0),
         dict(beta=float("inf")),
         dict(box_side=float("nan")),
         dict(delta_wall=float("inf")),
