@@ -19,8 +19,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .gibbs import (NormEstimate, WallMarginal, build_marginal, norm0_B_closed,
-                    norm0_mc, norm0_poisson_B_H0_quadrature, _wall_breakpoints,
-                    _weight)
+                    norm0_mc, norm0_poisson_B_H0_quadrature,
+                    _require_rho0_marginal, _wall_breakpoints, _weight)
 from .model import ModelParams, poisson_B_H0
 from .numerics import gamma_function, integrate_finite
 
@@ -79,6 +79,7 @@ def eta_empirical(params: ModelParams, marginal: WallMarginal, n_samples: int,
     """Sampled ratio ||[B,H0]||_0 / ||B||_0 that the analytic eta must dominate."""
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
+    _require_rho0_marginal(params, marginal)
     est = norm0_mc(lambda z, p: poisson_B_H0(z, params), marginal, n_samples,
                    rng, momenta=False)
     denom = norm0_B_closed(params)
@@ -183,11 +184,13 @@ def build_bound_report(params: ModelParams, n_samples: int,
                        grid_size: int = 2048) -> BoundReport:
     """Evaluate every bound quantity and inequality for one parameter set.
 
-    Without a marginal, one is built on a CDF table of grid_size cells.
+    Without a marginal, one is built on a CDF table of grid_size cells; a
+    given one must be the untilted marginal of params.
     """
     _require_regime(params)
     if marginal is None:
         marginal = build_marginal(params, grid_size=grid_size)
+    _require_rho0_marginal(params, marginal)
     eta = eta_analytic(params)
     t0 = math.sqrt(2.0) / eta
     bracket_norm = norm0_poisson_B_H0_quadrature(marginal)

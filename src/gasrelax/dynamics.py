@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
@@ -216,6 +215,9 @@ def _run_ensemble(terms, marginal: WallMarginal, config: IntegratorConfig,
                               config.wall_guard)
     starts = range(0, n_traj, _SHARD)
     if n_workers > 1 and len(starts) > 1:
+        # imported here, not with the module: only workers > 1 need it, and
+        # it adds several ms and over 1 MB of RSS to every CLI start
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(shard, starts))
     else:

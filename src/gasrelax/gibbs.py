@@ -19,9 +19,11 @@ chunks of a few hundred, so it needs no temporaries beyond the stack, and it
 may write over its input.  Every drawn value is bitwise what a binary search
 over the whole batch and the NumPy cubic give.
 
-A heights-only Monte-Carlo norm draws, inverts and evaluates its states one
-block of _MC_BLOCK values at a time, so it holds no array of all the sampled
-heights.
+A Monte-Carlo norm draws, inverts and evaluates its states one block of
+_MC_BLOCK heights at a time, so it holds no array of all the sampled heights
+or momenta: the heights come from the caller's generator, and the momenta
+from a second one (`rng.ahead`) that starts where the last height of a
+whole-batch draw ends.
 
 Integrands that multiply the Gibbs weight by inverse powers of the wall
 distance are evaluated in log space: the exponential kills the power in the
@@ -38,6 +40,7 @@ import numpy as np
 from . import _kernel
 from .model import ModelParams, wall_potential
 from .numerics import _kronrod_panels, integrate_finite
+from .rng import ahead
 
 __all__ = [
     "WallMarginal",
@@ -61,8 +64,8 @@ _LOG_FLOOR = -745.0
 # u * _GUIDE_CELLS is exact and its floor is the cell that holds u
 _GUIDE_CELLS = 1 << 16
 
-# heights per block of a heights-only norm0_mc: 1024 rows of 64 particles,
-# 512 KiB, which stay in L2 from the draw to the observable
+# heights per block of norm0_mc: 1024 rows of 64 particles, 512 KiB, which
+# stay in L2 from the draw to the observable
 _MC_BLOCK = 1 << 16
 
 
@@ -308,20 +311,23 @@ def sample_batch(marginal: WallMarginal, rng: np.random.Generator,
                  ) -> tuple[np.ndarray, np.ndarray | None]:
     """Draw (Z, P) arrays of shape (n_states, N): iid particles, Gaussian p.
 
-    The momenta have variance m / beta, from the factor exp(-beta p^2 / 2m).
-    They come after the heights in the generator's stream, so with
-    momenta=False, for an observable that reads only Z, the heights are the
-    same and P is None.  The uniforms are inverted in place.
+    The momenta (variance m / beta) come after the n_states * N height
+    uniforms in the generator's stream, so with momenta=False, for an
+    observable that reads only Z, the heights are the same and P is None;
+    norm0_mc draws the same states a block at a time on this order.  The
+    uniforms are inverted in place.
     """
     params = marginal.params
-    n = params.n_particles
-    u = _open_uniforms(rng, (n_states, n))
+    u = _open_uniforms(rng, (n_states, params.n_particles))
     z = marginal.inverse_cdf(u, out=u)
-    if not momenta:
-        return z, None
-    p = rng.normal(0.0, math.sqrt(params.mass) / math.sqrt(params.beta),
-                   (n_states, n))
-    return z, p
+    return z, (_momenta(params, rng, n_states) if momenta else None)
+
+
+def _momenta(params: ModelParams, rng: np.random.Generator,
+             rows: int) -> np.ndarray:
+    """(rows, N) momenta of variance m / beta, from exp(-beta p^2 / 2m)."""
+    return rng.normal(0.0, math.sqrt(params.mass) / math.sqrt(params.beta),
+                      (rows, params.n_particles))
 
 
 def norm0_B_closed(params: ModelParams) -> float:
@@ -343,23 +349,29 @@ def norm0_mc(f, marginal: WallMarginal, n_samples: int,
 
     f maps sampled (Z, P) arrays of shape (rows, N) to one value per row.
     Sampling follows the marginal's measure (rho0, or rho1 when the marginal
-    is tilted).  With momenta=True, f sees all n_samples rows at once.  With
+    is tilted).  The states are drawn and passed to f a block of _MC_BLOCK
+    heights at a time, and the mean and variance are taken over all the
+    values at once, so the estimate is that of one sample_batch of n_samples
+    states: the momenta come from a second generator that starts
+    n_samples * N values after rng's position (rng.ahead), and rng is left
+    where they end.  Only an exact 0.0 uniform (see _open_uniforms), which
+    is redrawn within its own block, changes the draws.  With
     momenta=False, P is None and no momentum is drawn, for an f that reads
-    only Z: the states are drawn and passed to f a block of _MC_BLOCK
-    heights at a time, which are the heights of one whole batch unless a
-    uniform is an exact 0.0 (see _open_uniforms), and the mean and variance
-    are still taken over all the values at once, so the estimate is
-    unchanged.
+    only Z; rng is then left after the heights.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
+    params = marginal.params
     values = np.empty(n_samples)
-    step = (n_samples if momenta
-            else max(1, _MC_BLOCK // marginal.params.n_particles))
+    step = max(1, _MC_BLOCK // params.n_particles)
+    p_rng = ahead(rng, n_samples * params.n_particles) if momenta else None
     for start in range(0, n_samples, step):
         rows = min(step, n_samples - start)
-        z, p = sample_batch(marginal, rng, rows, momenta=momenta)
+        z, _ = sample_batch(marginal, rng, rows, momenta=False)
+        p = _momenta(params, p_rng, rows) if momenta else None
         values[start:start + rows] = _row_values(f(z, p), rows)
+    if momenta:
+        rng.bit_generator.state = p_rng.bit_generator.state
     sq = values * values
     if not np.all(np.isfinite(sq)):
         raise ValueError("observable returned a non-finite value")
@@ -401,6 +413,14 @@ def norm0_poisson_B_H0_quadrature(marginal: WallMarginal) -> float:
     return math.sqrt(params.n_particles * per_particle)
 
 
+def _require_rho0_marginal(params: ModelParams,
+                           marginal: WallMarginal) -> None:
+    """Raise ValueError unless marginal is the untilted marginal of params."""
+    if marginal.params != params or marginal.tilt != 0.0:
+        raise ValueError("expected the rho0 marginal of params: pass the "
+                         "untilted marginal built from the same parameters")
+
+
 def _centered_mgf(t: float, marginal: WallMarginal) -> float:
     """E[exp(t z)] - 1 under the wall marginal, computed without cancellation."""
     if marginal.tilt != 0.0:
@@ -438,6 +458,7 @@ def gamma_h(params: ModelParams, marginal: WallMarginal, h: float) -> float:
     Equals (M(2 h beta) / M(h beta)^2)^N - 1 by particle independence;
     nonnegative, and vanishing as h -> 0.
     """
+    _require_rho0_marginal(params, marginal)
     t = float(h) * params.beta
     expo = params.n_particles * (_log_mgf(2.0 * t, marginal)
                                  - 2.0 * _log_mgf(t, marginal))
@@ -447,6 +468,7 @@ def gamma_h(params: ModelParams, marginal: WallMarginal, h: float) -> float:
 def gamma_tilde_h(params: ModelParams, marginal: WallMarginal,
                   h: float) -> float:
     """Reverse-direction divergence (M(h beta) M(-h beta))^N - 1."""
+    _require_rho0_marginal(params, marginal)
     t = float(h) * params.beta
     expo = params.n_particles * (_log_mgf(t, marginal)
                                  + _log_mgf(-t, marginal))
@@ -488,6 +510,7 @@ def hoelder_certificate(params: ModelParams, marginal: WallMarginal,
 
     Requires h < delta_moment / (2 beta) so the interpolation step applies.
     """
+    _require_rho0_marginal(params, marginal)
     h = float(h)
     if not delta_moment > 0.0:
         raise ValueError("delta_moment must be positive")

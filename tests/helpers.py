@@ -5,12 +5,13 @@ finite differences instead of closed-form derivatives, composite Simpson
 instead of the adaptive rule, rejection sampling instead of inverse-CDF
 lookup, and a deterministic initial-condition grid instead of Monte Carlo.
 The allocating NumPy forms of the inverse CDF, the wall potential and force,
-the bracket [B, H0], H1 and the Verlet loop, and the per-panel Kronrod loop,
-are kept here as the references that the C kernels, the row-chunked bracket
-and the batched Kronrod pass must match bit for bit.  Observables that only
-tests evaluate (the height sum A, the moment generating function of z, and
-H1 outside the trajectory kernel, which records it, and the normalized
-density of a wall marginal) live here too.
+the bracket [B, H0], H1 and the Verlet loop, the per-panel Kronrod loop and
+the whole-batch Monte-Carlo norm are kept here as the references that the C
+kernels, the row-chunked bracket, the batched Kronrod pass and the blocked
+norm must match bit for bit.  Observables that only tests evaluate (the
+height sum A, the moment generating function of z, and H1 outside the
+trajectory kernel, which records it, and the normalized density of a wall
+marginal) live here too.
 """
 
 import math
@@ -22,7 +23,8 @@ from numpy.polynomial.legendre import leggauss
 from gasrelax import _kernel
 from gasrelax.dynamics import (EnergyDriftError, WallBreachError,
                                _evolve_batch, _records_grid)
-from gasrelax.gibbs import _centered_mgf, _monotone_tangents, _weight
+from gasrelax.gibbs import (NormEstimate, _centered_mgf, _monotone_tangents,
+                            _weight)
 from gasrelax.model import observable_B
 from gasrelax.numerics import (_WG, _WGK, _XGK, QuadratureError,
                                integrate_finite)
@@ -135,6 +137,25 @@ def inverse_cdf_searchsorted(marginal, u):
     t3 = t2 * t
     return ((2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + t) * m0
             + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * m1)
+
+
+def norm0_mc_one_batch(f, marginal, n_samples, rng):
+    """norm0_mc drawn, inverted and evaluated as one whole batch.
+
+    All n_samples * N height uniforms come from rng, then all the momenta;
+    the NumPy inverse CDF gives the heights, and f sees every state at once.
+    The uniforms must hold no exact 0.0.
+    """
+    params = marginal.params
+    u = rng.random((n_samples, params.n_particles))
+    assert u.min() > 0.0
+    z = inverse_cdf_searchsorted(marginal, u)
+    p = rng.normal(0.0, math.sqrt(params.mass) / math.sqrt(params.beta),
+                   u.shape)
+    sq = np.asarray(f(z, p), dtype=float) ** 2
+    return NormEstimate.from_moments(float(np.mean(sq)),
+                                     float(np.var(sq, ddof=1)), n_samples,
+                                     marginal.which_measure)
 
 
 def _recip_pow12(u):
@@ -322,8 +343,8 @@ class ZeroDraws:
     """A Generator stand-in whose k-th `random` call has exact 0.0 draws.
 
     zeros[k] holds the flat indices set to 0.0 in the k-th call's array;
-    later calls, and `normal`, pass through to rng.  `sizes` records the
-    size of every `random` call.
+    later calls, `normal` and `bit_generator`, pass through to rng.  `sizes`
+    records the size of every `random` call.
     """
 
     def __init__(self, rng, zeros):
@@ -340,6 +361,10 @@ class ZeroDraws:
 
     def normal(self, *args):
         return self._rng.normal(*args)
+
+    @property
+    def bit_generator(self):
+        return self._rng.bit_generator
 
 
 def simpson_integral(f, a, b, n=1 << 15):

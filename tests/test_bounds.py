@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,6 +174,13 @@ class TestEtaEmpirical:
             tracemalloc.stop()
         assert peak < 8e6
 
+    def test_marginal_of_other_params_is_refused(self, ref_params,
+                                                 ref_marginal_tilted):
+        box8 = build_marginal(replace(ref_params, box_side=8.0), grid_size=64)
+        for marginal in (box8, ref_marginal_tilted):
+            with pytest.raises(ValueError, match="rho0 marginal of params"):
+                eta_empirical(ref_params, marginal, 2000, substream(27, 0))
+
     def test_sample_floor(self, ref_params, ref_marginal):
         with pytest.raises(ValueError):
             eta_empirical(ref_params, ref_marginal, 500, substream(23, 0))
@@ -205,6 +213,13 @@ class TestBoundReport:
         report.z_tilde = math.inf
         with pytest.raises(ValueError):
             report.to_json()
+
+    def test_marginal_of_other_params_is_refused(self, ref_params):
+        # a box-8 marginal would report its own z_tilde, 5.889, for box 10
+        box8 = build_marginal(replace(ref_params, box_side=8.0), grid_size=64)
+        with pytest.raises(ValueError, match="rho0 marginal of params"):
+            build_bound_report(ref_params, n_samples=2000,
+                               rng=substream(24, 0), marginal=box8)
 
     def test_regime_refused(self):
         with pytest.raises(RegimeError):

@@ -2,6 +2,7 @@ import ctypes
 import dataclasses
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -390,7 +391,8 @@ class TestNorms:
         full = norm0_mc(bracket, ref_marginal, 2000, substream(22, 0))
         heights = norm0_mc(bracket, ref_marginal, 2000, substream(22, 0),
                            momenta=False)
-        assert seen[0].shape == (2000, 64) and seen[1] is None
+        assert [None if p is None else p.shape for p in seen] == \
+            [(1024, 64), (976, 64), None, None]
         assert heights == full
         assert _bits(heights.value) == _bits(full.value)
         assert _bits(heights.std_error) == _bits(full.std_error)
@@ -429,6 +431,43 @@ class TestNorms:
         blocks.append(rng.random((452, 64)))
         _assert_same_estimate(est, _one_batch_estimate(ref_marginal,
                                                        np.vstack(blocks)))
+
+    @pytest.mark.parametrize("n, n_samples", [(64, 20000), (7, 20000),
+                                              (300, 1000)])
+    def test_momenta_blocks_equal_one_batch(self, n, n_samples):
+        # heights from rng and momenta from rng.ahead, a block of each at a
+        # time, give the bits of one batch of all heights, then all momenta
+        params = ModelParams(n, 1.0, 1.0, 10.0, field=1e-3, mass=2.0)
+        marginal = build_marginal(params, grid_size=256, tilted=True)
+        rows = []
+
+        def f(z, p):
+            rows.append(z.shape[0])
+            assert p.shape == z.shape
+            return observable_B(z, p) + poisson_B_H0(z, params)
+
+        rng = substream(28, n)
+        est = norm0_mc(f, marginal, n_samples, rng)
+        step = _MC_BLOCK // n
+        assert rows == [step] * (n_samples // step) + [n_samples % step]
+        whole = substream(28, n)
+        _assert_same_estimate(
+            est, helpers.norm0_mc_one_batch(f, marginal, n_samples, whole))
+        # rng is left where the whole batch leaves it
+        assert rng.random() == whole.random()
+
+    def test_states_are_not_held_all_at_once(self, ref_marginal_tilted):
+        # 20000 states of 64 heights and momenta are 20.5 MB; a block of
+        # each is 0.5 MiB
+        norm0_mc(observable_B, ref_marginal_tilted, 2000, substream(29, 0))
+        tracemalloc.start()
+        try:
+            norm0_mc(observable_B, ref_marginal_tilted, 20000,
+                     substream(29, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_norm0_mc_rejects_small_samples(self, ref_marginal):
         with pytest.raises(ValueError):
@@ -496,6 +535,12 @@ class TestGammaDivergences:
     def test_zero_field(self, ref_params, ref_marginal):
         assert gamma_h(ref_params, ref_marginal, 0.0) == 0.0
         assert gamma_tilde_h(ref_params, ref_marginal, 0.0) == 0.0
+
+    @pytest.mark.parametrize("gamma", [gamma_h, gamma_tilde_h])
+    def test_marginal_of_other_params_is_refused(self, gamma, ref_params):
+        # gamma_h would give 1.86e-4 on the box-8 marginal, 3.33e-4 on its own
+        with pytest.raises(ValueError, match="rho0 marginal of params"):
+            gamma(ref_params, _box_marginal(8.0), 1e-3)
 
     def test_nonnegative_and_monotone(self, ref_params, ref_marginal):
         grid = np.geomspace(1e-5, 1e-1, 9)
@@ -572,6 +617,10 @@ class TestHoelderCertificate:
         assert cert.gamma == 0.0
         assert cert.hoelder_bound == 1.0
         assert cert.ok
+
+    def test_marginal_of_other_params_is_refused(self, ref_params):
+        with pytest.raises(ValueError, match="rho0 marginal of params"):
+            hoelder_certificate(ref_params, _box_marginal(8.0), 0.1, h=1e-3)
 
     @pytest.mark.parametrize("n", [4, 16])
     @pytest.mark.parametrize("h", [1e-4, 1e-3])
