@@ -41,6 +41,9 @@ __all__ = [
 
 BOLTZMANN_J_PER_K = 1.380649e-23
 
+# the fewest states of the sampled bracket norm
+_MIN_SAMPLES = 1000
+
 
 class RegimeError(ValueError):
     """Raised when a closed form is requested outside its validity regime."""
@@ -77,8 +80,8 @@ def t_relax_lower(params: ModelParams) -> float:
 def eta_empirical(params: ModelParams, marginal: WallMarginal, n_samples: int,
                   rng: np.random.Generator) -> NormEstimate:
     """Sampled ratio ||[B,H0]||_0 / ||B||_0 that the analytic eta must dominate."""
-    if n_samples < 1000:
-        raise ValueError("n_samples must be >= 1000")
+    if n_samples < _MIN_SAMPLES:
+        raise ValueError(f"n_samples must be >= {_MIN_SAMPLES}")
     _require_rho0_marginal(params, marginal)
     est = norm0_mc(lambda z, p: poisson_B_H0(z, params), marginal, n_samples,
                    rng, momenta=False)

@@ -22,11 +22,13 @@ import numpy as np
 
 from . import __version__
 from ._kernel import KernelBuildError
-from .bounds import (PhysicalUnits, RegimeError, build_bound_report,
-                     t_relax_lower)
-from .dynamics import (EnergyDriftError, IntegratorConfig, WallBreachError,
-                       lower_bound_curve, make_relaxation_report)
-from .gibbs import build_marginal, gamma_h, gamma_tilde_h, hoelder_certificate
+from .bounds import (_MIN_SAMPLES, PhysicalUnits, RegimeError,
+                     build_bound_report, t_relax_lower)
+from .dynamics import (_MIN_TIMES, _MIN_TRAJ, EnergyDriftError,
+                       IntegratorConfig, WallBreachError, lower_bound_curve,
+                       make_relaxation_report)
+from .gibbs import (_MIN_GRID, build_marginal, gamma_h, gamma_tilde_h,
+                    hoelder_certificate)
 from .model import ModelParams
 from .numerics import QuadratureError
 from .rng import substream
@@ -90,8 +92,15 @@ class RunConfig:
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be strictly positive and "
                                   "finite")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        # the floors of the library calls that take these keys; h_points
+        # is the length of a np.geomspace grid.  seed needs none: substream
+        # folds any integer mod 2^64
+        for name, floor in (("n_samples", _MIN_SAMPLES),
+                            ("n_traj", _MIN_TRAJ), ("n_times", _MIN_TIMES),
+                            ("grid_size", _MIN_GRID), ("h_points", 0),
+                            ("workers", 1)):
+            if getattr(self, name) < floor:
+                raise ConfigError(f"{name} must be >= {floor}")
         if self.sigma != 1.0:
             raise ConfigError("sigma must be 1: lengths are in units of "
                               "sigma; give its physical size as sigma_m")
@@ -372,9 +381,10 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except ArithmeticError as exc:
         # finite parameters so large or small that a derived quantity
-        # leaves the float range
-        print(f"validation error: parameters out of numeric range: {exc}",
-              file=sys.stderr)
+        # leaves the float range; the message without the errno that a
+        # float ** overflow puts in front of it
+        print("validation error: parameters out of numeric range: "
+              f"{exc.args[-1] if exc.args else exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (QuadratureError, EnergyDriftError, WallBreachError,
             KernelBuildError, OSError) as exc:

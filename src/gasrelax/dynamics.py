@@ -43,6 +43,10 @@ _DISPLACEMENT_FRACS = (0.25, 0.5, 1.0)
 _ETA_MARGIN = 0.05
 _NORM_SAMPLES = 20000
 
+# the fewest trajectories and record times (t = 0 and one more) of a run
+_MIN_TRAJ = 1
+_MIN_TIMES = 2
+
 __all__ = [
     "WallBreachError",
     "EnergyDriftError",
@@ -153,9 +157,14 @@ def _evolve_batch(z, p, params: ModelParams, h: float, dt: float,
         0.5 * dt, dt / params.mass, half, params.delta_wall, h,
         0.5 / params.mass, guard, b_rec.ctypes.data, e_rec.ctypes.data)
 
-    # the drift of each record below the first breach; a NaN drift fails too
+    # the drift of each record below the first breach, formed in place over
+    # those records; a NaN drift fails too
     e_scale = np.maximum(np.abs(e_rec[0]), 1e-30)
-    drift = np.max(np.abs(e_rec[1:end] - e_rec[0]) / e_scale, axis=1)
+    later = e_rec[1:end]
+    np.subtract(later, e_rec[0], out=later)
+    np.abs(later, out=later)
+    later /= e_scale
+    drift = np.max(later, axis=1)
     failed = np.flatnonzero(~(drift <= energy_tol))
     if failed.size:
         rec = int(failed[0]) + 1
@@ -172,7 +181,7 @@ def _evolve_batch(z, p, params: ModelParams, h: float, dt: float,
 
 
 def _records_grid(config: IntegratorConfig, n_records: int):
-    if n_records < 2:
+    if n_records < _MIN_TIMES:
         raise ValueError("need at least two record times")
     spacing = config.t_end / (n_records - 1)
     spr = max(1, int(math.ceil(spacing / config.dt - 1e-12)))
@@ -196,8 +205,11 @@ def _run_shard(terms, n_traj, seed, marginal, dt, spr, n_records, tol, guard,
     z, p = sample_batch(marginal, rng, min(_SHARD, n_traj - start))
     b_rec, drift = _evolve_batch(z, p, marginal.params, marginal.params.field,
                                  dt, spr, n_records, tol, guard)
+    # the states are spent: freed before the terms are formed
+    del z, p
     x = terms(b_rec)
-    return x.sum(axis=1), (x * x).sum(axis=1), drift
+    s1 = x.sum(axis=1)
+    return s1, np.square(x, out=x).sum(axis=1), drift
 
 
 def _run_ensemble(terms, marginal: WallMarginal, config: IntegratorConfig,
@@ -248,8 +260,8 @@ def autocorr_B(params: ModelParams, config: IntegratorConfig, n_traj: int,
     trajectories are needed for the quoted errors to mean anything; fewer are
     allowed for smoke runs (one trajectory gives standard errors of 0).
     """
-    if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
+    if n_traj < _MIN_TRAJ:
+        raise ValueError(f"n_traj must be >= {_MIN_TRAJ}")
     if marginal is None:
         marginal = build_marginal(params)
     if marginal.params != params or marginal.tilt != 0.0:

@@ -63,6 +63,11 @@ _LOG_FLOOR = -745.0
 # cells of the inverse-CDF guide table over u in [0, 1); a power of two, so
 # u * _GUIDE_CELLS is exact and its floor is the cell that holds u
 _GUIDE_CELLS = 1 << 16
+# cell edges per searchsorted call of _guide_table
+_GUIDE_CHUNK = 1 << 12
+
+# the fewest cells of a CDF table
+_MIN_GRID = 64
 
 # heights per block of norm0_mc: 1024 rows of 64 particles, 512 KiB, which
 # stay in L2 from the draw to the observable
@@ -212,11 +217,16 @@ def _guide_table(inv_u: np.ndarray) -> np.ndarray:
     """Bracket index of the left edge j / _GUIDE_CELLS of each cell j of u.
 
     No u of the cell has a lower bracket; one above it lies past a knot
-    inside the cell.
+    inside the cell.  The table is searched _GUIDE_CHUNK edges at a time
+    and finished in place, so it needs no temporary of its own size.
     """
-    edges = np.arange(_GUIDE_CELLS) / _GUIDE_CELLS
-    return np.clip(np.searchsorted(inv_u, edges, side="right") - 1,
-                   0, inv_u.size - 2)
+    guide = np.empty(_GUIDE_CELLS, dtype=np.intp)
+    for start in range(0, _GUIDE_CELLS, _GUIDE_CHUNK):
+        stop = start + _GUIDE_CHUNK
+        guide[start:stop] = np.searchsorted(
+            inv_u, np.arange(start, stop) / _GUIDE_CELLS, side="right")
+    guide -= 1
+    return np.clip(guide, 0, inv_u.size - 2, out=guide)
 
 
 def _monotone_tangents(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -261,8 +271,8 @@ def build_marginal(params: ModelParams, grid_size: int = 2048,
     fixed Kronrod pass per cell (one batched pass over all cells), then
     normalized so the endpoints are exactly 0 and 1.
     """
-    if grid_size < 64:
-        raise ValueError("grid_size must be >= 64")
+    if grid_size < _MIN_GRID:
+        raise ValueError(f"grid_size must be >= {_MIN_GRID}")
     tilt = params.field if tilted else 0.0
     half = params.half_box
 
@@ -370,13 +380,20 @@ def norm0_mc(f, marginal: WallMarginal, n_samples: int,
         z, _ = sample_batch(marginal, rng, rows, momenta=False)
         p = _momenta(params, p_rng, rows) if momenta else None
         values[start:start + rows] = _row_values(f(z, p), rows)
+        # freed before the next block is drawn, not while it is
+        del z, p
     if momenta:
         rng.bit_generator.state = p_rng.bit_generator.state
-    sq = values * values
+    sq = np.multiply(values, values, out=values)
     if not np.all(np.isfinite(sq)):
         raise ValueError("observable returned a non-finite value")
-    return NormEstimate.from_moments(float(np.mean(sq)),
-                                     float(np.var(sq, ddof=1)), n_samples,
+    # np.mean(sq) and np.var(sq, ddof=1), with NumPy's own steps taken in
+    # place: the same bits, and no second or third n_samples array
+    mean = np.mean(sq)
+    sq -= mean
+    np.square(sq, out=sq)
+    var = np.add.reduce(sq) / (n_samples - 1)
+    return NormEstimate.from_moments(float(mean), float(var), n_samples,
                                      marginal.which_measure)
 
 

@@ -4,17 +4,19 @@ Everything here deliberately avoids the code paths it is used to check:
 finite differences instead of closed-form derivatives, composite Simpson
 instead of the adaptive rule, rejection sampling instead of inverse-CDF
 lookup, and a deterministic initial-condition grid instead of Monte Carlo.
-The allocating NumPy forms of the inverse CDF, the wall potential and force,
-the bracket [B, H0], H1 and the Verlet loop, the per-panel Kronrod loop and
-the whole-batch Monte-Carlo norm are kept here as the references that the C
-kernels, the row-chunked bracket, the batched Kronrod pass and the blocked
-norm must match bit for bit.  Observables that only tests evaluate (the
+The allocating NumPy forms of the inverse CDF and its guide table, the wall
+potential and force, the bracket [B, H0], H1 and the Verlet loop, the
+per-panel Kronrod loop and the whole-batch Monte-Carlo norm are kept here as
+the references that the C kernels, the chunked guide table, the row-chunked
+bracket, the batched Kronrod pass and the blocked norm must match bit for
+bit.  Observables that only tests evaluate (the
 height sum A, the moment generating function of z, and H1 outside the
 trajectory kernel, which records it, and the normalized density of a wall
 marginal) live here too.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -23,8 +25,8 @@ from numpy.polynomial.legendre import leggauss
 from gasrelax import _kernel
 from gasrelax.dynamics import (EnergyDriftError, WallBreachError,
                                _evolve_batch, _records_grid)
-from gasrelax.gibbs import (NormEstimate, _centered_mgf, _monotone_tangents,
-                            _weight)
+from gasrelax.gibbs import (_GUIDE_CELLS, NormEstimate, _centered_mgf,
+                            _monotone_tangents, _weight)
 from gasrelax.model import observable_B
 from gasrelax.numerics import (_WG, _WGK, _XGK, QuadratureError,
                                integrate_finite)
@@ -137,6 +139,25 @@ def inverse_cdf_searchsorted(marginal, u):
     t3 = t2 * t
     return ((2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + t) * m0
             + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * m1)
+
+
+def traced_peak(call):
+    """(call(), the peak of the allocations tracemalloc sees while it runs)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def guide_table_one_shot(inv_u):
+    """The guide table of the knots inv_u, searched for every cell edge at
+    once: gibbs._guide_table before it worked in chunks and in place."""
+    edges = np.arange(_GUIDE_CELLS) / _GUIDE_CELLS
+    return np.clip(np.searchsorted(inv_u, edges, side="right") - 1,
+                   0, inv_u.size - 2)
 
 
 def norm0_mc_one_batch(f, marginal, n_samples, rng):

@@ -180,20 +180,27 @@ class TestBoundsFlags:
 
     @pytest.mark.parametrize("extreme", [
         # 1/eta: eta underflows to zero
-        ["--box_side=1e300", "--beta=1e300", "--delta_wall=21.4"],
-        # delta^2 overflows in the bracket norm
-        ["--box_side=3.4e165", "--beta=0.001", "--delta_wall=3.4e165"],
+        (["--box_side=1e300", "--beta=1e300", "--delta_wall=21.4"],
+         "float division by zero"),
+        # delta^2 overflows in the bracket norm; the message comes without
+        # the errno of a float ** overflow
+        (["--box_side=3.4e165", "--beta=0.001", "--delta_wall=3.4e165"],
+         "Numerical result out of range"),
         # the Gibbs weight of the (z+L/2)^-26 term overflows exp, with no
         # RuntimeWarning on the way
-        ["--delta_wall=1e-190"],
+        (["--delta_wall=1e-190"], "overflow encountered in exp"),
+        # delta^2 again, at the default box and a tiny beta
+        (["--beta=1e-300", "--delta_wall=1e300"],
+         "Numerical result out of range"),
     ])
     def test_float_range_is_a_validation_error(self, flags_dir, extreme):
+        flags, reason = extreme
         code, _, err = _run_quietly(["bounds", "--n_particles", "4",
                                      "--n_samples=1000", "--grid_size=100",
-                                     *extreme, "--output_dir", flags_dir])
+                                     *flags, "--output_dir", flags_dir])
         assert code == EXIT_VALIDATION
-        assert err.startswith("validation error: parameters out of numeric "
-                              "range")
+        assert err == ("validation error: parameters out of numeric range: "
+                       f"{reason}\n")
 
     @pytest.mark.parametrize("units", [
         *(f"--{key}=inf"
@@ -231,6 +238,38 @@ class TestSweepAndRunControlKeys:
             ">= 1\n" if key == "workers" else
             "strictly positive and finite\n")
         assert not list(tmp_path.glob("*.csv"))
+
+
+class TestSizeKeys:
+    """The size keys and h_points are checked for every command, against
+    the floors of the library calls that read them, also by a command that
+    does not read the key."""
+
+    @pytest.mark.parametrize("command, flag, floor", [
+        ("gamma", "--n_samples=999", 1000),
+        ("gamma", "--n_traj=0", 1),
+        ("bounds", "--n_times=1", 2),
+        ("report", "--grid_size=63", 64),
+        ("bounds", "--h_points=-5", 0),
+    ])
+    def test_below_the_floor_is_a_validation_error(self, tmp_path, command,
+                                                   flag, floor):
+        path = write_config(tmp_path, output_dir=str(tmp_path))
+        code, out, err = _run_quietly([command, "--config", path, flag])
+        key = flag[2:].split("=")[0]
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"validation error: {key} must be >= {floor}\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_any_integer_seed_is_taken_mod_2_to_the_64(self, tmp_path):
+        etas = []
+        for seed in (-1, 2**64 - 1):
+            path = write_config(tmp_path, output_dir=str(tmp_path))
+            assert _run_quietly(["bounds", "--config", path,
+                                 f"--seed={seed}"])[0] == EXIT_OK
+            doc = json.loads((tmp_path / "bounds_report.json").read_text())
+            etas.append(doc["eta_empirical"])
+        assert etas[0] == etas[1]
 
 
 class TestEveryCommandChecksTheClassKeys:

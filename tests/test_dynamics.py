@@ -107,6 +107,18 @@ class TestEvolve:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert drift == drift_ref > 0.0
 
+    def test_drift_is_formed_within_the_records(self, ref_params,
+                                                ref_marginal):
+        # a 1024 x 64 shard through 64 records needs its B and H1 records
+        # and little else
+        z, p = sample_batch(ref_marginal, substream(45, 0), 1024)
+        args = (ref_params, 1e-3, 2.5e-4, 1, 64, 1e-3, 0.999)
+        _evolve_batch(z.copy(), p.copy(), *args)
+        (b_rec, _), peak = helpers.traced_peak(
+            lambda: _evolve_batch(z, p, *args))
+        assert b_rec.shape == (64, 1024)
+        assert peak < 1.1 * 2 * b_rec.nbytes
+
     def test_nan_row_fails_a_monitor(self):
         # a non-finite state must stop the run, not pass as zero drift
         params = ModelParams(2, 1.0, 1.0, 10.0)

@@ -14,8 +14,8 @@ import helpers
 from helpers import mgf_z
 from gasrelax import _kernel, numerics
 from gasrelax.gibbs import (_GUIDE_CELLS, _MC_BLOCK, NormEstimate,
-                            _wall_breakpoints, _weight, build_marginal,
-                            gamma_h, gamma_tilde_h,
+                            _guide_table, _wall_breakpoints, _weight,
+                            build_marginal, gamma_h, gamma_tilde_h,
                             hoelder_certificate, log_mgf_z, norm0_B_closed,
                             norm0_mc, norm0_poisson_B_H0_quadrature,
                             sample_batch)
@@ -338,6 +338,21 @@ class TestInverseCdfBitwise:
         assert 0.0 < widths.min() < np.finfo(float).tiny
 
 
+class TestGuideTable:
+    @pytest.mark.parametrize("tilted", [False, True], ids=["rho0", "rho1"])
+    @pytest.mark.parametrize("grid_size", [64, 2047])
+    def test_equals_one_shot_search_within_its_own_size(self, ref_params,
+                                                        tilted, grid_size):
+        # the chunked, in-place table gives the bits of the one-shot one,
+        # with no second table-sized array on the way
+        inv_u = build_marginal(ref_params, grid_size, tilted)._inv_u
+        guide, peak = helpers.traced_peak(lambda: _guide_table(inv_u))
+        want = helpers.guide_table_one_shot(inv_u)
+        assert guide.dtype == want.dtype == np.intp
+        assert np.array_equal(guide, want)
+        assert peak < 1.25 * guide.nbytes
+
+
 def _one_batch_estimate(marginal, u):
     """The bracket norm of the states with uniforms u, all in one batch."""
     z = helpers.inverse_cdf_searchsorted(marginal, u)
@@ -468,6 +483,45 @@ class TestNorms:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    @pytest.mark.parametrize("n_samples", [100, 100_000])
+    def test_moments_are_numpys_bit_for_bit(self, n_samples, monkeypatch):
+        # squares from 1e-150 to 1e150, of both signs' roots, in a random
+        # order: the in-place moments are np.mean and np.var(ddof=1)
+        params = ModelParams(1, 1.0, 1.0, 10.0)
+        marginal = build_marginal(params, grid_size=64)
+        rng = substream(30, n_samples)
+        v = (rng.choice([-1.0, 1.0], n_samples)
+             * 10.0 ** rng.uniform(-75.0, 75.0, n_samples))
+        v[:2] = 1e-75, 1e75
+        rng.shuffle(v)
+        blocks = iter(np.split(v, range(_MC_BLOCK, n_samples, _MC_BLOCK)))
+        moments = []
+        real = NormEstimate.from_moments.__func__
+
+        def spy(cls, mean_sq, var_sq, n, which):
+            moments.append((mean_sq, var_sq))
+            return real(cls, mean_sq, var_sq, n, which)
+
+        monkeypatch.setattr(NormEstimate, "from_moments", classmethod(spy))
+        norm0_mc(lambda z, p: next(blocks), marginal, n_samples,
+                 substream(31, 0), momenta=False)
+        sq = v * v
+        assert np.array_equal(_bits(moments),
+                              _bits([[np.mean(sq), np.var(sq, ddof=1)]]))
+
+    def test_moments_hold_no_second_sample_array(self, ref_params,
+                                                 ref_marginal):
+        # the values (0.8 MB) and one block of heights (0.5 MiB) are all
+        # that 10^5 states of 64 heights need at once
+        def run():
+            return norm0_mc(lambda z, p: poisson_B_H0(z, ref_params),
+                            ref_marginal, 100_000, substream(32, 0),
+                            momenta=False)
+
+        run()
+        _, peak = helpers.traced_peak(run)
+        assert peak < 1.25 * 8 * (100_000 + _MC_BLOCK)
 
     def test_norm0_mc_rejects_small_samples(self, ref_marginal):
         with pytest.raises(ValueError):
