@@ -83,8 +83,8 @@ def eta_empirical(params: ModelParams, marginal: WallMarginal, n_samples: int,
     if n_samples < _MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= {_MIN_SAMPLES}")
     _require_rho0_marginal(params, marginal)
-    est = norm0_mc(lambda z, p: poisson_B_H0(z, params), marginal, n_samples,
-                   rng, momenta=False)
+    est = norm0_mc(lambda z: poisson_B_H0(z, params), marginal, n_samples,
+                   rng)
     denom = norm0_B_closed(params)
     return replace(est, value=est.value / denom,
                    std_error=est.std_error / denom)

@@ -30,8 +30,8 @@ import numpy as np
 from . import _kernel
 from . import bounds as _bounds
 from .gibbs import (WallMarginal, NormEstimate, build_marginal, gamma_h,
-                    gamma_tilde_h, norm0_mc, sample_batch)
-from .model import ModelParams, observable_B
+                    gamma_tilde_h, norm0_B_mc, sample_batch)
+from .model import ModelParams
 from .rng import substream
 
 # trajectories per shard: shard k draws from substream(seed, k)
@@ -185,6 +185,10 @@ def _records_grid(config: IntegratorConfig, n_records: int):
         raise ValueError("need at least two record times")
     spacing = config.t_end / (n_records - 1)
     spr = max(1, int(math.ceil(spacing / config.dt - 1e-12)))
+    # the kernel counts steps in a ptrdiff_t, which ctypes would truncate
+    if spr > np.iinfo(np.intp).max:
+        raise ValueError(f"dt = {config.dt:g} needs {float(spr):.3g} steps "
+                         "per record, more than the integrator can count")
     dt = spacing / spr
     times = np.linspace(0.0, config.t_end, n_records)
     return times, dt, spr
@@ -230,7 +234,9 @@ def _run_ensemble(terms, marginal: WallMarginal, config: IntegratorConfig,
         # imported here, not with the module: only workers > 1 need it, and
         # it adds several ms and over 1 MB of RSS to every CLI start
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        # fork starts every worker up front: one per shard at most
+        with ProcessPoolExecutor(max_workers=min(n_workers,
+                                                 len(starts))) as pool:
             results = list(pool.map(shard, starts))
     else:
         results = map(shard, starts)
@@ -400,8 +406,12 @@ def make_relaxation_report(params: ModelParams, config: IntegratorConfig,
     disp_times = [f * t0 for f in _DISPLACEMENT_FRACS]
     disp = displacement_norms(params, disp_times, n_traj, seed + 1, config,
                               marginal=marginal1, n_workers=n_workers)
-    b1 = norm0_mc(observable_B, marginal1, _NORM_SAMPLES,
-                  substream(seed, 7001))
+    # ||B||_1 reads only momenta, which a whole batch draws after its
+    # _NORM_SAMPLES * N heights: skipping those, 4 doubles per Philox
+    # counter value (20000 N is a multiple of 4), keeps the same momenta
+    rng = substream(seed, 7001)
+    rng.bit_generator.advance(_NORM_SAMPLES * params.n_particles // 4)
+    b1 = norm0_B_mc(params, _NORM_SAMPLES, rng)
     details = []
     displacement_ok = True
     for t, est in zip(disp_times, disp):

@@ -19,11 +19,10 @@ chunks of a few hundred, so it needs no temporaries beyond the stack, and it
 may write over its input.  Every drawn value is bitwise what a binary search
 over the whole batch and the NumPy cubic give.
 
-A Monte-Carlo norm draws, inverts and evaluates its states one block of
-_MC_BLOCK heights at a time, so it holds no array of all the sampled heights
-or momenta: the heights come from the caller's generator, and the momenta
-from a second one (`rng.ahead`) that starts where the last height of a
-whole-batch draw ends.
+A Monte-Carlo norm draws only what its observable reads, one block of
+_MC_BLOCK values at a time, so it holds no array of all the sampled states:
+norm0_mc draws and inverts heights, and norm0_B_mc, the norm of the momentum
+sum B, draws momenta alone (the tilt of rho1 moves only the heights).
 
 Integrands that multiply the Gibbs weight by inverse powers of the wall
 distance are evaluated in log space: the exponential kills the power in the
@@ -40,7 +39,6 @@ import numpy as np
 from . import _kernel
 from .model import ModelParams, wall_potential
 from .numerics import _kronrod_panels, integrate_finite
-from .rng import ahead
 
 __all__ = [
     "WallMarginal",
@@ -50,6 +48,7 @@ __all__ = [
     "sample_batch",
     "norm0_B_closed",
     "norm0_mc",
+    "norm0_B_mc",
     "norm0_poisson_B_H0_quadrature",
     "log_mgf_z",
     "gamma_h",
@@ -69,8 +68,8 @@ _GUIDE_CHUNK = 1 << 12
 # the fewest cells of a CDF table
 _MIN_GRID = 64
 
-# heights per block of norm0_mc: 1024 rows of 64 particles, 512 KiB, which
-# stay in L2 from the draw to the observable
+# values per block of a Monte-Carlo norm: 1024 rows of 64 particles,
+# 512 KiB, which stay in L2 from the draw to the observable
 _MC_BLOCK = 1 << 16
 
 
@@ -146,6 +145,25 @@ class NormEstimate:
         sem_sq = math.sqrt(var_sq / n_samples)
         std_error = sem_sq / (2.0 * value) if value > 0.0 else math.sqrt(sem_sq)
         return cls(value, std_error, n_samples, which_measure)
+
+    @classmethod
+    def from_values(cls, values: np.ndarray,
+                    which_measure: str) -> NormEstimate:
+        """The estimate from one value per sampled state; overwrites values."""
+        n_samples = values.size
+        sq = np.multiply(values, values, out=values)
+        if not np.all(np.isfinite(sq)):
+            raise ValueError("observable returned a non-finite value")
+        # np.mean(sq) and np.var(sq, ddof=1), with NumPy's own steps taken
+        # in place: the same bits, and no second or third n_samples array;
+        # a variance past the float range raises FloatingPointError
+        with np.errstate(over="raise"):
+            mean = np.mean(sq)
+            sq -= mean
+            np.square(sq, out=sq)
+            var = np.add.reduce(sq) / (n_samples - 1)
+        return cls.from_moments(float(mean), float(var), n_samples,
+                                which_measure)
 
 
 @dataclass
@@ -324,8 +342,8 @@ def sample_batch(marginal: WallMarginal, rng: np.random.Generator,
     The momenta (variance m / beta) come after the n_states * N height
     uniforms in the generator's stream, so with momenta=False, for an
     observable that reads only Z, the heights are the same and P is None;
-    norm0_mc draws the same states a block at a time on this order.  The
-    uniforms are inverted in place.
+    norm0_mc draws those heights a block at a time.  The uniforms are
+    inverted in place.
     """
     params = marginal.params
     u = _open_uniforms(rng, (n_states, params.n_particles))
@@ -353,54 +371,53 @@ def norm0_B_closed(params: ModelParams) -> float:
 
 
 def norm0_mc(f, marginal: WallMarginal, n_samples: int,
-             rng: np.random.Generator, *, momenta: bool = True
-             ) -> NormEstimate:
+             rng: np.random.Generator) -> NormEstimate:
     """Monte-Carlo L2 norm sqrt(E[f^2]) with a delta-method standard error.
 
-    f maps sampled (Z, P) arrays of shape (rows, N) to one value per row.
-    Sampling follows the marginal's measure (rho0, or rho1 when the marginal
-    is tilted).  The states are drawn and passed to f a block of _MC_BLOCK
-    heights at a time, and the mean and variance are taken over all the
-    values at once, so the estimate is that of one sample_batch of n_samples
-    states: the momenta come from a second generator that starts
-    n_samples * N values after rng's position (rng.ahead), and rng is left
-    where they end.  Only an exact 0.0 uniform (see _open_uniforms), which
-    is redrawn within its own block, changes the draws.  With
-    momenta=False, P is None and no momentum is drawn, for an f that reads
-    only Z; rng is then left after the heights.
+    f maps sampled heights Z of shape (rows, N) to one value per row; no
+    momentum is drawn.  Sampling follows the marginal's measure (rho0, or
+    rho1 when the marginal is tilted).  The heights are drawn and passed to
+    f a block of _MC_BLOCK at a time, so the estimate is that of one
+    sample_batch of n_samples states, and rng is left after the heights.
+    Only an exact 0.0 uniform (see _open_uniforms), which is redrawn within
+    its own block, changes the draws.
     """
+    def block(rows):
+        z, _ = sample_batch(marginal, rng, rows, momenta=False)
+        values = np.asarray(f(z), dtype=float)
+        if values.shape != (rows,):
+            raise ValueError("observable must return one value per sampled "
+                             "state")
+        return values
+
+    values = _in_blocks(block, n_samples, marginal.params.n_particles)
+    return NormEstimate.from_values(values, marginal.which_measure)
+
+
+def norm0_B_mc(params: ModelParams, n_samples: int,
+               rng: np.random.Generator) -> NormEstimate:
+    """Monte-Carlo norm of the momentum sum B, from momenta alone: the bits
+    of one _momenta draw of n_samples rows, made _MC_BLOCK values at a time.
+
+    The tilt of rho1 moves only the heights, so B has one law under rho0 and
+    rho1; the estimate carries the measure of params.
+    """
+    values = _in_blocks(lambda rows: _momenta(params, rng, rows).sum(axis=1),
+                        n_samples, params.n_particles)
+    return NormEstimate.from_values(values,
+                                    "rho1" if params.field != 0.0 else "rho0")
+
+
+def _in_blocks(block, n_samples: int, n_particles: int) -> np.ndarray:
+    """The n_samples values of block(rows), taken _MC_BLOCK values at a time;
+    each block's states are freed before the next one is drawn."""
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
-    params = marginal.params
     values = np.empty(n_samples)
-    step = max(1, _MC_BLOCK // params.n_particles)
-    p_rng = ahead(rng, n_samples * params.n_particles) if momenta else None
+    step = max(1, _MC_BLOCK // n_particles)
     for start in range(0, n_samples, step):
         rows = min(step, n_samples - start)
-        z, _ = sample_batch(marginal, rng, rows, momenta=False)
-        p = _momenta(params, p_rng, rows) if momenta else None
-        values[start:start + rows] = _row_values(f(z, p), rows)
-        # freed before the next block is drawn, not while it is
-        del z, p
-    if momenta:
-        rng.bit_generator.state = p_rng.bit_generator.state
-    sq = np.multiply(values, values, out=values)
-    if not np.all(np.isfinite(sq)):
-        raise ValueError("observable returned a non-finite value")
-    # np.mean(sq) and np.var(sq, ddof=1), with NumPy's own steps taken in
-    # place: the same bits, and no second or third n_samples array
-    mean = np.mean(sq)
-    sq -= mean
-    np.square(sq, out=sq)
-    var = np.add.reduce(sq) / (n_samples - 1)
-    return NormEstimate.from_moments(float(mean), float(var), n_samples,
-                                     marginal.which_measure)
-
-
-def _row_values(values, rows: int) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.shape != (rows,):
-        raise ValueError("observable must return one value per sampled state")
+        values[start:start + rows] = block(rows)
     return values
 
 
@@ -447,7 +464,9 @@ def _centered_mgf(t: float, marginal: WallMarginal) -> float:
     half = params.half_box
 
     def g(z):
-        return np.expm1(t * z) * _weight(z, params)
+        # past the float range: a FloatingPointError, as in _weight
+        with np.errstate(over="raise"):
+            return np.expm1(t * z) * _weight(z, params)
 
     res = integrate_finite(g, -half, half, rel_tol=1e-10, abs_floor=1e-16,
                            breakpoints=_wall_breakpoints(params))

@@ -179,6 +179,19 @@ def norm0_mc_one_batch(f, marginal, n_samples, rng):
                                      marginal.which_measure)
 
 
+def skip_heights(rng, n_samples, n_particles):
+    """rng moved past the n_samples * N height uniforms of a whole batch, to
+    where sample_batch draws its momenta.
+
+    A fresh Philox stream gives 4 doubles per counter value, so the count
+    must be a multiple of 4 and rng must not have drawn yet.
+    """
+    count = n_samples * n_particles
+    assert count % 4 == 0
+    rng.bit_generator.advance(count // 4)
+    return rng
+
+
 def _recip_pow12(u):
     u2 = u * u
     u4 = u2 * u2

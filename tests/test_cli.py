@@ -372,8 +372,41 @@ class TestGammaCommand:
         assert main(["gamma", "--config", path]) == EXIT_OK
         assert len(args) == len(set(args)) == 29
 
+    def test_mgf_overflow_is_a_validation_error(self, tmp_path, capsys):
+        # exp(1e300 z) leaves the float range for any z > 0.0071
+        path = write_config(tmp_path, output_dir=str(tmp_path))
+        assert main(["gamma", "--config", path,
+                     "--delta_moment", "1e300"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: parameters out of numeric range: overflow "
+            "encountered in expm1\n")
+
 
 class TestSimulateCommand:
+    def test_step_count_past_the_kernel_range_is_a_validation_error(
+            self, tmp_path, capsys):
+        # about 1e297 steps per record: truncated by ctypes, it ran none
+        out = tmp_path / "out"
+        path = write_config(tmp_path, output_dir=str(out))
+        code = main(["simulate", "--config", path, "--dt", "1e-300",
+                     "--n_traj", "4"])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert "steps per record" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_out_of_memory_is_a_runtime_error(self, tmp_path, monkeypatch,
+                                              capsys):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 763. GiB")
+
+        monkeypatch.setattr(dynamics, "sample_batch", no_memory)
+        path = write_config(tmp_path, output_dir=str(tmp_path))
+        assert main(["simulate", "--config", path]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "runtime error: out of memory: Unable to allocate 763. GiB\n")
+
     def test_quick_campaign(self, tmp_path, capsys):
         path = write_config(tmp_path, output_dir=str(tmp_path))
         code = main(["simulate", "--config", path])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 from dataclasses import replace
@@ -6,13 +7,14 @@ import numpy as np
 import pytest
 
 import helpers
+from gasrelax import dynamics
 from gasrelax.bounds import eta_analytic, t_relax_lower
 from gasrelax.dynamics import (CorrelationSeries, EnergyDriftError,
                                IntegratorConfig, WallBreachError, autocorr_B,
                                displacement_norms, empirical_relax_time,
                                lower_bound_curve, make_relaxation_report,
                                _evolve_batch, _records_grid)
-from gasrelax.gibbs import build_marginal, norm0_mc, sample_batch
+from gasrelax.gibbs import build_marginal, norm0_B_mc, sample_batch
 from gasrelax.model import ModelParams, observable_B
 from gasrelax.rng import substream
 
@@ -173,6 +175,32 @@ class TestAutocorr:
         assert np.array_equal(serial.std_errors, pooled.std_errors)
         assert np.array_equal(serial.c_values, rerun.c_values)
 
+    def test_pool_starts_one_worker_per_shard(self, monkeypatch):
+        # fork starts every worker up front, so 8 workers for 3 shards
+        # would fork 5 idle processes
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        params = ModelParams(1, 1.0, 1.0, 10.0, field=1e-3)
+        config = IntegratorConfig(dt=1e-3, t_end=0.05, energy_drift_tol=1e-4)
+        autocorr_B(params, config, n_traj=2049, seed=38, n_times=4,
+                   n_workers=8)
+        assert started == [3]
+
     def test_marginal_of_another_measure_rejected(self):
         # C(t) is a rho0 correlation of the params it flows with
         params = ModelParams(4, 1.0, 1.0, 10.0, field=1e-3)
@@ -245,7 +273,8 @@ class TestDisplacement:
         marginal1 = build_marginal(self.PARAMS, tilted=True)
         ests = displacement_norms(self.PARAMS, [0.5 * t0, t0], n_traj=2000,
                                   seed=41, config=config, marginal=marginal1)
-        b1 = norm0_mc(observable_B, marginal1, 5000, substream(41, 99))
+        b1 = norm0_B_mc(self.PARAMS, 5000, helpers.skip_heights(
+            substream(41, 99), 5000, self.PARAMS.n_particles))
         for t, est in zip([0.5 * t0, t0], ests):
             bound = 1.05 * eta * t * b1.value
             slack = 3.0 * (est.std_error + 1.05 * eta * t * b1.std_error)
@@ -315,3 +344,25 @@ class TestRelaxationReport:
         doc = json.loads(report.to_json())
         assert doc["t_star_empirical"] == "not crossed within t_end"
         assert series.n_trajectories == 400
+
+    def test_B_norm_is_that_of_one_whole_batch(self, ref_params,
+                                               ref_marginal_tilted,
+                                               monkeypatch):
+        # ||B||_1 draws momenta alone, past the heights that a whole batch
+        # of 20000 rho1 states would draw first: the same bits
+        seen = []
+
+        def spy(*args):
+            seen.append(norm0_B_mc(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(dynamics, "norm0_B_mc", spy)
+        t0 = t_relax_lower(ref_params)
+        make_relaxation_report(ref_params, IntegratorConfig(
+            dt=5e-4, t_end=t0, energy_drift_tol=1e-4), n_traj=16, seed=43,
+            n_times=4)
+        (got,) = seen
+        want = helpers.norm0_mc_one_batch(observable_B, ref_marginal_tilted,
+                                          20000, substream(43, 7001))
+        # nonzero floats: equal values are equal bits
+        assert got == want and got.std_error > 0.0

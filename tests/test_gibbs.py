@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import mgf_z
-from gasrelax import _kernel, numerics
+from gasrelax import _kernel, gibbs, numerics
 from gasrelax.gibbs import (_GUIDE_CELLS, _MC_BLOCK, NormEstimate,
                             _guide_table, _wall_breakpoints, _weight,
                             build_marginal, gamma_h, gamma_tilde_h,
                             hoelder_certificate, log_mgf_z, norm0_B_closed,
-                            norm0_mc, norm0_poisson_B_H0_quadrature,
-                            sample_batch)
+                            norm0_B_mc, norm0_mc,
+                            norm0_poisson_B_H0_quadrature, sample_batch)
 from gasrelax.model import ModelParams, observable_B, poisson_B_H0
 from gasrelax.numerics import _kronrod_panels, gamma_function, integrate_finite
 from gasrelax.rng import substream
@@ -375,21 +375,22 @@ class TestNorms:
             pytest.approx(14.1421356, abs=1e-6)
 
     def test_norm0_mc_constant(self, ref_marginal):
-        est = norm0_mc(lambda z, p: np.ones(len(z)), ref_marginal, 200,
+        est = norm0_mc(lambda z: np.ones(len(z)), ref_marginal, 200,
                        substream(6, 0))
         assert est.value == 1.0
         assert est.std_error == 0.0
         assert est.which_measure == "rho0"
 
-    def test_norm0_mc_of_B_matches_gaussian_moment(self, ref_params, ref_marginal):
+    def test_norm0_mc_of_B_matches_gaussian_moment(self, ref_params):
         # E[B^2] = N * Var(p) = N / beta exactly
-        est = norm0_mc(observable_B, ref_marginal, 20000, substream(7, 0))
+        est = norm0_B_mc(ref_params, 20000,
+                         helpers.skip_heights(substream(7, 0), 20000, 64))
         exact = math.sqrt(ref_params.n_particles / ref_params.beta)
         assert abs(est.value - exact) <= 3.0 * est.std_error
 
     def test_norm0_mc_equals_per_state_loop(self, ref_params, ref_marginal):
         # one batched call gives the bits of evaluating state by state
-        est = norm0_mc(lambda z, p: poisson_B_H0(z, ref_params), ref_marginal,
+        est = norm0_mc(lambda z: poisson_B_H0(z, ref_params), ref_marginal,
                        2000, substream(13, 0))
         z, p = sample_batch(ref_marginal, substream(13, 0), 2000)
         sq = np.array([float(poisson_B_H0(z[i], ref_params)) ** 2
@@ -398,19 +399,23 @@ class TestNorms:
 
     def test_norm0_mc_without_momenta_is_unchanged(self, ref_params,
                                                    ref_marginal):
-        def bracket(z, p):
-            seen.append(p)
-            return poisson_B_H0(z, ref_params)
+        # f sees the heights alone, those of a whole sample_batch draw with
+        # its momenta, and rng is left where the heights end
+        def bracket(*args):
+            seen.append([a.shape for a in args])
+            return poisson_B_H0(args[0], ref_params)
 
         seen = []
-        full = norm0_mc(bracket, ref_marginal, 2000, substream(22, 0))
-        heights = norm0_mc(bracket, ref_marginal, 2000, substream(22, 0),
-                           momenta=False)
-        assert [None if p is None else p.shape for p in seen] == \
-            [(1024, 64), (976, 64), None, None]
-        assert heights == full
-        assert _bits(heights.value) == _bits(full.value)
-        assert _bits(heights.std_error) == _bits(full.std_error)
+        rng = substream(22, 0)
+        est = norm0_mc(bracket, ref_marginal, 2000, rng)
+        assert seen == [[(1024, 64)], [(976, 64)]]
+        whole = substream(22, 0)
+        z, _ = sample_batch(ref_marginal, whole, 2000)
+        sq = poisson_B_H0(z, ref_params) ** 2
+        _assert_same_estimate(est, NormEstimate.from_moments(
+            float(np.mean(sq)), float(np.var(sq, ddof=1)), 2000, "rho0"))
+        skipped = helpers.skip_heights(substream(22, 0), 2000, 64)
+        assert rng.random() == skipped.random()
 
     @pytest.mark.parametrize("n, n_samples", [(64, 2500), (7, 20000),
                                               (300, 1000)])
@@ -421,12 +426,11 @@ class TestNorms:
         marginal = build_marginal(params, grid_size=256)
         rows = []
 
-        def bracket(z, p):
+        def bracket(z):
             rows.append(z.shape[0])
             return poisson_B_H0(z, params)
 
-        est = norm0_mc(bracket, marginal, n_samples, substream(25, n),
-                       momenta=False)
+        est = norm0_mc(bracket, marginal, n_samples, substream(25, n))
         step = _MC_BLOCK // n
         assert rows == [step] * (n_samples // step) + [n_samples % step]
         u = substream(25, n).random((n_samples, n))
@@ -437,8 +441,8 @@ class TestNorms:
                                                       ref_marginal):
         # the redraw follows block 2's draws, ahead of block 3's
         stub = helpers.ZeroDraws(substream(26, 0), [[], [5, 700]])
-        est = norm0_mc(lambda z, p: poisson_B_H0(z, ref_params),
-                       ref_marginal, 2500, stub, momenta=False)
+        est = norm0_mc(lambda z: poisson_B_H0(z, ref_params),
+                       ref_marginal, 2500, stub)
         assert stub.sizes == [(1024, 64), (1024, 64), 2, (452, 64)]
         rng = substream(26, 0)
         blocks = [rng.random((1024, 64)), rng.random((1024, 64))]
@@ -449,36 +453,36 @@ class TestNorms:
 
     @pytest.mark.parametrize("n, n_samples", [(64, 20000), (7, 20000),
                                               (300, 1000)])
-    def test_momenta_blocks_equal_one_batch(self, n, n_samples):
-        # heights from rng and momenta from rng.ahead, a block of each at a
-        # time, give the bits of one batch of all heights, then all momenta
+    def test_momenta_blocks_equal_one_batch(self, n, n_samples,
+                                            monkeypatch):
+        # momenta drawn a block at a time past the heights of a whole batch
+        # give the bits of that batch's norm of B
         params = ModelParams(n, 1.0, 1.0, 10.0, field=1e-3, mass=2.0)
         marginal = build_marginal(params, grid_size=256, tilted=True)
         rows = []
+        real = gibbs._momenta
 
-        def f(z, p):
-            rows.append(z.shape[0])
-            assert p.shape == z.shape
-            return observable_B(z, p) + poisson_B_H0(z, params)
+        def momenta(params, rng, n_rows):
+            rows.append(n_rows)
+            return real(params, rng, n_rows)
 
-        rng = substream(28, n)
-        est = norm0_mc(f, marginal, n_samples, rng)
+        monkeypatch.setattr(gibbs, "_momenta", momenta)
+        rng = helpers.skip_heights(substream(28, n), n_samples, n)
+        est = norm0_B_mc(params, n_samples, rng)
         step = _MC_BLOCK // n
         assert rows == [step] * (n_samples // step) + [n_samples % step]
         whole = substream(28, n)
-        _assert_same_estimate(
-            est, helpers.norm0_mc_one_batch(f, marginal, n_samples, whole))
+        _assert_same_estimate(est, helpers.norm0_mc_one_batch(
+            observable_B, marginal, n_samples, whole))
         # rng is left where the whole batch leaves it
         assert rng.random() == whole.random()
 
-    def test_states_are_not_held_all_at_once(self, ref_marginal_tilted):
-        # 20000 states of 64 heights and momenta are 20.5 MB; a block of
-        # each is 0.5 MiB
-        norm0_mc(observable_B, ref_marginal_tilted, 2000, substream(29, 0))
+    def test_states_are_not_held_all_at_once(self, ref_params):
+        # 20000 states of 64 momenta are 10.2 MB; a block is 0.5 MiB
+        norm0_B_mc(ref_params, 2000, substream(29, 0))
         tracemalloc.start()
         try:
-            norm0_mc(observable_B, ref_marginal_tilted, 20000,
-                     substream(29, 0))
+            norm0_B_mc(ref_params, 20000, substream(29, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -504,8 +508,8 @@ class TestNorms:
             return real(cls, mean_sq, var_sq, n, which)
 
         monkeypatch.setattr(NormEstimate, "from_moments", classmethod(spy))
-        norm0_mc(lambda z, p: next(blocks), marginal, n_samples,
-                 substream(31, 0), momenta=False)
+        norm0_mc(lambda z: next(blocks), marginal, n_samples,
+                 substream(31, 0))
         sq = v * v
         assert np.array_equal(_bits(moments),
                               _bits([[np.mean(sq), np.var(sq, ddof=1)]]))
@@ -515,18 +519,26 @@ class TestNorms:
         # the values (0.8 MB) and one block of heights (0.5 MiB) are all
         # that 10^5 states of 64 heights need at once
         def run():
-            return norm0_mc(lambda z, p: poisson_B_H0(z, ref_params),
-                            ref_marginal, 100_000, substream(32, 0),
-                            momenta=False)
+            return norm0_mc(lambda z: poisson_B_H0(z, ref_params),
+                            ref_marginal, 100_000, substream(32, 0))
 
         run()
         _, peak = helpers.traced_peak(run)
         assert peak < 1.25 * 8 * (100_000 + _MC_BLOCK)
 
-    def test_norm0_mc_rejects_small_samples(self, ref_marginal):
+    def test_norm0_mc_rejects_small_samples(self, ref_params, ref_marginal):
         with pytest.raises(ValueError):
-            norm0_mc(lambda z, p: np.ones(len(z)), ref_marginal, 50,
+            norm0_mc(lambda z: np.ones(len(z)), ref_marginal, 50,
                      substream(8, 0))
+        with pytest.raises(ValueError):
+            norm0_B_mc(ref_params, 50, substream(8, 0))
+
+    def test_overflowing_variance_is_refused(self, ref_marginal):
+        # squares of 1e200 and 1 are finite, but their variance is not
+        values = np.tile([1e100, 1.0], 50)
+        with pytest.raises(ArithmeticError, match="overflow"):
+            norm0_mc(lambda z: values[:len(z)], ref_marginal, 100,
+                     substream(8, 1))
 
     def test_bracket_norm_quadrature_reference(self):
         marginal = build_marginal(ModelParams(1, 1.0, 1.0, 10.0), grid_size=64)
@@ -541,7 +553,7 @@ class TestNorms:
 
     def test_bracket_norm_vs_mc(self, ref_params, ref_marginal):
         quad = norm0_poisson_B_H0_quadrature(ref_marginal)
-        est = norm0_mc(lambda z, p: poisson_B_H0(z, ref_params), ref_marginal,
+        est = norm0_mc(lambda z: poisson_B_H0(z, ref_params), ref_marginal,
                        20000, substream(9, 0))
         assert abs(est.value - quad) <= 3.0 * est.std_error
 
@@ -704,14 +716,15 @@ class TestHoelderCertificate:
 
 class TestNormEquivalence:
     def test_B_norms_agree_as_field_vanishes(self):
-        # the momentum marginal is untouched by the tilt, so the two squared
-        # norms of B coincide up to sampling noise at every h
+        # the momentum marginal is untouched by the tilt, so the norm of B
+        # under rho1 at field h and under rho0 coincide up to sampling noise
         for i, h in enumerate((1e-1, 1e-2, 1e-3)):
             params = ModelParams(16, 1.0, 1.0, 10.0, field=h)
-            est0 = norm0_mc(observable_B, build_marginal(params), 20000,
-                            substream(12, 2 * i))
-            est1 = norm0_mc(observable_B, build_marginal(params, tilted=True),
-                            20000, substream(12, 2 * i + 1))
+            est0 = norm0_B_mc(dataclasses.replace(params, field=0.0), 20000,
+                              helpers.skip_heights(substream(12, 2 * i),
+                                                   20000, 16))
+            est1 = norm0_B_mc(params, 20000, helpers.skip_heights(
+                substream(12, 2 * i + 1), 20000, 16))
             diff = est1.value ** 2 - est0.value ** 2
             sigma = 2.0 * math.hypot(est1.value * est1.std_error,
                                      est0.value * est0.std_error)
