@@ -69,6 +69,11 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.verlet_records.restype = n
     lib.inverse_cdf.argtypes = [ptr, ptr, n, ptr, ptr, ptr, ptr, n, n]
     lib.inverse_cdf.restype = None
+    lib.philox_uniforms.argtypes = [ptr, ptr, ptr, n]
+    lib.philox_uniforms.restype = None
+    lib.sampled_force_sums.argtypes = [ptr, ptr, ptr, n, n, ptr, d, d, ptr,
+                                       ptr, ptr, ptr, n, n]
+    lib.sampled_force_sums.restype = n
     return lib
 
 

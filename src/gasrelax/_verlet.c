@@ -1,6 +1,7 @@
 /* The wall potential and force with their per-row sums, the
- * velocity-Verlet trajectory with its energy records, and the inverse CDF of
- * the wall marginal in gasrelax.
+ * velocity-Verlet trajectory with its energy records, the inverse CDF of
+ * the wall marginal, and NumPy's Philox stream with the force sums of the
+ * heights it samples, in gasrelax.
  *
  * Every result is bit for bit what the former NumPy expressions gave, so the
  * operation order below is part of the contract.  Potential: u*u, u2*u2,
@@ -18,6 +19,7 @@
 
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 
 /* one clone per vector width, picked at load time for the running CPU */
 #define KERNEL __attribute__((target_clones("avx512f", "avx2", "default")))
@@ -251,7 +253,8 @@ KERNEL ptrdiff_t verlet_records(double *restrict z, double *restrict p,
 }
 
 /* values per inverse_cdf pass: the copy of u and the bracket indices of one
- * chunk stay in L1, so the three passes over it read no main memory */
+ * chunk stay in L1, so the three passes over it read no main memory; also
+ * the most values that sampled_force_sums draws, inverts and sums at once */
 #define INVERSE_CDF_CHUNK 512
 
 const ptrdiff_t inverse_cdf_chunk = INVERSE_CDF_CHUNK;
@@ -267,8 +270,8 @@ static inline double hermite(double t, double y0, double m0, double y1,
         + (-2.0 * t3 + 3.0 * t2) * y1 + (t3 - t2) * m1;
 }
 
-/* out[i] = the monotone-cubic inverse of the CDF knots (inv_u, inv_z) with
- * tangents inv_m at u[i], for i < n; out may be u itself.
+/* The monotone-cubic inverse of the CDF knots (inv_u, inv_z) with tangents
+ * inv_m at u[i], into out[i], for i < n; out may be u itself.
  *
  * guide[j] is the bracket of the left edge j / cells of cell j, so the
  * bracket of a u in [j, j+1) / cells is guide[j] stepped up past every knot
@@ -277,12 +280,12 @@ static inline double hermite(double t, double y0, double m0, double y1,
  * one of 1 or more from the last.  Every value is the one a binary search
  * gives (for a NaN, NaN).  Each chunk is copied, bracketed and interpolated.
  */
-KERNEL void inverse_cdf(const double *u, double *out, ptrdiff_t n,
-                        const double *restrict inv_u,
-                        const double *restrict inv_z,
-                        const double *restrict inv_m,
-                        const ptrdiff_t *restrict guide, ptrdiff_t k,
-                        ptrdiff_t cells)
+static inline void invert(const double *u, double *out, ptrdiff_t n,
+                          const double *restrict inv_u,
+                          const double *restrict inv_z,
+                          const double *restrict inv_m,
+                          const ptrdiff_t *restrict guide, ptrdiff_t k,
+                          ptrdiff_t cells)
 {
     double uc[INVERSE_CDF_CHUNK];
     ptrdiff_t idx[INVERSE_CDF_CHUNK];
@@ -314,4 +317,146 @@ KERNEL void inverse_cdf(const double *u, double *out, ptrdiff_t n,
                                      inv_z[j + 1], inv_m[j + 1] * dx);
         }
     }
+}
+
+/* out[i] = the inverse CDF at u[i], for i < n (see invert) */
+KERNEL void inverse_cdf(const double *u, double *out, ptrdiff_t n,
+                        const double *restrict inv_u,
+                        const double *restrict inv_z,
+                        const double *restrict inv_m,
+                        const ptrdiff_t *restrict guide, ptrdiff_t k,
+                        ptrdiff_t cells)
+{
+    invert(u, out, n, inv_u, inv_z, inv_m, guide, k, cells);
+}
+
+/* NumPy's Philox4x64-10 (Salmon et al., SC 2011): stream value i of (key,
+ * counter) is word i % 4 of the ten-round block of counter + 1 + i / 4, the
+ * 256-bit counter being raised, with carry, before each block.  A double
+ * is the top 53 bits of a word times 2^-53, as NumPy's random() forms it.
+ */
+#define PHILOX_M0 0xD2E7470EE14C6C93ULL
+#define PHILOX_M1 0xCA5A826395121157ULL
+#define PHILOX_W0 0x9E3779B97F4A7C15ULL
+#define PHILOX_W1 0xBB67AE8584CAA73BULL
+
+struct philox {
+    uint64_t key[2], ctr[4], block[4];
+    int next;   /* the word of block read next; 4 when all are spent */
+};
+
+static inline void philox_init(struct philox *s, const uint64_t *key,
+                               const uint64_t *counter)
+{
+    s->key[0] = key[0];
+    s->key[1] = key[1];
+    for (int i = 0; i < 4; i++)
+        s->ctr[i] = counter[i];
+    s->next = 4;
+}
+
+/* the next block of the stream */
+static inline void philox_block(struct philox *s)
+{
+    for (int i = 0; i < 4 && ++s->ctr[i] == 0; i++)
+        ;
+    uint64_t c0 = s->ctr[0], c1 = s->ctr[1], c2 = s->ctr[2], c3 = s->ctr[3];
+    uint64_t k0 = s->key[0], k1 = s->key[1];
+    for (int r = 0; r < 10; r++) {
+        unsigned __int128 p0 = (unsigned __int128)PHILOX_M0 * c0;
+        unsigned __int128 p1 = (unsigned __int128)PHILOX_M1 * c2;
+        c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
+        c1 = (uint64_t)p1;
+        c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
+        c3 = (uint64_t)p0;
+        k0 += PHILOX_W0;
+        k1 += PHILOX_W1;
+    }
+    s->block[0] = c0;
+    s->block[1] = c1;
+    s->block[2] = c2;
+    s->block[3] = c3;
+    s->next = 0;
+}
+
+static inline double philox_double(struct philox *s)
+{
+    if (s->next == 4)
+        philox_block(s);
+    return (double)(s->block[s->next++] >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* s, fresh from philox_init, moved past its first n values */
+static inline void philox_skip(struct philox *s, ptrdiff_t n)
+{
+    uint64_t blocks = (uint64_t)n / 4;
+    s->ctr[0] += blocks;
+    if (s->ctr[0] < blocks)
+        for (int i = 1; i < 4 && ++s->ctr[i] == 0; i++)
+            ;
+    for (ptrdiff_t i = 0; i < n % 4; i++)
+        philox_double(s);
+}
+
+/* out[i] = stream value i of (key, counter) as a double, for i < n */
+KERNEL void philox_uniforms(const uint64_t *key, const uint64_t *counter,
+                            double *out, ptrdiff_t n)
+{
+    struct philox s;
+    philox_init(&s, key, counter);
+    for (ptrdiff_t i = 0; i < n; i++)
+        out[i] = philox_double(&s);
+}
+
+/* The force sum [B, H0] of each of `rows` states of n heights, into out[i]:
+ * 0.0 plus the pairwise sum of the row's forces, plus 0.0, the bits of
+ * poisson_B_H0 (c12 = 12 delta).
+ *
+ * The heights are the inverse CDF (see invert) of the stream of (key,
+ * counter) read row by row: the first rows * n values, each value 0.0 among
+ * them replaced by the next value past those that is not 0.0, in the order
+ * the zeros come.  Whole rows of at most INVERSE_CDF_CHUNK values are
+ * drawn, inverted and summed before the next rows start; a row longer than
+ * that is one chunk of its own, held in scratch, which has room for n
+ * values.  Returns how many heights are not strictly inside (-half, half),
+ * as wall_sums does.
+ */
+KERNEL ptrdiff_t sampled_force_sums(const uint64_t *key,
+                                    const uint64_t *counter,
+                                    double *restrict out, ptrdiff_t rows,
+                                    ptrdiff_t n, double *restrict scratch,
+                                    double half, double c12,
+                                    const double *restrict inv_u,
+                                    const double *restrict inv_z,
+                                    const double *restrict inv_m,
+                                    const ptrdiff_t *restrict guide,
+                                    ptrdiff_t k, ptrdiff_t cells)
+{
+    double buf[INVERSE_CDF_CHUNK];
+    double *z = n <= INVERSE_CDF_CHUNK ? buf : scratch;
+    ptrdiff_t per_chunk = n <= INVERSE_CDF_CHUNK ? INVERSE_CDF_CHUNK / n : 1;
+    ptrdiff_t outside = 0;
+    struct philox s, spare;
+    philox_init(&s, key, counter);
+    philox_init(&spare, key, counter);
+    philox_skip(&spare, rows * n);
+
+    for (ptrdiff_t r0 = 0; r0 < rows; r0 += per_chunk) {
+        ptrdiff_t nr = rows - r0 < per_chunk ? rows - r0 : per_chunk;
+        ptrdiff_t len = nr * n;
+        for (ptrdiff_t i = 0; i < len; i++) {
+            double u = philox_double(&s);
+            while (u == 0.0)
+                u = philox_double(&spare);
+            z[i] = u;
+        }
+        invert(z, z, len, inv_u, inv_z, inv_m, guide, k, cells);
+        for (ptrdiff_t i = 0; i < nr; i++) {
+            const double *zi = z + i * n;
+            for (ptrdiff_t j = 0; j < n; j++)
+                outside += !(fabs(zi[j]) < half);
+            out[r0 + i] = (0.0 + pairwise(zi, n, FORCE, half, c12)) + 0.0;
+        }
+    }
+    return outside;
 }

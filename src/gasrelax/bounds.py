@@ -6,6 +6,10 @@ relaxation-time lower bound t0 = sqrt(2)/eta = (beta delta)^(1/24)
 sqrt(L beta) / c.  The constant c = 24 sqrt(Gamma(25/12)) ~ 24.45 is always
 computed from the integral, never hard-coded at its rounded value 25: using
 25 would understate t0 by about 2 percent.
+
+The sampled check eta_empirical reads its stream from a Philox key
+(rng.philox_key) in one C kernel pass, so a bound report never imports
+numpy.random.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from .gibbs import (NormEstimate, WallMarginal, build_marginal, norm0_B_closed,
                     norm0_mc, norm0_poisson_B_H0_quadrature,
                     _require_rho0_marginal, _wall_breakpoints, _weight)
-from .model import ModelParams, poisson_B_H0
+from .model import ModelParams
 from .numerics import gamma_function, integrate_finite
 
 __all__ = [
@@ -78,13 +82,16 @@ def t_relax_lower(params: ModelParams) -> float:
 
 
 def eta_empirical(params: ModelParams, marginal: WallMarginal, n_samples: int,
-                  rng: np.random.Generator) -> NormEstimate:
-    """Sampled ratio ||[B,H0]||_0 / ||B||_0 that the analytic eta must dominate."""
+                  key: np.ndarray) -> NormEstimate:
+    """Sampled ratio ||[B,H0]||_0 / ||B||_0 that the analytic eta must dominate.
+
+    The bracket norm is norm0_mc's, from the stream of the Philox key `key`
+    (rng.philox_key); numpy.random is not used.
+    """
     if n_samples < _MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= {_MIN_SAMPLES}")
     _require_rho0_marginal(params, marginal)
-    est = norm0_mc(lambda z: poisson_B_H0(z, params), marginal, n_samples,
-                   rng)
+    est = norm0_mc(marginal, n_samples, key)
     denom = norm0_B_closed(params)
     return replace(est, value=est.value / denom,
                    std_error=est.std_error / denom)
@@ -181,14 +188,15 @@ def _report_json(doc: dict, meta: Optional[dict]) -> str:
 
 
 def build_bound_report(params: ModelParams, n_samples: int,
-                       rng: np.random.Generator,
+                       key: np.ndarray,
                        marginal: Optional[WallMarginal] = None,
                        units: Optional[PhysicalUnits] = None,
                        grid_size: int = 2048) -> BoundReport:
     """Evaluate every bound quantity and inequality for one parameter set.
 
-    Without a marginal, one is built on a CDF table of grid_size cells; a
-    given one must be the untilted marginal of params.
+    key is the Philox key of eta_empirical's stream.  Without a marginal,
+    one is built on a CDF table of grid_size cells; a given one must be the
+    untilted marginal of params.
     """
     _require_regime(params)
     if marginal is None:
@@ -198,7 +206,7 @@ def build_bound_report(params: ModelParams, n_samples: int,
     t0 = math.sqrt(2.0) / eta
     bracket_norm = norm0_poisson_B_H0_quadrature(marginal)
     b_norm = norm0_B_closed(params)
-    emp = eta_empirical(params, marginal, n_samples, rng)
+    emp = eta_empirical(params, marginal, n_samples, key)
     checks = [
         InequalityCheck("bracket_norm_le_eta_times_B_norm",
                         bracket_norm, eta * b_norm, bracket_norm <= eta * b_norm),

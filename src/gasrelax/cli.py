@@ -31,7 +31,7 @@ from .gibbs import (_MIN_GRID, build_marginal, gamma_h, gamma_tilde_h,
                     hoelder_certificate)
 from .model import ModelParams
 from .numerics import QuadratureError
-from .rng import substream
+from .rng import philox_key
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -93,7 +93,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be strictly positive and "
                                   "finite")
         # the floors of the library calls that take these keys; h_points
-        # is the length of a np.geomspace grid.  seed needs none: substream
+        # is the length of a np.geomspace grid.  seed needs none: philox_key
         # folds any integer mod 2^64
         for name, floor in (("n_samples", _MIN_SAMPLES),
                             ("n_traj", _MIN_TRAJ), ("n_times", _MIN_TIMES),
@@ -207,7 +207,7 @@ def _fmt(v) -> str:
 def cmd_bounds(config: RunConfig) -> int:
     params = config.model_params()
     report = build_bound_report(params, n_samples=config.n_samples,
-                                rng=substream(config.seed, 101),
+                                key=philox_key(config.seed, 101),
                                 units=config.physical_units(),
                                 grid_size=config.grid_size)
     out = Path(config.output_dir)

@@ -19,10 +19,13 @@ chunks of a few hundred, so it needs no temporaries beyond the stack, and it
 may write over its input.  Every drawn value is bitwise what a binary search
 over the whole batch and the NumPy cubic give.
 
-A Monte-Carlo norm draws only what its observable reads, one block of
-_MC_BLOCK values at a time, so it holds no array of all the sampled states:
-norm0_mc draws and inverts heights, and norm0_B_mc, the norm of the momentum
-sum B, draws momenta alone (the tilt of rho1 moves only the heights).
+A Monte-Carlo norm draws only what its observable reads, so it holds no
+array of all the sampled states.  norm0_mc, the norm of the bracket [B, H0],
+reads heights alone: one C kernel call draws NumPy's Philox stream from its
+key, inverts it and sums the forces of each state a few rows at a time, so
+no height array is made.  norm0_B_mc, the norm of the momentum sum B, draws
+momenta alone (the tilt of rho1 moves only the heights), one block of
+_MC_BLOCK values at a time.
 
 Integrands that multiply the Gibbs weight by inverse powers of the wall
 distance are evaluated in log space: the exponential kills the power in the
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel
-from .model import ModelParams, wall_potential
+from .model import ModelParams, _require_inside, wall_potential
 from .numerics import _kronrod_panels, integrate_finite
 
 __all__ = [
@@ -68,8 +71,13 @@ _GUIDE_CHUNK = 1 << 12
 # the fewest cells of a CDF table
 _MIN_GRID = 64
 
-# values per block of a Monte-Carlo norm: 1024 rows of 64 particles,
-# 512 KiB, which stay in L2 from the draw to the observable
+# cells per Kronrod pass of a CDF table: each pass's nodes and integrand
+# temporaries are 30 KiB, not those of every cell at once; a panel's sums
+# are its own, so the masses have the same bits
+_KRONROD_BLOCK = 256
+
+# values per block of norm0_B_mc's momenta: 1024 rows of 64 particles,
+# 512 KiB, which stay in L2 from the draw to the row sums
 _MC_BLOCK = 1 << 16
 
 
@@ -152,7 +160,9 @@ class NormEstimate:
         """The estimate from one value per sampled state; overwrites values."""
         n_samples = values.size
         sq = np.multiply(values, values, out=values)
-        if not np.all(np.isfinite(sq)):
+        # the largest square is inf or NaN when any is, and needs no
+        # n_samples mask
+        if not math.isfinite(np.max(sq)):
             raise ValueError("observable returned a non-finite value")
         # np.mean(sq) and np.var(sq, ddof=1), with NumPy's own steps taken
         # in place: the same bits, and no second or third n_samples array;
@@ -224,11 +234,16 @@ class WallMarginal:
                   and out.shape == u.shape and out.strides == u.strides):
             raise ValueError("out must be a writeable float64 array laid out "
                              "like z")
-        _kernel.library().inverse_cdf(
-            u.ctypes.data, out.ctypes.data, u.size, self._inv_u.ctypes.data,
-            self._inv_z.ctypes.data, self._inv_m.ctypes.data,
-            self._guide.ctypes.data, self._inv_u.size, _GUIDE_CELLS)
+        _kernel.library().inverse_cdf(u.ctypes.data, out.ctypes.data, u.size,
+                                      *self._kernel_tables())
         return out if out.ndim else out[()]
+
+    def _kernel_tables(self) -> tuple:
+        """The inverse-CDF arguments of the C kernels: the knot, height and
+        tangent tables, the guide table, the knot count and the cells."""
+        return (self._inv_u.ctypes.data, self._inv_z.ctypes.data,
+                self._inv_m.ctypes.data, self._guide.ctypes.data,
+                self._inv_u.size, _GUIDE_CELLS)
 
 
 def _guide_table(inv_u: np.ndarray) -> np.ndarray:
@@ -286,8 +301,8 @@ def build_marginal(params: ModelParams, grid_size: int = 2048,
         of the unperturbed one.  Requires params.field for the tilt.
 
     The normalization is computed by adaptive quadrature; the CDF table by a
-    fixed Kronrod pass per cell (one batched pass over all cells), then
-    normalized so the endpoints are exactly 0 and 1.
+    fixed Kronrod pass per cell (one batched pass per _KRONROD_BLOCK cells),
+    then normalized so the endpoints are exactly 0 and 1.
     """
     if grid_size < _MIN_GRID:
         raise ValueError(f"grid_size must be >= {_MIN_GRID}")
@@ -300,7 +315,11 @@ def build_marginal(params: ModelParams, grid_size: int = 2048,
     z_tilde = integrate_finite(w, -half, half, rel_tol=1e-10,
                                breakpoints=_wall_breakpoints(params)).value
     nodes = np.linspace(-half, half, grid_size + 1)
-    masses, _ = _kronrod_panels(w, nodes[:-1], nodes[1:])
+    masses = np.empty(grid_size)
+    for start in range(0, grid_size, _KRONROD_BLOCK):
+        stop = min(start + _KRONROD_BLOCK, grid_size)
+        masses[start:stop], _ = _kronrod_panels(w, nodes[start:stop],
+                                                nodes[start + 1:stop + 1])
     cdf = np.concatenate(([0.0], np.cumsum(masses)))
     total = cdf[-1]
     if not 0.0 < total < math.inf:
@@ -335,20 +354,16 @@ def _open_uniforms(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def sample_batch(marginal: WallMarginal, rng: np.random.Generator,
-                 n_states: int, *, momenta: bool = True
-                 ) -> tuple[np.ndarray, np.ndarray | None]:
+                 n_states: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw (Z, P) arrays of shape (n_states, N): iid particles, Gaussian p.
 
     The momenta (variance m / beta) come after the n_states * N height
-    uniforms in the generator's stream, so with momenta=False, for an
-    observable that reads only Z, the heights are the same and P is None;
-    norm0_mc draws those heights a block at a time.  The uniforms are
-    inverted in place.
+    uniforms in the generator's stream.  The uniforms are inverted in place.
     """
     params = marginal.params
     u = _open_uniforms(rng, (n_states, params.n_particles))
     z = marginal.inverse_cdf(u, out=u)
-    return z, (_momenta(params, rng, n_states) if momenta else None)
+    return z, _momenta(params, rng, n_states)
 
 
 def _momenta(params: ModelParams, rng: np.random.Generator,
@@ -370,28 +385,48 @@ def norm0_B_closed(params: ModelParams) -> float:
     return math.sqrt(2.0 * params.n_particles / params.beta)
 
 
-def norm0_mc(f, marginal: WallMarginal, n_samples: int,
-             rng: np.random.Generator) -> NormEstimate:
-    """Monte-Carlo L2 norm sqrt(E[f^2]) with a delta-method standard error.
+def norm0_mc(marginal: WallMarginal, n_samples: int,
+             key: np.ndarray) -> NormEstimate:
+    """Monte-Carlo norm of the bracket [B, H0] = sum_j F(z_j), the total wall
+    force, with a delta-method standard error.
 
-    f maps sampled heights Z of shape (rows, N) to one value per row; no
-    momentum is drawn.  Sampling follows the marginal's measure (rho0, or
-    rho1 when the marginal is tilted).  The heights are drawn and passed to
-    f a block of _MC_BLOCK at a time, so the estimate is that of one
-    sample_batch of n_samples states, and rng is left after the heights.
-    Only an exact 0.0 uniform (see _open_uniforms), which is redrawn within
-    its own block, changes the draws.
+    The states follow the marginal's measure (rho0, or rho1 when it is
+    tilted), and no momentum is drawn.  key is a stream's philox_key: the
+    heights are the inverse CDF of the first n_samples * N values of NumPy's
+    Philox(key=key) stream, read row by row, the heights that sample_batch
+    draws from its Generator.  A value of exactly 0.0 would place a particle
+    on the wall (probability 2^-53 each): it takes instead the next value
+    past those n_samples * N that is not 0.0, in the order the zeros come.
+    Each state's value is the bits of poisson_B_H0 of its row.
     """
-    def block(rows):
-        z, _ = sample_batch(marginal, rng, rows, momenta=False)
-        values = np.asarray(f(z), dtype=float)
-        if values.shape != (rows,):
-            raise ValueError("observable must return one value per sampled "
-                             "state")
-        return values
-
-    values = _in_blocks(block, n_samples, marginal.params.n_particles)
+    if n_samples < 100:
+        raise ValueError("n_samples must be >= 100")
+    values = _force_sums(marginal, n_samples, key, 0)
     return NormEstimate.from_values(values, marginal.which_measure)
+
+
+def _force_sums(marginal: WallMarginal, n_samples: int, key: np.ndarray,
+                counter: int) -> np.ndarray:
+    """[B, H0] of each of the n_samples states that norm0_mc draws, from the
+    stream of (key, counter), the 256-bit start counter of NumPy's Philox.
+
+    One kernel call draws, inverts and sums a few rows at a time; besides
+    the n_samples values it needs one row of scratch.
+    """
+    key = np.ascontiguousarray(key, dtype=np.uint64)
+    if key.shape != (2,):
+        raise ValueError("a Philox key is two 64-bit words")
+    words = np.array([(counter >> shift) & 0xFFFFFFFFFFFFFFFF
+                      for shift in (0, 64, 128, 192)], dtype=np.uint64)
+    params = marginal.params
+    out = np.empty(n_samples)
+    scratch = np.empty(params.n_particles)
+    outside = _kernel.library().sampled_force_sums(
+        key.ctypes.data, words.ctypes.data, out.ctypes.data, n_samples,
+        params.n_particles, scratch.ctypes.data, params.half_box,
+        12.0 * params.delta_wall, *marginal._kernel_tables())
+    _require_inside(outside, params)
+    return out
 
 
 def norm0_B_mc(params: ModelParams, n_samples: int,

@@ -89,10 +89,15 @@ def _wall_sums(z, params: ModelParams, force: bool, per_row: bool):
         z.ctypes.data, out.ctypes.data, out.size,
         z.shape[-1] if per_row else 1, force, params.half_box,
         12.0 * params.delta_wall if force else params.delta_wall)
+    _require_inside(outside, params)
+    return out if out.ndim else float(out)
+
+
+def _require_inside(outside: int, params: ModelParams) -> None:
+    """Raise ValueError when a kernel counted positions outside the box."""
     if outside:
         raise ValueError(f"position outside the open box (-{params.half_box}, "
                          f"{params.half_box})")
-    return out if out.ndim else float(out)
 
 
 def wall_potential(z, params: ModelParams):

@@ -6,13 +6,14 @@ instead of the adaptive rule, rejection sampling instead of inverse-CDF
 lookup, and a deterministic initial-condition grid instead of Monte Carlo.
 The allocating NumPy forms of the inverse CDF and its guide table, the wall
 potential and force, the bracket [B, H0], H1 and the Verlet loop, the
-per-panel Kronrod loop and the whole-batch Monte-Carlo norm are kept here as
-the references that the C kernels, the chunked guide table, the row-chunked
-bracket, the batched Kronrod pass and the blocked norm must match bit for
-bit.  Observables that only tests evaluate (the
-height sum A, the moment generating function of z, and H1 outside the
-trajectory kernel, which records it, and the normalized density of a wall
-marginal) live here too.
+per-panel Kronrod loop, the whole-batch Monte-Carlo norm and the blocked
+norm of any observable are kept here as the references that the C kernels,
+the chunked guide table, the row-chunked bracket, the batched Kronrod pass
+and the sampled bracket norm must match bit for bit; the Philox rounds run
+backwards plant a 0.0 in the kernel's stream.  Observables that only tests
+evaluate (the height sum A, the moment generating function of z, and H1
+outside the trajectory kernel, which records it, and the normalized density
+of a wall marginal) live here too.
 """
 
 import math
@@ -26,7 +27,8 @@ from gasrelax import _kernel
 from gasrelax.dynamics import (EnergyDriftError, WallBreachError,
                                _evolve_batch, _records_grid)
 from gasrelax.gibbs import (_GUIDE_CELLS, NormEstimate, _centered_mgf,
-                            _monotone_tangents, _weight)
+                            _in_blocks, _monotone_tangents, _open_uniforms,
+                            _weight)
 from gasrelax.model import observable_B
 from gasrelax.numerics import (_WG, _WGK, _XGK, QuadratureError,
                                integrate_finite)
@@ -177,6 +179,70 @@ def norm0_mc_one_batch(f, marginal, n_samples, rng):
     return NormEstimate.from_moments(float(np.mean(sq)),
                                      float(np.var(sq, ddof=1)), n_samples,
                                      marginal.which_measure)
+
+
+def norm0_mc_blocks(f, marginal, n_samples, rng):
+    """The Monte-Carlo norm sqrt(E[f^2]) of heights drawn from rng a block of
+    gibbs._MC_BLOCK values at a time: gibbs.norm0_mc before the kernel drew,
+    inverted and summed them itself, for any observable f of the (rows, N)
+    heights.  An exact 0.0 uniform is redrawn within its own block."""
+    n = marginal.params.n_particles
+
+    def block(rows):
+        u = _open_uniforms(rng, (rows, n))
+        values = np.asarray(f(marginal.inverse_cdf(u, out=u)), dtype=float)
+        assert values.shape == (rows,)
+        return values
+
+    return NormEstimate.from_values(_in_blocks(block, n_samples, n),
+                                    marginal.which_measure)
+
+
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_MASK64 = (1 << 64) - 1
+
+
+def philox_counter_with_zeros(key, indices):
+    """A start counter of NumPy's Philox(key=key) whose stream values at
+    `indices`, which lie in one block of 4, are the double 0.0.
+
+    A Philox round maps (c0, c1, c2, c3) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),
+    hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)); the multipliers are odd, so it is
+    undone by multiplying the low words by their inverses mod 2^64.  The ten
+    rounds are run backwards from a block whose planted words are 5 < 2^11,
+    and the counter is moved back by that block's index plus one, the
+    counter being raised before each block is made.
+    """
+    blocks = {i // 4 for i in indices}
+    assert len(blocks) == 1
+    k0, k1 = (int(w) for w in key)
+    inv0, inv1 = (pow(m, -1, 1 << 64) for m in _PHILOX_M)
+    c = [0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x0F1E2D3C4B5A6978,
+         0x8796A5B4C3D2E1F0]
+    for i in indices:
+        c[i % 4] = 5
+    for r in reversed(range(10)):
+        kr0 = (k0 + r * _PHILOX_W[0]) & _MASK64
+        kr1 = (k1 + r * _PHILOX_W[1]) & _MASK64
+        a2 = (c[1] * inv1) & _MASK64
+        a0 = (c[3] * inv0) & _MASK64
+        a1 = c[0] ^ ((_PHILOX_M[1] * a2) >> 64) ^ kr0
+        a3 = c[2] ^ ((_PHILOX_M[0] * a0) >> 64) ^ kr1
+        c = [a0, a1, a2, a3]
+    block = sum(w << (64 * i) for i, w in enumerate(c))
+    return (block - blocks.pop() - 1) % (1 << 256)
+
+
+def kernel_uniforms(key, counter, n):
+    """The first n doubles of the kernel's Philox stream of (key, counter)."""
+    key = np.asarray(key, dtype=np.uint64)
+    words = np.array([(counter >> (64 * i)) & _MASK64 for i in range(4)],
+                     dtype=np.uint64)
+    out = np.empty(n)
+    _kernel.library().philox_uniforms(key.ctypes.data, words.ctypes.data,
+                                      out.ctypes.data, n)
+    return out
 
 
 def skip_heights(rng, n_samples, n_particles):

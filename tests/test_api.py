@@ -78,8 +78,8 @@ def test_tracer_install_and_restore(tmp_path):
     spans = tracer.Tracer("test")
     tracer.install(spans)
     try:
-        assert bounds.poisson_B_H0 is not before[("gasrelax.bounds",
-                                                   "poisson_B_H0")]
+        assert bounds.norm0_mc is not before[("gasrelax.bounds",
+                                               "norm0_mc")]
         code = cli.main(["bounds", "--n_samples", "2000", "--grid_size", "256",
                          "--output_dir", str(tmp_path)])
     finally:
@@ -90,10 +90,13 @@ def test_tracer_install_and_restore(tmp_path):
              for key, value in vars(mod).items() if callable(value)}
     assert after == before
     metrics, _ = tracer.layer_metrics(spans.totals())
-    # the bracket norm is one call of the observable per block of 1024 rows
-    assert metrics["model.poisson_B_H0.calls"] == 2
-    assert metrics["gibbs.sample_batch.calls"] == 2
+    # the bracket norm is one kernel call: it draws, inverts and sums the
+    # heights itself, through none of the traced layers below it
+    assert metrics["gibbs.norm0_mc.calls"] == 1
     assert metrics["gibbs.norm0_mc.samples"] == 2000
+    assert metrics["model.poisson_B_H0.calls"] == 0
+    assert metrics["gibbs.sample_batch.calls"] == 0
+    assert metrics["gibbs.inverse_cdf.values"] == 0
 
 
 def test_tracer_count_arguments_exist():

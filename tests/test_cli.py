@@ -2,12 +2,17 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gasrelax
 import helpers
 from gasrelax import bounds, cli, dynamics, gibbs
 from gasrelax.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, RunConfig,
@@ -129,6 +134,22 @@ class TestBoundsCommand:
                             delta_wall=1e12)
         assert main(["bounds", "--config", path]) == EXIT_VALIDATION
         assert "box_side/3" in capsys.readouterr().err
+
+    def test_never_imports_numpy_random(self, tmp_path):
+        # the bracket norm reads its Philox stream in the kernel, from the
+        # key alone: a bounds run never loads numpy.random (2 MB resident)
+        path = write_config(tmp_path, output_dir=str(tmp_path))
+        script = ("import sys\n"
+                  "from gasrelax import cli\n"
+                  f"code = cli.main(['bounds', '--config', {path!r}])\n"
+                  "print(code, 'numpy.random' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(gasrelax.__file__).parents[1]),
+             os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == f"{EXIT_OK} False"
 
 
 def _run_quietly(argv):
@@ -481,7 +502,7 @@ class TestConfigReachesTheRun:
 
 
 class TestZeroUniformDraw:
-    """A uniform draw of exactly 0.0 is redrawn, not placed on the wall."""
+    """A uniform draw of exactly 0.0 is replaced, not placed on the wall."""
 
     @staticmethod
     def _zero_first_draw(module, monkeypatch):
@@ -492,7 +513,15 @@ class TestZeroUniformDraw:
                             helpers.ZeroDraws(real(seed, index), [[0]]))
 
     def test_bounds(self, tmp_path, monkeypatch, capsys):
-        self._zero_first_draw(cli, monkeypatch)
+        # the bracket norm's stream starts at a counter whose first value is
+        # an exact 0.0, which the kernel replaces
+        def planted(marginal, n_samples, key):
+            counter = helpers.philox_counter_with_zeros(key, [0])
+            values = gibbs._force_sums(marginal, n_samples, key, counter)
+            return gibbs.NormEstimate.from_values(values,
+                                                  marginal.which_measure)
+
+        monkeypatch.setattr(bounds, "norm0_mc", planted)
         path = write_config(tmp_path, output_dir=str(tmp_path))
         assert main(["bounds", "--config", path]) == EXIT_OK
         assert capsys.readouterr().err == ""

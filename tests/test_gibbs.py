@@ -21,7 +21,7 @@ from gasrelax.gibbs import (_GUIDE_CELLS, _MC_BLOCK, NormEstimate,
                             norm0_poisson_B_H0_quadrature, sample_batch)
 from gasrelax.model import ModelParams, observable_B, poisson_B_H0
 from gasrelax.numerics import _kronrod_panels, gamma_function, integrate_finite
-from gasrelax.rng import substream
+from gasrelax.rng import philox_key, substream
 
 # frozen 30-digit references for the N=64, beta=delta=1, L=10 configuration
 Z_TILDE_REF = 7.8889068703793547
@@ -106,7 +106,8 @@ def _bits(x):
 
 
 # (name, grid_size, tilted) of the tables checked bit for bit
-TABLES = [("rho0", 2048, False), ("rho1", 2048, True), ("grid64", 64, False)]
+TABLES = [("rho0", 2048, False), ("rho1", 2048, True), ("grid64", 64, False),
+          ("grid300", 300, True)]
 
 
 class TestMarginalTableBitwise:
@@ -127,6 +128,15 @@ class TestMarginalTableBitwise:
         for mine, theirs in zip(got, helpers.inverse_table_reference(
                 ref_params, grid_size, tilted)):
             assert np.array_equal(_bits(mine), _bits(theirs))
+
+    def test_table_pass_holds_one_block_of_cells(self, ref_params):
+        # all 2048 cells at once held 2.2 MB of nodes and integrand
+        # temporaries; a block of _KRONROD_BLOCK cells needs an eighth, so
+        # the guide table (0.5 MiB) is most of the peak
+        build_marginal(ref_params)
+        marginal, peak = helpers.traced_peak(lambda: build_marginal(
+            ref_params))
+        assert peak < 2 * marginal._guide.nbytes
 
     def test_cdf_values_rebuilt_from_the_knots(self, ref_params):
         for grid_size in (64, 2048):
@@ -177,14 +187,6 @@ class TestSampling:
         assert np.array_equal(_bits(z), _bits(ref_marginal.inverse_cdf(u)))
         assert np.array_equal(_bits(p), _bits(rng.normal(
             0.0, 1.0, (500, ref_params.n_particles))))
-
-    def test_heights_only_are_the_same_heights(self, ref_marginal):
-        # the momenta follow the heights in the generator's stream
-        z, _ = sample_batch(ref_marginal, substream(21, 0), 500)
-        z_only, p = sample_batch(ref_marginal, substream(21, 0), 500,
-                                 momenta=False)
-        assert p is None
-        assert np.array_equal(_bits(z_only), _bits(z))
 
     def test_zero_uniform_is_redrawn(self, ref_marginal, ref_params):
         # inverse_cdf(0.0) is the wall itself; the second redraw of flat
@@ -374,13 +376,6 @@ class TestNorms:
         assert norm0_B_closed(ModelParams(100, 1.0, 1.0, 10.0)) == \
             pytest.approx(14.1421356, abs=1e-6)
 
-    def test_norm0_mc_constant(self, ref_marginal):
-        est = norm0_mc(lambda z: np.ones(len(z)), ref_marginal, 200,
-                       substream(6, 0))
-        assert est.value == 1.0
-        assert est.std_error == 0.0
-        assert est.which_measure == "rho0"
-
     def test_norm0_mc_of_B_matches_gaussian_moment(self, ref_params):
         # E[B^2] = N * Var(p) = N / beta exactly
         est = norm0_B_mc(ref_params, 20000,
@@ -390,8 +385,7 @@ class TestNorms:
 
     def test_norm0_mc_equals_per_state_loop(self, ref_params, ref_marginal):
         # one batched call gives the bits of evaluating state by state
-        est = norm0_mc(lambda z: poisson_B_H0(z, ref_params), ref_marginal,
-                       2000, substream(13, 0))
+        est = norm0_mc(ref_marginal, 2000, philox_key(13, 0))
         z, p = sample_batch(ref_marginal, substream(13, 0), 2000)
         sq = np.array([float(poisson_B_H0(z[i], ref_params)) ** 2
                        for i in range(2000)])
@@ -399,57 +393,67 @@ class TestNorms:
 
     def test_norm0_mc_without_momenta_is_unchanged(self, ref_params,
                                                    ref_marginal):
-        # f sees the heights alone, those of a whole sample_batch draw with
-        # its momenta, and rng is left where the heights end
-        def bracket(*args):
-            seen.append([a.shape for a in args])
-            return poisson_B_H0(args[0], ref_params)
-
-        seen = []
-        rng = substream(22, 0)
-        est = norm0_mc(bracket, ref_marginal, 2000, rng)
-        assert seen == [[(1024, 64)], [(976, 64)]]
-        whole = substream(22, 0)
-        z, _ = sample_batch(ref_marginal, whole, 2000)
+        # the heights of a whole sample_batch draw with its momenta, from
+        # the Generator of the same key
+        est = norm0_mc(ref_marginal, 2000, philox_key(22, 0))
+        z, _ = sample_batch(ref_marginal, substream(22, 0), 2000)
         sq = poisson_B_H0(z, ref_params) ** 2
         _assert_same_estimate(est, NormEstimate.from_moments(
             float(np.mean(sq)), float(np.var(sq, ddof=1)), 2000, "rho0"))
-        skipped = helpers.skip_heights(substream(22, 0), 2000, 64)
-        assert rng.random() == skipped.random()
+        assert est.which_measure == "rho0"
 
     @pytest.mark.parametrize("n, n_samples", [(64, 2500), (7, 20000),
-                                              (300, 1000)])
+                                              (300, 1000), (600, 300)])
     def test_heights_only_blocks_equal_one_batch(self, n, n_samples):
-        # blocks of _MC_BLOCK heights, the last one partial, give the bits
-        # of drawing, inverting and evaluating the whole batch at once
+        # the kernel's chunks of whole rows, and rows longer than a chunk,
+        # give the bits of drawing, inverting and evaluating the whole batch
+        # at once
         params = ModelParams(n, 1.0, 1.0, 10.0)
         marginal = build_marginal(params, grid_size=256)
-        rows = []
-
-        def bracket(z):
-            rows.append(z.shape[0])
-            return poisson_B_H0(z, params)
-
-        est = norm0_mc(bracket, marginal, n_samples, substream(25, n))
-        step = _MC_BLOCK // n
-        assert rows == [step] * (n_samples // step) + [n_samples % step]
+        est = norm0_mc(marginal, n_samples, philox_key(25, n))
         u = substream(25, n).random((n_samples, n))
         assert u.min() > 0.0
         _assert_same_estimate(est, _one_batch_estimate(marginal, u))
 
-    def test_zero_uniform_is_redrawn_within_its_block(self, ref_params,
-                                                      ref_marginal):
-        # the redraw follows block 2's draws, ahead of block 3's
-        stub = helpers.ZeroDraws(substream(26, 0), [[], [5, 700]])
-        est = norm0_mc(lambda z: poisson_B_H0(z, ref_params),
-                       ref_marginal, 2500, stub)
-        assert stub.sizes == [(1024, 64), (1024, 64), 2, (452, 64)]
-        rng = substream(26, 0)
-        blocks = [rng.random((1024, 64)), rng.random((1024, 64))]
-        blocks[1].flat[[5, 700]] = rng.random(2)
-        blocks.append(rng.random((452, 64)))
-        _assert_same_estimate(est, _one_batch_estimate(ref_marginal,
-                                                       np.vstack(blocks)))
+    @pytest.mark.parametrize("n", [1, 3, 64, 130])
+    def test_equals_the_blocked_norm_of_any_observable(self, n):
+        # 1001 rows are no whole number of the kernel's chunks for any n
+        params = ModelParams(n, 1.0, 1.0, 10.0, field=1e-3)
+        chunk = _inverse_cdf_chunk()
+        assert 1001 % (chunk // n) != 0
+        for marginal in (build_marginal(params, grid_size=256),
+                         build_marginal(params, grid_size=256, tilted=True)):
+            est = norm0_mc(marginal, 1001, philox_key(27, n))
+            want = helpers.norm0_mc_blocks(
+                lambda z: poisson_B_H0(z, params), marginal, 1001,
+                substream(27, n))
+            _assert_same_estimate(est, want)
+            assert est.which_measure == marginal.which_measure
+
+    @pytest.mark.parametrize("n, rows, zeros", [
+        (64, 2000, [5]), (64, 2000, [4, 5]), (3, 34, [100, 102]),
+        (600, 2, [601])])
+    def test_zero_uniform_takes_the_next_unused_value(self, n, rows, zeros):
+        # zeros planted by the start counter, all in one Philox block; each
+        # 0.0 among the rows * n main draws takes, in order, the next value
+        # past them that is not 0.0: at 3 x 34 the zero at 100 passes over
+        # the zero at 102, the first value past the main draws
+        params = ModelParams(n, 1.0, 1.0, 10.0)
+        marginal = build_marginal(params, grid_size=256)
+        key = philox_key(26, n)
+        counter = helpers.philox_counter_with_zeros(key, zeros)
+        main_draws = rows * n
+        u = np.random.Generator(np.random.Philox(
+            key=key, counter=counter)).random(main_draws + 8)
+        assert np.array_equal(np.flatnonzero(u == 0.0), zeros)
+        spare = iter(u[main_draws:][u[main_draws:] != 0.0])
+        main = u[:main_draws].copy()
+        for i in np.flatnonzero(main == 0.0):
+            main[i] = next(spare)
+        want = poisson_B_H0(helpers.inverse_cdf_searchsorted(
+            marginal, main.reshape(rows, n)), params)
+        got = gibbs._force_sums(marginal, rows, key, counter)
+        assert np.array_equal(_bits(got), _bits(want))
 
     @pytest.mark.parametrize("n, n_samples", [(64, 20000), (7, 20000),
                                               (300, 1000)])
@@ -492,14 +496,11 @@ class TestNorms:
     def test_moments_are_numpys_bit_for_bit(self, n_samples, monkeypatch):
         # squares from 1e-150 to 1e150, of both signs' roots, in a random
         # order: the in-place moments are np.mean and np.var(ddof=1)
-        params = ModelParams(1, 1.0, 1.0, 10.0)
-        marginal = build_marginal(params, grid_size=64)
         rng = substream(30, n_samples)
         v = (rng.choice([-1.0, 1.0], n_samples)
              * 10.0 ** rng.uniform(-75.0, 75.0, n_samples))
         v[:2] = 1e-75, 1e75
         rng.shuffle(v)
-        blocks = iter(np.split(v, range(_MC_BLOCK, n_samples, _MC_BLOCK)))
         moments = []
         real = NormEstimate.from_moments.__func__
 
@@ -508,37 +509,44 @@ class TestNorms:
             return real(cls, mean_sq, var_sq, n, which)
 
         monkeypatch.setattr(NormEstimate, "from_moments", classmethod(spy))
-        norm0_mc(lambda z: next(blocks), marginal, n_samples,
-                 substream(31, 0))
+        NormEstimate.from_values(v.copy(), "rho0")
         sq = v * v
         assert np.array_equal(_bits(moments),
                               _bits([[np.mean(sq), np.var(sq, ddof=1)]]))
 
-    def test_moments_hold_no_second_sample_array(self, ref_params,
-                                                 ref_marginal):
-        # the values (0.8 MB) and one block of heights (0.5 MiB) are all
-        # that 10^5 states of 64 heights need at once
+    def test_moments_hold_no_second_sample_array(self, ref_marginal):
+        # the values (0.8 MB) are all that 10^5 states of 64 heights need
+        # at once: no block of heights, no second sample array
         def run():
-            return norm0_mc(lambda z: poisson_B_H0(z, ref_params),
-                            ref_marginal, 100_000, substream(32, 0))
+            return norm0_mc(ref_marginal, 100_000, philox_key(32, 0))
 
         run()
         _, peak = helpers.traced_peak(run)
-        assert peak < 1.25 * 8 * (100_000 + _MC_BLOCK)
+        assert peak <= 8 * 100_000 + 4096
 
     def test_norm0_mc_rejects_small_samples(self, ref_params, ref_marginal):
         with pytest.raises(ValueError):
-            norm0_mc(lambda z: np.ones(len(z)), ref_marginal, 50,
-                     substream(8, 0))
+            norm0_mc(ref_marginal, 50, philox_key(8, 0))
         with pytest.raises(ValueError):
             norm0_B_mc(ref_params, 50, substream(8, 0))
+
+    def test_norm0_mc_rejects_a_malformed_key(self, ref_marginal):
+        with pytest.raises(ValueError, match="key"):
+            norm0_mc(ref_marginal, 1000, philox_key(8, 0)[:1])
+
+    def test_heights_outside_the_box_are_refused(self, ref_marginal):
+        # knots stretched past the walls: the kernel counts the heights
+        # outside, as poisson_B_H0 does
+        wide = dataclasses.replace(ref_marginal,
+                                   _inv_z=2.0 * ref_marginal._inv_z)
+        with pytest.raises(ValueError, match="outside the open box"):
+            norm0_mc(wide, 1000, philox_key(8, 2))
 
     def test_overflowing_variance_is_refused(self, ref_marginal):
         # squares of 1e200 and 1 are finite, but their variance is not
         values = np.tile([1e100, 1.0], 50)
         with pytest.raises(ArithmeticError, match="overflow"):
-            norm0_mc(lambda z: values[:len(z)], ref_marginal, 100,
-                     substream(8, 1))
+            NormEstimate.from_values(values, ref_marginal.which_measure)
 
     def test_bracket_norm_quadrature_reference(self):
         marginal = build_marginal(ModelParams(1, 1.0, 1.0, 10.0), grid_size=64)
@@ -553,8 +561,7 @@ class TestNorms:
 
     def test_bracket_norm_vs_mc(self, ref_params, ref_marginal):
         quad = norm0_poisson_B_H0_quadrature(ref_marginal)
-        est = norm0_mc(lambda z: poisson_B_H0(z, ref_params), ref_marginal,
-                       20000, substream(9, 0))
+        est = norm0_mc(ref_marginal, 20000, philox_key(9, 0))
         assert abs(est.value - quad) <= 3.0 * est.std_error
 
     def test_bracket_norm_rejects_tilted_marginal(self, ref_marginal_tilted):

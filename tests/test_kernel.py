@@ -241,7 +241,8 @@ class TestBuildFlags:
         # an unbound argument list passes doubles as C ints
         signatures = _kernel_signatures()
         assert set(signatures) == {"wall_sums", "verlet_records",
-                                   "inverse_cdf"}
+                                   "inverse_cdf", "philox_uniforms",
+                                   "sampled_force_sums"}
         lib = _kernel.library()
         for name, (restype, argtypes) in signatures.items():
             fn = getattr(lib, name)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gasrelax.rng import substream
+import helpers
+from gasrelax.rng import philox_key, substream
 
 
 def _skip(rng, count):
@@ -31,3 +32,46 @@ def test_ahead_gives_the_doubles_after_count():
     rng = substream(31, 0)
     skipped = _skip(substream(31, 0), 1001)
     assert np.array_equal(skipped.random(7), rng.random(1008)[1001:])
+
+
+def test_substream_is_philox_of_its_key():
+    key = philox_key(31, 4, 7)
+    assert key.dtype == np.uint64 and key.shape == (2,)
+    assert int(key[0]) == 31
+    assert not np.array_equal(key, philox_key(31, 7, 4))
+    mine = np.random.Generator(np.random.Philox(key=key)).random(9)
+    assert np.array_equal(substream(31, 4, 7).random(9), mine)
+    # the seed is folded mod 2^64
+    assert np.array_equal(philox_key(-1, 2), philox_key(2 ** 64 - 1, 2))
+
+
+_MAX64 = 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("ids", [(0,), (101,), (7, 3)])
+@pytest.mark.parametrize("counter", [
+    0, 5, _MAX64, _MAX64 - 2, 2 ** 128 - 1, 2 ** 192 - 3, 2 ** 256 - 1],
+    ids=["0", "5", "2^64-1", "2^64-3", "2^128-1", "2^192-3", "2^256-1"])
+def test_kernel_stream_is_numpys(ids, counter):
+    # word 0 at or near 2^64 - 1 carries into the next words as the counter
+    # is raised; 2^256 - 1 wraps to 0.  Lengths of whole and part blocks.
+    key = philox_key(20260808, *ids)
+    for n in (1, 3, 4, 9, 1027):
+        want = np.random.Generator(np.random.Philox(key=key,
+                                                    counter=counter))
+        got = helpers.kernel_uniforms(key, counter, n)
+        assert np.array_equal(got.view(np.uint64),
+                              want.random(n).view(np.uint64))
+
+
+def test_planted_zero_is_numpys_zero():
+    # the counter the Philox rounds run backwards give: NumPy draws 0.0 at
+    # the planted index, and so does the kernel's stream
+    key = philox_key(5, 101)
+    for index in (0, 3, 4101):
+        counter = helpers.philox_counter_with_zeros(key, [index])
+        u = np.random.Generator(np.random.Philox(
+            key=key, counter=counter)).random(index + 5)
+        assert np.flatnonzero(u == 0.0).tolist() == [index]
+        assert np.array_equal(helpers.kernel_uniforms(key, counter,
+                                                      index + 5), u)
