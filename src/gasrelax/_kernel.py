@@ -1,11 +1,18 @@
 """The C kernels of `_verlet.c`, compiled on first use and loaded with ctypes.
 
+The kernels draw their normals with NumPy's own distribution code: they are
+compiled against `numpy/random/bitgen.h` under `numpy.get_include()` and
+linked with the static `numpy/random/lib/libnpyrandom.a` that NumPy ships
+for C users of its random C-API (and with `-lm`, which it needs).  Neither
+imports `numpy.random`.
+
 The library is built with `cc` into `__pycache__/` beside the source, under
-a name keyed by the source, the flags and `cc --version`, so a changed
-kernel or compiler builds afresh.  Each build writes a file of its own and
-renames it into place, so processes that build at once all load a whole
-library.  When that directory is not writable, the library is built in a
-temporary directory of the process and removed once loaded.
+a name keyed by the source, the flags, `cc --version` and the bytes of
+NumPy's static library, so a changed kernel, compiler or NumPy builds
+afresh.  Each build writes a file of its own and renames it into place, so
+processes that build at once all load a whole library.  When that directory
+is not writable, the library is built in a temporary directory of the
+process and removed once loaded.
 """
 
 from __future__ import annotations
@@ -16,9 +23,18 @@ import os
 import subprocess
 from pathlib import Path
 
+import numpy as np
+
 _SOURCE = Path(__file__).with_name("_verlet.c")
+_NUMPY_INCLUDE = Path(np.get_include())
+# NumPy's random C-API: the header of its bit generator interface, and the
+# static library of its distributions, where numpy/random/_examples finds it
+_BITGEN_HEADER = _NUMPY_INCLUDE / "numpy" / "random" / "bitgen.h"
+_NPYRANDOM = (_NUMPY_INCLUDE.parent.parent / "random" / "lib"
+              / "libnpyrandom.a")
 # no fast-math or host-specific options: the results must stay bit for bit
-_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared",
+          f"-I{_NUMPY_INCLUDE}")
 
 _lib = None
 
@@ -38,11 +54,26 @@ def _run_cc(cc: str, args: list) -> bytes:
                                .rstrip()) from None
 
 
-def _load(cache_dir, cc: str) -> ctypes.CDLL:
+def _build_args(out: Path) -> list:
+    return [*_FLAGS, "-o", str(out), str(_SOURCE), str(_NPYRANDOM), "-lm"]
+
+
+def _library_name(cc: str) -> str:
+    """The library's file name, keyed by everything that its bits depend on:
+    the source, the flags, the compiler and NumPy's static library."""
+    for path in (_BITGEN_HEADER, _NPYRANDOM):
+        if not path.is_file():
+            raise KernelBuildError(f"cannot build {_SOURCE.name}: NumPy's "
+                                   f"random C-API file {path} is missing")
     key = hashlib.sha256(b"\0".join([_SOURCE.read_bytes(),
                                      " ".join(_FLAGS).encode(),
-                                     _run_cc(cc, ["--version"])]))
-    path = Path(cache_dir) / f"_verlet-{key.hexdigest()[:16]}.so"
+                                     _run_cc(cc, ["--version"]),
+                                     _NPYRANDOM.read_bytes()]))
+    return f"_verlet-{key.hexdigest()[:16]}.so"
+
+
+def _load(cache_dir, cc: str) -> ctypes.CDLL:
+    path = Path(cache_dir) / _library_name(cc)
     if not path.exists():
         try:
             path.parent.mkdir(exist_ok=True)
@@ -52,10 +83,10 @@ def _load(cache_dir, cc: str) -> ctypes.CDLL:
             import tempfile
             with tempfile.TemporaryDirectory() as private:
                 part = Path(private) / path.name
-                _run_cc(cc, [*_FLAGS, "-o", str(part), str(_SOURCE)])
+                _run_cc(cc, _build_args(part))
                 return _bind(ctypes.CDLL(str(part)))
         part = path.with_name(f"{path.name}.{os.getpid()}.part")
-        _run_cc(cc, [*_FLAGS, "-o", str(part), str(_SOURCE)])
+        _run_cc(cc, _build_args(part))
         os.replace(part, path)
     return _bind(ctypes.CDLL(str(path)))
 
@@ -69,11 +100,16 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.verlet_records.restype = n
     lib.inverse_cdf.argtypes = [ptr, ptr, n, ptr, ptr, ptr, ptr, n, n]
     lib.inverse_cdf.restype = None
-    lib.philox_uniforms.argtypes = [ptr, ptr, ptr, n]
+    lib.philox_uniforms.argtypes = [ptr, ptr, n]
     lib.philox_uniforms.restype = None
-    lib.sampled_force_sums.argtypes = [ptr, ptr, ptr, n, n, ptr, d, d, ptr,
-                                       ptr, ptr, ptr, n, n]
+    lib.sampled_force_sums.argtypes = [ptr, ptr, n, n, ptr, d, d, ptr, ptr,
+                                       ptr, ptr, n, n]
     lib.sampled_force_sums.restype = n
+    lib.sampled_states.argtypes = [ptr, ptr, ptr, n, n, d, ptr, ptr, ptr,
+                                   ptr, n, n]
+    lib.sampled_states.restype = None
+    lib.sampled_momentum_sums.argtypes = [ptr, ptr, n, n, d, ptr]
+    lib.sampled_momentum_sums.restype = None
     return lib
 
 

@@ -1,7 +1,7 @@
 /* The wall potential and force with their per-row sums, the
  * velocity-Verlet trajectory with its energy records, the inverse CDF of
- * the wall marginal, and NumPy's Philox stream with the force sums of the
- * heights it samples, in gasrelax.
+ * the wall marginal, and NumPy's Philox stream with the states it samples
+ * and their force and momentum sums, in gasrelax.
  *
  * Every result is bit for bit what the former NumPy expressions gave, so the
  * operation order below is part of the contract.  Potential: u*u, u2*u2,
@@ -10,16 +10,24 @@
  * product with 12 delta, then + h.  Row sums: 0.0 plus NumPy's pairwise sum
  * of the row (see pairwise below), as np.sum(axis=-1) adds a C-contiguous
  * row.  Inverse CDF: the Hermite cubic as the sum, left to right, of its
- * four basis terms (see hermite below).  Build with -ffp-contract=off (a
- * fused multiply-add rounds once where the NumPy passes rounded twice) and
- * never with fast-math options, which reassociate.  The clones only widen
- * the vector registers: every lane makes the same correctly rounded IEEE
- * operations as scalar code.
+ * four basis terms (see hermite below).  Normals: NumPy's own code,
+ * linked from its libnpyrandom.a (see normals below).  Build with
+ * -ffp-contract=off (a fused multiply-add rounds once where the NumPy
+ * passes rounded twice) and never with fast-math options, which
+ * reassociate.  The clones only widen the vector registers: every lane
+ * makes the same correctly rounded IEEE operations as scalar code.
  */
 
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+
+#include <numpy/random/bitgen.h>
+
+/* NumPy's normal deviate, loc + scale * its ziggurat standard normal, from
+ * numpy/random/lib/libnpyrandom.a (declared in numpy/random/distributions.h,
+ * which also needs Python.h); Generator.normal makes each value with it */
+extern double random_normal(bitgen_t *bitgen_state, double loc, double scale);
 
 /* one clone per vector width, picked at load time for the running CPU */
 #define KERNEL __attribute__((target_clones("avx512f", "avx2", "default")))
@@ -284,7 +292,7 @@ static inline void invert(const double *u, double *out, ptrdiff_t n,
                           const double *restrict inv_u,
                           const double *restrict inv_z,
                           const double *restrict inv_m,
-                          const ptrdiff_t *restrict guide, ptrdiff_t k,
+                          const int32_t *restrict guide, ptrdiff_t k,
                           ptrdiff_t cells)
 {
     double uc[INVERSE_CDF_CHUNK];
@@ -324,16 +332,20 @@ KERNEL void inverse_cdf(const double *u, double *out, ptrdiff_t n,
                         const double *restrict inv_u,
                         const double *restrict inv_z,
                         const double *restrict inv_m,
-                        const ptrdiff_t *restrict guide, ptrdiff_t k,
+                        const int32_t *restrict guide, ptrdiff_t k,
                         ptrdiff_t cells)
 {
     invert(u, out, n, inv_u, inv_z, inv_m, guide, k, cells);
 }
 
-/* NumPy's Philox4x64-10 (Salmon et al., SC 2011): stream value i of (key,
- * counter) is word i % 4 of the ten-round block of counter + 1 + i / 4, the
- * 256-bit counter being raised, with carry, before each block.  A double
- * is the top 53 bits of a word times 2^-53, as NumPy's random() forms it.
+/* NumPy's Philox4x64-10 (Salmon et al., SC 2011).  The state is that of
+ * numpy.random.Philox word for word: the key, the 256-bit counter, the
+ * buffer of the last block made and the position in it of the word read
+ * next, 4 when all are spent.  When the buffer is spent, the counter is
+ * raised, with carry, and ten rounds make the next block, so stream value
+ * i of a fresh state of (key, counter) is word i % 4 of the block of
+ * counter + 1 + i / 4.  A double is the top 53 bits of a word times 2^-53,
+ * as NumPy's random() forms it.
  */
 #define PHILOX_M0 0xD2E7470EE14C6C93ULL
 #define PHILOX_M1 0xCA5A826395121157ULL
@@ -342,18 +354,8 @@ KERNEL void inverse_cdf(const double *u, double *out, ptrdiff_t n,
 
 struct philox {
     uint64_t key[2], ctr[4], block[4];
-    int next;   /* the word of block read next; 4 when all are spent */
+    uint64_t next;  /* the word of block read next; 4 when all are spent */
 };
-
-static inline void philox_init(struct philox *s, const uint64_t *key,
-                               const uint64_t *counter)
-{
-    s->key[0] = key[0];
-    s->key[1] = key[1];
-    for (int i = 0; i < 4; i++)
-        s->ctr[i] = counter[i];
-    s->next = 4;
-}
 
 /* the next block of the stream */
 static inline void philox_block(struct philox *s)
@@ -379,78 +381,122 @@ static inline void philox_block(struct philox *s)
     s->next = 0;
 }
 
-static inline double philox_double(struct philox *s)
+static inline uint64_t philox_word(struct philox *s)
 {
     if (s->next == 4)
         philox_block(s);
-    return (double)(s->block[s->next++] >> 11) * (1.0 / 9007199254740992.0);
+    return s->block[s->next++];
 }
 
-/* s, fresh from philox_init, moved past its first n values */
+static inline double philox_double(struct philox *s)
+{
+    return (double)(philox_word(s) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* s moved past its next n values, into the state NumPy's Philox has after
+ * drawing them: the words left in the buffer are passed over, the counter
+ * is raised past the whole blocks before the last value, and the block
+ * that holds it is made */
 static inline void philox_skip(struct philox *s, ptrdiff_t n)
 {
-    uint64_t blocks = (uint64_t)n / 4;
+    for (; n > 0 && s->next < 4; n--)
+        s->next++;
+    if (n == 0)
+        return;
+    uint64_t blocks = (uint64_t)(n - 1) / 4;
     s->ctr[0] += blocks;
     if (s->ctr[0] < blocks)
         for (int i = 1; i < 4 && ++s->ctr[i] == 0; i++)
             ;
-    for (ptrdiff_t i = 0; i < n % 4; i++)
-        philox_double(s);
+    philox_block(s);
+    s->next = (uint64_t)(n - 1) % 4 + 1;
 }
 
-/* out[i] = stream value i of (key, counter) as a double, for i < n */
-KERNEL void philox_uniforms(const uint64_t *key, const uint64_t *counter,
-                            double *out, ptrdiff_t n)
+/* out[i] = the next value of *s as a double, for i < n; *s is left past
+ * them */
+KERNEL void philox_uniforms(struct philox *s, double *out, ptrdiff_t n)
 {
-    struct philox s;
-    philox_init(&s, key, counter);
     for (ptrdiff_t i = 0; i < n; i++)
-        out[i] = philox_double(&s);
+        out[i] = philox_double(s);
+}
+
+/* z[i] = the inverse CDF (see invert) of the next value of *s, for
+ * i < len; a value 0.0, which would put a particle on the wall, is replaced
+ * by the next value of *spare that is not 0.0 */
+static inline void heights(struct philox *s, struct philox *spare, double *z,
+                           ptrdiff_t len, const double *restrict inv_u,
+                           const double *restrict inv_z,
+                           const double *restrict inv_m,
+                           const int32_t *restrict guide, ptrdiff_t k,
+                           ptrdiff_t cells)
+{
+    for (ptrdiff_t i = 0; i < len; i++) {
+        double u = philox_double(s);
+        while (u == 0.0)
+            u = philox_double(spare);
+        z[i] = u;
+    }
+    invert(z, z, len, inv_u, inv_z, inv_m, guide, k, cells);
+}
+
+/* the callbacks of NumPy's bitgen_t on a struct philox; a normal deviate
+ * reads 64-bit words and doubles only, so no 32-bit one is given */
+static uint64_t bitgen_word(void *s)
+{
+    return philox_word(s);
+}
+
+static double bitgen_double(void *s)
+{
+    return philox_double(s);
+}
+
+/* out[i] = NumPy's random_normal(0.0, sigma) on the stream of *s, for
+ * i < n: the bits of rng.normal(0.0, sigma, n), ziggurat tail and wedges
+ * included */
+static inline void normals(struct philox *s, double *out, ptrdiff_t n,
+                           double sigma)
+{
+    bitgen_t bitgen = {s, bitgen_word, NULL, bitgen_double, bitgen_word};
+    for (ptrdiff_t i = 0; i < n; i++)
+        out[i] = random_normal(&bitgen, 0.0, sigma);
 }
 
 /* The force sum [B, H0] of each of `rows` states of n heights, into out[i]:
  * 0.0 plus the pairwise sum of the row's forces, plus 0.0, the bits of
  * poisson_B_H0 (c12 = 12 delta).
  *
- * The heights are the inverse CDF (see invert) of the stream of (key,
- * counter) read row by row: the first rows * n values, each value 0.0 among
- * them replaced by the next value past those that is not 0.0, in the order
- * the zeros come.  Whole rows of at most INVERSE_CDF_CHUNK values are
- * drawn, inverted and summed before the next rows start; a row longer than
- * that is one chunk of its own, held in scratch, which has room for n
- * values.  Returns how many heights are not strictly inside (-half, half),
- * as wall_sums does.
+ * The heights are the inverse CDF (see invert) of the stream of *s read row
+ * by row: its next rows * n values, each value 0.0 among them replaced by
+ * the next value past those that is not 0.0, in the order the zeros come;
+ * *s is left past the last value read.  Whole rows of at most
+ * INVERSE_CDF_CHUNK values are drawn, inverted and summed before the next
+ * rows start; a row longer than that is one chunk of its own, held in
+ * scratch, which has room for n values.  Returns how many heights are not
+ * strictly inside (-half, half), as wall_sums does.
  */
-KERNEL ptrdiff_t sampled_force_sums(const uint64_t *key,
-                                    const uint64_t *counter,
-                                    double *restrict out, ptrdiff_t rows,
-                                    ptrdiff_t n, double *restrict scratch,
+KERNEL ptrdiff_t sampled_force_sums(struct philox *s, double *restrict out,
+                                    ptrdiff_t rows, ptrdiff_t n,
+                                    double *restrict scratch,
                                     double half, double c12,
                                     const double *restrict inv_u,
                                     const double *restrict inv_z,
                                     const double *restrict inv_m,
-                                    const ptrdiff_t *restrict guide,
+                                    const int32_t *restrict guide,
                                     ptrdiff_t k, ptrdiff_t cells)
 {
     double buf[INVERSE_CDF_CHUNK];
     double *z = n <= INVERSE_CDF_CHUNK ? buf : scratch;
     ptrdiff_t per_chunk = n <= INVERSE_CDF_CHUNK ? INVERSE_CDF_CHUNK / n : 1;
     ptrdiff_t outside = 0;
-    struct philox s, spare;
-    philox_init(&s, key, counter);
-    philox_init(&spare, key, counter);
+    /* local copies, which the compiler keeps in registers */
+    struct philox stream = *s, spare = *s;
     philox_skip(&spare, rows * n);
 
     for (ptrdiff_t r0 = 0; r0 < rows; r0 += per_chunk) {
         ptrdiff_t nr = rows - r0 < per_chunk ? rows - r0 : per_chunk;
-        ptrdiff_t len = nr * n;
-        for (ptrdiff_t i = 0; i < len; i++) {
-            double u = philox_double(&s);
-            while (u == 0.0)
-                u = philox_double(&spare);
-            z[i] = u;
-        }
-        invert(z, z, len, inv_u, inv_z, inv_m, guide, k, cells);
+        heights(&stream, &spare, z, nr * n, inv_u, inv_z, inv_m, guide, k,
+                cells);
         for (ptrdiff_t i = 0; i < nr; i++) {
             const double *zi = z + i * n;
             for (ptrdiff_t j = 0; j < n; j++)
@@ -458,5 +504,52 @@ KERNEL ptrdiff_t sampled_force_sums(const uint64_t *key,
             out[r0 + i] = (0.0 + pairwise(zi, n, FORCE, half, c12)) + 0.0;
         }
     }
+    *s = spare;
     return outside;
+}
+
+/* `rows` states of n particles from the stream of *s, row-major: heights
+ * into z, momenta into p.  The heights are those sampled_force_sums sums:
+ * the next rows * n values, inverted, each 0.0 among them replaced in turn.
+ * The momenta are NumPy's normals (see normals), drawn on from where those
+ * replacements stopped: the bits of rng.normal(0.0, sigma, (rows, n))
+ * after rng.random((rows, n)) and its redraws.  *s is left past the last
+ * value read.  The heights are drawn and inverted INVERSE_CDF_CHUNK at a
+ * time.
+ */
+KERNEL void sampled_states(struct philox *s, double *restrict z,
+                           double *restrict p, ptrdiff_t rows, ptrdiff_t n,
+                           double sigma, const double *restrict inv_u,
+                           const double *restrict inv_z,
+                           const double *restrict inv_m,
+                           const int32_t *restrict guide, ptrdiff_t k,
+                           ptrdiff_t cells)
+{
+    ptrdiff_t len = rows * n;
+    struct philox stream = *s, spare = *s;
+    philox_skip(&spare, len);
+    for (ptrdiff_t start = 0; start < len; start += INVERSE_CDF_CHUNK) {
+        ptrdiff_t m = len - start < INVERSE_CDF_CHUNK ? len - start
+            : INVERSE_CDF_CHUNK;
+        heights(&stream, &spare, z + start, m, inv_u, inv_z, inv_m, guide, k,
+                cells);
+    }
+    *s = spare;
+    normals(s, p, len, sigma);
+}
+
+/* b[i] = 0.0 plus the pairwise sum of the n momenta of row i (see
+ * sampled_states), drawn row after row from the stream of *s, for
+ * i < rows: the bits of rng.normal(0.0, sigma, (rows, n)).sum(axis=1).
+ * Each row is drawn into `row`, which has room for n values.  *s is left
+ * past the last value read.
+ */
+KERNEL void sampled_momentum_sums(struct philox *s, double *restrict b,
+                                  ptrdiff_t rows, ptrdiff_t n, double sigma,
+                                  double *restrict row)
+{
+    for (ptrdiff_t i = 0; i < rows; i++) {
+        normals(s, row, n, sigma);
+        b[i] = 0.0 + pairwise(row, n, VALUE, 0.0, 0.0);
+    }
 }

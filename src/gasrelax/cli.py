@@ -27,8 +27,8 @@ from .bounds import (_MIN_SAMPLES, PhysicalUnits, RegimeError,
 from .dynamics import (_MIN_TIMES, _MIN_TRAJ, EnergyDriftError,
                        IntegratorConfig, WallBreachError, lower_bound_curve,
                        make_relaxation_report)
-from .gibbs import (_MIN_GRID, build_marginal, gamma_h, gamma_tilde_h,
-                    hoelder_certificate)
+from .gibbs import (_MAX_GRID, _MIN_GRID, build_marginal, gamma_h,
+                    gamma_tilde_h, hoelder_certificate)
 from .model import ModelParams
 from .numerics import QuadratureError
 from .rng import philox_key
@@ -101,6 +101,9 @@ class RunConfig:
                             ("workers", 1)):
             if getattr(self, name) < floor:
                 raise ConfigError(f"{name} must be >= {floor}")
+        # the ceiling of build_marginal, whose guide table is int32
+        if self.grid_size > _MAX_GRID:
+            raise ConfigError(f"grid_size must be <= {_MAX_GRID}")
         if self.sigma != 1.0:
             raise ConfigError("sigma must be 1: lengths are in units of "
                               "sigma; give its physical size as sigma_m")

@@ -15,7 +15,10 @@ reported through the autocorrelation kernel beta*h*E[B(x_t) B(x_0)] rather
 than by finite-differencing a noisy response curve.
 
 Ensembles are sharded with one counter-based stream per shard and reduced
-in shard order, so results are bitwise identical for any worker count.
+in shard order, so results are bitwise identical for any worker count.  The
+kernel draws each shard's states from its stream's key (gibbs._states), and
+the momenta behind ||B||_1 from a key and a start counter, so a run never
+imports numpy.random.
 """
 
 from __future__ import annotations
@@ -29,12 +32,12 @@ import numpy as np
 
 from . import _kernel
 from . import bounds as _bounds
-from .gibbs import (WallMarginal, NormEstimate, build_marginal, gamma_h,
-                    gamma_tilde_h, norm0_B_mc, sample_batch)
+from .gibbs import (WallMarginal, NormEstimate, _states, build_marginal,
+                    gamma_h, gamma_tilde_h, norm0_B_mc)
 from .model import ModelParams
-from .rng import substream
+from .rng import philox_key, philox_state
 
-# trajectories per shard: shard k draws from substream(seed, k)
+# trajectories per shard: shard k draws from the stream philox_key(seed, k)
 _SHARD = 1024
 
 # the displacement checks of a campaign: at these fractions of t0, against
@@ -205,8 +208,8 @@ def _displacement_terms(b_rec):
 
 def _run_shard(terms, n_traj, seed, marginal, dt, spr, n_records, tol, guard,
                start):
-    rng = substream(seed, start // _SHARD)
-    z, p = sample_batch(marginal, rng, min(_SHARD, n_traj - start))
+    z, p = _states(marginal, min(_SHARD, n_traj - start),
+                   philox_state(philox_key(seed, start // _SHARD)))
     b_rec, drift = _evolve_batch(z, p, marginal.params, marginal.params.field,
                                  dt, spr, n_records, tol, guard)
     # the states are spent: freed before the terms are formed
@@ -221,9 +224,10 @@ def _run_ensemble(terms, marginal: WallMarginal, config: IntegratorConfig,
     """Per-record sums s1, s2 of x and x^2, x = terms(b_records), over n_traj.
 
     H1 has the field of marginal.params.  Shard k holds trajectories
-    k*_SHARD onward, drawn from substream(seed, k).  The shards are summed in
-    shard order whichever process ran them, so the results do not depend on
-    n_workers.  Returns (record times, s1, s2, max relative H1 drift).
+    k*_SHARD onward, drawn from the stream philox_key(seed, k).  The shards
+    are summed in shard order whichever process ran them, so the results do
+    not depend on n_workers.  Returns (record times, s1, s2, max relative H1
+    drift).
     """
     times, dt, spr = _records_grid(config, n_records)
     shard = functools.partial(_run_shard, terms, n_traj, seed, marginal, dt,
@@ -407,11 +411,11 @@ def make_relaxation_report(params: ModelParams, config: IntegratorConfig,
     disp = displacement_norms(params, disp_times, n_traj, seed + 1, config,
                               marginal=marginal1, n_workers=n_workers)
     # ||B||_1 reads only momenta, which a whole batch draws after its
-    # _NORM_SAMPLES * N heights: skipping those, 4 doubles per Philox
-    # counter value (20000 N is a multiple of 4), keeps the same momenta
-    rng = substream(seed, 7001)
-    rng.bit_generator.advance(_NORM_SAMPLES * params.n_particles // 4)
-    b1 = norm0_B_mc(params, _NORM_SAMPLES, rng)
+    # _NORM_SAMPLES * N heights: starting the stream past those, 4 doubles
+    # per Philox counter value (20000 N is a multiple of 4), keeps the same
+    # momenta
+    b1 = norm0_B_mc(params, _NORM_SAMPLES, philox_key(seed, 7001),
+                    _NORM_SAMPLES * params.n_particles // 4)
     details = []
     displacement_ok = True
     for t, est in zip(disp_times, disp):

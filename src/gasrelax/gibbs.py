@@ -19,13 +19,20 @@ chunks of a few hundred, so it needs no temporaries beyond the stack, and it
 may write over its input.  Every drawn value is bitwise what a binary search
 over the whole batch and the NumPy cubic give.
 
+States are drawn in the C kernel from NumPy's Philox stream, given by its
+key and start counter (rng.philox_state): the heights are the inverse CDF
+of its uniforms, and the momenta NumPy's own normals, its ziggurat linked
+from numpy/random/lib/libnpyrandom.a.  The bits are those of a NumPy
+Generator on the same stream, and numpy.random is never imported.
+sample_batch draws from a Generator's Philox state and moves it on; the
+ensemble shards of `dynamics` draw from a key alone.
+
 A Monte-Carlo norm draws only what its observable reads, so it holds no
 array of all the sampled states.  norm0_mc, the norm of the bracket [B, H0],
-reads heights alone: one C kernel call draws NumPy's Philox stream from its
-key, inverts it and sums the forces of each state a few rows at a time, so
-no height array is made.  norm0_B_mc, the norm of the momentum sum B, draws
-momenta alone (the tilt of rho1 moves only the heights), one block of
-_MC_BLOCK values at a time.
+reads heights alone: one C kernel call draws, inverts and sums the forces
+of each state a few rows at a time, so no height array is made.
+norm0_B_mc, the norm of the momentum sum B, draws momenta alone (the tilt
+of rho1 moves only the heights), one row at a time.
 
 Integrands that multiply the Gibbs weight by inverse powers of the wall
 distance are evaluated in log space: the exponential kills the power in the
@@ -42,6 +49,7 @@ import numpy as np
 from . import _kernel
 from .model import ModelParams, _require_inside, wall_potential
 from .numerics import _kronrod_panels, integrate_finite
+from .rng import philox_state
 
 __all__ = [
     "WallMarginal",
@@ -65,20 +73,19 @@ _LOG_FLOOR = -745.0
 # cells of the inverse-CDF guide table over u in [0, 1); a power of two, so
 # u * _GUIDE_CELLS is exact and its floor is the cell that holds u
 _GUIDE_CELLS = 1 << 16
-# cell edges per searchsorted call of _guide_table
-_GUIDE_CHUNK = 1 << 12
+# cell edges per searchsorted call of _guide_table: its edges, their
+# indices and brackets (48 KiB) stay under a fifth of the int32 table
+_GUIDE_CHUNK = 1 << 11
 
-# the fewest cells of a CDF table
+# the fewest and the most cells of a CDF table; the guide table holds
+# bracket indices below grid_size as int32
 _MIN_GRID = 64
+_MAX_GRID = 2**31 - 1
 
 # cells per Kronrod pass of a CDF table: each pass's nodes and integrand
 # temporaries are 30 KiB, not those of every cell at once; a panel's sums
 # are its own, so the masses have the same bits
 _KRONROD_BLOCK = 256
-
-# values per block of norm0_B_mc's momenta: 1024 rows of 64 particles,
-# 512 KiB, which stay in L2 from the draw to the row sums
-_MC_BLOCK = 1 << 16
 
 
 def _log_weight(z, params: ModelParams, tilt: float = 0.0,
@@ -207,7 +214,7 @@ class WallMarginal:
         if not (k >= 2
                 and all(a.dtype == np.float64 and a.shape == (k,)
                         and a.flags.c_contiguous for a in tables)
-                and self._guide.dtype == np.intp
+                and self._guide.dtype == np.int32
                 and self._guide.shape == (_GUIDE_CELLS,)
                 and self._guide.flags.c_contiguous
                 and 0 <= self._guide.min() and self._guide.max() <= k - 2):
@@ -253,7 +260,7 @@ def _guide_table(inv_u: np.ndarray) -> np.ndarray:
     inside the cell.  The table is searched _GUIDE_CHUNK edges at a time
     and finished in place, so it needs no temporary of its own size.
     """
-    guide = np.empty(_GUIDE_CELLS, dtype=np.intp)
+    guide = np.empty(_GUIDE_CELLS, dtype=np.int32)
     for start in range(0, _GUIDE_CELLS, _GUIDE_CHUNK):
         stop = start + _GUIDE_CHUNK
         guide[start:stop] = np.searchsorted(
@@ -296,7 +303,7 @@ def build_marginal(params: ModelParams, grid_size: int = 2048,
     Parameters
     ----------
     params : ModelParams
-    grid_size : number of CDF table cells (>= 64).
+    grid_size : number of CDF table cells (64 to 2^31 - 1).
     tilted : build the field-tilted density exp(-beta V + h beta z) instead
         of the unperturbed one.  Requires params.field for the tilt.
 
@@ -304,8 +311,8 @@ def build_marginal(params: ModelParams, grid_size: int = 2048,
     fixed Kronrod pass per cell (one batched pass per _KRONROD_BLOCK cells),
     then normalized so the endpoints are exactly 0 and 1.
     """
-    if grid_size < _MIN_GRID:
-        raise ValueError(f"grid_size must be >= {_MIN_GRID}")
+    if not _MIN_GRID <= grid_size <= _MAX_GRID:
+        raise ValueError(f"grid_size must lie in [{_MIN_GRID}, {_MAX_GRID}]")
     tilt = params.field if tilted else 0.0
     half = params.half_box
 
@@ -337,40 +344,57 @@ def build_marginal(params: ModelParams, grid_size: int = 2048,
                         _guide=_guide_table(inv_u))
 
 
-def _open_uniforms(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniform draws on the open interval (0, 1).
-
-    inverse_cdf(0.0) is the wall itself, so an exact 0.0 from rng.random
-    (probability 2^-53 per draw) is redrawn from the same generator.
-    Without a zero, the draws are those of rng.random(shape).
-    """
-    u = rng.random(shape)
-    if not u.all():
-        zero = np.flatnonzero(u == 0.0)
-        while zero.size:
-            u.flat[zero] = rng.random(zero.size)
-            zero = zero[u.flat[zero] == 0.0]
-    return u
-
-
 def sample_batch(marginal: WallMarginal, rng: np.random.Generator,
                  n_states: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw (Z, P) arrays of shape (n_states, N): iid particles, Gaussian p.
 
-    The momenta (variance m / beta) come after the n_states * N height
-    uniforms in the generator's stream.  The uniforms are inverted in place.
+    rng must be a Generator on NumPy's Philox.  The states are _states drawn
+    from its bit generator's state, mid-block buffer included, and rng is
+    moved past them: the bits of the inverse CDF of rng.random((n_states,
+    N)), a 0.0 among them redrawn, then of rng.normal(0.0, sqrt(m / beta),
+    (n_states, N)).
+    """
+    bit_generator = rng.bit_generator
+    st = bit_generator.state
+    if st["bit_generator"] != "Philox" or not 0 <= st["buffer_pos"] <= 4:
+        raise ValueError("sample_batch draws from a Philox Generator")
+    words = np.empty(11, dtype=np.uint64)
+    words[:2] = st["state"]["key"]
+    words[2:6] = st["state"]["counter"]
+    words[6:10] = st["buffer"]
+    words[10] = st["buffer_pos"]
+    z, p = _states(marginal, n_states, words)
+    st["state"]["counter"] = words[2:6]
+    st["buffer"] = words[6:10]
+    st["buffer_pos"] = int(words[10])
+    bit_generator.state = st
+    return z, p
+
+
+def _states(marginal: WallMarginal, rows: int,
+            state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, N) heights and momenta drawn in the kernel from the Philox
+    state (rng.philox_state), which is left past them.
+
+    The heights are the inverse CDF of the stream's next rows * N uniforms;
+    a 0.0, which would put a particle on the wall (probability 2^-53 each),
+    takes instead the next value past them that is not 0.0, in the order
+    the zeros come.  The momenta, of variance m / beta, are NumPy's normals
+    drawn on from there.
     """
     params = marginal.params
-    u = _open_uniforms(rng, (n_states, params.n_particles))
-    z = marginal.inverse_cdf(u, out=u)
-    return z, _momenta(params, rng, n_states)
+    z = np.empty((rows, params.n_particles))
+    p = np.empty_like(z)
+    _kernel.library().sampled_states(
+        state.ctypes.data, z.ctypes.data, p.ctypes.data, rows,
+        params.n_particles, _momentum_scale(params),
+        *marginal._kernel_tables())
+    return z, p
 
 
-def _momenta(params: ModelParams, rng: np.random.Generator,
-             rows: int) -> np.ndarray:
-    """(rows, N) momenta of variance m / beta, from exp(-beta p^2 / 2m)."""
-    return rng.normal(0.0, math.sqrt(params.mass) / math.sqrt(params.beta),
-                      (rows, params.n_particles))
+def _momentum_scale(params: ModelParams) -> float:
+    """sqrt(m / beta), the scale of the momenta, from exp(-beta p^2 / 2m)."""
+    return math.sqrt(params.mass) / math.sqrt(params.beta)
 
 
 def norm0_B_closed(params: ModelParams) -> float:
@@ -392,12 +416,9 @@ def norm0_mc(marginal: WallMarginal, n_samples: int,
 
     The states follow the marginal's measure (rho0, or rho1 when it is
     tilted), and no momentum is drawn.  key is a stream's philox_key: the
-    heights are the inverse CDF of the first n_samples * N values of NumPy's
-    Philox(key=key) stream, read row by row, the heights that sample_batch
-    draws from its Generator.  A value of exactly 0.0 would place a particle
-    on the wall (probability 2^-53 each): it takes instead the next value
-    past those n_samples * N that is not 0.0, in the order the zeros come.
-    Each state's value is the bits of poisson_B_H0 of its row.
+    heights are those of _states (and sample_batch) on NumPy's
+    Philox(key=key) stream, read row by row.  Each state's value is the bits
+    of poisson_B_H0 of its row.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
@@ -413,47 +434,39 @@ def _force_sums(marginal: WallMarginal, n_samples: int, key: np.ndarray,
     One kernel call draws, inverts and sums a few rows at a time; besides
     the n_samples values it needs one row of scratch.
     """
-    key = np.ascontiguousarray(key, dtype=np.uint64)
-    if key.shape != (2,):
-        raise ValueError("a Philox key is two 64-bit words")
-    words = np.array([(counter >> shift) & 0xFFFFFFFFFFFFFFFF
-                      for shift in (0, 64, 128, 192)], dtype=np.uint64)
+    state = philox_state(key, counter)
     params = marginal.params
     out = np.empty(n_samples)
     scratch = np.empty(params.n_particles)
     outside = _kernel.library().sampled_force_sums(
-        key.ctypes.data, words.ctypes.data, out.ctypes.data, n_samples,
-        params.n_particles, scratch.ctypes.data, params.half_box,
-        12.0 * params.delta_wall, *marginal._kernel_tables())
+        state.ctypes.data, out.ctypes.data, n_samples, params.n_particles,
+        scratch.ctypes.data, params.half_box, 12.0 * params.delta_wall,
+        *marginal._kernel_tables())
     _require_inside(outside, params)
     return out
 
 
-def norm0_B_mc(params: ModelParams, n_samples: int,
-               rng: np.random.Generator) -> NormEstimate:
-    """Monte-Carlo norm of the momentum sum B, from momenta alone: the bits
-    of one _momenta draw of n_samples rows, made _MC_BLOCK values at a time.
+def norm0_B_mc(params: ModelParams, n_samples: int, key: np.ndarray,
+               counter: int) -> NormEstimate:
+    """Monte-Carlo norm of the momentum sum B, from momenta alone.
 
-    The tilt of rho1 moves only the heights, so B has one law under rho0 and
+    The momenta are those of _states on the stream of (key, counter), the
+    start counter of NumPy's Philox: each row's B is the bits of
+    rng.normal(0.0, sqrt(m / beta), (n_samples, N)).sum(axis=1).  The kernel
+    draws and sums one row at a time, so no block of momenta is held.  The
+    tilt of rho1 moves only the heights, so B has one law under rho0 and
     rho1; the estimate carries the measure of params.
     """
-    values = _in_blocks(lambda rows: _momenta(params, rng, rows).sum(axis=1),
-                        n_samples, params.n_particles)
-    return NormEstimate.from_values(values,
-                                    "rho1" if params.field != 0.0 else "rho0")
-
-
-def _in_blocks(block, n_samples: int, n_particles: int) -> np.ndarray:
-    """The n_samples values of block(rows), taken _MC_BLOCK values at a time;
-    each block's states are freed before the next one is drawn."""
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
+    state = philox_state(key, counter)
     values = np.empty(n_samples)
-    step = max(1, _MC_BLOCK // n_particles)
-    for start in range(0, n_samples, step):
-        rows = min(step, n_samples - start)
-        values[start:start + rows] = block(rows)
-    return values
+    row = np.empty(params.n_particles)
+    _kernel.library().sampled_momentum_sums(
+        state.ctypes.data, values.ctypes.data, n_samples, params.n_particles,
+        _momentum_scale(params), row.ctypes.data)
+    return NormEstimate.from_values(values,
+                                    "rho1" if params.field != 0.0 else "rho0")
 
 
 def norm0_poisson_B_H0_quadrature(marginal: WallMarginal) -> float:

@@ -6,14 +6,15 @@ instead of the adaptive rule, rejection sampling instead of inverse-CDF
 lookup, and a deterministic initial-condition grid instead of Monte Carlo.
 The allocating NumPy forms of the inverse CDF and its guide table, the wall
 potential and force, the bracket [B, H0], H1 and the Verlet loop, the
-per-panel Kronrod loop, the whole-batch Monte-Carlo norm and the blocked
+per-panel Kronrod loop, the NumPy state draw (uniforms on the open interval
+and Generator normals), the whole-batch Monte-Carlo norm and the blocked
 norm of any observable are kept here as the references that the C kernels,
-the chunked guide table, the row-chunked bracket, the batched Kronrod pass
-and the sampled bracket norm must match bit for bit; the Philox rounds run
-backwards plant a 0.0 in the kernel's stream.  Observables that only tests
-evaluate (the height sum A, the moment generating function of z, and H1
-outside the trajectory kernel, which records it, and the normalized density
-of a wall marginal) live here too.
+the chunked guide table, the row-chunked bracket, the batched Kronrod pass,
+the kernel's state draw and the sampled norms must match bit for bit; the
+Philox rounds run backwards plant a 0.0 in the kernel's stream.
+Observables that only tests evaluate (the height sum A, the moment
+generating function of z, and H1 outside the trajectory kernel, which
+records it, and the normalized density of a wall marginal) live here too.
 """
 
 import math
@@ -27,9 +28,9 @@ from gasrelax import _kernel
 from gasrelax.dynamics import (EnergyDriftError, WallBreachError,
                                _evolve_batch, _records_grid)
 from gasrelax.gibbs import (_GUIDE_CELLS, NormEstimate, _centered_mgf,
-                            _in_blocks, _monotone_tangents, _open_uniforms,
-                            _weight)
+                            _monotone_tangents, _weight)
 from gasrelax.model import observable_B
+from gasrelax.rng import philox_state
 from gasrelax.numerics import (_WG, _WGK, _XGK, QuadratureError,
                                integrate_finite)
 
@@ -162,6 +163,35 @@ def guide_table_one_shot(inv_u):
                    0, inv_u.size - 2)
 
 
+def open_uniforms(rng, shape):
+    """Uniform draws on the open interval (0, 1).
+
+    inverse_cdf(0.0) is the wall itself, so an exact 0.0 from rng.random
+    (probability 2^-53 per draw) is redrawn from the same generator, in
+    rounds, until none is left.  Without a zero, the draws are those of
+    rng.random(shape).
+    """
+    u = rng.random(shape)
+    if not u.all():
+        zero = np.flatnonzero(u == 0.0)
+        while zero.size:
+            u.flat[zero] = rng.random(zero.size)
+            zero = zero[u.flat[zero] == 0.0]
+    return u
+
+
+def sample_batch_reference(marginal, rng, n_states):
+    """gibbs.sample_batch drawn by the NumPy Generator rng, as it was before
+    the kernel drew the states: the inverse CDF of open_uniforms, then
+    rng.normal momenta of variance m / beta."""
+    params = marginal.params
+    u = open_uniforms(rng, (n_states, params.n_particles))
+    z = marginal.inverse_cdf(u, out=u)
+    p = rng.normal(0.0, math.sqrt(params.mass) / math.sqrt(params.beta),
+                   (n_states, params.n_particles))
+    return z, p
+
+
 def norm0_mc_one_batch(f, marginal, n_samples, rng):
     """norm0_mc drawn, inverted and evaluated as one whole batch.
 
@@ -181,21 +211,25 @@ def norm0_mc_one_batch(f, marginal, n_samples, rng):
                                      marginal.which_measure)
 
 
+# values per block of norm0_mc_blocks
+_MC_BLOCK = 1 << 16
+
+
 def norm0_mc_blocks(f, marginal, n_samples, rng):
     """The Monte-Carlo norm sqrt(E[f^2]) of heights drawn from rng a block of
-    gibbs._MC_BLOCK values at a time: gibbs.norm0_mc before the kernel drew,
+    _MC_BLOCK values at a time: gibbs.norm0_mc before the kernel drew,
     inverted and summed them itself, for any observable f of the (rows, N)
     heights.  An exact 0.0 uniform is redrawn within its own block."""
     n = marginal.params.n_particles
-
-    def block(rows):
-        u = _open_uniforms(rng, (rows, n))
-        values = np.asarray(f(marginal.inverse_cdf(u, out=u)), dtype=float)
-        assert values.shape == (rows,)
-        return values
-
-    return NormEstimate.from_values(_in_blocks(block, n_samples, n),
-                                    marginal.which_measure)
+    values = np.empty(n_samples)
+    step = max(1, _MC_BLOCK // n)
+    for start in range(0, n_samples, step):
+        rows = min(step, n_samples - start)
+        u = open_uniforms(rng, (rows, n))
+        block = np.asarray(f(marginal.inverse_cdf(u, out=u)), dtype=float)
+        assert block.shape == (rows,)
+        values[start:start + rows] = block
+    return NormEstimate.from_values(values, marginal.which_measure)
 
 
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -236,26 +270,10 @@ def philox_counter_with_zeros(key, indices):
 
 def kernel_uniforms(key, counter, n):
     """The first n doubles of the kernel's Philox stream of (key, counter)."""
-    key = np.asarray(key, dtype=np.uint64)
-    words = np.array([(counter >> (64 * i)) & _MASK64 for i in range(4)],
-                     dtype=np.uint64)
     out = np.empty(n)
-    _kernel.library().philox_uniforms(key.ctypes.data, words.ctypes.data,
+    _kernel.library().philox_uniforms(philox_state(key, counter).ctypes.data,
                                       out.ctypes.data, n)
     return out
-
-
-def skip_heights(rng, n_samples, n_particles):
-    """rng moved past the n_samples * N height uniforms of a whole batch, to
-    where sample_batch draws its momenta.
-
-    A fresh Philox stream gives 4 doubles per counter value, so the count
-    must be a multiple of 4 and rng must not have drawn yet.
-    """
-    count = n_samples * n_particles
-    assert count % 4 == 0
-    rng.bit_generator.advance(count // 4)
-    return rng
 
 
 def _recip_pow12(u):
@@ -437,34 +455,6 @@ def kernel_records(z, p, params, h, dt, steps_per_record, n_records,
         0.5 / params.mass, wall_guard * params.half_box, b.ctypes.data,
         e.ctypes.data)
     return end, b, e, z, p
-
-
-class ZeroDraws:
-    """A Generator stand-in whose k-th `random` call has exact 0.0 draws.
-
-    zeros[k] holds the flat indices set to 0.0 in the k-th call's array;
-    later calls, `normal` and `bit_generator`, pass through to rng.  `sizes`
-    records the size of every `random` call.
-    """
-
-    def __init__(self, rng, zeros):
-        self._rng = rng
-        self._zeros = list(zeros)
-        self.sizes = []
-
-    def random(self, size=None):
-        u = self._rng.random(size)
-        self.sizes.append(size)
-        if self._zeros:
-            u.flat[self._zeros.pop(0)] = 0.0
-        return u
-
-    def normal(self, *args):
-        return self._rng.normal(*args)
-
-    @property
-    def bit_generator(self):
-        return self._rng.bit_generator
 
 
 def simpson_integral(f, a, b, n=1 << 15):

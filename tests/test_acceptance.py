@@ -27,7 +27,7 @@ from gasrelax.gibbs import (build_marginal, gamma_h, gamma_tilde_h,
                             hoelder_certificate, norm0_B_closed, norm0_B_mc,
                             norm0_mc, norm0_poisson_B_H0_quadrature)
 from gasrelax.model import ModelParams
-from gasrelax.rng import philox_key, substream
+from gasrelax.rng import philox_key
 
 SEED = 20260808
 REF = ModelParams(n_particles=64, beta=1.0, delta_wall=1.0, box_side=10.0,
@@ -66,8 +66,7 @@ def displacement_run(reference_run):
     marginal1 = build_marginal(REF, tilted=True)
     estimates = displacement_norms(REF, times, n_traj=10000, seed=SEED + 1,
                                    config=config, marginal=marginal1)
-    b1 = norm0_B_mc(REF, 20000,
-                    helpers.skip_heights(substream(SEED, 501), 20000, 64))
+    b1 = norm0_B_mc(REF, 20000, philox_key(SEED, 501), 20000 * 64 // 4)
     return times, estimates, b1
 
 

@@ -282,6 +282,23 @@ class TestSizeKeys:
         assert err == f"validation error: {key} must be >= {floor}\n"
         assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
 
+    @pytest.mark.parametrize("command", ["bounds", "simulate", "report"])
+    def test_grid_past_int32_is_a_validation_error(self, tmp_path, command,
+                                                    monkeypatch):
+        # the ceiling of build_marginal, checked before any table is built
+        def no_marginal(*args, **kwargs):
+            raise AssertionError("a refused grid is not tabulated")
+
+        for module in (bounds, cli, dynamics, gibbs):
+            monkeypatch.setattr(module, "build_marginal", no_marginal)
+        path = write_config(tmp_path, output_dir=str(tmp_path))
+        code, out, err = _run_quietly([command, "--config", path,
+                                       f"--grid_size={2**31}"])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == ("validation error: grid_size must be <= "
+                       f"{2**31 - 1}\n")
+        assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
+
     def test_any_integer_seed_is_taken_mod_2_to_the_64(self, tmp_path):
         etas = []
         for seed in (-1, 2**64 - 1):
@@ -417,12 +434,34 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers, n_traj", [(1, 64), (2, 64),
+                                                 (2, 1100)])
+    def test_simulate_never_imports_numpy_random(self, tmp_path, workers,
+                                                 n_traj):
+        # the shards' states and the momenta of ||B||_1 come from the
+        # kernel, NumPy's normals included; 1100 trajectories are two
+        # shards, which run in the process pool
+        path = write_config(tmp_path, output_dir=str(tmp_path))
+        script = ("import sys\n"
+                  "from gasrelax import cli\n"
+                  f"code = cli.main(['simulate', '--config', {path!r}, "
+                  f"'--workers', '{workers}', '--n_traj', '{n_traj}'])\n"
+                  "print(code, 'numpy.random' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(gasrelax.__file__).parents[1]),
+             os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        # exit 1 is the curve_check verdict
+        assert result.stdout.splitlines()[-1] == f"{EXIT_RUNTIME} False"
+
     def test_out_of_memory_is_a_runtime_error(self, tmp_path, monkeypatch,
                                               capsys):
         def no_memory(*args):
             raise MemoryError("Unable to allocate 763. GiB")
 
-        monkeypatch.setattr(dynamics, "sample_batch", no_memory)
+        monkeypatch.setattr(dynamics, "_states", no_memory)
         path = write_config(tmp_path, output_dir=str(tmp_path))
         assert main(["simulate", "--config", path]) == EXIT_RUNTIME
         assert capsys.readouterr().err == (
@@ -504,14 +543,6 @@ class TestConfigReachesTheRun:
 class TestZeroUniformDraw:
     """A uniform draw of exactly 0.0 is replaced, not placed on the wall."""
 
-    @staticmethod
-    def _zero_first_draw(module, monkeypatch):
-        # every stream's first uniform draw starts with an exact 0.0, which
-        # rng.random returns with probability 2^-53
-        real = module.substream
-        monkeypatch.setattr(module, "substream", lambda seed, index:
-                            helpers.ZeroDraws(real(seed, index), [[0]]))
-
     def test_bounds(self, tmp_path, monkeypatch, capsys):
         # the bracket norm's stream starts at a counter whose first value is
         # an exact 0.0, which the kernel replaces
@@ -527,7 +558,12 @@ class TestZeroUniformDraw:
         assert capsys.readouterr().err == ""
 
     def test_simulate(self, tmp_path, monkeypatch, capsys):
-        self._zero_first_draw(dynamics, monkeypatch)
+        # every shard's stream starts at a counter whose first value is an
+        # exact 0.0 (probability 2^-53), which the kernel replaces
+        real = dynamics.philox_state
+        monkeypatch.setattr(dynamics, "philox_state", lambda key, counter=0:
+                            real(key, helpers.philox_counter_with_zeros(
+                                key, [0])))
         path = write_config(tmp_path, output_dir=str(tmp_path))
         # exit 1 is the curve_check verdict, not a wall breach
         assert main(["simulate", "--config", path]) == EXIT_RUNTIME

@@ -16,7 +16,7 @@ from gasrelax.dynamics import (CorrelationSeries, EnergyDriftError,
                                _evolve_batch, _records_grid)
 from gasrelax.gibbs import build_marginal, norm0_B_mc, sample_batch
 from gasrelax.model import ModelParams, observable_B
-from gasrelax.rng import substream
+from gasrelax.rng import philox_key, substream
 
 
 def _run(z, p, params, h, config, n_records):
@@ -273,8 +273,8 @@ class TestDisplacement:
         marginal1 = build_marginal(self.PARAMS, tilted=True)
         ests = displacement_norms(self.PARAMS, [0.5 * t0, t0], n_traj=2000,
                                   seed=41, config=config, marginal=marginal1)
-        b1 = norm0_B_mc(self.PARAMS, 5000, helpers.skip_heights(
-            substream(41, 99), 5000, self.PARAMS.n_particles))
+        b1 = norm0_B_mc(self.PARAMS, 5000, philox_key(41, 99),
+                        5000 * self.PARAMS.n_particles // 4)
         for t, est in zip([0.5 * t0, t0], ests):
             bound = 1.05 * eta * t * b1.value
             slack = 3.0 * (est.std_error + 1.05 * eta * t * b1.std_error)

@@ -2,7 +2,6 @@ import ctypes
 import dataclasses
 import functools
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 import helpers
 from helpers import mgf_z
 from gasrelax import _kernel, gibbs, numerics
-from gasrelax.gibbs import (_GUIDE_CELLS, _MC_BLOCK, NormEstimate,
+from gasrelax.gibbs import (_GUIDE_CELLS, _MAX_GRID, NormEstimate,
                             _guide_table, _wall_breakpoints, _weight,
                             build_marginal, gamma_h, gamma_tilde_h,
                             hoelder_certificate, log_mgf_z, norm0_B_closed,
@@ -172,6 +171,125 @@ class TestQuadratureBitwise:
         assert got.evaluations == want.evaluations > 15 * 9
 
 
+def _philox(key, counter=0):
+    """NumPy's Philox Generator of (key, counter)."""
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def _assert_same_states(got, want):
+    for mine, theirs in zip(got, want):
+        assert mine.shape == theirs.shape
+        assert np.array_equal(_bits(mine), _bits(theirs))
+
+
+def _assert_same_generator_state(rng, want):
+    got, expected = rng.bit_generator.state, want.bit_generator.state
+    for name in ("key", "counter"):
+        assert np.array_equal(got["state"][name], expected["state"][name])
+    assert np.array_equal(got["buffer"], expected["buffer"])
+    for name in ("bit_generator", "buffer_pos", "has_uint32", "uinteger"):
+        assert got[name] == expected[name]
+
+
+@functools.lru_cache(maxsize=None)
+def _small_marginal(n, tilted):
+    return build_marginal(ModelParams(n, 1.0, 1.0, 10.0, field=1e-2,
+                                      mass=2.0), grid_size=256, tilted=tilted)
+
+
+# keys of the kernel-draw checks: seeds and stream ids of every size
+DRAW_KEYS = [philox_key(20261019, 0), philox_key(7, 3, 1),
+             philox_key(2**64 - 1, 12)]
+
+
+class TestKernelDraws:
+    """The kernel's states are those of the NumPy draw it replaced (the
+    Generator's uniforms, inverted, then its normals), bit for bit, and
+    sample_batch leaves the Generator where that draw leaves it."""
+
+    @pytest.mark.parametrize("key", DRAW_KEYS, ids=["k0", "k1", "k2"])
+    @pytest.mark.parametrize("counter", [0, 2**64 - 3, 2**192 - 2,
+                                         2**256 - 2],
+                             ids=["0", "2^64-3", "2^192-2", "2^256-2"])
+    @pytest.mark.parametrize("buffer_pos", range(5))
+    def test_any_start_state(self, key, counter, buffer_pos):
+        # the counter carries into its next words, or wraps, within the
+        # draw; the buffer holds the stream's first block, read up to
+        # buffer_pos (0: none of it, 4: all)
+        gens = []
+        for _ in range(2):
+            rng = _philox(key, counter)
+            rng.bit_generator.random_raw(4)
+            st = rng.bit_generator.state
+            st["buffer_pos"] = buffer_pos
+            rng.bit_generator.state = st
+            gens.append(rng)
+        rng, oracle = gens
+        marginal = _small_marginal(3, True)
+        got = sample_batch(marginal, rng, 7)
+        _assert_same_states(got, helpers.sample_batch_reference(
+            marginal, oracle, 7))
+        _assert_same_generator_state(rng, oracle)
+        assert rng.random() == oracle.random()
+
+    @pytest.mark.parametrize("tilted", [False, True], ids=["rho0", "rho1"])
+    @pytest.mark.parametrize("rows", [1, 7, 1024])
+    @pytest.mark.parametrize("n", [1, 3, 64, 600])
+    def test_every_shape(self, n, rows, tilted):
+        # rows of one value, rows longer than the kernel's chunk of heights,
+        # and shard-sized batches
+        marginal = _small_marginal(n, tilted)
+        rng, oracle = _philox(DRAW_KEYS[0]), _philox(DRAW_KEYS[0])
+        got = sample_batch(marginal, rng, rows)
+        _assert_same_states(got, helpers.sample_batch_reference(
+            marginal, oracle, rows))
+        _assert_same_generator_state(rng, oracle)
+
+    @pytest.mark.parametrize("n, rows, zeros", [
+        (64, 7, [0]), (64, 7, [4, 5]), (3, 34, [100, 102]), (600, 1, [601]),
+        (1, 3, [1, 3])])
+    def test_planted_zero(self, n, rows, zeros):
+        # each 0.0 among the rows * n main draws takes, in order, the next
+        # value past them that is not 0.0: at 3 x 34 the zero at 100 passes
+        # over the zero at 102, the first value past the main draws, as
+        # NumPy's second round of redraws does; the momenta follow
+        key = DRAW_KEYS[1]
+        counter = helpers.philox_counter_with_zeros(key, zeros)
+        assert np.flatnonzero(_philox(key, counter).random(rows * n + 4)
+                              == 0.0).tolist() == zeros
+        marginal = _small_marginal(n, False)
+        rng, oracle = _philox(key, counter), _philox(key, counter)
+        got = sample_batch(marginal, rng, rows)
+        assert np.all(np.abs(got[0]) < marginal.params.half_box)
+        _assert_same_states(got, helpers.sample_batch_reference(
+            marginal, oracle, rows))
+        _assert_same_generator_state(rng, oracle)
+
+    def test_ziggurat_tail_and_wedges(self, ref_marginal):
+        # 1.02e6 unit normals: only the tail branch of NumPy's ziggurat
+        # returns a value beyond its edge r (ziggurat_nor_r), so equal bits
+        # past it show that the tail ran, and about 1 % of the draws take
+        # the exp wedge test
+        rng, oracle = _philox(DRAW_KEYS[2]), _philox(DRAW_KEYS[2])
+        z, p = sample_batch(ref_marginal, rng, 16000)
+        assert p.size >= 1_000_000
+        assert np.abs(p).max() > 3.6541528853610088
+        _assert_same_states((z, p), helpers.sample_batch_reference(
+            ref_marginal, oracle, 16000))
+        _assert_same_generator_state(rng, oracle)
+
+    def test_other_bit_generators_are_refused(self, ref_marginal):
+        with pytest.raises(ValueError, match="Philox"):
+            sample_batch(ref_marginal, np.random.default_rng(1), 2)
+        # NumPy takes any buffer position; the kernel reads the buffer at it
+        rng = _philox(DRAW_KEYS[0])
+        st = rng.bit_generator.state
+        st["buffer_pos"] = 5
+        rng.bit_generator.state = st
+        with pytest.raises(ValueError, match="Philox"):
+            sample_batch(ref_marginal, rng, 2)
+
+
 class TestSampling:
     def test_state_inside_box(self, ref_marginal, ref_params):
         z, p = sample_batch(ref_marginal, substream(1, 0), 3)
@@ -189,19 +307,21 @@ class TestSampling:
             0.0, 1.0, (500, ref_params.n_particles))))
 
     def test_zero_uniform_is_redrawn(self, ref_marginal, ref_params):
-        # inverse_cdf(0.0) is the wall itself; the second redraw of flat
-        # index 70 is 0.0 again and is redrawn once more
+        # inverse_cdf(0.0) is the wall itself; zeros planted by the start
+        # counter at flat indices 1 and 2 take the first two values past the
+        # 2 x 64 main draws, as NumPy's redraws give, and the momenta follow
         assert ref_marginal.inverse_cdf(0.0) == -ref_params.half_box
-        stub = helpers.ZeroDraws(substream(18, 0), [[3, 70, 127], [1], []])
-        z, p = sample_batch(ref_marginal, stub, 2)
-        assert stub.sizes == [(2, 64), 3, 1]
+        key = philox_key(18, 0)
+        counter = helpers.philox_counter_with_zeros(key, [1, 2])
+        assert np.flatnonzero(_philox(key, counter).random(128) == 0.0
+                              ).tolist() == [1, 2]
+        rng = _philox(key, counter)
+        z, p = sample_batch(ref_marginal, rng, 2)
         assert np.all(np.abs(z) < ref_params.half_box)
-        rng = substream(18, 0)
-        u = rng.random((2, 64))
-        u.flat[[3, 70, 127]] = rng.random(3)
-        u.flat[70] = rng.random(1)[0]
-        assert np.array_equal(_bits(z), _bits(ref_marginal.inverse_cdf(u)))
-        assert np.array_equal(_bits(p), _bits(rng.normal(0.0, 1.0, (2, 64))))
+        oracle = _philox(key, counter)
+        _assert_same_states((z, p), helpers.sample_batch_reference(
+            ref_marginal, oracle, 2))
+        _assert_same_generator_state(rng, oracle)
 
     def test_momentum_moments(self, ref_marginal, ref_params):
         # variance m / beta, from the kinetic Boltzmann factor exp(-beta p^2/2m)
@@ -325,7 +445,7 @@ class TestInverseCdfBitwise:
         past_last = np.full_like(guide, ref_marginal._inv_u.size - 1)
         for bad in (dict(_guide=guide[:-1]), dict(_guide=past_last),
                     dict(_guide=np.full_like(guide, -1)),
-                    dict(_guide=guide.astype(np.int32)),
+                    dict(_guide=guide.astype(np.int64)),
                     dict(_inv_z=ref_marginal._inv_z[:-1]),
                     dict(_inv_m=ref_marginal._inv_m[::-1])):
             with pytest.raises(ValueError, match="inverse-CDF tables"):
@@ -341,6 +461,18 @@ class TestInverseCdfBitwise:
 
 
 class TestGuideTable:
+    def test_grid_past_int32_is_refused(self, ref_params, monkeypatch):
+        # the guide table holds bracket indices below grid_size as int32;
+        # the refusal comes before any table is built
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("a refused grid is not tabulated")
+
+        monkeypatch.setattr(gibbs, "integrate_finite", no_quadrature)
+        assert _MAX_GRID == np.iinfo(np.int32).max
+        for grid_size in (_MAX_GRID + 1, 2**40):
+            with pytest.raises(ValueError, match="grid_size"):
+                build_marginal(ref_params, grid_size)
+
     @pytest.mark.parametrize("tilted", [False, True], ids=["rho0", "rho1"])
     @pytest.mark.parametrize("grid_size", [64, 2047])
     def test_equals_one_shot_search_within_its_own_size(self, ref_params,
@@ -350,7 +482,7 @@ class TestGuideTable:
         inv_u = build_marginal(ref_params, grid_size, tilted)._inv_u
         guide, peak = helpers.traced_peak(lambda: _guide_table(inv_u))
         want = helpers.guide_table_one_shot(inv_u)
-        assert guide.dtype == want.dtype == np.intp
+        assert guide.dtype == np.int32
         assert np.array_equal(guide, want)
         assert peak < 1.25 * guide.nbytes
 
@@ -378,8 +510,7 @@ class TestNorms:
 
     def test_norm0_mc_of_B_matches_gaussian_moment(self, ref_params):
         # E[B^2] = N * Var(p) = N / beta exactly
-        est = norm0_B_mc(ref_params, 20000,
-                         helpers.skip_heights(substream(7, 0), 20000, 64))
+        est = norm0_B_mc(ref_params, 20000, philox_key(7, 0), 20000 * 64 // 4)
         exact = math.sqrt(ref_params.n_particles / ref_params.beta)
         assert abs(est.value - exact) <= 3.0 * est.std_error
 
@@ -457,40 +588,27 @@ class TestNorms:
 
     @pytest.mark.parametrize("n, n_samples", [(64, 20000), (7, 20000),
                                               (300, 1000)])
-    def test_momenta_blocks_equal_one_batch(self, n, n_samples,
-                                            monkeypatch):
-        # momenta drawn a block at a time past the heights of a whole batch
+    def test_momenta_blocks_equal_one_batch(self, n, n_samples):
+        # momenta drawn and summed a row at a time, from the start counter
+        # past the heights of a whole batch (4 values per counter value),
         # give the bits of that batch's norm of B
         params = ModelParams(n, 1.0, 1.0, 10.0, field=1e-3, mass=2.0)
         marginal = build_marginal(params, grid_size=256, tilted=True)
-        rows = []
-        real = gibbs._momenta
-
-        def momenta(params, rng, n_rows):
-            rows.append(n_rows)
-            return real(params, rng, n_rows)
-
-        monkeypatch.setattr(gibbs, "_momenta", momenta)
-        rng = helpers.skip_heights(substream(28, n), n_samples, n)
-        est = norm0_B_mc(params, n_samples, rng)
-        step = _MC_BLOCK // n
-        assert rows == [step] * (n_samples // step) + [n_samples % step]
-        whole = substream(28, n)
+        est = norm0_B_mc(params, n_samples, philox_key(28, n),
+                         n_samples * n // 4)
         _assert_same_estimate(est, helpers.norm0_mc_one_batch(
-            observable_B, marginal, n_samples, whole))
-        # rng is left where the whole batch leaves it
-        assert rng.random() == whole.random()
+            observable_B, marginal, n_samples, substream(28, n)))
+        assert est.which_measure == "rho1"
 
     def test_states_are_not_held_all_at_once(self, ref_params):
-        # 20000 states of 64 momenta are 10.2 MB; a block is 0.5 MiB
-        norm0_B_mc(ref_params, 2000, substream(29, 0))
-        tracemalloc.start()
-        try:
-            norm0_B_mc(ref_params, 20000, substream(29, 0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+        # 20000 states of 64 momenta are 10.2 MB; the kernel draws one row
+        # at a time, so the values are all that the norm allocates
+        def run():
+            return norm0_B_mc(ref_params, 20000, philox_key(29, 0), 0)
+
+        run()
+        _, peak = helpers.traced_peak(run)
+        assert peak <= 8 * 20000 + 4096
 
     @pytest.mark.parametrize("n_samples", [100, 100_000])
     def test_moments_are_numpys_bit_for_bit(self, n_samples, monkeypatch):
@@ -528,7 +646,7 @@ class TestNorms:
         with pytest.raises(ValueError):
             norm0_mc(ref_marginal, 50, philox_key(8, 0))
         with pytest.raises(ValueError):
-            norm0_B_mc(ref_params, 50, substream(8, 0))
+            norm0_B_mc(ref_params, 50, philox_key(8, 0), 0)
 
     def test_norm0_mc_rejects_a_malformed_key(self, ref_marginal):
         with pytest.raises(ValueError, match="key"):
@@ -728,10 +846,9 @@ class TestNormEquivalence:
         for i, h in enumerate((1e-1, 1e-2, 1e-3)):
             params = ModelParams(16, 1.0, 1.0, 10.0, field=h)
             est0 = norm0_B_mc(dataclasses.replace(params, field=0.0), 20000,
-                              helpers.skip_heights(substream(12, 2 * i),
-                                                   20000, 16))
-            est1 = norm0_B_mc(params, 20000, helpers.skip_heights(
-                substream(12, 2 * i + 1), 20000, 16))
+                              philox_key(12, 2 * i), 20000 * 16 // 4)
+            est1 = norm0_B_mc(params, 20000, philox_key(12, 2 * i + 1),
+                              20000 * 16 // 4)
             diff = est1.value ** 2 - est0.value ** 2
             sigma = 2.0 * math.hypot(est1.value * est1.std_error,
                                      est0.value * est0.std_error)

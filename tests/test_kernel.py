@@ -242,7 +242,8 @@ class TestBuildFlags:
         signatures = _kernel_signatures()
         assert set(signatures) == {"wall_sums", "verlet_records",
                                    "inverse_cdf", "philox_uniforms",
-                                   "sampled_force_sums"}
+                                   "sampled_force_sums", "sampled_states",
+                                   "sampled_momentum_sums"}
         lib = _kernel.library()
         for name, (restype, argtypes) in signatures.items():
             fn = getattr(lib, name)
@@ -264,13 +265,17 @@ class TestBuildFlags:
 
     def test_compiles_without_warnings(self):
         # no variable-length array, and no stack frame past 64 KiB: the
-        # kernels' buffers are fixed-size arrays on the stack
+        # kernels' buffers are fixed-size arrays on the stack; NumPy's
+        # header is found as the build finds it
         cc = shutil.which("cc")
         if cc is None:
             pytest.skip("cc is not on PATH")
+        include = [f for f in _kernel._FLAGS if f.startswith("-I")]
+        assert include == [f"-I{_kernel._NUMPY_INCLUDE}"]
         result = subprocess.run(
             [cc, "-c", "-o", os.devnull, "-Wall", "-Wextra", "-Werror",
-             "-Wvla", "-Wframe-larger-than=65536", str(_kernel._SOURCE)],
+             "-Wvla", "-Wframe-larger-than=65536", *include,
+             str(_kernel._SOURCE)],
             capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
 
@@ -322,6 +327,41 @@ class TestLoader:
     def test_missing_compiler(self, tmp_path):
         with pytest.raises(_kernel.KernelBuildError, match="no-such-cc"):
             _kernel._load(tmp_path, str(tmp_path / "no-such-cc"))
+
+    @pytest.mark.parametrize("name", ["_NPYRANDOM", "_BITGEN_HEADER"])
+    def test_missing_numpy_random_c_api(self, tmp_path, monkeypatch, name):
+        missing = tmp_path / "gone" / getattr(_kernel, name).name
+        monkeypatch.setattr(_kernel, name, missing)
+        cache = tmp_path / "cache"
+        with pytest.raises(_kernel.KernelBuildError,
+                           match=re.escape(str(missing))):
+            _kernel._load(cache, "cc")
+        assert not cache.exists()
+
+    def test_missing_static_library_is_a_runtime_error_in_the_cli(
+            self, tmp_path, monkeypatch, capsys):
+        missing = tmp_path / "libnpyrandom.a"
+        monkeypatch.setattr(_kernel, "_lib", None)
+        monkeypatch.setattr(_kernel, "_NPYRANDOM", missing)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_particles = 4\nn_samples = 1000\n"
+                       f"output_dir = {tmp_path}\n")
+        assert main(["bounds", "--config", str(cfg)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: cannot build _verlet.c")
+        assert str(missing) in err and "Traceback" not in err
+
+    def test_changed_static_library_changes_the_cache_key(self, tmp_path,
+                                                          monkeypatch):
+        # a new NumPy brings new normals: the library is built afresh
+        copy = tmp_path / "libnpyrandom.a"
+        copy.write_bytes(_kernel._NPYRANDOM.read_bytes())
+        name = _kernel._library_name("cc")
+        monkeypatch.setattr(_kernel, "_NPYRANDOM", copy)
+        assert _kernel._library_name("cc") == name
+        with open(copy, "ab") as fh:
+            fh.write(b"\n")
+        assert _kernel._library_name("cc") != name
 
     def test_missing_compiler_is_a_runtime_error_in_the_cli(
             self, tmp_path, monkeypatch, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 import helpers
 from helpers import observable_A
-from gasrelax.gibbs import _MC_BLOCK, sample_batch
+from gasrelax.gibbs import sample_batch
 from gasrelax.model import (ModelParams, observable_B, poisson_B_H0,
                             wall_force, wall_potential)
 from gasrelax.rng import substream
@@ -196,10 +196,10 @@ class TestBrackets:
 
     @pytest.mark.parametrize("n", [64, 7])
     def test_row_chunks_bit_equal_to_one_shot(self, ref_marginal, n):
-        # two whole norm0_mc blocks of rows and part of a third, in each
-        # layout: every layout is summed as its C-ordered copy
+        # two whole blocks of 2^16 values in rows and part of a third, in
+        # each layout: every layout is summed as its C-ordered copy
         params = ModelParams(n, 1.0, 1.0, 10.0)
-        rows = 2 * (_MC_BLOCK // n) + 37
+        rows = 2 * ((1 << 16) // n) + 37
         z = ref_marginal.inverse_cdf(substream(23, 0).random((rows, n)))
         for layout in (z, np.asfortranarray(z), z[::-1, ::2],
                        z[:90].reshape(3, 30, n)):
