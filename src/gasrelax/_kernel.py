@@ -10,8 +10,9 @@ The library is built with `cc` into `__pycache__/` beside the source, under
 a name keyed by the source, the flags, `cc --version` and the bytes of
 NumPy's static library, so a changed kernel, compiler or NumPy builds
 afresh.  Each build writes a file of its own and renames it into place, so
-processes that build at once all load a whole library.  When that directory
-is not writable, the library is built in a temporary directory of the
+processes that build at once all load a whole library; a build then removes
+the libraries of other keys from the directory.  When that directory is not
+writable, the library is built in a temporary directory of the
 process and removed once loaded.
 """
 
@@ -88,7 +89,20 @@ def _load(cache_dir, cc: str) -> ctypes.CDLL:
         part = path.with_name(f"{path.name}.{os.getpid()}.part")
         _run_cc(cc, _build_args(part))
         os.replace(part, path)
+        _prune(path)
     return _bind(ctypes.CDLL(str(path)))
+
+
+def _prune(path: Path) -> None:
+    """Remove the libraries of other keys beside the one just built at path;
+    builds in progress (`*.part`) are left alone, and a process that has an
+    old library loaded keeps its mapping."""
+    for stale in path.parent.glob("_verlet-*.so"):
+        if stale != path:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:

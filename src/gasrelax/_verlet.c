@@ -286,7 +286,8 @@ static inline double hermite(double t, double y0, double m0, double y1,
  * inv_u[i + 1] <= u, as long as i < k - 2: a step for each knot inside the
  * cell, at most k / cells on average; a u below 0 or NaN starts from cell 0,
  * one of 1 or more from the last.  Every value is the one a binary search
- * gives (for a NaN, NaN).  Each chunk is copied, bracketed and interpolated.
+ * gives (for a NaN, NaN).  Each chunk is copied and bracketed in one pass,
+ * then interpolated.
  */
 static inline void invert(const double *u, double *out, ptrdiff_t n,
                           const double *restrict inv_u,
@@ -306,14 +307,11 @@ static inline void invert(const double *u, double *out, ptrdiff_t n,
         for (ptrdiff_t i = 0; i < len; i++) {
             double ui = u[start + i];
             double cell = ui * width;
-            uc[i] = ui;
-            idx[i] = guide[!(cell >= 0.0) ? 0
-                           : cell < width ? (ptrdiff_t)cell : cells - 1];
-        }
-        for (ptrdiff_t i = 0; i < len; i++) {
-            ptrdiff_t j = idx[i];
-            while (j < k - 2 && uc[i] >= inv_u[j + 1])
+            ptrdiff_t j = guide[!(cell >= 0.0) ? 0
+                                : cell < width ? (ptrdiff_t)cell : cells - 1];
+            while (j < k - 2 && ui >= inv_u[j + 1])
                 j++;
+            uc[i] = ui;
             idx[i] = j;
         }
         for (ptrdiff_t i = 0; i < len; i++) {
@@ -388,9 +386,15 @@ static inline uint64_t philox_word(struct philox *s)
     return s->block[s->next++];
 }
 
+/* a word as a double in [0, 1): its top 53 bits times 2^-53 */
+static inline double word_double(uint64_t w)
+{
+    return (double)(w >> 11) * (1.0 / 9007199254740992.0);
+}
+
 static inline double philox_double(struct philox *s)
 {
-    return (double)(philox_word(s) >> 11) * (1.0 / 9007199254740992.0);
+    return word_double(philox_word(s));
 }
 
 /* s moved past its next n values, into the state NumPy's Philox has after
@@ -422,7 +426,9 @@ KERNEL void philox_uniforms(struct philox *s, double *out, ptrdiff_t n)
 
 /* z[i] = the inverse CDF (see invert) of the next value of *s, for
  * i < len; a value 0.0, which would put a particle on the wall, is replaced
- * by the next value of *spare that is not 0.0 */
+ * by the next value of *spare that is not 0.0, in the order of i.  The
+ * words left in the buffer are read first, then whole blocks straight into
+ * z, then the rest one at a time. */
 static inline void heights(struct philox *s, struct philox *spare, double *z,
                            ptrdiff_t len, const double *restrict inv_u,
                            const double *restrict inv_z,
@@ -430,12 +436,20 @@ static inline void heights(struct philox *s, struct philox *spare, double *z,
                            const int32_t *restrict guide, ptrdiff_t k,
                            ptrdiff_t cells)
 {
-    for (ptrdiff_t i = 0; i < len; i++) {
-        double u = philox_double(s);
-        while (u == 0.0)
-            u = philox_double(spare);
-        z[i] = u;
+    ptrdiff_t i = 0;
+    for (; i < len && s->next < 4; i++)
+        z[i] = philox_double(s);
+    for (; i + 4 <= len; i += 4) {
+        philox_block(s);
+        for (int w = 0; w < 4; w++)
+            z[i + w] = word_double(s->block[w]);
+        s->next = 4;
     }
+    for (; i < len; i++)
+        z[i] = philox_double(s);
+    for (i = 0; i < len; i++)
+        while (z[i] == 0.0)
+            z[i] = philox_double(spare);
     invert(z, z, len, inv_u, inv_z, inv_m, guide, k, cells);
 }
 

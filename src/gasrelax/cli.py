@@ -9,6 +9,7 @@ file.  Unknown keys are errors.  Exit codes: 0 success, 1 runtime failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -350,7 +351,12 @@ def cmd_report(config: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call.  Each of its
+    120 add_argument calls leaves a HelpFormatter in a reference cycle, so a
+    parser per main() call would leave that garbage for the cyclic
+    collector every call; parse_args does not change the parser."""
     parser = argparse.ArgumentParser(
         prog="gasrelax",
         description="Relaxation-time bounds for a gas in a box: closed forms "

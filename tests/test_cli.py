@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -150,6 +151,41 @@ class TestBoundsCommand:
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+
+
+class TestParserReuse:
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_flag_of_one_call_is_not_seen_by_the_next(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["bounds", "--seed", "5"]).seed == "5"
+        assert parser.parse_args(["bounds"]).seed is None
+
+    def test_a_bad_flag_after_a_good_call_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, output_dir=str(tmp_path))
+        assert main(["bounds", "--config", path]) == EXIT_OK
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--config", path, "--no_such_key", "1"])
+        assert exc.value.code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gasrelax")
+        assert "unrecognized arguments: --no_such_key 1" in err
+
+    def test_a_call_leaves_no_argparse_garbage(self, tmp_path):
+        # a parser per call left 715 objects in reference cycles; what is
+        # left now is json's encoder closure (reports are written indented)
+        argv = ["bounds", "--n_samples", "1000", "--grid_size", "64",
+                "--output_dir", str(tmp_path)]
+        assert _run_quietly(argv)[0] == EXIT_OK
+        gc.collect()
+        gc.disable()
+        try:
+            assert _run_quietly(argv)[0] == EXIT_OK
+            assert gc.collect() < 100
+        finally:
+            gc.enable()
 
 
 def _run_quietly(argv):

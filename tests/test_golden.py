@@ -11,6 +11,7 @@ import contextlib
 import hashlib
 import io
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,23 @@ SEED = 20260808
 GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())
 
 
+def _digests(command, workload, tmp_path):
+    """(exit code, sha256 of each output file and of stdout) of one
+    in-process call."""
+    out_dir = f".perfbench_out/{workload}"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        got = cli.main([command, "--config",
+                        str(ROOT / "configs" / "reference.cfg"),
+                        "--seed", str(SEED), "--output_dir", out_dir,
+                        "--workers", "1"])
+    want = GOLDEN["seeds"][str(SEED)][workload]
+    digests = {name: hashlib.sha256((tmp_path / out_dir / name).read_bytes())
+               .hexdigest() for name in want if name != "stdout"}
+    digests["stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    return got, digests
+
+
 @pytest.mark.parametrize("workload, command, code", [
     ("bounds-ref", "bounds", cli.EXIT_OK),
     # exit 1 by design: curve_check fails on the reference run
@@ -30,16 +48,16 @@ GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())
 def test_reference_outputs_match_the_golden_digests(workload, command, code,
                                                     tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    out_dir = f".perfbench_out/{workload}"
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        got = cli.main([command, "--config",
-                        str(ROOT / "configs" / "reference.cfg"),
-                        "--seed", str(SEED), "--output_dir", out_dir,
-                        "--workers", "1"])
-    assert got == code
     want = GOLDEN["seeds"][str(SEED)][workload]
-    digests = {name: hashlib.sha256((tmp_path / out_dir / name).read_bytes())
-               .hexdigest() for name in want if name != "stdout"}
-    digests["stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
-    assert digests == want
+    assert _digests(command, workload, tmp_path) == (code, want)
+
+
+def test_a_second_bounds_call_in_the_process_matches_too(tmp_path,
+                                                         monkeypatch):
+    # the benchmark times many calls in one process, on one parser
+    monkeypatch.chdir(tmp_path)
+    want = GOLDEN["seeds"][str(SEED)]["bounds-ref"]
+    for _ in range(2):
+        shutil.rmtree(tmp_path / ".perfbench_out", ignore_errors=True)
+        assert _digests("bounds", "bounds-ref", tmp_path) == (cli.EXIT_OK,
+                                                              want)

@@ -313,6 +313,15 @@ class TestLoader:
         # one library, and no partial file left behind
         assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
 
+    def test_a_build_removes_the_stale_libraries(self, tmp_path):
+        # a library of an older key goes; another process's build does not
+        (tmp_path / "_verlet-0000000000000000.so").write_bytes(b"old")
+        part = tmp_path / "_verlet-0000000000000000.so.1.part"
+        part.write_bytes(b"building")
+        _kernel._load(tmp_path, "cc")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [_kernel._library_name("cc"), part.name])
+
     def test_unwritable_cache_builds_in_a_private_directory(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
