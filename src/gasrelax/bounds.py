@@ -9,7 +9,9 @@ computed from the integral, never hard-coded at its rounded value 25: using
 
 The sampled check eta_empirical reads its stream from a Philox key
 (rng.philox_key) in one C kernel pass, so a bound report never imports
-numpy.random.
+numpy.random.  Like the divergences of `gibbs`, it is a property of the
+measure rho0 and takes the untilted marginal alone: the marginal carries
+its parameters.  A bound report builds its own marginal.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .gibbs import (NormEstimate, WallMarginal, build_marginal, norm0_B_closed,
-                    norm0_mc, norm0_poisson_B_H0_quadrature,
-                    _require_rho0_marginal, _wall_breakpoints, _weight)
+                    norm0_mc, norm0_poisson_B_H0_quadrature, _require_rho0,
+                    _wall_breakpoints, _weight)
 from .model import ModelParams
 from .numerics import gamma_function, integrate_finite
 
@@ -81,18 +83,19 @@ def t_relax_lower(params: ModelParams) -> float:
     return math.sqrt(2.0) / eta_analytic(params)
 
 
-def eta_empirical(params: ModelParams, marginal: WallMarginal, n_samples: int,
+def eta_empirical(marginal: WallMarginal, n_samples: int,
                   key: np.ndarray) -> NormEstimate:
-    """Sampled ratio ||[B,H0]||_0 / ||B||_0 that the analytic eta must dominate.
+    """Sampled ratio ||[B,H0]||_0 / ||B||_0 that the analytic eta must
+    dominate, under rho0, the measure of the untilted marginal.
 
     The bracket norm is norm0_mc's, from the stream of the Philox key `key`
     (rng.philox_key); numpy.random is not used.
     """
     if n_samples < _MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= {_MIN_SAMPLES}")
-    _require_rho0_marginal(params, marginal)
+    _require_rho0(marginal)
     est = norm0_mc(marginal, n_samples, key)
-    denom = norm0_B_closed(params)
+    denom = norm0_B_closed(marginal.params)
     return replace(est, value=est.value / denom,
                    std_error=est.std_error / denom)
 
@@ -189,24 +192,20 @@ def _report_json(doc: dict, meta: Optional[dict]) -> str:
 
 def build_bound_report(params: ModelParams, n_samples: int,
                        key: np.ndarray,
-                       marginal: Optional[WallMarginal] = None,
                        units: Optional[PhysicalUnits] = None,
                        grid_size: int = 2048) -> BoundReport:
     """Evaluate every bound quantity and inequality for one parameter set.
 
-    key is the Philox key of eta_empirical's stream.  Without a marginal,
-    one is built on a CDF table of grid_size cells; a given one must be the
-    untilted marginal of params.
+    key is the Philox key of eta_empirical's stream.  The rho0 marginal is
+    built on a CDF table of grid_size cells, once the regime holds.
     """
     _require_regime(params)
-    if marginal is None:
-        marginal = build_marginal(params, grid_size=grid_size)
-    _require_rho0_marginal(params, marginal)
+    marginal = build_marginal(params, grid_size=grid_size)
     eta = eta_analytic(params)
     t0 = math.sqrt(2.0) / eta
     bracket_norm = norm0_poisson_B_H0_quadrature(marginal)
     b_norm = norm0_B_closed(params)
-    emp = eta_empirical(params, marginal, n_samples, key)
+    emp = eta_empirical(marginal, n_samples, key)
     checks = [
         InequalityCheck("bracket_norm_le_eta_times_B_norm",
                         bracket_norm, eta * b_norm, bracket_norm <= eta * b_norm),

@@ -153,7 +153,11 @@ def _coerce(key: str, raw: str):
 
 def parse_config_file(path: str) -> dict:
     values = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        # a config that cannot be read is bad input, not a failed run
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -238,14 +242,13 @@ def cmd_gamma(config: RunConfig) -> int:
     cert_limit = config.delta_moment / (2.0 * params.beta)
     for h in h_grid:
         if h < cert_limit:
-            cert = hoelder_certificate(params, marginal, config.delta_moment,
-                                       h, config.epsilon)
+            cert = hoelder_certificate(marginal, config.delta_moment, h,
+                                       config.epsilon)
             rows.append((h, cert.gamma, cert.gamma_tilde, cert.hoelder_bound,
                          cert.ok))
         else:
-            rows.append((h, gamma_h(params, marginal, h),
-                         gamma_tilde_h(params, marginal, h), float("nan"),
-                         False))
+            rows.append((h, gamma_h(marginal, h), gamma_tilde_h(marginal, h),
+                         float("nan"), False))
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "gamma_sweep.csv", config,

@@ -433,8 +433,8 @@ def make_relaxation_report(params: ModelParams, config: IntegratorConfig,
         positivity_ok=positivity_ok,
         curve_check=curve_check,
         displacement_ok=displacement_ok,
-        gamma=gamma_h(params, marginal0, h),
-        gamma_tilde=gamma_tilde_h(params, marginal0, h),
+        gamma=gamma_h(marginal0, h),
+        gamma_tilde=gamma_tilde_h(marginal0, h),
         field_h=h,
         n_trajectories=n_traj,
         max_energy_drift=series.max_energy_drift,

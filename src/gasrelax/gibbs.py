@@ -34,6 +34,11 @@ of each state a few rows at a time, so no height array is made.
 norm0_B_mc, the norm of the momentum sum B, draws momenta alone (the tilt
 of rho1 moves only the heights), one row at a time.
 
+A marginal carries its ModelParams.  The quantities of rho0, the quadrature
+norm of [B, H0], the moment generating function of z, the divergences
+gamma(h) and gamma~(h) and the Hoelder certificate, take the untilted
+marginal alone and read the parameters from it; a tilted one is refused.
+
 Integrands that multiply the Gibbs weight by inverse powers of the wall
 distance are evaluated in log space: the exponential kills the power in the
 wall limit, but the power overflows first if formed naively.
@@ -225,22 +230,14 @@ class WallMarginal:
     def which_measure(self) -> str:
         return "rho1" if self.tilt != 0.0 else "rho0"
 
-    def inverse_cdf(self, u, out=None):
+    def inverse_cdf(self, u):
         """Monotone-cubic inverse of the tabulated CDF, for u in [0, 1).
 
-        out, when given, must be laid out like u, and may be u itself; a 0-d
-        input gives a scalar.  The kernel walks memory: a u in neither C nor
-        Fortran order is copied first, and a new out keeps u's layout.
+        Returns a new C-ordered array of u's shape; a 0-d input gives a
+        scalar.
         """
-        u = np.asarray(u, dtype=float)
-        if not (u.flags.c_contiguous or u.flags.f_contiguous):
-            u = u.copy(order="K")
-        if out is None:
-            out = np.empty_like(u)
-        elif not (out.dtype == np.float64 and out.flags.writeable
-                  and out.shape == u.shape and out.strides == u.strides):
-            raise ValueError("out must be a writeable float64 array laid out "
-                             "like z")
+        u = np.asarray(u, dtype=float, order="C")
+        out = np.empty_like(u)
         _kernel.library().inverse_cdf(u.ctypes.data, out.ctypes.data, u.size,
                                       *self._kernel_tables())
         return out if out.ndim else out[()]
@@ -469,6 +466,13 @@ def norm0_B_mc(params: ModelParams, n_samples: int, key: np.ndarray,
                                     "rho1" if params.field != 0.0 else "rho0")
 
 
+def _require_rho0(marginal: WallMarginal) -> None:
+    """Raise ValueError unless marginal is untilted: the measure rho0."""
+    if marginal.tilt != 0.0:
+        raise ValueError("expected the rho0 marginal: pass an untilted "
+                         "marginal")
+
+
 def norm0_poisson_B_H0_quadrature(marginal: WallMarginal) -> float:
     """Quadrature value of the rho0 norm of [B, H0], from the rho0 marginal.
 
@@ -477,9 +481,7 @@ def norm0_poisson_B_H0_quadrature(marginal: WallMarginal) -> float:
     three pieces (two identical wall terms and a negative cross term) are
     integrated in log space and divided by the marginal's z_tilde.
     """
-    if marginal.tilt != 0.0:
-        raise ValueError("the bracket norm is a rho0 norm; pass an untilted "
-                         "marginal")
+    _require_rho0(marginal)
     params = marginal.params
     half = params.half_box
     pts = _wall_breakpoints(params)
@@ -495,19 +497,9 @@ def norm0_poisson_B_H0_quadrature(marginal: WallMarginal) -> float:
     return math.sqrt(params.n_particles * per_particle)
 
 
-def _require_rho0_marginal(params: ModelParams,
-                           marginal: WallMarginal) -> None:
-    """Raise ValueError unless marginal is the untilted marginal of params."""
-    if marginal.params != params or marginal.tilt != 0.0:
-        raise ValueError("expected the rho0 marginal of params: pass the "
-                         "untilted marginal built from the same parameters")
-
-
 def _centered_mgf(t: float, marginal: WallMarginal) -> float:
     """E[exp(t z)] - 1 under the wall marginal, computed without cancellation."""
-    if marginal.tilt != 0.0:
-        raise ValueError("MGF-based divergences are defined against rho0; "
-                         "pass an untilted marginal")
+    _require_rho0(marginal)
     params = marginal.params
     half = params.half_box
 
@@ -536,23 +528,26 @@ def _log_mgf(t: float, marginal: WallMarginal) -> float:
     return marginal._log_mgf[key]
 
 
-def gamma_h(params: ModelParams, marginal: WallMarginal, h: float) -> float:
-    """Chi-square divergence of the tilted measure from rho0.
+def gamma_h(marginal: WallMarginal, h: float) -> float:
+    """Chi-square divergence from rho0, the measure of the untilted
+    marginal, of its tilt by the field h.
 
     Equals (M(2 h beta) / M(h beta)^2)^N - 1 by particle independence;
     nonnegative, and vanishing as h -> 0.
     """
-    _require_rho0_marginal(params, marginal)
+    _require_rho0(marginal)
+    params = marginal.params
     t = float(h) * params.beta
     expo = params.n_particles * (_log_mgf(2.0 * t, marginal)
                                  - 2.0 * _log_mgf(t, marginal))
     return math.expm1(expo)
 
 
-def gamma_tilde_h(params: ModelParams, marginal: WallMarginal,
-                  h: float) -> float:
-    """Reverse-direction divergence (M(h beta) M(-h beta))^N - 1."""
-    _require_rho0_marginal(params, marginal)
+def gamma_tilde_h(marginal: WallMarginal, h: float) -> float:
+    """Reverse-direction divergence (M(h beta) M(-h beta))^N - 1, from the
+    untilted marginal."""
+    _require_rho0(marginal)
+    params = marginal.params
     t = float(h) * params.beta
     expo = params.n_particles * (_log_mgf(t, marginal)
                                  + _log_mgf(-t, marginal))
@@ -587,14 +582,15 @@ class HoelderCertificate:
                                      or self.gamma_below_epsilon)
 
 
-def hoelder_certificate(params: ModelParams, marginal: WallMarginal,
-                        delta_moment: float, h: float,
+def hoelder_certificate(marginal: WallMarginal, delta_moment: float, h: float,
                         epsilon: float = 0.01) -> HoelderCertificate:
-    """Evaluate both sides of the small-field certificate at field size h.
+    """Evaluate both sides of the small-field certificate at field size h,
+    on the untilted marginal.
 
     Requires h < delta_moment / (2 beta) so the interpolation step applies.
     """
-    _require_rho0_marginal(params, marginal)
+    _require_rho0(marginal)
+    params = marginal.params
     h = float(h)
     if not delta_moment > 0.0:
         raise ValueError("delta_moment must be positive")
@@ -603,8 +599,8 @@ def hoelder_certificate(params: ModelParams, marginal: WallMarginal,
     log_k = params.n_particles * max(_log_mgf(delta_moment, marginal),
                                      _log_mgf(-delta_moment, marginal))
     log_bound = 4.0 * params.beta * h / delta_moment * log_k
-    gamma = gamma_h(params, marginal, h)
-    gtilde = gamma_tilde_h(params, marginal, h)
+    gamma = gamma_h(marginal, h)
+    gtilde = gamma_tilde_h(marginal, h)
     # tiny relative slack: both sides come from quadrature
     bound_holds = math.log1p(gamma) <= log_bound + 1e-12
     if log_k > 0.0:

@@ -28,7 +28,6 @@ __all__ = [
     "ModelParams",
     "wall_potential",
     "wall_force",
-    "observable_B",
     "poisson_B_H0",
 ]
 
@@ -117,11 +116,6 @@ def wall_force(z, params: ModelParams):
     by the C kernel (`_verlet.c`), the one place the force expression lives.
     """
     return _wall_sums(z, params, force=True, per_row=False)
-
-
-def observable_B(z, p):
-    """Vertical momentum sum: the flow derivative of the height sum."""
-    return np.sum(p, axis=-1)
 
 
 def poisson_B_H0(z, params: ModelParams):

@@ -12,9 +12,10 @@ norm of any observable are kept here as the references that the C kernels,
 the chunked guide table, the row-chunked bracket, the batched Kronrod pass,
 the kernel's state draw and the sampled norms must match bit for bit; the
 Philox rounds run backwards plant a 0.0 in the kernel's stream.
-Observables that only tests evaluate (the height sum A, the moment
-generating function of z, and H1 outside the trajectory kernel, which
-records it, and the normalized density of a wall marginal) live here too.
+Observables that only tests evaluate (the height sum A, its flow
+derivative B, the moment generating function of z, and H1 outside the
+trajectory kernel, which records it, and the normalized density of a wall
+marginal) live here too.
 """
 
 import math
@@ -29,7 +30,6 @@ from gasrelax.dynamics import (EnergyDriftError, WallBreachError,
                                _evolve_batch, _records_grid)
 from gasrelax.gibbs import (_GUIDE_CELLS, NormEstimate, _centered_mgf,
                             _monotone_tangents, _weight)
-from gasrelax.model import observable_B
 from gasrelax.rng import philox_state
 from gasrelax.numerics import (_WG, _WGK, _XGK, QuadratureError,
                                integrate_finite)
@@ -54,6 +54,11 @@ def norm0_B_sq_exact(params):
 def observable_A(z, p):
     """Height sum, the observable conjugate to the uniform field (B's integral)."""
     return np.sum(z, axis=-1)
+
+
+def observable_B(z, p):
+    """Vertical momentum sum: the flow derivative of the height sum."""
+    return np.sum(p, axis=-1)
 
 
 def mgf_z(t, marginal):
@@ -186,7 +191,7 @@ def sample_batch_reference(marginal, rng, n_states):
     rng.normal momenta of variance m / beta."""
     params = marginal.params
     u = open_uniforms(rng, (n_states, params.n_particles))
-    z = marginal.inverse_cdf(u, out=u)
+    z = marginal.inverse_cdf(u)
     p = rng.normal(0.0, math.sqrt(params.mass) / math.sqrt(params.beta),
                    (n_states, params.n_particles))
     return z, p
@@ -226,7 +231,7 @@ def norm0_mc_blocks(f, marginal, n_samples, rng):
     for start in range(0, n_samples, step):
         rows = min(step, n_samples - start)
         u = open_uniforms(rng, (rows, n))
-        block = np.asarray(f(marginal.inverse_cdf(u, out=u)), dtype=float)
+        block = np.asarray(f(marginal.inverse_cdf(u)), dtype=float)
         assert block.shape == (rows,)
         values[start:start + rows] = block
     return NormEstimate.from_values(values, marginal.which_measure)

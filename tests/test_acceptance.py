@@ -118,18 +118,18 @@ def test_criterion_3_eta_inequality():
 def test_criterion_4_measure_change_certificates():
     marginal = build_marginal(REF)
     grid = np.geomspace(1e-5, 1e-1, 9)
-    gam = np.array([gamma_h(REF, marginal, h) for h in grid])
-    gtl = np.array([gamma_tilde_h(REF, marginal, h) for h in grid])
-    ok = gamma_h(REF, marginal, 0.0) == 0.0
-    ok = ok and gamma_tilde_h(REF, marginal, 0.0) == 0.0
+    gam = np.array([gamma_h(marginal, h) for h in grid])
+    gtl = np.array([gamma_tilde_h(marginal, h) for h in grid])
+    ok = gamma_h(marginal, 0.0) == 0.0
+    ok = ok and gamma_tilde_h(marginal, 0.0) == 0.0
     ok = ok and np.all(gam >= 0.0) and np.all(gtl >= 0.0)
     ok = ok and np.all(np.diff(gam) > 0.0) and np.all(np.diff(gtl) > 0.0)
     cert_limit = DELTA_MOMENT / (2.0 * REF.beta)
     for h in grid[grid < cert_limit]:
-        cert = hoelder_certificate(REF, marginal, DELTA_MOMENT, h, EPSILON)
+        cert = hoelder_certificate(marginal, DELTA_MOMENT, h, EPSILON)
         ok = ok and cert.bound_holds
-    probe = hoelder_certificate(REF, marginal, DELTA_MOMENT, 0.0, EPSILON)
-    below = hoelder_certificate(REF, marginal, DELTA_MOMENT,
+    probe = hoelder_certificate(marginal, DELTA_MOMENT, 0.0, EPSILON)
+    below = hoelder_certificate(marginal, DELTA_MOMENT,
                                 0.99 * probe.h_threshold, EPSILON)
     ok = ok and below.gamma < EPSILON
     line = _verdict(

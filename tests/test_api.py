@@ -1,10 +1,10 @@
 """The public surface: what the package root and the modules export, and
-what the traced benchmark (perfbench/tracer.py) rebinds inside the
-package."""
+what the benchmark (perfbench/) rebinds or calls inside the package."""
 
 import ast
 import importlib.util
 import inspect
+import math
 import types
 from pathlib import Path
 
@@ -30,9 +30,9 @@ def _readme_example_imports():
     return names
 
 
-def _load_tracer():
+def _load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -64,14 +64,26 @@ def test_module_exports_exist():
         for name in mod.__all__:
             assert hasattr(mod, name), (mod.__name__, name)
     assert set(model.__all__) == {"ModelParams", "wall_potential",
-                                  "wall_force", "observable_B",
-                                  "poisson_B_H0"}
+                                  "wall_force", "poisson_B_H0"}
+
+
+def test_no_gibbs_or_bounds_function_takes_params_and_a_marginal():
+    # a marginal carries its params: a second copy could disagree with it
+    from gasrelax import bounds, gibbs
+
+    for mod in (bounds, gibbs):
+        for name in mod.__all__:
+            value = getattr(mod, name)
+            if inspect.isfunction(value):
+                args = inspect.signature(value).parameters
+                assert not {"params", "marginal"} <= set(args), (
+                    mod.__name__, name)
 
 
 def test_tracer_install_and_restore(tmp_path):
     from gasrelax import bounds, dynamics, gibbs, model
 
-    tracer = _load_tracer()
+    tracer = _load_perfbench("tracer")
     before = {(mod.__name__, key): value
               for mod in (bounds, cli, dynamics, gibbs, model)
               for key, value in vars(mod).items() if callable(value)}
@@ -107,3 +119,16 @@ def test_tracer_count_arguments_exist():
     assert {"params", "config", "n_traj", "n_times"} <= set(autocorr)
     disp = inspect.signature(dynamics.displacement_norms).parameters
     assert {"params", "config", "n_traj", "times"} <= set(disp)
+
+
+def test_kernel_microbenchmark_runs(ref_params):
+    # perfbench/kernels.py times model.wall_force on states that
+    # gibbs.sample_batch draws from an rng.substream
+    from gasrelax.gibbs import build_marginal
+    from gasrelax.rng import substream
+
+    kernels = _load_perfbench("kernels")
+    ns = kernels.wall_force_ns_per_elem(
+        ref_params, build_marginal(ref_params, grid_size=64),
+        substream(1, 0xBE), repeats=1, calls=1)
+    assert math.isfinite(ns) and ns > 0.0

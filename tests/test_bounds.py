@@ -1,7 +1,6 @@
 import json
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,47 +143,40 @@ class TestInequalityChain:
 
 class TestEtaEmpirical:
     def test_dominated_by_analytic(self, ref_params, ref_marginal):
-        est = eta_empirical(ref_params, ref_marginal, 20000, philox_key(20, 0))
+        est = eta_empirical(ref_marginal, 20000, philox_key(20, 0))
         assert est.value + 3.0 * est.std_error <= eta_analytic(ref_params)
 
     def test_ratio_independent_of_N(self):
         values = []
         for i, n in enumerate((16, 64)):
             params = ModelParams(n, 1.0, 1.0, 10.0)
-            est = eta_empirical(params, build_marginal(params), 20000,
+            est = eta_empirical(build_marginal(params), 20000,
                                 philox_key(21, i))
             values.append(est)
         diff = abs(values[0].value - values[1].value)
         assert diff <= 3.0 * math.hypot(values[0].std_error, values[1].std_error)
 
     def test_matches_quadrature_route(self, ref_params, ref_marginal):
-        est = eta_empirical(ref_params, ref_marginal, 20000, philox_key(22, 0))
+        est = eta_empirical(ref_marginal, 20000, philox_key(22, 0))
         quad_ratio = norm0_poisson_B_H0_quadrature(ref_marginal) \
             / norm0_B_closed(ref_params)
         assert abs(est.value - quad_ratio) <= 3.0 * est.std_error
 
-    def test_heights_are_not_held_all_at_once(self, ref_params, ref_marginal):
+    def test_heights_are_not_held_all_at_once(self, ref_marginal):
         # 10^5 states of 64 heights are 51.2 MB; the kernel holds none of
         # them outside its chunk, so the 0.8 MB of values are the peak
-        eta_empirical(ref_params, ref_marginal, 2000, philox_key(27, 0))
+        eta_empirical(ref_marginal, 2000, philox_key(27, 0))
         tracemalloc.start()
         try:
-            eta_empirical(ref_params, ref_marginal, 100_000, philox_key(27, 0))
+            eta_empirical(ref_marginal, 100_000, philox_key(27, 0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8e5 + 4096
 
-    def test_marginal_of_other_params_is_refused(self, ref_params,
-                                                 ref_marginal_tilted):
-        box8 = build_marginal(replace(ref_params, box_side=8.0), grid_size=64)
-        for marginal in (box8, ref_marginal_tilted):
-            with pytest.raises(ValueError, match="rho0 marginal of params"):
-                eta_empirical(ref_params, marginal, 2000, philox_key(27, 0))
-
-    def test_sample_floor(self, ref_params, ref_marginal):
+    def test_sample_floor(self, ref_marginal):
         with pytest.raises(ValueError):
-            eta_empirical(ref_params, ref_marginal, 500, philox_key(23, 0))
+            eta_empirical(ref_marginal, 500, philox_key(23, 0))
 
 
 class TestBoundReport:
@@ -214,13 +206,6 @@ class TestBoundReport:
         report.z_tilde = math.inf
         with pytest.raises(ValueError):
             report.to_json()
-
-    def test_marginal_of_other_params_is_refused(self, ref_params):
-        # a box-8 marginal would report its own z_tilde, 5.889, for box 10
-        box8 = build_marginal(replace(ref_params, box_side=8.0), grid_size=64)
-        with pytest.raises(ValueError, match="rho0 marginal of params"):
-            build_bound_report(ref_params, n_samples=2000,
-                               key=philox_key(24, 0), marginal=box8)
 
     def test_regime_refused(self):
         with pytest.raises(RegimeError):

@@ -80,6 +80,17 @@ class TestConfigParsing:
         path.write_text("beta 1.0\n")
         assert main(["bounds", "--config", str(path)]) == EXIT_VALIDATION
 
+    def test_unreadable_file(self, tmp_path, capsys):
+        binary = tmp_path / "binary.cfg"
+        binary.write_bytes(b"beta = \xff\n")
+        for path in (tmp_path / "missing.cfg", tmp_path, binary):
+            code = main(["bounds", "--config", str(path),
+                         "--output_dir", str(tmp_path / "out")])
+            assert code == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith("validation error: cannot read config "
+                                  f"file {path}: ")
+
     def test_incomplete_units(self, tmp_path):
         path = write_config(tmp_path, mass_kg=4.65e-26)
         assert main(["bounds", "--config", path]) == EXIT_VALIDATION

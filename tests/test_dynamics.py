@@ -15,7 +15,7 @@ from gasrelax.dynamics import (CorrelationSeries, EnergyDriftError,
                                lower_bound_curve, make_relaxation_report,
                                _evolve_batch, _records_grid)
 from gasrelax.gibbs import build_marginal, norm0_B_mc, sample_batch
-from gasrelax.model import ModelParams, observable_B
+from gasrelax.model import ModelParams
 from gasrelax.rng import philox_key, substream
 
 
@@ -362,7 +362,8 @@ class TestRelaxationReport:
             dt=5e-4, t_end=t0, energy_drift_tol=1e-4), n_traj=16, seed=43,
             n_times=4)
         (got,) = seen
-        want = helpers.norm0_mc_one_batch(observable_B, ref_marginal_tilted,
+        want = helpers.norm0_mc_one_batch(helpers.observable_B,
+                                          ref_marginal_tilted,
                                           20000, substream(43, 7001))
         # nonzero floats: equal values are equal bits
         assert got == want and got.std_error > 0.0

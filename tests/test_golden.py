@@ -4,7 +4,8 @@
 them: seed 20260808, one worker, output_dir `.perfbench_out/<workload>`
 relative to the working directory (the config hash in every output header
 folds it in).  The sha256 of every output file and of stdout must equal the
-recorded digest.
+recorded digest.  `gamma`, which the benchmark does not run, is pinned the
+same way by the digests in GAMMA_REF.
 """
 
 import contextlib
@@ -21,11 +22,19 @@ from gasrelax import cli
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 20260808
 GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+# the sweep of `gamma` on the reference config, seed SEED, one worker
+GAMMA_REF = {
+    "gamma_sweep.csv":
+        "a7f806eed205c11b894623d72db164b6add7b46a0e485d6bfb4f32e038142066",
+    "stdout":
+        "38ac5007ae734e7bc574332948f628523b298f3692a5290ffd44c09de12f42a6",
+}
 
 
-def _digests(command, workload, tmp_path):
+def _digests(command, workload, tmp_path, want=None):
     """(exit code, sha256 of each output file and of stdout) of one
-    in-process call."""
+    in-process call; want, when given, names the files instead of the
+    workload's golden.json entry."""
     out_dir = f".perfbench_out/{workload}"
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -33,7 +42,8 @@ def _digests(command, workload, tmp_path):
                         str(ROOT / "configs" / "reference.cfg"),
                         "--seed", str(SEED), "--output_dir", out_dir,
                         "--workers", "1"])
-    want = GOLDEN["seeds"][str(SEED)][workload]
+    if want is None:
+        want = GOLDEN["seeds"][str(SEED)][workload]
     digests = {name: hashlib.sha256((tmp_path / out_dir / name).read_bytes())
                .hexdigest() for name in want if name != "stdout"}
     digests["stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
@@ -61,3 +71,9 @@ def test_a_second_bounds_call_in_the_process_matches_too(tmp_path,
         shutil.rmtree(tmp_path / ".perfbench_out", ignore_errors=True)
         assert _digests("bounds", "bounds-ref", tmp_path) == (cli.EXIT_OK,
                                                               want)
+
+
+def test_gamma_sweep_matches_its_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _digests("gamma", "gamma-ref", tmp_path, GAMMA_REF) == (
+        cli.EXIT_OK, GAMMA_REF)
