@@ -21,6 +21,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #include <numpy/random/bitgen.h>
 
@@ -397,25 +398,6 @@ static inline double philox_double(struct philox *s)
     return word_double(philox_word(s));
 }
 
-/* s moved past its next n values, into the state NumPy's Philox has after
- * drawing them: the words left in the buffer are passed over, the counter
- * is raised past the whole blocks before the last value, and the block
- * that holds it is made */
-static inline void philox_skip(struct philox *s, ptrdiff_t n)
-{
-    for (; n > 0 && s->next < 4; n--)
-        s->next++;
-    if (n == 0)
-        return;
-    uint64_t blocks = (uint64_t)(n - 1) / 4;
-    s->ctr[0] += blocks;
-    if (s->ctr[0] < blocks)
-        for (int i = 1; i < 4 && ++s->ctr[i] == 0; i++)
-            ;
-    philox_block(s);
-    s->next = (uint64_t)(n - 1) % 4 + 1;
-}
-
 /* out[i] = the next value of *s as a double, for i < n; *s is left past
  * them */
 KERNEL void philox_uniforms(struct philox *s, double *out, ptrdiff_t n)
@@ -424,13 +406,23 @@ KERNEL void philox_uniforms(struct philox *s, double *out, ptrdiff_t n)
         out[i] = philox_double(s);
 }
 
-/* z[i] = the inverse CDF (see invert) of the next value of *s, for
- * i < len; a value 0.0, which would put a particle on the wall, is replaced
- * by the next value of *spare that is not 0.0, in the order of i.  The
- * words left in the buffer are read first, then whole blocks straight into
- * z, then the rest one at a time. */
-static inline void heights(struct philox *s, struct philox *spare, double *z,
-                           ptrdiff_t len, const double *restrict inv_u,
+/* z[i] == 0.0 dropped: z[i + 1 .. len) move down one place, and the next
+ * value of *s fills z[len - 1].  Kept out of line, so that heights' loop
+ * runs as fast as without it: a value is 0.0 with probability 2^-53. */
+static __attribute__((noinline, cold)) void drop_zero(struct philox *s,
+                                                      double *z, ptrdiff_t i,
+                                                      ptrdiff_t len)
+{
+    memmove(z + i, z + i + 1, (size_t)(len - i - 1) * sizeof *z);
+    z[len - 1] = philox_double(s);
+}
+
+/* z[i] = the inverse CDF (see invert) of the next value of *s that is not
+ * 0.0, for i < len: a 0.0, which would put a particle on the wall, is
+ * skipped.  The words left in the buffer are read first, then whole blocks
+ * straight into z, then the rest one at a time. */
+static inline void heights(struct philox *s, double *z, ptrdiff_t len,
+                           const double *restrict inv_u,
                            const double *restrict inv_z,
                            const double *restrict inv_m,
                            const int32_t *restrict guide, ptrdiff_t k,
@@ -449,7 +441,7 @@ static inline void heights(struct philox *s, struct philox *spare, double *z,
         z[i] = philox_double(s);
     for (i = 0; i < len; i++)
         while (z[i] == 0.0)
-            z[i] = philox_double(spare);
+            drop_zero(s, z, i, len);
     invert(z, z, len, inv_u, inv_z, inv_m, guide, k, cells);
 }
 
@@ -480,12 +472,10 @@ static inline void normals(struct philox *s, double *out, ptrdiff_t n,
  * 0.0 plus the pairwise sum of the row's forces, plus 0.0, the bits of
  * poisson_B_H0 (c12 = 12 delta).
  *
- * The heights are the inverse CDF (see invert) of the stream of *s read row
- * by row: its next rows * n values, each value 0.0 among them replaced by
- * the next value past those that is not 0.0, in the order the zeros come;
- * *s is left past the last value read.  Whole rows of at most
- * INVERSE_CDF_CHUNK values are drawn, inverted and summed before the next
- * rows start; a row longer than that is one chunk of its own, held in
+ * The heights are drawn by heights (see there) from the stream of *s, row
+ * by row, and *s is left past the last value read.  Whole rows of at
+ * most INVERSE_CDF_CHUNK values are drawn, inverted and summed before the
+ * next rows start; a row longer than that is one chunk of its own, held in
  * scratch, which has room for n values.  Returns how many heights are not
  * strictly inside (-half, half), as wall_sums does.
  */
@@ -503,14 +493,12 @@ KERNEL ptrdiff_t sampled_force_sums(struct philox *s, double *restrict out,
     double *z = n <= INVERSE_CDF_CHUNK ? buf : scratch;
     ptrdiff_t per_chunk = n <= INVERSE_CDF_CHUNK ? INVERSE_CDF_CHUNK / n : 1;
     ptrdiff_t outside = 0;
-    /* local copies, which the compiler keeps in registers */
-    struct philox stream = *s, spare = *s;
-    philox_skip(&spare, rows * n);
+    /* a local copy, which the compiler keeps in registers */
+    struct philox stream = *s;
 
     for (ptrdiff_t r0 = 0; r0 < rows; r0 += per_chunk) {
         ptrdiff_t nr = rows - r0 < per_chunk ? rows - r0 : per_chunk;
-        heights(&stream, &spare, z, nr * n, inv_u, inv_z, inv_m, guide, k,
-                cells);
+        heights(&stream, z, nr * n, inv_u, inv_z, inv_m, guide, k, cells);
         for (ptrdiff_t i = 0; i < nr; i++) {
             const double *zi = z + i * n;
             for (ptrdiff_t j = 0; j < n; j++)
@@ -518,18 +506,15 @@ KERNEL ptrdiff_t sampled_force_sums(struct philox *s, double *restrict out,
             out[r0 + i] = (0.0 + pairwise(zi, n, FORCE, half, c12)) + 0.0;
         }
     }
-    *s = spare;
+    *s = stream;
     return outside;
 }
 
 /* `rows` states of n particles from the stream of *s, row-major: heights
- * into z, momenta into p.  The heights are those sampled_force_sums sums:
- * the next rows * n values, inverted, each 0.0 among them replaced in turn.
- * The momenta are NumPy's normals (see normals), drawn on from where those
- * replacements stopped: the bits of rng.normal(0.0, sigma, (rows, n))
- * after rng.random((rows, n)) and its redraws.  *s is left past the last
- * value read.  The heights are drawn and inverted INVERSE_CDF_CHUNK at a
- * time.
+ * into z, momenta into p.  The heights are those sampled_force_sums sums,
+ * drawn and inverted INVERSE_CDF_CHUNK at a time; the momenta are NumPy's
+ * normals (see normals), drawn on from where the heights stopped.  *s is
+ * left past the last value read.
  */
 KERNEL void sampled_states(struct philox *s, double *restrict z,
                            double *restrict p, ptrdiff_t rows, ptrdiff_t n,
@@ -540,15 +525,13 @@ KERNEL void sampled_states(struct philox *s, double *restrict z,
                            ptrdiff_t cells)
 {
     ptrdiff_t len = rows * n;
-    struct philox stream = *s, spare = *s;
-    philox_skip(&spare, len);
+    struct philox stream = *s;
     for (ptrdiff_t start = 0; start < len; start += INVERSE_CDF_CHUNK) {
         ptrdiff_t m = len - start < INVERSE_CDF_CHUNK ? len - start
             : INVERSE_CDF_CHUNK;
-        heights(&stream, &spare, z + start, m, inv_u, inv_z, inv_m, guide, k,
-                cells);
+        heights(&stream, z + start, m, inv_u, inv_z, inv_m, guide, k, cells);
     }
-    *s = spare;
+    *s = stream;
     normals(s, p, len, sigma);
 }
 

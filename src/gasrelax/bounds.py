@@ -25,10 +25,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .gibbs import (NormEstimate, WallMarginal, build_marginal, norm0_B_closed,
-                    norm0_mc, norm0_poisson_B_H0_quadrature, _require_rho0,
-                    _wall_breakpoints, _weight)
+                    norm0_mc, norm0_poisson_B_H0_quadrature, _box_integral,
+                    _require_rho0, _weight)
 from .model import ModelParams
-from .numerics import gamma_function, integrate_finite
+from .numerics import gamma_function
 
 __all__ = [
     "RegimeError",
@@ -151,10 +151,7 @@ def per_term_integral_bound_check(params: ModelParams) -> InequalityCheck:
     rhs = (beta delta)^(-23/12) Gamma(25/12).
     """
     _require_regime(params)
-    half = params.half_box
-    lhs = integrate_finite(
-        lambda z: _weight(z, params, pow_left=26.0), -half, half,
-        rel_tol=1e-10, breakpoints=_wall_breakpoints(params)).value
+    lhs = _box_integral(lambda z: _weight(z, params, pow_left=26.0), params)
     rhs = ((params.beta * params.delta_wall) ** (-23.0 / 12.0)
            * gamma_function(25.0 / 12.0))
     return InequalityCheck("per_term_integral_le_bound", lhs, rhs, lhs <= rhs)

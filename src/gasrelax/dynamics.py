@@ -254,6 +254,12 @@ def _run_ensemble(terms, marginal: WallMarginal, config: IntegratorConfig,
     return times, s1, s2, max_drift
 
 
+def _require_traj(n_traj: int) -> None:
+    """Raise ValueError unless an ensemble of n_traj trajectories can run."""
+    if n_traj < _MIN_TRAJ:
+        raise ValueError(f"n_traj must be >= {_MIN_TRAJ}")
+
+
 def _moments(s1, s2, n: int):
     """Means and variances (ddof 1, or 0 for n = 1) from sums of x, x^2."""
     mean = s1 / n
@@ -270,8 +276,7 @@ def autocorr_B(params: ModelParams, config: IntegratorConfig, n_traj: int,
     trajectories are needed for the quoted errors to mean anything; fewer are
     allowed for smoke runs (one trajectory gives standard errors of 0).
     """
-    if n_traj < _MIN_TRAJ:
-        raise ValueError(f"n_traj must be >= {_MIN_TRAJ}")
+    _require_traj(n_traj)
     if marginal is None:
         marginal = build_marginal(params)
     if marginal.params != params or marginal.tilt != 0.0:
@@ -303,6 +308,7 @@ def displacement_norms(params: ModelParams, times: Sequence[float],
     Initial conditions come from rho1, tilted by h = params.field, matching
     the displacement bound being verified; marginal, if given, is its own.
     """
+    _require_traj(n_traj)
     times = sorted(float(t) for t in times)
     if not times or times[0] < 0.0:
         raise ValueError("displacement times must be nonnegative")

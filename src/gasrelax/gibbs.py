@@ -20,9 +20,11 @@ may write over its input.  Every drawn value is bitwise what a binary search
 over the whole batch and the NumPy cubic give.
 
 States are drawn in the C kernel from NumPy's Philox stream, given by its
-key and start counter (rng.philox_state): the heights are the inverse CDF
-of its uniforms, and the momenta NumPy's own normals, its ziggurat linked
-from numpy/random/lib/libnpyrandom.a.  The bits are those of a NumPy
+key and start counter (rng.philox_state), which the kernel reads once, in
+order.  The heights are the inverse CDF of its values, a 0.0 (a particle on
+the wall, probability 2^-53) skipped; the momenta are NumPy's own normals,
+its ziggurat linked from numpy/random/lib/libnpyrandom.a, drawn on from
+where the heights stopped.  Without a 0.0 the bits are those of a NumPy
 Generator on the same stream, and numpy.random is never imported.
 sample_batch draws from a Generator's Philox state and moves it on; the
 ensemble shards of `dynamics` draw from a key alone.
@@ -143,6 +145,16 @@ def _wall_breakpoints(params: ModelParams) -> tuple:
     return tuple(sorted(pts))
 
 
+def _box_integral(f, params: ModelParams, **options) -> float:
+    """The integral of f over the box, by adaptive quadrature to a relative
+    tolerance of 1e-10, seeded at both wall layers (_wall_breakpoints);
+    options, such as abs_floor, go to integrate_finite."""
+    half = params.half_box
+    return integrate_finite(f, -half, half, rel_tol=1e-10,
+                            breakpoints=_wall_breakpoints(params),
+                            **options).value
+
+
 @dataclass(frozen=True)
 class NormEstimate:
     """Monte-Carlo L2-norm estimate under rho0 or rho1."""
@@ -153,8 +165,11 @@ class NormEstimate:
     which_measure: str = "rho0"
 
     def __post_init__(self):
-        if self.value < 0.0 or self.std_error < 0.0:
+        # NaN fails both comparisons
+        if not (self.value >= 0.0 and self.std_error >= 0.0):
             raise ValueError("norm estimates are nonnegative")
+        if self.n_samples < 1:
+            raise ValueError("a norm estimate needs n_samples >= 1")
 
     @classmethod
     def from_moments(cls, mean_sq: float, var_sq: float, n_samples: int,
@@ -316,8 +331,7 @@ def build_marginal(params: ModelParams, grid_size: int = 2048,
     def w(z):
         return _weight(z, params, tilt)
 
-    z_tilde = integrate_finite(w, -half, half, rel_tol=1e-10,
-                               breakpoints=_wall_breakpoints(params)).value
+    z_tilde = _box_integral(w, params)
     nodes = np.linspace(-half, half, grid_size + 1)
     masses = np.empty(grid_size)
     for start in range(0, grid_size, _KRONROD_BLOCK):
@@ -347,8 +361,8 @@ def sample_batch(marginal: WallMarginal, rng: np.random.Generator,
 
     rng must be a Generator on NumPy's Philox.  The states are _states drawn
     from its bit generator's state, mid-block buffer included, and rng is
-    moved past them: the bits of the inverse CDF of rng.random((n_states,
-    N)), a 0.0 among them redrawn, then of rng.normal(0.0, sqrt(m / beta),
+    moved past them: without a 0.0, the bits of the inverse CDF of
+    rng.random((n_states, N)), then of rng.normal(0.0, sqrt(m / beta),
     (n_states, N)).
     """
     bit_generator = rng.bit_generator
@@ -373,11 +387,10 @@ def _states(marginal: WallMarginal, rows: int,
     """(rows, N) heights and momenta drawn in the kernel from the Philox
     state (rng.philox_state), which is left past them.
 
-    The heights are the inverse CDF of the stream's next rows * N uniforms;
-    a 0.0, which would put a particle on the wall (probability 2^-53 each),
-    takes instead the next value past them that is not 0.0, in the order
-    the zeros come.  The momenta, of variance m / beta, are NumPy's normals
-    drawn on from there.
+    The heights are the inverse CDF of the stream's next rows * N values
+    that are not 0.0: a 0.0 would put a particle on the wall (probability
+    2^-53 each), so it is skipped.  The momenta, of variance m / beta, are
+    NumPy's normals drawn on from there.
     """
     params = marginal.params
     z = np.empty((rows, params.n_particles))
@@ -414,33 +427,22 @@ def norm0_mc(marginal: WallMarginal, n_samples: int,
     The states follow the marginal's measure (rho0, or rho1 when it is
     tilted), and no momentum is drawn.  key is a stream's philox_key: the
     heights are those of _states (and sample_batch) on NumPy's
-    Philox(key=key) stream, read row by row.  Each state's value is the bits
-    of poisson_B_H0 of its row.
+    Philox(key=key) stream.  One kernel call draws, inverts and sums them a
+    few rows at a time; besides the n_samples values it needs one row of
+    scratch.  Each state's value is the bits of poisson_B_H0 of its row.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
-    values = _force_sums(marginal, n_samples, key, 0)
-    return NormEstimate.from_values(values, marginal.which_measure)
-
-
-def _force_sums(marginal: WallMarginal, n_samples: int, key: np.ndarray,
-                counter: int) -> np.ndarray:
-    """[B, H0] of each of the n_samples states that norm0_mc draws, from the
-    stream of (key, counter), the 256-bit start counter of NumPy's Philox.
-
-    One kernel call draws, inverts and sums a few rows at a time; besides
-    the n_samples values it needs one row of scratch.
-    """
-    state = philox_state(key, counter)
+    state = philox_state(key)
     params = marginal.params
-    out = np.empty(n_samples)
+    values = np.empty(n_samples)
     scratch = np.empty(params.n_particles)
     outside = _kernel.library().sampled_force_sums(
-        state.ctypes.data, out.ctypes.data, n_samples, params.n_particles,
+        state.ctypes.data, values.ctypes.data, n_samples, params.n_particles,
         scratch.ctypes.data, params.half_box, 12.0 * params.delta_wall,
         *marginal._kernel_tables())
     _require_inside(outside, params)
-    return out
+    return NormEstimate.from_values(values, marginal.which_measure)
 
 
 def norm0_B_mc(params: ModelParams, n_samples: int, key: np.ndarray,
@@ -483,13 +485,10 @@ def norm0_poisson_B_H0_quadrature(marginal: WallMarginal) -> float:
     """
     _require_rho0(marginal)
     params = marginal.params
-    half = params.half_box
-    pts = _wall_breakpoints(params)
 
     def term(pl, pr):
-        return integrate_finite(
-            lambda z: _weight(z, params, pow_left=pl, pow_right=pr),
-            -half, half, rel_tol=1e-10, breakpoints=pts).value
+        return _box_integral(
+            lambda z: _weight(z, params, pow_left=pl, pow_right=pr), params)
 
     # s(z)^2 = u^-26 + v^-26 - 2 u^-13 |v|^-13 with u = z+L/2, v = L/2-z
     single = 2.0 * term(26.0, 0.0) - 2.0 * term(13.0, 13.0)
@@ -501,16 +500,13 @@ def _centered_mgf(t: float, marginal: WallMarginal) -> float:
     """E[exp(t z)] - 1 under the wall marginal, computed without cancellation."""
     _require_rho0(marginal)
     params = marginal.params
-    half = params.half_box
 
     def g(z):
         # past the float range: a FloatingPointError, as in _weight
         with np.errstate(over="raise"):
             return np.expm1(t * z) * _weight(z, params)
 
-    res = integrate_finite(g, -half, half, rel_tol=1e-10, abs_floor=1e-16,
-                           breakpoints=_wall_breakpoints(params))
-    return res.value / marginal.z_tilde
+    return _box_integral(g, params, abs_floor=1e-16) / marginal.z_tilde
 
 
 def log_mgf_z(t: float, marginal: WallMarginal) -> float:

@@ -169,20 +169,19 @@ def guide_table_one_shot(inv_u):
 
 
 def open_uniforms(rng, shape):
-    """Uniform draws on the open interval (0, 1).
+    """Uniform draws on the open interval (0, 1): the next values of
+    rng.random that are not 0.0, in order.
 
-    inverse_cdf(0.0) is the wall itself, so an exact 0.0 from rng.random
-    (probability 2^-53 per draw) is redrawn from the same generator, in
-    rounds, until none is left.  Without a zero, the draws are those of
-    rng.random(shape).
+    inverse_cdf(0.0) is the wall itself, so an exact 0.0 (probability 2^-53
+    per draw) is dropped, and fresh draws are appended until none is left.
+    Without a zero, the draws are those of rng.random(shape).
     """
-    u = rng.random(shape)
-    if not u.all():
-        zero = np.flatnonzero(u == 0.0)
-        while zero.size:
-            u.flat[zero] = rng.random(zero.size)
-            zero = zero[u.flat[zero] == 0.0]
-    return u
+    size = math.prod(shape)
+    u = rng.random(size)
+    while not u.all():
+        u = u[u != 0.0]
+        u = np.concatenate((u, rng.random(size - u.size)))
+    return u.reshape(shape)
 
 
 def sample_batch_reference(marginal, rng, n_states):
@@ -224,7 +223,7 @@ def norm0_mc_blocks(f, marginal, n_samples, rng):
     """The Monte-Carlo norm sqrt(E[f^2]) of heights drawn from rng a block of
     _MC_BLOCK values at a time: gibbs.norm0_mc before the kernel drew,
     inverted and summed them itself, for any observable f of the (rows, N)
-    heights.  An exact 0.0 uniform is redrawn within its own block."""
+    heights.  An exact 0.0 uniform is dropped (see open_uniforms)."""
     n = marginal.params.n_particles
     values = np.empty(n_samples)
     step = max(1, _MC_BLOCK // n)
@@ -271,6 +270,21 @@ def philox_counter_with_zeros(key, indices):
         c = [a0, a1, a2, a3]
     block = sum(w << (64 * i) for i, w in enumerate(c))
     return (block - blocks.pop() - 1) % (1 << 256)
+
+
+def kernel_force_sums(marginal, state, rows):
+    """[B, H0] of each of `rows` states that the kernel draws, as norm0_mc
+    does, from the Philox state (rng.philox_state), which it leaves past
+    them: norm0_mc's kernel call on a state that the caller keeps."""
+    params = marginal.params
+    out = np.empty(rows)
+    scratch = np.empty(params.n_particles)
+    outside = _kernel.library().sampled_force_sums(
+        state.ctypes.data, out.ctypes.data, rows, params.n_particles,
+        scratch.ctypes.data, params.half_box, 12.0 * params.delta_wall,
+        *marginal._kernel_tables())
+    assert outside == 0
+    return out
 
 
 def kernel_uniforms(key, counter, n):

@@ -588,25 +588,22 @@ class TestConfigReachesTheRun:
 
 
 class TestZeroUniformDraw:
-    """A uniform draw of exactly 0.0 is replaced, not placed on the wall."""
+    """A uniform draw of exactly 0.0 is skipped, not placed on the wall."""
 
     def test_bounds(self, tmp_path, monkeypatch, capsys):
         # the bracket norm's stream starts at a counter whose first value is
-        # an exact 0.0, which the kernel replaces
-        def planted(marginal, n_samples, key):
-            counter = helpers.philox_counter_with_zeros(key, [0])
-            values = gibbs._force_sums(marginal, n_samples, key, counter)
-            return gibbs.NormEstimate.from_values(values,
-                                                  marginal.which_measure)
-
-        monkeypatch.setattr(bounds, "norm0_mc", planted)
+        # an exact 0.0, which the kernel skips
+        real = gibbs.philox_state
+        monkeypatch.setattr(gibbs, "philox_state", lambda key, counter=0:
+                            real(key, helpers.philox_counter_with_zeros(
+                                key, [0])))
         path = write_config(tmp_path, output_dir=str(tmp_path))
         assert main(["bounds", "--config", path]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
     def test_simulate(self, tmp_path, monkeypatch, capsys):
         # every shard's stream starts at a counter whose first value is an
-        # exact 0.0 (probability 2^-53), which the kernel replaces
+        # exact 0.0 (probability 2^-53), which the kernel skips
         real = dynamics.philox_state
         monkeypatch.setattr(dynamics, "philox_state", lambda key, counter=0:
                             real(key, helpers.philox_counter_with_zeros(

@@ -280,6 +280,19 @@ class TestDisplacement:
             slack = 3.0 * (est.std_error + 1.05 * eta * t * b1.std_error)
             assert est.value <= bound + slack
 
+    @pytest.mark.parametrize("times", [[0.0], [0.0, 0.1]],
+                             ids=["zero-time", "grid"])
+    @pytest.mark.parametrize("n_traj", [0, -3])
+    def test_too_few_trajectories(self, n_traj, times):
+        # refused as autocorr_B refuses them, also when every time is 0 and
+        # no trajectory would run
+        config = IntegratorConfig(dt=1e-3, t_end=1.0)
+        with pytest.raises(ValueError, match="n_traj must be >= 1"):
+            displacement_norms(self.PARAMS, times, n_traj=n_traj, seed=1,
+                               config=config)
+        with pytest.raises(ValueError, match="n_traj must be >= 1"):
+            autocorr_B(self.PARAMS, config, n_traj=n_traj, seed=1)
+
     def test_times_validation(self):
         config = IntegratorConfig(dt=1e-3, t_end=1.0)
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from gasrelax.gibbs import (_GUIDE_CELLS, _MAX_GRID, NormEstimate,
                             norm0_poisson_B_H0_quadrature, sample_batch)
 from gasrelax.model import ModelParams, poisson_B_H0
 from gasrelax.numerics import _kronrod_panels, gamma_function, integrate_finite
-from gasrelax.rng import philox_key, substream
+from gasrelax.rng import philox_key, philox_state, substream
 
 # frozen 30-digit references for the N=64, beta=delta=1, L=10 configuration
 Z_TILDE_REF = 7.8889068703793547
@@ -250,10 +250,9 @@ class TestKernelDraws:
         (64, 7, [0]), (64, 7, [4, 5]), (3, 34, [100, 102]), (600, 1, [601]),
         (1, 3, [1, 3])])
     def test_planted_zero(self, n, rows, zeros):
-        # each 0.0 among the rows * n main draws takes, in order, the next
-        # value past them that is not 0.0: at 3 x 34 the zero at 100 passes
-        # over the zero at 102, the first value past the main draws, as
-        # NumPy's second round of redraws does; the momenta follow
+        # each 0.0 is skipped: the heights are the stream's first rows * n
+        # values that are not 0.0, in order (at 3 x 34 the heights end at
+        # value 103, past both zeros), and the momenta follow
         key = DRAW_KEYS[1]
         counter = helpers.philox_counter_with_zeros(key, zeros)
         assert np.flatnonzero(_philox(key, counter).random(rows * n + 4)
@@ -309,8 +308,8 @@ class TestSampling:
 
     def test_zero_uniform_is_redrawn(self, ref_marginal, ref_params):
         # inverse_cdf(0.0) is the wall itself; zeros planted by the start
-        # counter at flat indices 1 and 2 take the first two values past the
-        # 2 x 64 main draws, as NumPy's redraws give, and the momenta follow
+        # counter at flat indices 1 and 2 are skipped, so the 2 x 64 heights
+        # are the stream's first 128 nonzero values, and the momenta follow
         assert ref_marginal.inverse_cdf(0.0) == -ref_params.half_box
         key = philox_key(18, 0)
         counter = helpers.philox_counter_with_zeros(key, [1, 2])
@@ -556,26 +555,42 @@ class TestNorms:
         (64, 2000, [5]), (64, 2000, [4, 5]), (3, 34, [100, 102]),
         (600, 2, [601])])
     def test_zero_uniform_takes_the_next_unused_value(self, n, rows, zeros):
-        # zeros planted by the start counter, all in one Philox block; each
-        # 0.0 among the rows * n main draws takes, in order, the next value
-        # past them that is not 0.0: at 3 x 34 the zero at 100 passes over
-        # the zero at 102, the first value past the main draws
+        # zeros planted by the start counter, all in one Philox block, are
+        # skipped: the slot of a 0.0 takes the next value of the stream, so
+        # the heights are its first rows * n nonzero values, in order (at
+        # 3 x 34 they end at value 103, past both zeros)
         params = ModelParams(n, 1.0, 1.0, 10.0)
         marginal = build_marginal(params, grid_size=256)
         key = philox_key(26, n)
         counter = helpers.philox_counter_with_zeros(key, zeros)
-        main_draws = rows * n
-        u = np.random.Generator(np.random.Philox(
-            key=key, counter=counter)).random(main_draws + 8)
+        u = _philox(key, counter).random(rows * n + 8)
         assert np.array_equal(np.flatnonzero(u == 0.0), zeros)
-        spare = iter(u[main_draws:][u[main_draws:] != 0.0])
-        main = u[:main_draws].copy()
-        for i in np.flatnonzero(main == 0.0):
-            main[i] = next(spare)
         want = poisson_B_H0(helpers.inverse_cdf_searchsorted(
-            marginal, main.reshape(rows, n)), params)
-        got = gibbs._force_sums(marginal, rows, key, counter)
+            marginal, helpers.open_uniforms(_philox(key, counter),
+                                            (rows, n))), params)
+        got = helpers.kernel_force_sums(marginal, philox_state(key, counter),
+                                        rows)
         assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("n, a, b, zeros", [
+        (64, 3, 5, [5]), (64, 1, 1, [62, 63]), (3, 34, 10, [100]),
+        (600, 1, 2, [1])])
+    def test_a_zero_moves_no_later_row(self, n, a, b, zeros):
+        # a 0.0 planted in the first a rows: one call of a + b rows gives the
+        # bits of a call of a rows and then one of b rows on the same state,
+        # which both leave at one place in the stream
+        params = ModelParams(n, 1.0, 1.0, 10.0)
+        marginal = build_marginal(params, grid_size=256)
+        key = philox_key(33, n)
+        counter = helpers.philox_counter_with_zeros(key, zeros)
+        assert max(zeros) < a * n
+        whole = philox_state(key, counter)
+        split = philox_state(key, counter)
+        got = helpers.kernel_force_sums(marginal, whole, a + b)
+        want = np.concatenate((helpers.kernel_force_sums(marginal, split, a),
+                               helpers.kernel_force_sums(marginal, split, b)))
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(whole, split)
 
     @pytest.mark.parametrize("n, n_samples", [(64, 20000), (7, 20000),
                                               (300, 1000)])
@@ -650,6 +665,14 @@ class TestNorms:
                                    _inv_z=2.0 * ref_marginal._inv_z)
         with pytest.raises(ValueError, match="outside the open box"):
             norm0_mc(wide, 1000, philox_key(8, 2))
+
+    @pytest.mark.parametrize("value, std_error, n_samples", [
+        (math.nan, 0.1, 10), (1.0, math.nan, 10), (1.0, 0.1, 0),
+        (0.0, 0.0, -3), (math.nan, math.nan, 0)])
+    def test_an_estimate_of_nan_or_no_samples_is_refused(
+            self, value, std_error, n_samples):
+        with pytest.raises(ValueError):
+            NormEstimate(value, std_error, n_samples)
 
     def test_overflowing_variance_is_refused(self, ref_marginal):
         # squares of 1e200 and 1 are finite, but their variance is not
