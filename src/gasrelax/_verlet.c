@@ -3,6 +3,12 @@
  * the wall marginal, and NumPy's Philox stream with the states it samples
  * and their force and momentum sums, in gasrelax.
  *
+ * Each job has one body, which the other entries call: wall_sums owns the
+ * wall and its row sums, philox_uniforms the stream's doubles, inverse_cdf
+ * the heights they give, verlet_records the trajectory and
+ * sampled_momentum_sums the momentum sums.  Each entry that evaluates the
+ * wall takes delta and forms 12 delta itself.
+ *
  * Every result is bit for bit what the former NumPy expressions gave, so the
  * operation order below is part of the contract.  Potential: u*u, u2*u2,
  * (u4*u4)*u4, 1/x, the sum of the two walls, the product with delta.
@@ -116,17 +122,18 @@ static KERNEL double pairwise(const double *a, ptrdiff_t n, enum term kind,
     return res;
 }
 
-/* The wall potential (is_force = 0, c = delta) or the wall force
- * (is_force != 0, c = 12 delta) over each of `rows` row-major rows of z of
- * n values, into out[i]: the term itself when n is 1, else 0.0 plus the
- * pairwise sum of the row's terms.  Returns how many values are not
- * strictly inside (-half, half), NaN included; the results of a row holding
- * one are not meaningful.
+/* The wall potential (is_force = 0) or the wall force (is_force != 0) of
+ * strength delta over each of `rows` row-major rows of z of n values, into
+ * out[i]: the term itself when n is 1, else 0.0 plus the pairwise sum of
+ * the row's terms.  Returns how many values are not strictly inside
+ * (-half, half), NaN included; the results of a row holding one are not
+ * meaningful.
  */
 KERNEL ptrdiff_t wall_sums(const double *restrict z, double *restrict out,
                            ptrdiff_t rows, ptrdiff_t n, ptrdiff_t is_force,
-                           double half, double c)
+                           double half, double delta)
 {
+    double c = is_force ? 12.0 * delta : delta;
     ptrdiff_t outside = 0;
     if (n == 1) {
         for (ptrdiff_t i = 0; i < rows; i++) {
@@ -290,12 +297,12 @@ static inline double hermite(double t, double y0, double m0, double y1,
  * gives (for a NaN, NaN).  Each chunk is copied and bracketed in one pass,
  * then interpolated.
  */
-static inline void invert(const double *u, double *out, ptrdiff_t n,
-                          const double *restrict inv_u,
-                          const double *restrict inv_z,
-                          const double *restrict inv_m,
-                          const int32_t *restrict guide, ptrdiff_t k,
-                          ptrdiff_t cells)
+KERNEL void inverse_cdf(const double *u, double *out, ptrdiff_t n,
+                        const double *restrict inv_u,
+                        const double *restrict inv_z,
+                        const double *restrict inv_m,
+                        const int32_t *restrict guide, ptrdiff_t k,
+                        ptrdiff_t cells)
 {
     double uc[INVERSE_CDF_CHUNK];
     ptrdiff_t idx[INVERSE_CDF_CHUNK];
@@ -324,17 +331,6 @@ static inline void invert(const double *u, double *out, ptrdiff_t n,
                                      inv_z[j + 1], inv_m[j + 1] * dx);
         }
     }
-}
-
-/* out[i] = the inverse CDF at u[i], for i < n (see invert) */
-KERNEL void inverse_cdf(const double *u, double *out, ptrdiff_t n,
-                        const double *restrict inv_u,
-                        const double *restrict inv_z,
-                        const double *restrict inv_m,
-                        const int32_t *restrict guide, ptrdiff_t k,
-                        ptrdiff_t cells)
-{
-    invert(u, out, n, inv_u, inv_z, inv_m, guide, k, cells);
 }
 
 /* NumPy's Philox4x64-10 (Salmon et al., SC 2011).  The state is that of
@@ -399,10 +395,21 @@ static inline double philox_double(struct philox *s)
 }
 
 /* out[i] = the next value of *s as a double, for i < n; *s is left past
- * them */
-KERNEL void philox_uniforms(struct philox *s, double *out, ptrdiff_t n)
+ * them.  The words left in the buffer are read first, then whole blocks
+ * straight into out, then the rest one at a time. */
+KERNEL void philox_uniforms(struct philox *restrict s, double *restrict out,
+                            ptrdiff_t n)
 {
-    for (ptrdiff_t i = 0; i < n; i++)
+    ptrdiff_t i = 0;
+    for (; i < n && s->next < 4; i++)
+        out[i] = philox_double(s);
+    for (; i + 4 <= n; i += 4) {
+        philox_block(s);
+        for (int w = 0; w < 4; w++)
+            out[i + w] = word_double(s->block[w]);
+        s->next = 4;
+    }
+    for (; i < n; i++)
         out[i] = philox_double(s);
 }
 
@@ -414,13 +421,11 @@ static __attribute__((noinline, cold)) void drop_zero(struct philox *s,
                                                       ptrdiff_t len)
 {
     memmove(z + i, z + i + 1, (size_t)(len - i - 1) * sizeof *z);
-    z[len - 1] = philox_double(s);
+    philox_uniforms(s, z + len - 1, 1);
 }
 
-/* z[i] = the inverse CDF (see invert) of the next value of *s that is not
- * 0.0, for i < len: a 0.0, which would put a particle on the wall, is
- * skipped.  The words left in the buffer are read first, then whole blocks
- * straight into z, then the rest one at a time. */
+/* z[i] = the inverse CDF of the next value of *s that is not 0.0, for
+ * i < len: a 0.0, which would put a particle on the wall, is skipped. */
 static inline void heights(struct philox *s, double *z, ptrdiff_t len,
                            const double *restrict inv_u,
                            const double *restrict inv_z,
@@ -428,21 +433,11 @@ static inline void heights(struct philox *s, double *z, ptrdiff_t len,
                            const int32_t *restrict guide, ptrdiff_t k,
                            ptrdiff_t cells)
 {
-    ptrdiff_t i = 0;
-    for (; i < len && s->next < 4; i++)
-        z[i] = philox_double(s);
-    for (; i + 4 <= len; i += 4) {
-        philox_block(s);
-        for (int w = 0; w < 4; w++)
-            z[i + w] = word_double(s->block[w]);
-        s->next = 4;
-    }
-    for (; i < len; i++)
-        z[i] = philox_double(s);
-    for (i = 0; i < len; i++)
+    philox_uniforms(s, z, len);
+    for (ptrdiff_t i = 0; i < len; i++)
         while (z[i] == 0.0)
             drop_zero(s, z, i, len);
-    invert(z, z, len, inv_u, inv_z, inv_m, guide, k, cells);
+    inverse_cdf(z, z, len, inv_u, inv_z, inv_m, guide, k, cells);
 }
 
 /* the callbacks of NumPy's bitgen_t on a struct philox; a normal deviate
@@ -469,8 +464,10 @@ static inline void normals(struct philox *s, double *out, ptrdiff_t n,
 }
 
 /* The force sum [B, H0] of each of `rows` states of n heights, into out[i]:
- * 0.0 plus the pairwise sum of the row's forces, plus 0.0, the bits of
- * poisson_B_H0 (c12 = 12 delta).
+ * wall_sums of the row's forces, the bits of poisson_B_H0.  That adds 0.0
+ * once more, which only changes a one-value row of force -0.0, and none
+ * strictly inside the box gives one: its two wall terms have opposite
+ * signs.
  *
  * The heights are drawn by heights (see there) from the stream of *s, row
  * by row, and *s is left past the last value read.  Whole rows of at
@@ -482,7 +479,7 @@ static inline void normals(struct philox *s, double *out, ptrdiff_t n,
 KERNEL ptrdiff_t sampled_force_sums(struct philox *s, double *restrict out,
                                     ptrdiff_t rows, ptrdiff_t n,
                                     double *restrict scratch,
-                                    double half, double c12,
+                                    double half, double delta,
                                     const double *restrict inv_u,
                                     const double *restrict inv_z,
                                     const double *restrict inv_m,
@@ -493,28 +490,19 @@ KERNEL ptrdiff_t sampled_force_sums(struct philox *s, double *restrict out,
     double *z = n <= INVERSE_CDF_CHUNK ? buf : scratch;
     ptrdiff_t per_chunk = n <= INVERSE_CDF_CHUNK ? INVERSE_CDF_CHUNK / n : 1;
     ptrdiff_t outside = 0;
-    /* a local copy, which the compiler keeps in registers */
-    struct philox stream = *s;
-
     for (ptrdiff_t r0 = 0; r0 < rows; r0 += per_chunk) {
         ptrdiff_t nr = rows - r0 < per_chunk ? rows - r0 : per_chunk;
-        heights(&stream, z, nr * n, inv_u, inv_z, inv_m, guide, k, cells);
-        for (ptrdiff_t i = 0; i < nr; i++) {
-            const double *zi = z + i * n;
-            for (ptrdiff_t j = 0; j < n; j++)
-                outside += !(fabs(zi[j]) < half);
-            out[r0 + i] = (0.0 + pairwise(zi, n, FORCE, half, c12)) + 0.0;
-        }
+        heights(s, z, nr * n, inv_u, inv_z, inv_m, guide, k, cells);
+        outside += wall_sums(z, out + r0, nr, n, 1, half, delta);
     }
-    *s = stream;
     return outside;
 }
 
 /* `rows` states of n particles from the stream of *s, row-major: heights
  * into z, momenta into p.  The heights are those sampled_force_sums sums,
- * drawn and inverted INVERSE_CDF_CHUNK at a time; the momenta are NumPy's
- * normals (see normals), drawn on from where the heights stopped.  *s is
- * left past the last value read.
+ * drawn and inverted by one heights call; the momenta are NumPy's normals
+ * (see normals), drawn on from where the heights stopped.  *s is left past
+ * the last value read.
  */
 KERNEL void sampled_states(struct philox *s, double *restrict z,
                            double *restrict p, ptrdiff_t rows, ptrdiff_t n,
@@ -524,15 +512,8 @@ KERNEL void sampled_states(struct philox *s, double *restrict z,
                            const int32_t *restrict guide, ptrdiff_t k,
                            ptrdiff_t cells)
 {
-    ptrdiff_t len = rows * n;
-    struct philox stream = *s;
-    for (ptrdiff_t start = 0; start < len; start += INVERSE_CDF_CHUNK) {
-        ptrdiff_t m = len - start < INVERSE_CDF_CHUNK ? len - start
-            : INVERSE_CDF_CHUNK;
-        heights(&stream, z + start, m, inv_u, inv_z, inv_m, guide, k, cells);
-    }
-    *s = stream;
-    normals(s, p, len, sigma);
+    heights(s, z, rows * n, inv_u, inv_z, inv_m, guide, k, cells);
+    normals(s, p, rows * n, sigma);
 }
 
 /* b[i] = 0.0 plus the pairwise sum of the n momenta of row i (see

@@ -188,17 +188,11 @@ def _meta(config: RunConfig) -> dict:
             "seed": config.seed}
 
 
-def _meta_lines(config: RunConfig) -> list[str]:
-    return [f"gasrelax {__version__}",
-            f"config_hash: {config.hash()}",
-            f"seed: {config.seed}"]
-
-
 def _write_csv(path: Path, config: RunConfig, header: list[str],
                rows: list[tuple]) -> None:
     with open(path, "w", newline="") as fh:
-        for line in _meta_lines(config):
-            fh.write(f"# {line}\n")
+        fh.write(f"# gasrelax {__version__}\n# config_hash: {config.hash()}\n"
+                 f"# seed: {config.seed}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -271,19 +265,19 @@ def cmd_simulate(config: RunConfig) -> int:
     (out / "relaxation_report.json").write_text(
         report.to_json(_meta(config)) + "\n")
     curve = lower_bound_curve(params, series.times)
-    rows = list(zip((float(t) for t in series.times),
-                    (float(c) for c in series.c_values),
-                    (float(e) for e in series.std_errors),
-                    (float(b) for b in np.atleast_1d(curve))))
+    rows = list(zip(series.times.tolist(), series.c_values.tolist(),
+                    series.std_errors.tolist(), curve.tolist()))
     _write_csv(out / "correlation.csv", config,
                ["t", "c", "stderr", "bound_curve"], rows)
     t_star = report.t_star_empirical
     print(f"t0_bound = {report.t0_bound:.6f}")
     print("t_star = " + (f"{t_star:.6f}" if t_star is not None
                          else "not crossed within t_end"))
+    stop = (f" (run stopped at t = {series.times[-1]:.6g} < t0)"
+            if series.times[-1] < t0 else "")
     for name in ("positivity_ok", "curve_check", "displacement_ok"):
         verdict = "PASS" if getattr(report, name) else "FAIL"
-        print(f"{verdict} {name}")
+        print(f"{verdict} {name}{stop if name != 'displacement_ok' else ''}")
     print(f"max_energy_drift = {report.max_energy_drift:.3e}")
     return EXIT_OK if report.all_ok else EXIT_RUNTIME
 
@@ -354,33 +348,30 @@ def cmd_report(config: RunConfig) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"bounds": cmd_bounds, "gamma": cmd_gamma,
+             "simulate": cmd_simulate, "report": cmd_report}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on the first call.  Each of its
-    120 add_argument calls leaves a HelpFormatter in a reference cycle, so a
-    parser per main() call would leave that garbage for the cyclic
-    collector every call; parse_args does not change the parser."""
+    """The one parser of the process, built on the first call: each
+    add_argument call leaves a HelpFormatter in a reference cycle, so a
+    parser per main() call would leave cyclic garbage every call."""
     parser = argparse.ArgumentParser(
         prog="gasrelax",
         description="Relaxation-time bounds for a gas in a box: closed forms "
                     "and empirical verification.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("bounds", "compute analytic bounds and inequality checks"),
-        ("gamma", "sweep the measure-change diagnostics over field sizes"),
-        ("simulate", "run the ensemble campaign against the bound"),
-        ("report", "summarize previously written reports"),
-    ]:
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", help="key = value configuration file")
-        for f in fields(RunConfig):
-            p.add_argument(f"--{f.name}", default=None,
-                           help=f"override config key {f.name}")
+    parser.add_argument(
+        "command", choices=_COMMANDS,
+        help="bounds: compute analytic bounds and inequality checks; gamma: "
+             "sweep the measure-change diagnostics over field sizes; "
+             "simulate: run the ensemble campaign against the bound; "
+             "report: summarize previously written reports")
+    parser.add_argument("--config", help="key = value configuration file")
+    for f in fields(RunConfig):
+        parser.add_argument(f"--{f.name}", default=None,
+                            help=f"override config key {f.name}")
     return parser
-
-
-_COMMANDS = {"bounds": cmd_bounds, "gamma": cmd_gamma,
-             "simulate": cmd_simulate, "report": cmd_report}
 
 
 def main(argv=None) -> int:

@@ -32,8 +32,8 @@ import numpy as np
 
 from . import _kernel
 from . import bounds as _bounds
-from .gibbs import (WallMarginal, NormEstimate, _states, build_marginal,
-                    gamma_h, gamma_tilde_h, norm0_B_mc)
+from .gibbs import (WallMarginal, NormEstimate, _measure, _states,
+                    build_marginal, gamma_h, gamma_tilde_h, norm0_B_mc)
 from .model import ModelParams
 from .rng import philox_key, philox_state
 
@@ -312,20 +312,21 @@ def displacement_norms(params: ModelParams, times: Sequence[float],
     times = sorted(float(t) for t in times)
     if not times or times[0] < 0.0:
         raise ValueError("displacement times must be nonnegative")
-    if marginal is None:
-        marginal = build_marginal(params, tilted=True)
-    if marginal.params != params or marginal.tilt != params.field:
+    if marginal is not None and (marginal.params != params
+                                 or marginal.tilt != params.field):
         raise ValueError("displacement norms sample rho1: pass the marginal "
                          "of params tilted by its field")
     grid = [t for t in times if t > 0.0]
     if not grid:
-        return [NormEstimate(0.0, 0.0, n_traj, marginal.which_measure)
+        return [NormEstimate(0.0, 0.0, n_traj, _measure(params.field))
                 for _ in times]
     # one uniform grid fine enough to land on every requested time
     base = grid[0]
     n_records = int(round(grid[-1] / base)) + 1
     if any(abs(t / base - round(t / base)) > 1e-9 for t in grid):
         raise ValueError("displacement times must be multiples of the smallest")
+    if marginal is None:
+        marginal = build_marginal(params, tilted=True)
     _, s1, s2, _ = _run_ensemble(
         _displacement_terms, marginal, replace(config, t_end=grid[-1]),
         n_traj, seed, n_records, n_workers)
@@ -386,10 +387,11 @@ def make_relaxation_report(params: ModelParams, config: IntegratorConfig,
                            ) -> tuple[RelaxationReport, CorrelationSeries]:
     """Run the full dynamical campaign against the analytic bound.
 
-    Positivity and curve checks cover the grid times up to t0; displacement
-    checks run at _DISPLACEMENT_FRACS of t0 against (1 + _ETA_MARGIN) * eta *
-    t * ||B||_1 plus three combined standard errors.  Both marginals are
-    tabulated on grid_size cells.
+    Positivity and curve checks cover the grid times up to t0 (both fail
+    if the run stops before t0); displacement checks run at the
+    _DISPLACEMENT_FRACS of t0 against (1 + _ETA_MARGIN) * eta * t * ||B||_1
+    plus three combined standard errors.  Both marginals are tabulated on
+    grid_size cells.
     """
     h = params.field
     t0 = _bounds.t_relax_lower(params)
@@ -412,6 +414,9 @@ def make_relaxation_report(params: ModelParams, config: IntegratorConfig,
         curve_check = bool(np.all(bh * c_win >= curve - 3.0 * bh * e_win))
     else:
         curve_check = positivity_ok
+    if series.times[-1] < t0:
+        # a run that stopped before t0 says nothing about it
+        positivity_ok = curve_check = False
 
     disp_times = [f * t0 for f in _DISPLACEMENT_FRACS]
     disp = displacement_norms(params, disp_times, n_traj, seed + 1, config,

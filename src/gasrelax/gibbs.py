@@ -95,6 +95,11 @@ _MAX_GRID = 2**31 - 1
 _KRONROD_BLOCK = 256
 
 
+def _measure(tilt: float) -> str:
+    """The measure of the heights tilted by tilt: rho1 unless it is 0."""
+    return "rho1" if tilt != 0.0 else "rho0"
+
+
 def _log_weight(z, params: ModelParams, tilt: float = 0.0,
                 pow_left: float = 0.0, pow_right: float = 0.0):
     """log of exp(-beta V(z) + beta*tilt*z) / (z+L/2)^pow_left / (L/2-z)^pow_right.
@@ -243,7 +248,7 @@ class WallMarginal:
 
     @property
     def which_measure(self) -> str:
-        return "rho1" if self.tilt != 0.0 else "rho0"
+        return _measure(self.tilt)
 
     def inverse_cdf(self, u):
         """Monotone-cubic inverse of the tabulated CDF, for u in [0, 1).
@@ -439,7 +444,7 @@ def norm0_mc(marginal: WallMarginal, n_samples: int,
     scratch = np.empty(params.n_particles)
     outside = _kernel.library().sampled_force_sums(
         state.ctypes.data, values.ctypes.data, n_samples, params.n_particles,
-        scratch.ctypes.data, params.half_box, 12.0 * params.delta_wall,
+        scratch.ctypes.data, params.half_box, params.delta_wall,
         *marginal._kernel_tables())
     _require_inside(outside, params)
     return NormEstimate.from_values(values, marginal.which_measure)
@@ -464,8 +469,7 @@ def norm0_B_mc(params: ModelParams, n_samples: int, key: np.ndarray,
     _kernel.library().sampled_momentum_sums(
         state.ctypes.data, values.ctypes.data, n_samples, params.n_particles,
         _momentum_scale(params), row.ctypes.data)
-    return NormEstimate.from_values(values,
-                                    "rho1" if params.field != 0.0 else "rho0")
+    return NormEstimate.from_values(values, _measure(params.field))
 
 
 def _require_rho0(marginal: WallMarginal) -> None:

@@ -87,7 +87,7 @@ def _wall_sums(z, params: ModelParams, force: bool, per_row: bool):
     outside = _kernel.library().wall_sums(
         z.ctypes.data, out.ctypes.data, out.size,
         z.shape[-1] if per_row else 1, force, params.half_box,
-        12.0 * params.delta_wall if force else params.delta_wall)
+        params.delta_wall)
     _require_inside(outside, params)
     return out if out.ndim else float(out)
 

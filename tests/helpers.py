@@ -281,7 +281,7 @@ def kernel_force_sums(marginal, state, rows):
     scratch = np.empty(params.n_particles)
     outside = _kernel.library().sampled_force_sums(
         state.ctypes.data, out.ctypes.data, rows, params.n_particles,
-        scratch.ctypes.data, params.half_box, 12.0 * params.delta_wall,
+        scratch.ctypes.data, params.half_box, params.delta_wall,
         *marginal._kernel_tables())
     assert outside == 0
     return out

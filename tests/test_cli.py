@@ -168,6 +168,14 @@ class TestParserReuse:
     def test_the_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
+    def test_one_parser_for_every_command(self):
+        # the command, --config and a flag per config key, given once
+        parser = cli.build_parser()
+        assert len(parser._actions) == 3 + len(fields(RunConfig))
+        for argv in (["bounds", "--seed", "5"], ["--seed", "5", "bounds"]):
+            args = parser.parse_args(argv)
+            assert (args.command, args.seed) == ("bounds", "5")
+
     def test_a_flag_of_one_call_is_not_seen_by_the_next(self):
         parser = cli.build_parser()
         assert parser.parse_args(["bounds", "--seed", "5"]).seed == "5"
@@ -531,6 +539,21 @@ class TestSimulateCommand:
         assert header == ["t", "c", "stderr", "bound_curve"]
         assert len(rows) == 8
         assert float(rows[0][0]) == 0.0
+
+    def test_a_run_that_stops_before_t0_fails_the_t0_checks(self, tmp_path):
+        # t0 = 0.129318 here; C(t) is positive up to t_end = 0.01
+        path = write_config(tmp_path, output_dir=str(tmp_path))
+        code, out, _ = _run_quietly(["simulate", "--config", path,
+                                     "--field", "0", "--t_end", "0.01",
+                                     "--n_times", "4"])
+        assert code == EXIT_RUNTIME
+        assert out.splitlines()[2:5] == [
+            "FAIL positivity_ok (run stopped at t = 0.01 < t0)",
+            "FAIL curve_check (run stopped at t = 0.01 < t0)",
+            "PASS displacement_ok"]
+        doc = json.loads((tmp_path / "relaxation_report.json").read_text())
+        assert doc["positivity_ok"] is doc["curve_check"] is False
+        assert doc["displacement_ok"] is True
 
     def test_seed_determinism(self, tmp_path):
         path = write_config(tmp_path, output_dir=str(tmp_path))

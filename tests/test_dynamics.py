@@ -258,6 +258,29 @@ class TestDisplacement:
         assert est.value == 0.0 and est.std_error == 0.0
         assert est.which_measure == "rho1"
 
+    @pytest.mark.parametrize("field, measure", [(1e-3, "rho1"),
+                                                (0.0, "rho0")])
+    def test_zero_times_build_no_marginal(self, monkeypatch, field, measure):
+        # the zero norms need no table; the measure is named by gibbs' rule
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_marginal called")
+
+        monkeypatch.setattr(dynamics, "build_marginal", refuse)
+        config = IntegratorConfig(dt=1e-3, t_end=1.0)
+        ests = displacement_norms(replace(self.PARAMS, field=field),
+                                  [0.0, 0.0], n_traj=3, seed=39,
+                                  config=config)
+        assert [(e.value, e.std_error, e.n_samples, e.which_measure)
+                for e in ests] == [(0.0, 0.0, 3, measure)] * 2
+
+    def test_zero_times_still_check_the_marginal(self):
+        config = IntegratorConfig(dt=1e-3, t_end=1.0)
+        with pytest.raises(ValueError, match="rho1"):
+            displacement_norms(self.PARAMS, [0.0], n_traj=100, seed=1,
+                               config=config,
+                               marginal=build_marginal(self.PARAMS,
+                                                       grid_size=64))
+
     def test_at_most_linear_growth(self):
         t0 = t_relax_lower(self.PARAMS)
         config = IntegratorConfig(dt=5e-4, t_end=t0, energy_drift_tol=1e-4)
@@ -357,6 +380,23 @@ class TestRelaxationReport:
         doc = json.loads(report.to_json())
         assert doc["t_star_empirical"] == "not crossed within t_end"
         assert series.n_trajectories == 400
+
+    @pytest.mark.parametrize("field", [1e-3, 0.0])
+    def test_a_run_that_stops_before_t0_passes_no_t0_check(self, field):
+        # C(t) stays positive up to t_end = t0 / 4, which says nothing
+        # about t0; the displacement ensemble runs to t0 on its own grid
+        params = ModelParams(8, 1.0, 1.0, 10.0, field=field)
+        t0 = t_relax_lower(params)
+        config = IntegratorConfig(dt=5e-4, t_end=0.25 * t0,
+                                  energy_drift_tol=1e-4)
+        report, series = make_relaxation_report(params, config, n_traj=64,
+                                                seed=42, n_times=4)
+        assert series.times[-1] < t0
+        assert np.all(series.c_values - 2.0 * series.std_errors > 0.0)
+        assert not report.positivity_ok
+        assert not report.curve_check
+        assert report.displacement_ok
+        assert not report.all_ok
 
     def test_B_norm_is_that_of_one_whole_batch(self, ref_params,
                                                ref_marginal_tilted,

@@ -290,7 +290,7 @@ while time.time() < {start!r}:
 lib = _kernel._load({str(cache)!r}, "cc")
 z = np.linspace(-4.9, 4.9, 101)
 out = np.empty_like(z)
-lib.wall_sums(z.ctypes.data, out.ctypes.data, z.size, 1, 1, 5.0, 12.0)
+lib.wall_sums(z.ctypes.data, out.ctypes.data, z.size, 1, 1, 5.0, 1.0)
 print(out.view(np.int64).tolist())
 """
 
@@ -328,7 +328,7 @@ class TestLoader:
         lib = _kernel._load(blocker / "cache", "cc")
         z = np.array([0.5, -1.5])
         out = np.empty(2)
-        lib.wall_sums(z.ctypes.data, out.ctypes.data, 2, 1, 1, 5.0, 12.0)
+        lib.wall_sums(z.ctypes.data, out.ctypes.data, 2, 1, 1, 5.0, 1.0)
         assert np.array_equal(_bits(out),
                               _bits(helpers.wall_force_reference(z, PARAMS)))
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
