@@ -16,11 +16,10 @@ its parameters.  A bound report builds its own marginal.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -137,7 +136,8 @@ def t0_physical(params: ModelParams, units: Optional[PhysicalUnits]) -> float:
     return t0
 
 
-class InequalityCheck(NamedTuple):
+@dataclass(frozen=True)
+class InequalityCheck:
     name: str
     lhs: float
     rhs: float
@@ -165,7 +165,7 @@ class BoundReport:
     eta_analytic: float
     eta_empirical: NormEstimate
     t0_natural: float
-    t0_physical: Optional[float]
+    t0_physical_seconds: Optional[float]
     regime_ok: bool
     z_tilde: float
     inequality_checks: list
@@ -173,18 +173,6 @@ class BoundReport:
     @property
     def all_passed(self) -> bool:
         return all(chk.passed for chk in self.inequality_checks)
-
-    def to_json(self, meta: Optional[dict] = None) -> str:
-        doc = asdict(self)
-        doc["t0_physical_seconds"] = doc.pop("t0_physical")
-        doc["inequality_checks"] = [c._asdict() for c in self.inequality_checks]
-        return _report_json(doc, meta)
-
-
-def _report_json(doc: dict, meta: Optional[dict]) -> str:
-    """Report fields under a "meta" header as strict JSON: no NaN or inf."""
-    return json.dumps({"meta": meta or {}, **doc}, indent=2, sort_keys=True,
-                      allow_nan=False)
 
 
 def build_bound_report(params: ModelParams, n_samples: int,
@@ -213,6 +201,6 @@ def build_bound_report(params: ModelParams, n_samples: int,
     ]
     t0_si = t0_physical(params, units) if units is not None else None
     return BoundReport(c=constant_c(), eta_analytic=eta, eta_empirical=emp,
-                       t0_natural=t0, t0_physical=t0_si,
+                       t0_natural=t0, t0_physical_seconds=t0_si,
                        regime_ok=params.bound_regime,
                        z_tilde=marginal.z_tilde, inequality_checks=checks)

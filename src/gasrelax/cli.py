@@ -3,7 +3,8 @@
 Runs are described by a plain-text config of `key = value` lines (# starts a
 comment).  Every key can also be given as a --key flag, which overrides the
 file.  Unknown keys are errors.  Exit codes: 0 success, 1 runtime failure,
-2 validation failure.
+2 validation failure.  This module alone writes the output files and reads
+them back; the library returns plain dataclasses.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, get_type_hints
 
@@ -39,6 +40,9 @@ EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
 
 _OUTPUT_DIR_ENV = "GASRELAX_OUTPUT_DIR"
+
+# t_star_empirical of a relaxation report whose C(t) never crossed zero
+_NOT_CROSSED = "not crossed within t_end"
 
 
 class ConfigError(ValueError):
@@ -183,27 +187,25 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _meta(config: RunConfig) -> dict:
-    return {"version": __version__, "config_hash": config.hash(),
+def _write_report(path: Path, config: RunConfig, doc: dict) -> None:
+    """doc under a "meta" header (version, config hash, seed) as strict JSON:
+    a NaN or inf is a ValueError, raised before the file is opened."""
+    meta = {"version": __version__, "config_hash": config.hash(),
             "seed": config.seed}
+    path.write_text(json.dumps({"meta": meta, **doc}, indent=2,
+                               sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, config: RunConfig, header: list[str],
                rows: list[tuple]) -> None:
+    """Each cell is str(v) of a Python float or bool, which for those is
+    repr(v): every digit of a float."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# gasrelax {__version__}\n# config_hash: {config.hash()}\n"
                  f"# seed: {config.seed}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def cmd_bounds(config: RunConfig) -> int:
@@ -214,12 +216,12 @@ def cmd_bounds(config: RunConfig) -> int:
                                 grid_size=config.grid_size)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "bounds_report.json").write_text(report.to_json(_meta(config)) + "\n")
+    _write_report(out / "bounds_report.json", config, asdict(report))
     print(f"c = {report.c:.6f}")
     print(f"eta_analytic = {report.eta_analytic:.6f}")
     print(f"t0_natural = {report.t0_natural:.6f}")
-    if report.t0_physical is not None:
-        print(f"t0_physical = {report.t0_physical:.6e} s")
+    if report.t0_physical_seconds is not None:
+        print(f"t0_physical = {report.t0_physical_seconds:.6e} s")
     print(f"z_tilde = {report.z_tilde:.6f}")
     for chk in report.inequality_checks:
         verdict = "PASS" if chk.passed else "FAIL"
@@ -262,17 +264,19 @@ def cmd_simulate(config: RunConfig) -> int:
         grid_size=config.grid_size)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "relaxation_report.json").write_text(
-        report.to_json(_meta(config)) + "\n")
+    t_star = report.t_star_empirical
+    doc = asdict(report)
+    if t_star is None:
+        doc["t_star_empirical"] = _NOT_CROSSED
+    _write_report(out / "relaxation_report.json", config, doc)
     curve = lower_bound_curve(params, series.times)
     rows = list(zip(series.times.tolist(), series.c_values.tolist(),
                     series.std_errors.tolist(), curve.tolist()))
     _write_csv(out / "correlation.csv", config,
                ["t", "c", "stderr", "bound_curve"], rows)
-    t_star = report.t_star_empirical
     print(f"t0_bound = {report.t0_bound:.6f}")
     print("t_star = " + (f"{t_star:.6f}" if t_star is not None
-                         else "not crossed within t_end"))
+                         else _NOT_CROSSED))
     stop = (f" (run stopped at t = {series.times[-1]:.6g} < t0)"
             if series.times[-1] < t0 else "")
     for name in ("positivity_ok", "curve_check", "displacement_ok"):
@@ -299,13 +303,23 @@ def _read(path: Path, parse):
         raise ConfigError(f"malformed input file {path}: {exc!r}") from None
 
 
+def _load_report(path: Path) -> dict:
+    """A JSON report read as strictly as _write_report writes it: a NaN or
+    an Infinity is a ValueError."""
+    return json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
 def _relaxation_fields(path: Path) -> tuple:
-    """t0, t* (a float, or the string saying it was not crossed) and the
-    check flags of a relaxation_report.json."""
-    doc = json.loads(path.read_text())
+    """t0, t* (None where the file says _NOT_CROSSED; any other value must
+    be a number) and the check flags of a relaxation_report.json."""
+    doc = _load_report(path)
     t_star = doc["t_star_empirical"]
     return (float(doc["t0_bound"]),
-            t_star if isinstance(t_star, str) else float(t_star),
+            None if t_star == _NOT_CROSSED else float(t_star),
             {name: doc[name] for name in
              ("positivity_ok", "curve_check", "displacement_ok")})
 
@@ -313,7 +327,7 @@ def _relaxation_fields(path: Path) -> tuple:
 def _bounds_fields(path: Path) -> tuple:
     """eta_analytic, eta_empirical and t0 in seconds (None without units) of
     a bounds_report.json."""
-    doc = json.loads(path.read_text())
+    doc = _load_report(path)
     t0_si = doc.get("t0_physical_seconds")
     return (float(doc["eta_analytic"]), float(doc["eta_empirical"]["value"]),
             None if t0_si is None else float(t0_si))
@@ -332,11 +346,11 @@ def cmd_report(config: RunConfig) -> int:
     eta_analytic, eta_empirical, t0_si = _read(bounds_path, _bounds_fields)
     t_end = _read(corr_path, _last_time)
     print(f"analytic lower bound t0 = {t0:.6f}")
-    if isinstance(t_star, str):
+    if t_star is None:
         # no crossing says nothing about t0 unless the run got past it
         verdict = ("t* >= t0 holds" if t_end >= t0 else
                    f"inconclusive: run stopped at t = {t_end:.6g} < t0")
-        print(f"empirical crossing t* : {t_star} ({verdict})")
+        print(f"empirical crossing t* : {_NOT_CROSSED} ({verdict})")
     else:
         holds = "holds" if t_star >= t0 else "VIOLATED"
         print(f"empirical crossing t* = {t_star:.6f} (t* >= t0 {holds})")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -303,20 +303,21 @@ def displacement_norms(params: ModelParams, times: Sequence[float],
                        n_traj: int, seed: int, config: IntegratorConfig,
                        marginal: Optional[WallMarginal] = None,
                        n_workers: int = 1) -> list[NormEstimate]:
-    """rho1 norms ||B(x_t) - B(x_0)||_1 at the requested times.
+    """rho1 norms ||B(x_t) - B(x_0)||_1 at the requested times, one per
+    time in the order given.
 
     Initial conditions come from rho1, tilted by h = params.field, matching
     the displacement bound being verified; marginal, if given, is its own.
     """
     _require_traj(n_traj)
-    times = sorted(float(t) for t in times)
-    if not times or times[0] < 0.0:
+    times = [float(t) for t in times]
+    if not times or min(times) < 0.0:
         raise ValueError("displacement times must be nonnegative")
     if marginal is not None and (marginal.params != params
                                  or marginal.tilt != params.field):
         raise ValueError("displacement norms sample rho1: pass the marginal "
                          "of params tilted by its field")
-    grid = [t for t in times if t > 0.0]
+    grid = sorted(t for t in times if t > 0.0)
     if not grid:
         return [NormEstimate(0.0, 0.0, n_traj, _measure(params.field))
                 for _ in times]
@@ -373,12 +374,6 @@ class RelaxationReport:
     @property
     def all_ok(self) -> bool:
         return self.positivity_ok and self.curve_check and self.displacement_ok
-
-    def to_json(self, meta: Optional[dict] = None) -> str:
-        doc = asdict(self)
-        if self.t_star_empirical is None:
-            doc["t_star_empirical"] = "not crossed within t_end"
-        return _bounds._report_json(doc, meta)
 
 
 def make_relaxation_report(params: ModelParams, config: IntegratorConfig,

@@ -590,6 +590,13 @@ def quadrature_autocorr_n1(params, h, t_end, n_times, n_z=256, n_p=64,
     is below `weight_cut` of the maximum sit deep in the wall layer, carry
     no measurable probability, and are dropped so they cannot dominate the
     step-size requirement.
+
+    Valid for t <= 2 at the reference parameters (beta = delta = 1,
+    L = 10), where it agrees with an orbit-by-orbit quadrature to 6e-6;
+    both callers stop at 2 t0.  Past that the default 64-node
+    Gauss-Hermite rule in p drifts: it puts the zero crossing t* = 2.5956
+    5.5e-4 late, the node count moves it (2.59314 at 32 nodes, 2.59547 at
+    256), and hermegauss overflows at 512 nodes.
     """
     from gasrelax.dynamics import IntegratorConfig
     from gasrelax.gibbs import build_marginal

@@ -109,6 +109,25 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: unused for name, unused in found.items() if unused} == {}
 
 
+def _imported_modules(source):
+    """The top-level package of each absolute import in source."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_the_cli_imports_json():
+    # the CLI writes and reads every output file; the library returns
+    # plain dataclasses and never serializes
+    found = {path.name for path in (ROOT / "src" / "gasrelax").glob("*.py")
+             if "json" in _imported_modules(path.read_text())}
+    assert found == {"cli.py"}
+
+
 def test_no_gibbs_or_bounds_function_takes_params_and_a_marginal():
     # a marginal carries its params: a second copy could disagree with it
     from gasrelax import bounds, gibbs

@@ -1,6 +1,6 @@
-import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -189,8 +189,7 @@ class TestBoundReport:
         assert report.regime_ok
         assert report.t0_natural == pytest.approx(
             math.sqrt(2.0) / report.eta_analytic, rel=1e-15)
-        doc = json.loads(report.to_json(meta={"seed": 1}))
-        assert doc["meta"]["seed"] == 1
+        doc = asdict(report)
         assert doc["c"] == pytest.approx(C_REF)
         assert doc["t0_physical_seconds"] == pytest.approx(T0_PHYSICAL_REF)
         assert {c["name"] for c in doc["inequality_checks"]} == {
@@ -199,13 +198,6 @@ class TestBoundReport:
             "z_tilde_gt_quarter_box",
         }
         assert all(c["passed"] for c in doc["inequality_checks"])
-
-    def test_non_finite_value_is_refused(self, ref_params):
-        report = build_bound_report(ref_params, n_samples=2000,
-                                    key=philox_key(24, 0))
-        report.z_tilde = math.inf
-        with pytest.raises(ValueError):
-            report.to_json()
 
     def test_regime_refused(self):
         with pytest.raises(RegimeError):

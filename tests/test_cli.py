@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -146,6 +146,21 @@ class TestBoundsCommand:
                             delta_wall=1e12)
         assert main(["bounds", "--config", path]) == EXIT_VALIDATION
         assert "box_side/3" in capsys.readouterr().err
+
+    def test_non_finite_value_is_refused(self, tmp_path, monkeypatch,
+                                         capsys):
+        # the report is strict JSON: an inf is refused before the file is
+        # written
+        build = cli.build_bound_report
+
+        def with_inf(*args, **kwargs):
+            return replace(build(*args, **kwargs), z_tilde=math.inf)
+
+        monkeypatch.setattr(cli, "build_bound_report", with_inf)
+        path = write_config(tmp_path, output_dir=str(tmp_path))
+        assert main(["bounds", "--config", path]) == EXIT_VALIDATION
+        assert "Out of range float" in capsys.readouterr().err
+        assert not (tmp_path / "bounds_report.json").exists()
 
     def test_never_imports_numpy_random(self, tmp_path):
         # the bracket norm reads its Philox stream in the kernel, from the
@@ -680,15 +695,32 @@ class TestReportCommand:
         assert main(["report", "--config", path]) == EXIT_VALIDATION
         assert "correlation.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t_star, verdict", [
+        (0.5, "t* = 0.500000 (t* >= t0 holds)"),
+        (0.05, "t* = 0.050000 (t* >= t0 VIOLATED)"),
+    ], ids=["holds", "violated"])
+    def test_crossing_against_t0(self, tmp_path, t_star, verdict):
+        _report_inputs(tmp_path, t_star=t_star)
+        code, out, err = _run_quietly(["report", "--output_dir",
+                                       str(tmp_path)])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[:2] == [
+            "analytic lower bound t0 = 0.130000",
+            f"empirical crossing {verdict}"]
 
-def _report_inputs(out):
+
+def _relaxation_doc(t_star):
+    return {"t0_bound": 0.13, "t_star_empirical": t_star,
+            "positivity_ok": True, "curve_check": False,
+            "displacement_ok": True}
+
+
+def _report_inputs(out, t_star="not crossed within t_end"):
     """Hand-made, well-formed inputs of `report` in out."""
     (out / "bounds_report.json").write_text(json.dumps(
         {"eta_analytic": 10.9, "eta_empirical": {"value": 1.3}}))
     (out / "relaxation_report.json").write_text(json.dumps(
-        {"t0_bound": 0.13, "t_star_empirical": "not crossed within t_end",
-         "positivity_ok": True, "curve_check": False,
-         "displacement_ok": True}))
+        _relaxation_doc(t_star)))
     (out / "correlation.csv").write_text(
         "# gasrelax\nt,c,stderr,bound_curve\n0.0,1.0,0.0,1.0\n"
         "0.26,0.5,0.01,0.9\n")
@@ -698,8 +730,18 @@ class TestMalformedReportInputs:
     @pytest.mark.parametrize("name, text", [
         ("relaxation_report.json", "{}"),
         ("relaxation_report.json", "[1]"),
+        ("relaxation_report.json", json.dumps(_relaxation_doc("soon"))),
+        ("relaxation_report.json", json.dumps(_relaxation_doc(None))),
+        ("relaxation_report.json", json.dumps(_relaxation_doc(math.inf))),
+        ("relaxation_report.json",
+         json.dumps({**_relaxation_doc(0.5), "t0_bound": math.nan})),
+        ("bounds_report.json",
+         json.dumps({"eta_analytic": -math.inf,
+                     "eta_empirical": {"value": 1.3}})),
         ("correlation.csv", "# gasrelax\n# no rows\n"),
-    ], ids=["empty-object", "list", "comments-only"])
+    ], ids=["empty-object", "list", "t-star-a-word", "t-star-null",
+            "t-star-infinity", "t0-nan", "eta-minus-infinity",
+            "comments-only"])
     def test_is_a_validation_error_naming_the_file(self, tmp_path, name,
                                                    text):
         _report_inputs(tmp_path)

@@ -1,5 +1,4 @@
 import concurrent.futures
-import json
 import math
 from dataclasses import replace
 
@@ -281,6 +280,19 @@ class TestDisplacement:
                                marginal=build_marginal(self.PARAMS,
                                                        grid_size=64))
 
+    def test_one_estimate_per_time_in_the_order_given(self):
+        # the ensemble runs on the sorted grid; the estimates come back in
+        # the order of the request, a repeated time repeated
+        config = IntegratorConfig(dt=1e-3, t_end=1.0)
+        kw = dict(n_traj=32, seed=43, config=config)
+        forward = displacement_norms(self.PARAMS, [0.0, 0.02, 0.04], **kw)
+        assert forward[1].value < forward[2].value
+        assert displacement_norms(self.PARAMS, [0.04, 0.02, 0.0],
+                                  **kw) == forward[::-1]
+        f0, f1, f2 = forward
+        assert displacement_norms(self.PARAMS, [0.04, 0.0, 0.02, 0.04],
+                                  **kw) == [f2, f0, f1, f2]
+
     def test_at_most_linear_growth(self):
         t0 = t_relax_lower(self.PARAMS)
         config = IntegratorConfig(dt=5e-4, t_end=t0, energy_drift_tol=1e-4)
@@ -377,8 +389,6 @@ class TestRelaxationReport:
         assert report.gamma > 0.0 and report.gamma_tilde > 0.0
         assert report.max_energy_drift > 0.0
         assert len(report.displacement_details) == 3
-        doc = json.loads(report.to_json())
-        assert doc["t_star_empirical"] == "not crossed within t_end"
         assert series.n_trajectories == 400
 
     @pytest.mark.parametrize("field", [1e-3, 0.0])
