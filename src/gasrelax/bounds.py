@@ -26,7 +26,7 @@ import numpy as np
 from .gibbs import (NormEstimate, WallMarginal, build_marginal, norm0_B_closed,
                     norm0_mc, norm0_poisson_B_H0_quadrature, _box_integral,
                     _require_rho0, _weight)
-from .model import ModelParams
+from .model import ModelParams, _require_positive_finite
 from .numerics import gamma_function
 
 __all__ = [
@@ -78,7 +78,6 @@ def eta_analytic(params: ModelParams) -> float:
 
 def t_relax_lower(params: ModelParams) -> float:
     """Lower bound t0 = (beta delta)^(1/24) sqrt(L beta) / c = sqrt(2)/eta."""
-    _require_regime(params)
     return math.sqrt(2.0) / eta_analytic(params)
 
 
@@ -109,9 +108,8 @@ class PhysicalUnits:
     temperature_k: float
 
     def __post_init__(self):
-        for name in ("mass_kg", "sigma_m", "box_m", "temperature_k"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        _require_positive_finite(self, "mass_kg", "sigma_m", "box_m",
+                                 "temperature_k")
 
     @property
     def beta_si(self) -> float:

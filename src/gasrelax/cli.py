@@ -31,7 +31,7 @@ from .dynamics import (_MIN_TIMES, _MIN_TRAJ, EnergyDriftError,
                        make_relaxation_report)
 from .gibbs import (_MAX_GRID, _MIN_GRID, build_marginal, gamma_h,
                     gamma_tilde_h, hoelder_certificate)
-from .model import ModelParams
+from .model import ModelParams, _require_positive_finite
 from .numerics import QuadratureError
 from .rng import philox_key
 
@@ -93,10 +93,8 @@ class RunConfig:
         if any(given) and not all(given):
             raise ConfigError("physical units require all of mass_kg, sigma_m, "
                               "box_m, temperature_k")
-        for name in ("delta_moment", "epsilon", "h_min", "h_max"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be strictly positive and "
-                                  "finite")
+        _require_positive_finite(self, "delta_moment", "epsilon", "h_min",
+                                 "h_max")
         # the floors of the library calls that take these keys; h_points
         # is the length of a np.geomspace grid.  seed needs none: philox_key
         # folds any integer mod 2^64
@@ -287,10 +285,10 @@ def cmd_simulate(config: RunConfig) -> int:
 
 
 def _last_time(path: Path) -> float:
-    """The t of the last row of a correlation.csv."""
+    """The t of the last row of a correlation.csv, a finite number."""
     rows = [line for line in path.read_text().splitlines()
             if line and not line.startswith("#")]
-    return float(rows[-1].split(",", 1)[0])
+    return _number(float(rows[-1].split(",", 1)[0]))
 
 
 def _read(path: Path, parse):
@@ -298,7 +296,7 @@ def _read(path: Path, parse):
     that names the file."""
     try:
         return parse(path)
-    except (AttributeError, IndexError, KeyError, TypeError,
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
             ValueError) as exc:
         raise ConfigError(f"malformed input file {path}: {exc!r}") from None
 
@@ -313,15 +311,25 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a finite number")
 
 
+def _number(value) -> float:
+    """A finite JSON number, not a bool or a string: a report's number."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
 def _relaxation_fields(path: Path) -> tuple:
-    """t0, t* (None where the file says _NOT_CROSSED; any other value must
-    be a number) and the check flags of a relaxation_report.json."""
+    """t0, t* (None where the file says _NOT_CROSSED, else a number) and
+    the check flags, true or false, of a relaxation_report.json."""
     doc = _load_report(path)
     t_star = doc["t_star_empirical"]
-    return (float(doc["t0_bound"]),
-            None if t_star == _NOT_CROSSED else float(t_star),
-            {name: doc[name] for name in
-             ("positivity_ok", "curve_check", "displacement_ok")})
+    flags = {name: doc[name] for name in
+             ("positivity_ok", "curve_check", "displacement_ok")}
+    if not all(isinstance(v, bool) for v in flags.values()):
+        raise ValueError(f"check flags {flags} are not true or false")
+    return (_number(doc["t0_bound"]),
+            None if t_star == _NOT_CROSSED else _number(t_star), flags)
 
 
 def _bounds_fields(path: Path) -> tuple:
@@ -329,8 +337,9 @@ def _bounds_fields(path: Path) -> tuple:
     a bounds_report.json."""
     doc = _load_report(path)
     t0_si = doc.get("t0_physical_seconds")
-    return (float(doc["eta_analytic"]), float(doc["eta_empirical"]["value"]),
-            None if t0_si is None else float(t0_si))
+    return (_number(doc["eta_analytic"]),
+            _number(doc["eta_empirical"]["value"]),
+            None if t0_si is None else _number(t0_si))
 
 
 def cmd_report(config: RunConfig) -> int:

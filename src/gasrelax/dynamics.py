@@ -34,7 +34,7 @@ from . import _kernel
 from . import bounds as _bounds
 from .gibbs import (WallMarginal, NormEstimate, _measure, _states,
                     build_marginal, gamma_h, gamma_tilde_h, norm0_B_mc)
-from .model import ModelParams
+from .model import ModelParams, _require_positive_finite
 from .rng import philox_key, philox_state
 
 # trajectories per shard: shard k draws from the stream philox_key(seed, k)
@@ -90,12 +90,9 @@ class IntegratorConfig:
     wall_guard: float = 0.999
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+        _require_positive_finite(self, "dt", "t_end", "energy_drift_tol")
         if not self.t_end >= self.dt:
             raise ValueError("t_end must be >= dt")
-        if not self.energy_drift_tol > 0.0:
-            raise ValueError("energy_drift_tol must be positive")
         if not 0.0 < self.wall_guard < 1.0:
             raise ValueError("wall_guard must lie in (0, 1)")
 

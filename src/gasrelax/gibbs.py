@@ -25,9 +25,9 @@ order.  The heights are the inverse CDF of its values, a 0.0 (a particle on
 the wall, probability 2^-53) skipped; the momenta are NumPy's own normals,
 its ziggurat linked from numpy/random/lib/libnpyrandom.a, drawn on from
 where the heights stopped.  Without a 0.0 the bits are those of a NumPy
-Generator on the same stream, and numpy.random is never imported.
-sample_batch draws from a Generator's Philox state and moves it on; the
-ensemble shards of `dynamics` draw from a key alone.
+Generator on the same stream, and numpy.random is never imported.  The
+ensemble shards of `dynamics` draw from a key alone, and sample_batch from
+the next two raw words of a Generator, whose state it never reads.
 
 A Monte-Carlo norm draws only what its observable reads, so it holds no
 array of all the sampled states.  norm0_mc, the norm of the bracket [B, H0],
@@ -309,7 +309,7 @@ def _monotone_tangents(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r = np.hypot(alpha, beta_)
     scale = np.where(r > 3.0, 3.0 / np.where(r > 0, r, 1.0), 1.0)
     m[:-1] = m[:-1] * scale
-    m[1:] = m[1:] * np.where(r > 3.0, scale, 1.0)
+    m[1:] = m[1:] * scale
     return m
 
 
@@ -362,29 +362,9 @@ def build_marginal(params: ModelParams, grid_size: int = 2048,
 
 def sample_batch(marginal: WallMarginal, rng: np.random.Generator,
                  n_states: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (Z, P) arrays of shape (n_states, N): iid particles, Gaussian p.
-
-    rng must be a Generator on NumPy's Philox.  The states are _states drawn
-    from its bit generator's state, mid-block buffer included, and rng is
-    moved past them: without a 0.0, the bits of the inverse CDF of
-    rng.random((n_states, N)), then of rng.normal(0.0, sqrt(m / beta),
-    (n_states, N)).
-    """
-    bit_generator = rng.bit_generator
-    st = bit_generator.state
-    if st["bit_generator"] != "Philox" or not 0 <= st["buffer_pos"] <= 4:
-        raise ValueError("sample_batch draws from a Philox Generator")
-    words = np.empty(11, dtype=np.uint64)
-    words[:2] = st["state"]["key"]
-    words[2:6] = st["state"]["counter"]
-    words[6:10] = st["buffer"]
-    words[10] = st["buffer_pos"]
-    z, p = _states(marginal, n_states, words)
-    st["state"]["counter"] = words[2:6]
-    st["buffer"] = words[6:10]
-    st["buffer_pos"] = int(words[10])
-    bit_generator.state = st
-    return z, p
+    """(n_states, N) states of _states, keyed by rng's next two raw words."""
+    return _states(marginal, n_states,
+                   philox_state(rng.bit_generator.random_raw(2)))
 
 
 def _states(marginal: WallMarginal, rows: int,
@@ -431,7 +411,7 @@ def norm0_mc(marginal: WallMarginal, n_samples: int,
 
     The states follow the marginal's measure (rho0, or rho1 when it is
     tilted), and no momentum is drawn.  key is a stream's philox_key: the
-    heights are those of _states (and sample_batch) on NumPy's
+    heights are those of _states on philox_state(key), NumPy's
     Philox(key=key) stream.  One kernel call draws, inverts and sums them a
     few rows at a time; besides the n_samples values it needs one row of
     scratch.  Each state's value is the bits of poisson_B_H0 of its row.

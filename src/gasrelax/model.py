@@ -32,6 +32,13 @@ __all__ = [
 ]
 
 
+def _require_positive_finite(obj, *names: str) -> None:
+    """Raise ValueError unless each named attribute of obj is in (0, inf)."""
+    for name in names:
+        if not 0.0 < getattr(obj, name) < math.inf:
+            raise ValueError(f"{name} must be strictly positive and finite")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters: all finite, and strictly positive except field,
@@ -51,10 +58,8 @@ class ModelParams:
     def __post_init__(self):
         if int(self.n_particles) != self.n_particles or self.n_particles < 1:
             raise ValueError("n_particles must be a positive integer")
-        for name in ("beta", "delta_wall", "box_side", "mass"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be strictly positive and "
-                                 "finite")
+        _require_positive_finite(self, "beta", "delta_wall", "box_side",
+                                 "mass")
         if not 0.0 <= self.field < math.inf:
             raise ValueError("field must be finite and >= 0")
 

@@ -185,9 +185,11 @@ def open_uniforms(rng, shape):
 
 
 def sample_batch_reference(marginal, rng, n_states):
-    """gibbs.sample_batch drawn by the NumPy Generator rng, as it was before
-    the kernel drew the states: the inverse CDF of open_uniforms, then
-    rng.normal momenta of variance m / beta."""
+    """The states of gibbs._states drawn by the NumPy Generator rng, as they
+    were before the kernel drew them: the inverse CDF of open_uniforms, then
+    rng.normal momenta of variance m / beta.  _states on rng's state, packed
+    into the kernel's words, gives the same bits and leaves the words where
+    this leaves rng."""
     params = marginal.params
     u = open_uniforms(rng, (n_states, params.n_particles))
     z = marginal.inverse_cdf(u)

@@ -128,6 +128,29 @@ def test_only_the_cli_imports_json():
     assert found == {"cli.py"}
 
 
+def _bit_generator_state_lines(source):
+    """The lines of source that read or write `state` on a name or an
+    attribute called bit_generator."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "state":
+            owner = node.value
+            if "bit_generator" in (getattr(owner, "id", None),
+                                   getattr(owner, "attr", None)):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_the_library_holds_no_generator_state():
+    # the kernel draws from a Philox key and counter; NumPy's Generator
+    # state, with its buffer, is packed for it only in the tests
+    assert _bit_generator_state_lines(
+        "st = rng.bit_generator.state\nbit_generator.state = st\n") == [1, 2]
+    found = {path.name: _bit_generator_state_lines(path.read_text())
+             for path in (ROOT / "src" / "gasrelax").glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_no_gibbs_or_bounds_function_takes_params_and_a_marginal():
     # a marginal carries its params: a second copy could disagree with it
     from gasrelax import bounds, gibbs

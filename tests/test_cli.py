@@ -390,6 +390,9 @@ class TestEveryCommandChecksTheClassKeys:
         ["bounds", "--wall_guard=2"],
         ["gamma", "--mass_kg=-1", "--sigma_m=1", "--box_m=1",
          "--temperature_k=1"],
+        ["bounds", "--dt=inf"],
+        ["bounds", "--t_end=inf"],
+        ["gamma", "--energy_drift_tol=inf"],
     ])
     def test_bad_value_is_a_validation_error(self, tmp_path, argv):
         code, out, err = _run_quietly([*argv, "--output_dir", str(tmp_path)])
@@ -739,9 +742,32 @@ class TestMalformedReportInputs:
          json.dumps({"eta_analytic": -math.inf,
                      "eta_empirical": {"value": 1.3}})),
         ("correlation.csv", "# gasrelax\n# no rows\n"),
+        ("relaxation_report.json",
+         json.dumps({**_relaxation_doc(0.5), "positivity_ok": "no"})),
+        ("relaxation_report.json",
+         json.dumps({**_relaxation_doc(0.5), "curve_check": [1]})),
+        ("relaxation_report.json",
+         json.dumps({**_relaxation_doc(0.5), "t0_bound": "0.13"})),
+        ("relaxation_report.json", json.dumps(_relaxation_doc(True))),
+        ("relaxation_report.json",
+         json.dumps(_relaxation_doc(0.5)).replace("0.13", "1e400")),
+        ("relaxation_report.json",
+         json.dumps(_relaxation_doc(0.5)).replace("0.13", "1" + "0" * 400)),
+        ("bounds_report.json",
+         json.dumps({"eta_analytic": True, "eta_empirical": {"value": 1.3}})),
+        ("bounds_report.json",
+         json.dumps({"eta_analytic": 10.9, "eta_empirical": {"value": 1.3},
+                     "t0_physical_seconds": "1e-11"})),
+        ("correlation.csv", "# gasrelax\nt,c,stderr,bound_curve\n"
+                            "inf,0.5,0.01,0.9\n"),
+        ("correlation.csv", "# gasrelax\nt,c,stderr,bound_curve\n"
+                            "nan,0.5,0.01,0.9\n"),
     ], ids=["empty-object", "list", "t-star-a-word", "t-star-null",
             "t-star-infinity", "t0-nan", "eta-minus-infinity",
-            "comments-only"])
+            "comments-only", "flag-a-word", "flag-a-list", "t0-a-string",
+            "t-star-a-bool", "t0-past-the-float-range",
+            "t0-an-integer-past-the-float-range", "eta-a-bool",
+            "t0-seconds-a-string", "csv-time-infinity", "csv-time-nan"])
     def test_is_a_validation_error_naming_the_file(self, tmp_path, name,
                                                    text):
         _report_inputs(tmp_path)

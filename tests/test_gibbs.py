@@ -183,13 +183,12 @@ def _assert_same_states(got, want):
         assert np.array_equal(_bits(mine), _bits(theirs))
 
 
-def _assert_same_generator_state(rng, want):
-    got, expected = rng.bit_generator.state, want.bit_generator.state
-    for name in ("key", "counter"):
-        assert np.array_equal(got["state"][name], expected["state"][name])
-    assert np.array_equal(got["buffer"], expected["buffer"])
-    for name in ("bit_generator", "buffer_pos", "has_uint32", "uinteger"):
-        assert got[name] == expected[name]
+def _kernel_state(rng):
+    """The kernel's 11 words (rng.philox_state) of the Philox Generator
+    rng: key, counter, buffer and buffer position."""
+    st = rng.bit_generator.state
+    return np.array([*st["state"]["key"], *st["state"]["counter"],
+                     *st["buffer"], st["buffer_pos"]], dtype=np.uint64)
 
 
 @functools.lru_cache(maxsize=None)
@@ -206,7 +205,7 @@ DRAW_KEYS = [philox_key(20261019, 0), philox_key(7, 3, 1),
 class TestKernelDraws:
     """The kernel's states are those of the NumPy draw it replaced (the
     Generator's uniforms, inverted, then its normals), bit for bit, and
-    sample_batch leaves the Generator where that draw leaves it."""
+    _states leaves its state where that draw leaves the Generator."""
 
     @pytest.mark.parametrize("key", DRAW_KEYS, ids=["k0", "k1", "k2"])
     @pytest.mark.parametrize("counter", [0, 2**64 - 3, 2**192 - 2,
@@ -217,21 +216,17 @@ class TestKernelDraws:
         # the counter carries into its next words, or wraps, within the
         # draw; the buffer holds the stream's first block, read up to
         # buffer_pos (0: none of it, 4: all)
-        gens = []
-        for _ in range(2):
-            rng = _philox(key, counter)
-            rng.bit_generator.random_raw(4)
-            st = rng.bit_generator.state
-            st["buffer_pos"] = buffer_pos
-            rng.bit_generator.state = st
-            gens.append(rng)
-        rng, oracle = gens
+        oracle = _philox(key, counter)
+        oracle.bit_generator.random_raw(4)
+        st = oracle.bit_generator.state
+        st["buffer_pos"] = buffer_pos
+        oracle.bit_generator.state = st
+        state = _kernel_state(oracle)
         marginal = _small_marginal(3, True)
-        got = sample_batch(marginal, rng, 7)
+        got = gibbs._states(marginal, 7, state)
         _assert_same_states(got, helpers.sample_batch_reference(
             marginal, oracle, 7))
-        _assert_same_generator_state(rng, oracle)
-        assert rng.random() == oracle.random()
+        assert np.array_equal(state, _kernel_state(oracle))
 
     @pytest.mark.parametrize("tilted", [False, True], ids=["rho0", "rho1"])
     @pytest.mark.parametrize("rows", [1, 7, 1024])
@@ -240,11 +235,11 @@ class TestKernelDraws:
         # rows of one value, rows longer than the kernel's chunk of heights,
         # and shard-sized batches
         marginal = _small_marginal(n, tilted)
-        rng, oracle = _philox(DRAW_KEYS[0]), _philox(DRAW_KEYS[0])
-        got = sample_batch(marginal, rng, rows)
+        state, oracle = philox_state(DRAW_KEYS[0]), _philox(DRAW_KEYS[0])
+        got = gibbs._states(marginal, rows, state)
         _assert_same_states(got, helpers.sample_batch_reference(
             marginal, oracle, rows))
-        _assert_same_generator_state(rng, oracle)
+        assert np.array_equal(state, _kernel_state(oracle))
 
     @pytest.mark.parametrize("n, rows, zeros", [
         (64, 7, [0]), (64, 7, [4, 5]), (3, 34, [100, 102]), (600, 1, [601]),
@@ -258,36 +253,35 @@ class TestKernelDraws:
         assert np.flatnonzero(_philox(key, counter).random(rows * n + 4)
                               == 0.0).tolist() == zeros
         marginal = _small_marginal(n, False)
-        rng, oracle = _philox(key, counter), _philox(key, counter)
-        got = sample_batch(marginal, rng, rows)
+        state, oracle = philox_state(key, counter), _philox(key, counter)
+        got = gibbs._states(marginal, rows, state)
         assert np.all(np.abs(got[0]) < marginal.params.half_box)
         _assert_same_states(got, helpers.sample_batch_reference(
             marginal, oracle, rows))
-        _assert_same_generator_state(rng, oracle)
+        assert np.array_equal(state, _kernel_state(oracle))
 
     def test_ziggurat_tail_and_wedges(self, ref_marginal):
         # 1.02e6 unit normals: only the tail branch of NumPy's ziggurat
         # returns a value beyond its edge r (ziggurat_nor_r), so equal bits
         # past it show that the tail ran, and about 1 % of the draws take
         # the exp wedge test
-        rng, oracle = _philox(DRAW_KEYS[2]), _philox(DRAW_KEYS[2])
-        z, p = sample_batch(ref_marginal, rng, 16000)
+        state, oracle = philox_state(DRAW_KEYS[2]), _philox(DRAW_KEYS[2])
+        z, p = gibbs._states(ref_marginal, 16000, state)
         assert p.size >= 1_000_000
         assert np.abs(p).max() > 3.6541528853610088
         _assert_same_states((z, p), helpers.sample_batch_reference(
             ref_marginal, oracle, 16000))
-        _assert_same_generator_state(rng, oracle)
+        assert np.array_equal(state, _kernel_state(oracle))
 
-    def test_other_bit_generators_are_refused(self, ref_marginal):
-        with pytest.raises(ValueError, match="Philox"):
-            sample_batch(ref_marginal, np.random.default_rng(1), 2)
-        # NumPy takes any buffer position; the kernel reads the buffer at it
-        rng = _philox(DRAW_KEYS[0])
-        st = rng.bit_generator.state
-        st["buffer_pos"] = 5
-        rng.bit_generator.state = st
-        with pytest.raises(ValueError, match="Philox"):
-            sample_batch(ref_marginal, rng, 2)
+    def test_sample_batch_keys_a_stream_with_two_raw_words(self,
+                                                            ref_marginal):
+        # the states of _states on the key of rng's next two raw words, and
+        # rng moved on by those two words alone
+        rng, twin = substream(23, 0), substream(23, 0)
+        got = sample_batch(ref_marginal, rng, 5)
+        _assert_same_states(got, gibbs._states(
+            ref_marginal, 5, philox_state(twin.bit_generator.random_raw(2))))
+        assert np.array_equal(_kernel_state(rng), _kernel_state(twin))
 
 
 class TestSampling:
@@ -298,7 +292,8 @@ class TestSampling:
 
     def test_draws_without_a_zero_are_unchanged(self, ref_marginal,
                                                 ref_params):
-        z, p = sample_batch(ref_marginal, substream(17, 0), 500)
+        z, p = gibbs._states(ref_marginal, 500,
+                             philox_state(philox_key(17, 0)))
         rng = substream(17, 0)
         u = rng.random((500, ref_params.n_particles))
         assert u.min() > 0.0
@@ -315,13 +310,13 @@ class TestSampling:
         counter = helpers.philox_counter_with_zeros(key, [1, 2])
         assert np.flatnonzero(_philox(key, counter).random(128) == 0.0
                               ).tolist() == [1, 2]
-        rng = _philox(key, counter)
-        z, p = sample_batch(ref_marginal, rng, 2)
+        state = philox_state(key, counter)
+        z, p = gibbs._states(ref_marginal, 2, state)
         assert np.all(np.abs(z) < ref_params.half_box)
         oracle = _philox(key, counter)
         _assert_same_states((z, p), helpers.sample_batch_reference(
             ref_marginal, oracle, 2))
-        _assert_same_generator_state(rng, oracle)
+        assert np.array_equal(state, _kernel_state(oracle))
 
     def test_momentum_moments(self, ref_marginal, ref_params):
         # variance m / beta, from the kinetic Boltzmann factor exp(-beta p^2/2m)
@@ -507,17 +502,19 @@ class TestNorms:
     def test_norm0_mc_equals_per_state_loop(self, ref_params, ref_marginal):
         # one batched call gives the bits of evaluating state by state
         est = norm0_mc(ref_marginal, 2000, philox_key(13, 0))
-        z, p = sample_batch(ref_marginal, substream(13, 0), 2000)
+        z, _ = gibbs._states(ref_marginal, 2000,
+                             philox_state(philox_key(13, 0)))
         sq = np.array([float(poisson_B_H0(z[i], ref_params)) ** 2
                        for i in range(2000)])
         assert est.value == math.sqrt(float(np.mean(sq)))
 
     def test_norm0_mc_without_momenta_is_unchanged(self, ref_params,
                                                    ref_marginal):
-        # the heights of a whole sample_batch draw with its momenta, from
-        # the Generator of the same key
+        # the heights of a whole _states draw with its momenta, from the
+        # same key
         est = norm0_mc(ref_marginal, 2000, philox_key(22, 0))
-        z, _ = sample_batch(ref_marginal, substream(22, 0), 2000)
+        z, _ = gibbs._states(ref_marginal, 2000,
+                             philox_state(philox_key(22, 0)))
         sq = poisson_B_H0(z, ref_params) ** 2
         _assert_same_estimate(est, NormEstimate.from_moments(
             float(np.mean(sq)), float(np.var(sq, ddof=1)), 2000, "rho0"))
