@@ -6,6 +6,9 @@ linked with the static `numpy/random/lib/libnpyrandom.a` that NumPy ships
 for C users of its random C-API (and with `-lm`, which it needs).  Neither
 imports `numpy.random`.
 
+Each entry's ctypes signature is read from its `KERNEL <type> <name>(...)`
+prototype in the source, the only place that states it.
+
 The library is built with `cc` into `__pycache__/` beside the source, under
 a name keyed by the source, the flags, `cc --version` and the bytes of
 NumPy's static library, so a changed kernel, compiler or NumPy builds
@@ -21,6 +24,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import re
 import subprocess
 from pathlib import Path
 
@@ -36,6 +40,9 @@ _NPYRANDOM = (_NUMPY_INCLUDE.parent.parent / "random" / "lib"
 # no fast-math or host-specific options: the results must stay bit for bit
 _FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared",
           f"-I{_NUMPY_INCLUDE}")
+# the ctypes of the C types in the entries' prototypes; a pointer is c_void_p
+_CTYPES = {"void": None, "double": ctypes.c_double,
+           "ptrdiff_t": ctypes.c_ssize_t}
 
 _lib = None
 
@@ -106,24 +113,15 @@ def _prune(path: Path) -> None:
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    ptr, n, d = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
-    lib.wall_sums.argtypes = [ptr, ptr, n, n, n, d, d]
-    lib.wall_sums.restype = n
-    lib.verlet_records.argtypes = [ptr, ptr, n, n, n, n, d, d, d, d, d, d, d,
-                                   ptr, ptr]
-    lib.verlet_records.restype = n
-    lib.inverse_cdf.argtypes = [ptr, ptr, n, ptr, ptr, ptr, ptr, n, n]
-    lib.inverse_cdf.restype = None
-    lib.philox_uniforms.argtypes = [ptr, ptr, n]
-    lib.philox_uniforms.restype = None
-    lib.sampled_force_sums.argtypes = [ptr, ptr, n, n, ptr, d, d, ptr, ptr,
-                                       ptr, ptr, n, n]
-    lib.sampled_force_sums.restype = n
-    lib.sampled_states.argtypes = [ptr, ptr, ptr, n, n, d, ptr, ptr, ptr,
-                                   ptr, n, n]
-    lib.sampled_states.restype = None
-    lib.sampled_momentum_sums.argtypes = [ptr, ptr, n, n, d, ptr]
-    lib.sampled_momentum_sums.restype = None
+    """Set restype and argtypes of each entry from its `KERNEL <type>
+    <name>(...)` prototype in the source."""
+    for ret, name, params in re.findall(r"^KERNEL (\w+) (\w+)\(([^)]*)\)",
+                                        _SOURCE.read_text(), re.MULTILINE):
+        entry = getattr(lib, name)
+        entry.restype = _CTYPES[ret]
+        entry.argtypes = [ctypes.c_void_p if "*" in param
+                          else _CTYPES[param.split()[-2]]
+                          for param in params.split(",")]
     return lib
 
 

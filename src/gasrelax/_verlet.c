@@ -7,7 +7,10 @@
  * wall and its row sums, philox_uniforms the stream's doubles, inverse_cdf
  * the heights they give, verlet_records the trajectory and
  * sampled_momentum_sums the momentum sums.  Each entry that evaluates the
- * wall takes delta and forms 12 delta itself.
+ * wall takes delta and forms 12 delta itself.  Each entry's prototype,
+ * `KERNEL <type> <name>(<params>)` from the start of a line, with pointer,
+ * double and ptrdiff_t parameters, is its only signature: gasrelax._kernel
+ * reads the ctypes of each call from it.
  *
  * Every result is bit for bit what the former NumPy expressions gave, so the
  * operation order below is part of the contract.  Potential: u*u, u2*u2,

@@ -179,10 +179,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = _coerce(key, flag)
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**values)
 
 
 def _write_report(path: Path, config: RunConfig, doc: dict) -> None:

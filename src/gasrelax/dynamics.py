@@ -120,10 +120,11 @@ class CorrelationSeries:
             raise ValueError("standard errors must be nonnegative")
 
 
-def _evolve_batch(z, p, params: ModelParams, h: float, dt: float,
+def _evolve_batch(z, p, params: ModelParams, dt: float,
                   steps_per_record: int, n_records: int,
                   energy_tol: float, wall_guard: float):
-    """Velocity-Verlet the (rows, N) batch in place, recording B at each grid time.
+    """Velocity-Verlet the (rows, N) batch in place under H1 with the field of
+    params, recording B at each grid time.
 
     z and p are C-contiguous float64 arrays.  Returns (b_records of shape
     (n_records, rows), max relative H1 drift).  After the guard on the
@@ -154,7 +155,7 @@ def _evolve_batch(z, p, params: ModelParams, h: float, dt: float,
     e_rec = np.empty((n_records, rows))
     end = _kernel.library().verlet_records(
         z.ctypes.data, p.ctypes.data, rows, n, n_records, steps_per_record,
-        0.5 * dt, dt / params.mass, half, params.delta_wall, h,
+        0.5 * dt, dt / params.mass, half, params.delta_wall, params.field,
         0.5 / params.mass, guard, b_rec.ctypes.data, e_rec.ctypes.data)
 
     # the drift of each record below the first breach, formed in place over
@@ -207,8 +208,8 @@ def _run_shard(terms, n_traj, seed, marginal, dt, spr, n_records, tol, guard,
                start):
     z, p = _states(marginal, min(_SHARD, n_traj - start),
                    philox_state(philox_key(seed, start // _SHARD)))
-    b_rec, drift = _evolve_batch(z, p, marginal.params, marginal.params.field,
-                                 dt, spr, n_records, tol, guard)
+    b_rec, drift = _evolve_batch(z, p, marginal.params, dt, spr, n_records,
+                                 tol, guard)
     # the states are spent: freed before the terms are formed
     del z, p
     x = terms(b_rec)

@@ -482,7 +482,7 @@ def norm0_poisson_B_H0_quadrature(marginal: WallMarginal) -> float:
 
 def _centered_mgf(t: float, marginal: WallMarginal) -> float:
     """E[exp(t z)] - 1 under the wall marginal, computed without cancellation."""
-    _require_rho0(marginal)
+    _require_rho0(marginal)  # the one check of every MGF-based quantity
     params = marginal.params
 
     def g(z):
@@ -515,7 +515,6 @@ def gamma_h(marginal: WallMarginal, h: float) -> float:
     Equals (M(2 h beta) / M(h beta)^2)^N - 1 by particle independence;
     nonnegative, and vanishing as h -> 0.
     """
-    _require_rho0(marginal)
     params = marginal.params
     t = float(h) * params.beta
     expo = params.n_particles * (_log_mgf(2.0 * t, marginal)
@@ -526,7 +525,6 @@ def gamma_h(marginal: WallMarginal, h: float) -> float:
 def gamma_tilde_h(marginal: WallMarginal, h: float) -> float:
     """Reverse-direction divergence (M(h beta) M(-h beta))^N - 1, from the
     untilted marginal."""
-    _require_rho0(marginal)
     params = marginal.params
     t = float(h) * params.beta
     expo = params.n_particles * (_log_mgf(t, marginal)
@@ -569,11 +567,10 @@ def hoelder_certificate(marginal: WallMarginal, delta_moment: float, h: float,
 
     Requires h < delta_moment / (2 beta) so the interpolation step applies.
     """
-    _require_rho0(marginal)
     params = marginal.params
     h = float(h)
-    if not delta_moment > 0.0:
-        raise ValueError("delta_moment must be positive")
+    if not 0.0 < delta_moment < math.inf:
+        raise ValueError("delta_moment must be strictly positive and finite")
     if not h < delta_moment / (2.0 * params.beta):
         raise ValueError("need h < delta_moment / (2 beta)")
     log_k = params.n_particles * max(_log_mgf(delta_moment, marginal),

@@ -18,6 +18,7 @@ and return one value per row.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,8 @@ class ModelParams:
     mass: float = 1.0
 
     def __post_init__(self):
-        if int(self.n_particles) != self.n_particles or self.n_particles < 1:
+        n = self.n_particles
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError("n_particles must be a positive integer")
         _require_positive_finite(self, "beta", "delta_wall", "box_side",
                                  "mass")

@@ -20,6 +20,7 @@ marginal) live here too.
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -122,7 +123,8 @@ def verlet_steps(z, p, params, h, dt, n_steps):
     """
     z = np.array(z, dtype=float, ndmin=2)
     p = np.array(p, dtype=float, ndmin=2)
-    _evolve_batch(z, p, params, h, dt, 1, n_steps + 1, 1.0, 0.999)
+    _evolve_batch(z, p, replace(params, field=h), dt, 1, n_steps + 1, 1.0,
+                  0.999)
     return z, p
 
 
@@ -291,9 +293,10 @@ def kernel_force_sums(marginal, state, rows):
 
 def kernel_uniforms(key, counter, n):
     """The first n doubles of the kernel's Philox stream of (key, counter)."""
+    # held for the call: the kernel reads and advances the state in place
+    state = philox_state(key, counter)
     out = np.empty(n)
-    _kernel.library().philox_uniforms(philox_state(key, counter).ctypes.data,
-                                      out.ctypes.data, n)
+    _kernel.library().philox_uniforms(state.ctypes.data, out.ctypes.data, n)
     return out
 
 
@@ -417,13 +420,14 @@ def poisson_B_H0_reference(z, params):
     return np.sum(wall_force_reference(z, params), axis=-1)
 
 
-def evolve_batch_reference(z, p, params, h, dt, steps_per_record, n_records,
+def evolve_batch_reference(z, p, params, dt, steps_per_record, n_records,
                            energy_tol, wall_guard):
     """The allocating velocity-Verlet loop that _evolve_batch must match.
 
-    Same contract as _evolve_batch: evolves z, p in place and returns
-    (B records, max relative H1 drift).
+    Same contract as _evolve_batch: evolves z, p in place under H1 with the
+    field of params and returns (B records, max relative H1 drift).
     """
+    h = params.field
     half = params.half_box
     guard = wall_guard * half
     dt_over_m = dt / params.mass
@@ -619,8 +623,8 @@ def quadrature_autocorr_n1(params, h, t_end, n_times, n_z=256, n_p=64,
 
     config = IntegratorConfig(dt=dt, t_end=t_end, energy_drift_tol=drift_tol)
     times, dt_run, spr = _records_grid(config, n_times)
-    b_rec, _ = _evolve_batch(z0[:, None].copy(), p0[:, None].copy(), params, h,
-                             dt_run, spr, n_times, drift_tol,
-                             config.wall_guard)
+    b_rec, _ = _evolve_batch(z0[:, None].copy(), p0[:, None].copy(),
+                             replace(params, field=h), dt_run, spr, n_times,
+                             drift_tol, config.wall_guard)
     c = (b_rec * (w * p0)[None, :]).sum(axis=1) / w.sum()
     return times, c

@@ -151,6 +151,26 @@ def test_the_library_holds_no_generator_state():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def _ctypes_of_a_call_lines(source):
+    """The lines of source that take `.ctypes` of a call's result."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "ctypes"
+                  and isinstance(node.value, ast.Call))
+
+
+def test_no_kernel_pointer_outlives_its_array():
+    # nothing holds the result of a call: it is freed before the kernel
+    # reads or writes through the address taken of it
+    assert _ctypes_of_a_call_lines(
+        "f(a.ctypes.data, g(b).ctypes.data)\nc = np.empty(3).ctypes\n"
+    ) == [1, 2]
+    found = {f"{path.parent.name}/{path.name}":
+             _ctypes_of_a_call_lines(path.read_text())
+             for folder in (ROOT / "src" / "gasrelax", ROOT / "tests")
+             for path in folder.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_no_gibbs_or_bounds_function_takes_params_and_a_marginal():
     # a marginal carries its params: a second copy could disagree with it
     from gasrelax import bounds, gibbs

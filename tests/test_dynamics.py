@@ -26,8 +26,9 @@ def _run(z, p, params, h, config, n_records):
     z = np.array(z, dtype=float, ndmin=2)
     p = np.array(p, dtype=float, ndmin=2)
     _, dt, spr = _records_grid(config, n_records)
-    b_rec, drift = _evolve_batch(z, p, params, h, dt, spr, n_records,
-                                 config.energy_drift_tol, config.wall_guard)
+    b_rec, drift = _evolve_batch(z, p, replace(params, field=h), dt, spr,
+                                 n_records, config.energy_drift_tol,
+                                 config.wall_guard)
     return z, p, b_rec, drift
 
 
@@ -101,7 +102,7 @@ class TestEvolve:
                                               h):
         z, p = sample_batch(ref_marginal, substream(44, 0), 256)
         z_ref, p_ref = z.copy(), p.copy()
-        args = (ref_params, h, 1e-3, 10, 6, 1e-3, 0.999)
+        args = (replace(ref_params, field=h), 1e-3, 10, 6, 1e-3, 0.999)
         b_rec, drift = _evolve_batch(z, p, *args)
         b_ref, drift_ref = helpers.evolve_batch_reference(z_ref, p_ref, *args)
         for got, want in ((b_rec, b_ref), (z, z_ref), (p, p_ref)):
@@ -113,7 +114,7 @@ class TestEvolve:
         # a 1024 x 64 shard through 64 records needs its B and H1 records
         # and little else
         z, p = sample_batch(ref_marginal, substream(45, 0), 1024)
-        args = (ref_params, 1e-3, 2.5e-4, 1, 64, 1e-3, 0.999)
+        args = (ref_params, 2.5e-4, 1, 64, 1e-3, 0.999)
         _evolve_batch(z.copy(), p.copy(), *args)
         (b_rec, _), peak = helpers.traced_peak(
             lambda: _evolve_batch(z, p, *args))
@@ -135,7 +136,7 @@ class TestEvolve:
         z, p = sample_batch(marginal, substream(32, 0), 1500)
         config = IntegratorConfig(dt=1e-3, t_end=1.0, energy_drift_tol=1e-4)
         _, dt, spr = _records_grid(config, 5)
-        b_rec, _ = _evolve_batch(z, p, params, 0.0, dt, spr, 5,
+        b_rec, _ = _evolve_batch(z, p, params, dt, spr, 5,
                                  config.energy_drift_tol, config.wall_guard)
         b0, bT = b_rec[0], b_rec[-1]
         n = b0.size

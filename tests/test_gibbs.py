@@ -472,6 +472,33 @@ class TestGuideTable:
         assert peak < 1.25 * guide.nbytes
 
 
+def _guide_with(marginal, index, value):
+    guide = marginal._guide.copy()
+    guide[index] = value
+    return guide
+
+
+@pytest.mark.parametrize("tables", [
+    lambda m: dict(_inv_u=m._inv_u.astype(np.float32)),
+    lambda m: dict(_inv_z=np.repeat(m._inv_z, 2)[::2]),
+    lambda m: dict(_inv_u=m._inv_u[:1], _inv_z=m._inv_z[:1],
+                   _inv_m=m._inv_m[:1]),
+    lambda m: dict(_inv_m=m._inv_m[:-1]),
+    lambda m: dict(_guide=m._guide.astype(np.int64)),
+    lambda m: dict(_guide=m._guide[:-1]),
+    lambda m: dict(_guide=_guide_with(m, 0, -1)),
+    lambda m: dict(_guide=_guide_with(m, -1, m._inv_u.size - 1)),
+], ids=["float32_knots", "strided_heights", "single_knot", "short_tangents",
+        "int64_guide", "short_guide", "guide_below_0", "guide_past_k_2"])
+def test_wall_marginal_refuses_inconsistent_tables(ref_marginal, tables):
+    # the C kernels read these tables through bare pointers; as built, they
+    # pass
+    dataclasses.replace(ref_marginal)
+    with pytest.raises(ValueError, match="inverse-CDF tables of inconsistent "
+                                         "size or layout"):
+        dataclasses.replace(ref_marginal, **tables(ref_marginal))
+
+
 def _one_batch_estimate(marginal, u):
     """The bracket norm of the states with uniforms u, all in one batch."""
     z = helpers.inverse_cdf_searchsorted(marginal, u)
@@ -849,6 +876,11 @@ class TestHoelderCertificate:
     def test_precondition(self, ref_marginal):
         with pytest.raises(ValueError):
             hoelder_certificate(ref_marginal, 0.1, h=0.06)
+
+    @pytest.mark.parametrize("delta_moment", [math.inf, math.nan])
+    def test_delta_moment_must_be_finite(self, ref_marginal, delta_moment):
+        with pytest.raises(ValueError, match="strictly positive and finite"):
+            hoelder_certificate(ref_marginal, delta_moment, h=1e-3)
 
 
 class TestNormEquivalence:

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +29,12 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-def _both_raise(z, p, *args):
+def _both_raise(z, p, params, *args):
     """The WallBreachError messages of _evolve_batch and of the reference."""
     messages = []
     for run in (_evolve_batch, helpers.evolve_batch_reference):
         with pytest.raises(WallBreachError) as err:
-            run(z.copy(), p.copy(), PARAMS, *args)
+            run(z.copy(), p.copy(), params, *args)
         messages.append(str(err.value))
     return messages
 
@@ -45,14 +46,15 @@ class TestVerletSteps:
         # drift tolerance is out of the way, so only the guard can stop it.
         z = np.array([[0.0, 1.0, -2.0, 0.5], [-3.0, -1.0, 2.0, 0.0]])
         p = np.array([[0.1, -0.2, 0.3, 0.0], [8.0, 0.5, -0.5, 1.0]])
-        ours, ref = _both_raise(z, p, 0.0, 0.1, 2, 10, 1e300, 0.999)
+        ours, ref = _both_raise(z, p, PARAMS, 0.1, 2, 10, 1e300, 0.999)
         assert ours == ref
         assert ours.endswith("at record 8; reduce dt")
 
     def test_nan_momentum_row_raises(self):
         z = np.array([[0.5, -1.0, 2.0, 0.0], [1.0, 2.0, -3.0, 0.1]])
         p = np.array([[0.3, -0.2, 0.1, 0.0], [1.0, np.nan, 0.2, -0.1]])
-        ours, ref = _both_raise(z, p, 1e-3, 1e-3, 3, 4, 1.0, 0.999)
+        ours, ref = _both_raise(z, p, replace(PARAMS, field=1e-3), 1e-3, 3,
+                                4, 1.0, 0.999)
         assert ours == ref
         assert "record 1;" in ours
 
@@ -61,8 +63,7 @@ class TestVerletSteps:
         for bad in (np.zeros((4, 3)).T, np.zeros((3, 4), dtype=np.float32),
                     np.zeros((3, 5))):
             with pytest.raises(ValueError, match="C-contiguous"):
-                _evolve_batch(z.copy(), bad, PARAMS, 0.0, 1e-3, 1, 2, 1.0,
-                              0.999)
+                _evolve_batch(z.copy(), bad, PARAMS, 1e-3, 1, 2, 1.0, 0.999)
 
 
 def _block():
@@ -112,12 +113,12 @@ class TestVerletRecords:
     @pytest.mark.parametrize("rows", RECORD_ROWS)
     @pytest.mark.parametrize("n", RECORD_N)
     def test_bit_equal_to_reference(self, n, rows):
-        params = ModelParams(n, 1.0, 1.0, 10.0, mass=2.0)
+        params = ModelParams(n, 1.0, 1.0, 10.0, field=1e-3, mass=2.0)
         rng = np.random.default_rng(1000 * n + rows)
         z = rng.uniform(-4.0, 4.0, (rows, n))
         p = rng.normal(size=(rows, n))
         p[-1] = -0.0
-        args = (params, 1e-3, 1e-3, 2, 4, 1.0, 0.999)
+        args = (params, 1e-3, 2, 4, 1.0, 0.999)
         z_ref, p_ref = z.copy(), p.copy()
         b_ref, drift_ref = helpers.evolve_batch_reference(z_ref, p_ref, *args)
         z_got, p_got = z.copy(), p.copy()
@@ -149,7 +150,7 @@ class TestVerletRecords:
         if drift_row is not None:
             p[drift_row, 0] = 6.0
             tol = 1e-3
-        args = (PARAMS, 0.0, 0.1, 2, 10, tol, 0.999)
+        args = (PARAMS, 0.1, 2, 10, tol, 0.999)
         ours = _outcome(_evolve_batch, z, p, *args)
         assert ours == _outcome(helpers.evolve_batch_reference, z, p, *args)
         if drift_row is None:
@@ -164,7 +165,7 @@ class TestVerletRecords:
         z = rng.uniform(-3.0, 3.0, (300, 4))
         p = rng.normal(size=(300, 4))
         p[200, 1] = np.nan
-        args = (PARAMS, 1e-3, 1e-3, 3, 4, 1.0, 0.999)
+        args = (replace(PARAMS, field=1e-3), 1e-3, 3, 4, 1.0, 0.999)
         ours = _outcome(_evolve_batch, z, p, *args)
         assert ours == _outcome(helpers.evolve_batch_reference, z, p, *args)
         assert ours[0] is WallBreachError and "record 1;" in ours[1]

@@ -39,6 +39,8 @@ class TestModelParams:
         dict(box_side=float("nan")),
         dict(delta_wall=float("inf")),
         dict(field=float("inf")),
+        dict(n_particles=64.0),
+        dict(n_particles=True),
     ])
     def test_invalid(self, kwargs):
         base = dict(n_particles=4, beta=1.0, delta_wall=1.0, box_side=10.0)
