@@ -37,8 +37,9 @@ _NUMPY_INCLUDE = Path(np.get_include())
 _BITGEN_HEADER = _NUMPY_INCLUDE / "numpy" / "random" / "bitgen.h"
 _NPYRANDOM = (_NUMPY_INCLUDE.parent.parent / "random" / "lib"
               / "libnpyrandom.a")
-# no fast-math or host-specific options: the results must stay bit for bit
-_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared",
+# no fast-math or host-specific options: the results must stay bit for bit;
+# libm's fma() stays a call, so the library holds no fused instruction
+_FLAGS = ("-O3", "-ffp-contract=off", "-fno-builtin-fma", "-fPIC", "-shared",
           f"-I{_NUMPY_INCLUDE}")
 # the ctypes of the C types in the entries' prototypes; a pointer is c_void_p
 _CTYPES = {"void": None, "double": ctypes.c_double,

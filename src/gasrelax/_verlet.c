@@ -1,7 +1,8 @@
-/* The wall potential and force with their per-row sums, the
- * velocity-Verlet trajectory with its energy records, the inverse CDF of
- * the wall marginal, and NumPy's Philox stream with the states it samples
- * and their force and momentum sums, in gasrelax.
+/* The wall potential and force with their per-row sums, the weighted sums
+ * of the quadrature panels, the velocity-Verlet trajectory with its energy
+ * records, the inverse CDF of the wall marginal, and NumPy's Philox stream
+ * with the states it samples and their force and momentum sums, in
+ * gasrelax.
  *
  * Each job has one body, which the other entries call: wall_sums owns the
  * wall and its row sums, philox_uniforms the stream's doubles, inverse_cdf
@@ -18,11 +19,14 @@
  * Force: u*u, u2*u2, ((u4*u4)*u4)*u, 1/x, the sum of the two walls, the
  * product with 12 delta, then + h.  Row sums: 0.0 plus NumPy's pairwise sum
  * of the row (see pairwise below), as np.sum(axis=-1) adds a C-contiguous
- * row.  Inverse CDF: the Hermite cubic as the sum, left to right, of its
- * four basis terms (see hermite below).  Normals: NumPy's own code,
- * linked from its libnpyrandom.a (see normals below).  Build with
- * -ffp-contract=off (a fused multiply-add rounds once where the NumPy
- * passes rounded twice) and never with fast-math options, which
+ * row.  Panel sums: a forward chain of fma() from +0.0, as OpenBLAS's
+ * AVX-512 ddot adds a short row (see kronrod_sums below).  Inverse CDF: the
+ * Hermite cubic as the sum, left to right, of its four basis terms (see
+ * hermite below).  Normals: NumPy's own code, linked from its
+ * libnpyrandom.a (see normals below).  Build with -ffp-contract=off (a
+ * fused multiply-add rounds once where the NumPy passes rounded twice) and
+ * -fno-builtin-fma (libm's fma() stays a call, so the library holds no
+ * fused instruction at all), and never with fast-math options, which
  * reassociate.  The clones only widen the vector registers: every lane
  * makes the same correctly rounded IEEE operations as scalar code.
  */
@@ -153,6 +157,29 @@ KERNEL ptrdiff_t wall_sums(const double *restrict z, double *restrict out,
         out[i] = 0.0 + pairwise(zi, n, is_force ? FORCE : POTENTIAL, half, c);
     }
     return outside;
+}
+
+/* The Kronrod and Gauss sums of each of `rows` rows of 7 values, row-major:
+ * k[i] = sum wk[j] pairs[7i + j] over j < 7 and g[i] = sum wg[j]
+ * pairs[7i + 2j + 1] over j < 3, each a forward chain of fma() from +0.0.
+ * That is how OpenBLAS's AVX-512 ddot adds so short a row, so these are the
+ * bits of np.dot(wk[:7], row) and np.dot(wg[:3], row[1::2]) there.
+ */
+KERNEL void kronrod_sums(const double *restrict pairs, ptrdiff_t rows,
+                         const double *restrict wk,
+                         const double *restrict wg, double *restrict k,
+                         double *restrict g)
+{
+    for (ptrdiff_t i = 0; i < rows; i++) {
+        const double *row = pairs + 7 * i;
+        double ki = 0.0, gi = 0.0;
+        for (int j = 0; j < 7; j++)
+            ki = fma(wk[j], row[j], ki);
+        for (int j = 0; j < 3; j++)
+            gi = fma(wg[j], row[2 * j + 1], gi);
+        k[i] = ki;
+        g[i] = gi;
+    }
 }
 
 /* B = sum p and H1 = (sum p^2/2m + sum V(z)) - h sum z of each of `rows`

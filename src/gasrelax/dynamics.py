@@ -15,15 +15,15 @@ reported through the autocorrelation kernel beta*h*E[B(x_t) B(x_0)] rather
 than by finite-differencing a noisy response curve.
 
 Ensembles are sharded with one counter-based stream per shard and reduced
-in shard order, so results are bitwise identical for any worker count.  The
-kernel draws each shard's states from its stream's key (gibbs._states), and
-the momenta behind ||B||_1 from a key and a start counter, so a run never
-imports numpy.random.
+in shard order, so results are bitwise identical for any worker count.
+Workers are threads of the one process: a shard spends its time in kernel
+calls, which release the GIL.  The kernel draws each shard's states from its
+stream's key (gibbs._states), and the momenta behind ||B||_1 from a key and
+a start counter, so a run never imports numpy.random.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -204,41 +204,38 @@ def _displacement_terms(b_rec):
     return d * d
 
 
-def _run_shard(terms, n_traj, seed, marginal, dt, spr, n_records, tol, guard,
-               start):
-    z, p = _states(marginal, min(_SHARD, n_traj - start),
-                   philox_state(philox_key(seed, start // _SHARD)))
-    b_rec, drift = _evolve_batch(z, p, marginal.params, dt, spr, n_records,
-                                 tol, guard)
-    # the states are spent: freed before the terms are formed
-    del z, p
-    x = terms(b_rec)
-    s1 = x.sum(axis=1)
-    return s1, np.square(x, out=x).sum(axis=1), drift
-
-
 def _run_ensemble(terms, marginal: WallMarginal, config: IntegratorConfig,
                   n_traj: int, seed: int, n_records: int, n_workers: int):
     """Per-record sums s1, s2 of x and x^2, x = terms(b_records), over n_traj.
 
     H1 has the field of marginal.params.  Shard k holds trajectories
-    k*_SHARD onward, drawn from the stream philox_key(seed, k).  The shards
-    are summed in shard order whichever process ran them, so the results do
-    not depend on n_workers.  Returns (record times, s1, s2, max relative H1
-    drift).
+    k*_SHARD onward, drawn from the stream philox_key(seed, k), and runs on
+    one of up to n_workers threads.  The shards are summed in shard order
+    whichever thread ran them, so the results do not depend on n_workers.
+    Returns (record times, s1, s2, max relative H1 drift).
     """
     times, dt, spr = _records_grid(config, n_records)
-    shard = functools.partial(_run_shard, terms, n_traj, seed, marginal, dt,
-                              spr, n_records, config.energy_drift_tol,
-                              config.wall_guard)
+
+    def shard(start):
+        z, p = _states(marginal, min(_SHARD, n_traj - start),
+                       philox_state(philox_key(seed, start // _SHARD)))
+        b_rec, drift = _evolve_batch(z, p, marginal.params, dt, spr,
+                                     n_records, config.energy_drift_tol,
+                                     config.wall_guard)
+        # the states are spent: freed before the terms are formed
+        del z, p
+        x = terms(b_rec)
+        s1 = x.sum(axis=1)
+        return s1, np.square(x, out=x).sum(axis=1), drift
+
     starts = range(0, n_traj, _SHARD)
     if n_workers > 1 and len(starts) > 1:
         # imported here, not with the module: only workers > 1 need it, and
-        # it adds several ms and over 1 MB of RSS to every CLI start
-        from concurrent.futures import ProcessPoolExecutor
-        # fork starts every worker up front: one per shard at most
-        with ProcessPoolExecutor(max_workers=min(n_workers,
-                                                 len(starts))) as pool:
+        # it adds several ms to every CLI start
+        from concurrent.futures import ThreadPoolExecutor
+        # loaded first, so that no two threads build the kernel
+        _kernel.library()
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(shard, starts))
     else:
         results = map(shard, starts)
@@ -309,8 +306,8 @@ def displacement_norms(params: ModelParams, times: Sequence[float],
     """
     _require_traj(n_traj)
     times = [float(t) for t in times]
-    if not times or min(times) < 0.0:
-        raise ValueError("displacement times must be nonnegative")
+    if not times or not all(0.0 <= t < math.inf for t in times):
+        raise ValueError("displacement times must be finite and nonnegative")
     if marginal is not None and (marginal.params != params
                                  or marginal.tilt != params.field):
         raise ValueError("displacement norms sample rho1: pass the marginal "

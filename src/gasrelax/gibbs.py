@@ -565,12 +565,14 @@ def hoelder_certificate(marginal: WallMarginal, delta_moment: float, h: float,
     """Evaluate both sides of the small-field certificate at field size h,
     on the untilted marginal.
 
-    Requires h < delta_moment / (2 beta) so the interpolation step applies.
+    Requires delta_moment and epsilon in (0, inf), and h < delta_moment /
+    (2 beta) so the interpolation step applies.
     """
     params = marginal.params
     h = float(h)
-    if not 0.0 < delta_moment < math.inf:
-        raise ValueError("delta_moment must be strictly positive and finite")
+    for name, value in (("delta_moment", delta_moment), ("epsilon", epsilon)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be strictly positive and finite")
     if not h < delta_moment / (2.0 * params.beta):
         raise ValueError("need h < delta_moment / (2 beta)")
     log_k = params.n_particles * max(_log_mgf(delta_moment, marginal),

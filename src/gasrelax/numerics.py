@@ -14,6 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _kernel
+
 __all__ = [
     "QuadratureError",
     "QuadratureResult",
@@ -58,9 +60,10 @@ _WG = np.array([0.129484966168870, 0.279705391489277,
 def _kronrod_panels(f, a, b):
     """One K15/G7 pass over each panel [a[k], b[k]]: returns (k15, |k15 - g7|).
 
-    f is evaluated once, on the 15 nodes of every panel.  Each panel's
-    weighted sums stay one np.dot of their own: a matrix-vector product over
-    all panels sums in another order and changes last bits.
+    f is evaluated once, on the 15 nodes of every panel.  One kernel call
+    forms each panel's weighted sums as a forward chain of fused
+    multiply-adds (kronrod_sums), the bits that np.dot of each row gave
+    under OpenBLAS's AVX-512 kernel, now on any CPU.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -80,11 +83,12 @@ def _kronrod_panels(f, a, b):
                               f"[{float(a[k])!r}, {float(b[k])!r}]")
     pairs = fv[:, :7] + fv[:, 14:7:-1]
     fc = fv[:, 7]
-    wk, wg = _WGK[:7], _WG[:3]
-    k15 = halfw * (np.array([np.dot(wk, row) for row in pairs])
-                   + _WGK[7] * fc)
-    g7 = halfw * (np.array([np.dot(wg, row[1::2]) for row in pairs])
-                  + _WG[3] * fc)
+    k_sum, g_sum = np.empty((2, len(fc)))
+    _kernel.library().kronrod_sums(pairs.ctypes.data, len(fc),
+                                   _WGK.ctypes.data, _WG.ctypes.data,
+                                   k_sum.ctypes.data, g_sum.ctypes.data)
+    k15 = halfw * (k_sum + _WGK[7] * fc)
+    g7 = halfw * (g_sum + _WG[3] * fc)
     return k15, np.abs(k15 - g7)
 
 

@@ -6,12 +6,14 @@ instead of the adaptive rule, rejection sampling instead of inverse-CDF
 lookup, and a deterministic initial-condition grid instead of Monte Carlo.
 The allocating NumPy forms of the inverse CDF and its guide table, the wall
 potential and force, the bracket [B, H0], H1 and the Verlet loop, the
-per-panel Kronrod loop, the NumPy state draw (uniforms on the open interval
-and Generator normals), the whole-batch Monte-Carlo norm and the blocked
-norm of any observable are kept here as the references that the C kernels,
-the chunked guide table, the row-chunked bracket, the batched Kronrod pass,
-the kernel's state draw and the sampled norms must match bit for bit; the
-Philox rounds run backwards plant a 0.0 in the kernel's stream.
+per-panel Kronrod loop (its weighted sums in exact arithmetic, rounded once
+per fused multiply-add), the NumPy state draw (uniforms on the open
+interval and Generator normals), the whole-batch Monte-Carlo norm and the
+blocked norm of any observable are kept here as the references that the C
+kernels, the chunked guide table, the row-chunked bracket, the batched
+Kronrod pass, the kernel's state draw and the sampled norms must match bit
+for bit; the Philox rounds run backwards plant a 0.0 in the kernel's
+stream.
 Observables that only tests evaluate (the height sum A, its flow
 derivative B, the moment generating function of z, and H1 outside the
 trajectory kernel, which records it, and the normalized density of a wall
@@ -21,6 +23,7 @@ marginal) live here too.
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -346,9 +349,19 @@ def kronrod_panel(f, a, b):
             f"non-finite integrand value on panel [{a!r}, {b!r}]")
     pairs = fv[:7] + fv[14:7:-1]
     fc = fv[7]
-    k15 = halfw * (np.dot(_WGK[:7], pairs) + _WGK[7] * fc)
-    g7 = halfw * (np.dot(_WG[:3], pairs[1::2]) + _WG[3] * fc)
+    k15 = halfw * (fma_sum(_WGK[:7], pairs) + _WGK[7] * fc)
+    g7 = halfw * (fma_sum(_WG[:3], pairs[1::2]) + _WG[3] * fc)
     return k15, abs(k15 - g7)
+
+
+def fma_sum(weights, values):
+    """The forward chain of fused multiply-adds of weights[j] * values[j]
+    from +0.0, each rounded once from its exact rational value: np.dot of a
+    short row under OpenBLAS's AVX-512 ddot, on any CPU."""
+    acc = 0.0
+    for w, v in zip(weights, values):
+        acc = float(Fraction(w) * Fraction(v) + Fraction(acc))
+    return acc
 
 
 def kronrod_panels_loop(f, a, b):

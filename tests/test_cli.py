@@ -513,13 +513,14 @@ class TestSimulateCommand:
                                                  n_traj):
         # the shards' states and the momenta of ||B||_1 come from the
         # kernel, NumPy's normals included; 1100 trajectories are two
-        # shards, which run in the process pool
+        # shards, which run on threads of the one process
         path = write_config(tmp_path, output_dir=str(tmp_path))
         script = ("import sys\n"
                   "from gasrelax import cli\n"
                   f"code = cli.main(['simulate', '--config', {path!r}, "
                   f"'--workers', '{workers}', '--n_traj', '{n_traj}'])\n"
-                  "print(code, 'numpy.random' in sys.modules)\n")
+                  "print(code, 'numpy.random' in sys.modules,\n"
+                  "      'multiprocessing' in sys.modules)\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(gasrelax.__file__).parents[1]),
              os.environ.get("PYTHONPATH", "")]))
@@ -527,7 +528,20 @@ class TestSimulateCommand:
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         # exit 1 is the curve_check verdict
-        assert result.stdout.splitlines()[-1] == f"{EXIT_RUNTIME} False"
+        assert result.stdout.splitlines()[-1] == f"{EXIT_RUNTIME} False False"
+
+    def test_drift_in_a_pooled_shard_is_a_runtime_error(self, tmp_path):
+        # the error of a shard reaches the caller as it is: a process pool
+        # could not unpickle an EnergyDriftError and raised BrokenProcessPool
+        path = write_config(tmp_path, output_dir=str(tmp_path),
+                            energy_drift_tol=1e-12)
+        runs = [_run_quietly(["simulate", "--config", path, "--n_traj=1100",
+                              f"--workers={workers}"]) for workers in (1, 2)]
+        assert runs[0] == runs[1]
+        code, stdout, err = runs[0]
+        assert code == EXIT_RUNTIME
+        assert stdout == ""
+        assert err.startswith("runtime error: relative H1 drift ")
 
     def test_out_of_memory_is_a_runtime_error(self, tmp_path, monkeypatch,
                                               capsys):
@@ -593,7 +607,7 @@ class TestSimulateCommand:
     def test_outputs_equal_for_one_and_two_workers(self, tmp_path, n_traj,
                                                    n_particles):
         # 1025 trajectories are two 1024-row shards, which two workers run
-        # in a process pool; fewer are one shard, run in the calling process
+        # on two threads; fewer are one shard, run in the calling thread
         path = write_config(tmp_path)
         runs = []
         for workers in (1, 2):

@@ -1,5 +1,6 @@
-import concurrent.futures
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -176,30 +177,56 @@ class TestAutocorr:
         assert np.array_equal(serial.c_values, rerun.c_values)
 
     def test_pool_starts_one_worker_per_shard(self, monkeypatch):
-        # fork starts every worker up front, so 8 workers for 3 shards
-        # would fork 5 idle processes
+        # the pool starts a thread only for a shard that no idle thread
+        # takes, so 8 workers for 3 shards start 3 threads at most
         started = []
+        start = threading.Thread.start
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        def counted_start(thread):
+            started.append(thread.name)
+            start(thread)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            RecordingPool)
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
         params = ModelParams(1, 1.0, 1.0, 10.0, field=1e-3)
         config = IntegratorConfig(dt=1e-3, t_end=0.05, energy_drift_tol=1e-4)
         autocorr_B(params, config, n_traj=2049, seed=38, n_times=4,
                    n_workers=8)
-        assert started == [3]
+        assert 1 <= len(started) <= 3
+
+    def test_shards_on_threads_under_frequent_switches(self, monkeypatch):
+        # the GIL changes hands every microsecond, so five threads
+        # interleave the NumPy steps of three shards; each shard still runs
+        # in this process, off the main thread, and the sums keep their bits
+        params = ModelParams(4, 1.0, 1.0, 10.0, field=1e-3)
+        config = IntegratorConfig(dt=1e-3, t_end=0.05, energy_drift_tol=1e-4)
+        kwargs = dict(n_traj=2500, seed=35, n_times=8)
+        serial = autocorr_B(params, config, n_workers=1, **kwargs)
+        ran_on = []
+        evolve = dynamics._evolve_batch
+
+        def recorded(*args):
+            ran_on.append(threading.get_ident())
+            return evolve(*args)
+
+        monkeypatch.setattr(dynamics, "_evolve_batch", recorded)
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run = threading.Thread(target=lambda: result.append(autocorr_B(
+                params, config, n_workers=5, **kwargs)), daemon=True)
+            run.start()
+            run.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.is_alive(), "the pooled run did not end within 60 s"
+        pooled, = result
+        assert len(ran_on) == 3
+        assert run.ident not in ran_on
+        for field in ("c_values", "std_errors"):
+            assert np.array_equal(getattr(pooled, field).view(np.int64),
+                                  getattr(serial, field).view(np.int64))
+        assert pooled.max_energy_drift == serial.max_energy_drift
 
     def test_marginal_of_another_measure_rejected(self):
         # C(t) is a rho0 correlation of the params it flows with
@@ -336,6 +363,17 @@ class TestDisplacement:
                                config=config)
         with pytest.raises(ValueError):
             displacement_norms(self.PARAMS, [0.1, 0.15], n_traj=100, seed=1,
+                               config=config)
+
+    @pytest.mark.parametrize("times", [[math.nan], [0.01, math.inf],
+                                       [math.nan, 0.01], [-math.inf]])
+    def test_non_finite_times_are_refused(self, times):
+        # NaN alone gave a norm of 0, inf an OverflowError and NaN beside a
+        # time "cannot convert float NaN to integer"
+        config = IntegratorConfig(dt=1e-3, t_end=1.0)
+        with pytest.raises(ValueError, match="^displacement times must be "
+                                             "finite and nonnegative$"):
+            displacement_norms(self.PARAMS, times, n_traj=4, seed=1,
                                config=config)
 
     def test_untilted_marginal_rejected(self):

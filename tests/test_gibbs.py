@@ -882,6 +882,15 @@ class TestHoelderCertificate:
         with pytest.raises(ValueError, match="strictly positive and finite"):
             hoelder_certificate(ref_marginal, delta_moment, h=1e-3)
 
+    @pytest.mark.parametrize("epsilon", [-0.5, 0.0, math.inf, math.nan])
+    def test_epsilon_must_be_positive_and_finite(self, ref_marginal,
+                                                 epsilon):
+        # -0.5 gave a negative threshold, 0 and inf a certificate that
+        # passed, NaN one that failed without a word
+        with pytest.raises(ValueError, match="^epsilon must be strictly "
+                                             "positive and finite$"):
+            hoelder_certificate(ref_marginal, 0.1, h=1e-3, epsilon=epsilon)
+
 
 class TestNormEquivalence:
     def test_B_norms_agree_as_field_vanishes(self):

@@ -21,6 +21,7 @@ from gasrelax import _kernel, dynamics
 from gasrelax.cli import EXIT_RUNTIME, main
 from gasrelax.dynamics import EnergyDriftError, WallBreachError, _evolve_batch
 from gasrelax.model import ModelParams, wall_force, wall_potential
+from gasrelax.numerics import _WG, _WGK
 
 PARAMS = ModelParams(4, 1.0, 1.0, 10.0)
 
@@ -216,6 +217,31 @@ class TestWallForceLayouts:
             _bits(helpers.hamiltonian_reference(rows, p, PARAMS, 0.3)))
 
 
+class TestKronrodSums:
+    """The weighted sums of numerics._kronrod_panels against np.dot of each
+    row, as the OpenBLAS AVX-512 ddot of the reference host class adds it.
+    Under another BLAS kernel (OPENBLAS_CORETYPE=Haswell) this is the check
+    that fails; the quadrature oracles use helpers.fma_sum instead."""
+
+    def test_bit_equal_to_np_dot(self):
+        rng = np.random.default_rng(61)
+        rows = 20000
+        pairs = rng.standard_normal((rows, 7)) * np.exp(
+            rng.uniform(-30.0, 30.0, (rows, 7)))
+        # the chains start from +0.0, as np.dot's do: a row of -0.0 sums
+        # to +0.0, not -0.0
+        pairs[0] = -0.0
+        k, g = np.empty((2, rows))
+        _kernel.library().kronrod_sums(pairs.ctypes.data, rows,
+                                       _WGK.ctypes.data, _WG.ctypes.data,
+                                       k.ctypes.data, g.ctypes.data)
+        assert np.array_equal(_bits(k), _bits(
+            [np.dot(_WGK[:7], row) for row in pairs]))
+        assert np.array_equal(_bits(g), _bits(
+            [np.dot(_WG[:3], row[1::2]) for row in pairs]))
+        assert _bits(k[0]) == _bits(g[0]) == _bits(0.0)
+
+
 # C parameter and return types of the kernels and their ctypes
 _CTYPES = {"void": None, "long": ctypes.c_long, "double": ctypes.c_double,
            "ptrdiff_t": ctypes.c_ssize_t}
@@ -244,7 +270,7 @@ class TestBuildFlags:
         assert set(signatures) == {"wall_sums", "verlet_records",
                                    "inverse_cdf", "philox_uniforms",
                                    "sampled_force_sums", "sampled_states",
-                                   "sampled_momentum_sums"}
+                                   "sampled_momentum_sums", "kronrod_sums"}
         lib = _kernel.library()
         for name, (restype, argtypes) in signatures.items():
             fn = getattr(lib, name)

@@ -1,8 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gasrelax
 import helpers
 from helpers import gaussian_moment, integrate_semi_infinite
 from gasrelax.numerics import (QuadratureError, QuadratureResult,
@@ -104,6 +110,28 @@ def test_non_finite_integrand_names_its_first_bad_panel():
         helpers.kronrod_panels_loop(bad, [0.0, 0.25, 0.5, 0.75],
                                     [0.25, 0.5, 0.75, 1.0])
     assert str(err.value) == str(looped.value)
+
+
+def test_quadrature_sums_do_not_depend_on_openblas(tmp_path):
+    # the panel sums are the kernel's, so the `gamma` sweep keeps its golden
+    # digests under OpenBLAS's Haswell kernel too, whose ddot adds without
+    # fused multiply-adds; it runs in a subprocess, as OpenBLAS reads the
+    # variable when it loads
+    tests = Path(__file__).parent
+    script = ("import json, pathlib, test_golden\n"
+              "print(json.dumps(test_golden._digests('gamma', 'gamma-ref', "
+              "pathlib.Path.cwd(), test_golden.GAMMA_REF)))\n")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join(
+                   [str(tests), str(Path(gasrelax.__file__).parents[1]),
+                    os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                            env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    code, digests = json.loads(result.stdout.splitlines()[-1])
+    from test_golden import GAMMA_REF
+    assert (code, digests) == (0, GAMMA_REF)
 
 
 def test_bad_interval_raises():
