@@ -7,8 +7,9 @@
  * Each job has one body, which the other entries call: wall_sums owns the
  * wall and its row sums, philox_uniforms the stream's doubles, inverse_cdf
  * the heights they give, verlet_records the trajectory and
- * sampled_momentum_sums the momentum sums.  Each entry that evaluates the
- * wall takes delta and forms 12 delta itself.  Each entry's prototype,
+ * sampled_momentum_sums the momentum sums.  Each entry takes the model's
+ * parameters as they are and forms its own coefficients: 12 delta, dt/2,
+ * dt/m, 1/2m, sqrt(m)/sqrt(beta) and the guard.  Each entry's prototype,
  * `KERNEL <type> <name>(<params>)` from the start of a line, with pointer,
  * double and ptrdiff_t parameters, is its only signature: gasrelax._kernel
  * reads the ctypes of each call from it.
@@ -242,10 +243,12 @@ static inline int advance(double *restrict z, double *restrict p,
 
 const ptrdiff_t verlet_block = VERLET_BLOCK;
 
-/* Evolve `rows` independent rows of n >= 1 particles, z and p row-major and
- * changed in place, through records 0 .. n_records - 1 that lie `steps`
- * velocity-Verlet steps apart.  Row i's B and H1 at record r go to
- * b[r * rows + i] and e[r * rows + i]; record 0 is the initial state.
+/* Evolve `rows` independent rows of n >= 1 particles of mass m, z and p
+ * row-major and changed in place, through records 0 .. n_records - 1 that
+ * lie `steps` velocity-Verlet steps of dt apart.  Row i's B and H1 at
+ * record r go to b[r * rows + i] and e[r * rows + i]; record 0 is the
+ * initial state.  If some initial |z| is not below wall_guard * half (NaN
+ * included), 0 is returned and nothing is written.
  *
  * The rows run in blocks of at most VERLET_BLOCK values, each block through
  * every record before the next starts.  A row longer than that is a block
@@ -259,15 +262,19 @@ const ptrdiff_t verlet_block = VERLET_BLOCK;
 KERNEL ptrdiff_t verlet_records(double *restrict z, double *restrict p,
                                 ptrdiff_t rows, ptrdiff_t n,
                                 ptrdiff_t n_records, ptrdiff_t steps,
-                                double half_dt, double dt_over_m,
-                                double half, double delta, double h,
-                                double half_over_m, double guard,
+                                double dt, double mass, double half,
+                                double delta, double h, double wall_guard,
                                 double *restrict b, double *restrict e)
 {
     double f[VERLET_BLOCK];
-    double c12 = 12.0 * delta;
+    double half_dt = 0.5 * dt, dt_over_m = dt / mass, half_over_m = 0.5 / mass;
+    double guard = wall_guard * half, c12 = 12.0 * delta;
     ptrdiff_t per_block = n < VERLET_BLOCK ? VERLET_BLOCK / n : 1;
     ptrdiff_t end = n_records;
+
+    for (ptrdiff_t i = 0; i < rows * n; i++)
+        if (!(fabs(z[i]) < guard))
+            return 0;
 
     for (ptrdiff_t r0 = 0; r0 < rows; r0 += per_block) {
         ptrdiff_t nr = rows - r0 < per_block ? rows - r0 : per_block;
@@ -483,11 +490,13 @@ static double bitgen_double(void *s)
 }
 
 /* out[i] = NumPy's random_normal(0.0, sigma) on the stream of *s, for
- * i < n: the bits of rng.normal(0.0, sigma, n), ziggurat tail and wedges
- * included */
+ * i < n, with sigma = sqrt(mass) / sqrt(beta), the momentum scale of
+ * exp(-beta p^2 / 2m): the bits of rng.normal(0.0, sigma, n), ziggurat tail
+ * and wedges included */
 static inline void normals(struct philox *s, double *out, ptrdiff_t n,
-                           double sigma)
+                           double mass, double beta)
 {
+    double sigma = sqrt(mass) / sqrt(beta);
     bitgen_t bitgen = {s, bitgen_word, NULL, bitgen_double, bitgen_word};
     for (ptrdiff_t i = 0; i < n; i++)
         out[i] = random_normal(&bitgen, 0.0, sigma);
@@ -536,28 +545,29 @@ KERNEL ptrdiff_t sampled_force_sums(struct philox *s, double *restrict out,
  */
 KERNEL void sampled_states(struct philox *s, double *restrict z,
                            double *restrict p, ptrdiff_t rows, ptrdiff_t n,
-                           double sigma, const double *restrict inv_u,
+                           double mass, double beta,
+                           const double *restrict inv_u,
                            const double *restrict inv_z,
                            const double *restrict inv_m,
                            const int32_t *restrict guide, ptrdiff_t k,
                            ptrdiff_t cells)
 {
     heights(s, z, rows * n, inv_u, inv_z, inv_m, guide, k, cells);
-    normals(s, p, rows * n, sigma);
+    normals(s, p, rows * n, mass, beta);
 }
 
 /* b[i] = 0.0 plus the pairwise sum of the n momenta of row i (see
  * sampled_states), drawn row after row from the stream of *s, for
- * i < rows: the bits of rng.normal(0.0, sigma, (rows, n)).sum(axis=1).
- * Each row is drawn into `row`, which has room for n values.  *s is left
- * past the last value read.
+ * i < rows: the bits of rng.normal(0.0, sigma, (rows, n)).sum(axis=1),
+ * sigma as in normals.  Each row is drawn into `row`, which has room for n
+ * values.  *s is left past the last value read.
  */
 KERNEL void sampled_momentum_sums(struct philox *s, double *restrict b,
-                                  ptrdiff_t rows, ptrdiff_t n, double sigma,
-                                  double *restrict row)
+                                  ptrdiff_t rows, ptrdiff_t n, double mass,
+                                  double beta, double *restrict row)
 {
     for (ptrdiff_t i = 0; i < rows; i++) {
-        normals(s, row, n, sigma);
+        normals(s, row, n, mass, beta);
         b[i] = 0.0 + pairwise(row, n, VALUE, 0.0, 0.0);
     }
 }

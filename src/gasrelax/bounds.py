@@ -56,10 +56,9 @@ class RegimeError(ValueError):
 
 def _require_regime(params: ModelParams) -> None:
     if not params.bound_regime:
-        scale = (params.beta * params.delta_wall) ** (1.0 / 12.0)
         raise RegimeError(
             "bound formulas require (beta*delta_wall)^(1/12) < box_side/3; "
-            f"got {scale:.6g} >= {params.box_side / 3.0:.6g}")
+            f"got {params.wall_layer:.6g} >= {params.box_side / 3.0:.6g}")
 
 
 @lru_cache(maxsize=1)
@@ -185,7 +184,7 @@ def build_bound_report(params: ModelParams, n_samples: int,
     _require_regime(params)
     marginal = build_marginal(params, grid_size=grid_size)
     eta = eta_analytic(params)
-    t0 = math.sqrt(2.0) / eta
+    t0 = t_relax_lower(params)
     bracket_norm = norm0_poisson_B_H0_quadrature(marginal)
     b_norm = norm0_B_closed(params)
     emp = eta_empirical(marginal, n_samples, key)

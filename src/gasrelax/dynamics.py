@@ -3,10 +3,10 @@
 Trajectories use a fixed-step velocity-Verlet scheme.  Adaptive stepping
 would break symplecticity, so accuracy is enforced the other way around: a
 per-trajectory energy monitor aborts loudly when the relative drift of H1
-exceeds the configured tolerance.  One call of the C kernel per shard runs
-the steps, the wall guard and, at every record time, the row sums of B and
-H1; the monitor then reads the recorded energies, so a shard's steps never
-return to Python.
+exceeds the configured tolerance.  One call of the C kernel per shard,
+given the parameters as they are, runs the wall guard, the steps and, at
+every record time, the row sums of B and H1; the monitor then reads the
+recorded energies, so a shard's steps never return to Python.
 
 The central estimator follows the mixed-measure protocol of the bound being
 tested: initial conditions are drawn from the unperturbed Gibbs measure,
@@ -127,13 +127,14 @@ def _evolve_batch(z, p, params: ModelParams, dt: float,
     params, recording B at each grid time.
 
     z and p are C-contiguous float64 arrays.  Returns (b_records of shape
-    (n_records, rows), max relative H1 drift).  After the guard on the
-    initial state, one call of the C kernel `verlet_records` runs the whole
-    trajectory: blocks of whole rows step through every record, and at each
-    record it writes every row's B and H1, with NumPy's row sums.  The drift
-    monitor then reads the energies of the records below the first breach.
-    A drift beyond energy_tol at such a record raises EnergyDriftError at
-    the first one; otherwise a breach raises WallBreachError at its record.
+    (n_records, rows), max relative H1 drift).  One call of the C kernel
+    `verlet_records` runs the whole trajectory: an initial state beyond the
+    guard raises WallBreachError at record 0; else blocks of whole rows step
+    through every record, and at each record it writes every row's B and H1,
+    with NumPy's row sums.  The drift monitor then reads the energies of the
+    records below the first breach.  A drift beyond energy_tol at such a
+    record raises EnergyDriftError at the first one; otherwise a breach
+    raises WallBreachError at its record.
     """
     for a in (z, p):
         if not (a.dtype == np.float64 and a.ndim == 2 and a.flags.c_contiguous
@@ -142,21 +143,16 @@ def _evolve_batch(z, p, params: ModelParams, dt: float,
                              "arrays of one (rows, N) shape")
     if n_records < 1:
         raise ValueError("n_records must be >= 1")
-    half = params.half_box
-    guard = wall_guard * half
-
-    # before the first force and energy, which divide by zero at a wall;
-    # max|z| as two reductions, and a NaN position fails the test too
-    if not max(z.max(), -z.min()) < guard:
-        raise WallBreachError(
-            f"particle beyond {wall_guard:g} of the half-box at record 0")
     rows, n = z.shape
     b_rec = np.empty((n_records, rows))
     e_rec = np.empty((n_records, rows))
     end = _kernel.library().verlet_records(
         z.ctypes.data, p.ctypes.data, rows, n, n_records, steps_per_record,
-        0.5 * dt, dt / params.mass, half, params.delta_wall, params.field,
-        0.5 / params.mass, guard, b_rec.ctypes.data, e_rec.ctypes.data)
+        dt, params.mass, params.half_box, params.delta_wall, params.field,
+        wall_guard, b_rec.ctypes.data, e_rec.ctypes.data)
+    if end == 0:
+        raise WallBreachError(
+            f"particle beyond {wall_guard:g} of the half-box at record 0")
 
     # the drift of each record below the first breach, formed in place over
     # those records; a NaN drift fails too

@@ -136,15 +136,13 @@ def _weight(z, params: ModelParams, tilt: float = 0.0,
 def _wall_breakpoints(params: ModelParams) -> tuple:
     """Quadrature seed points around both wall layers.
 
-    The weight switches on over the scale (beta*delta)^(1/12) next to each
-    wall; panels must be anchored there or the adaptive rule never sees the
-    layer.
+    The weight switches on over params.wall_layer next to each wall; panels
+    must be anchored there or the adaptive rule never sees the layer.
     """
     half = params.half_box
-    scale = (params.beta * params.delta_wall) ** (1.0 / 12.0)
     pts = []
     for s in (0.25, 1.0, 4.0, 16.0):
-        w = s * scale
+        w = s * params.wall_layer
         if w < 2.0 * half:
             pts.extend((-half + w, half - w))
     return tuple(sorted(pts))
@@ -382,14 +380,9 @@ def _states(marginal: WallMarginal, rows: int,
     p = np.empty_like(z)
     _kernel.library().sampled_states(
         state.ctypes.data, z.ctypes.data, p.ctypes.data, rows,
-        params.n_particles, _momentum_scale(params),
+        params.n_particles, params.mass, params.beta,
         *marginal._kernel_tables())
     return z, p
-
-
-def _momentum_scale(params: ModelParams) -> float:
-    """sqrt(m / beta), the scale of the momenta, from exp(-beta p^2 / 2m)."""
-    return math.sqrt(params.mass) / math.sqrt(params.beta)
 
 
 def norm0_B_closed(params: ModelParams) -> float:
@@ -448,7 +441,7 @@ def norm0_B_mc(params: ModelParams, n_samples: int, key: np.ndarray,
     row = np.empty(params.n_particles)
     _kernel.library().sampled_momentum_sums(
         state.ctypes.data, values.ctypes.data, n_samples, params.n_particles,
-        _momentum_scale(params), row.ctypes.data)
+        params.mass, params.beta, row.ctypes.data)
     return NormEstimate.from_values(values, _measure(params.field))
 
 
@@ -573,7 +566,8 @@ def hoelder_certificate(marginal: WallMarginal, delta_moment: float, h: float,
     for name, value in (("delta_moment", delta_moment), ("epsilon", epsilon)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be strictly positive and finite")
-    if not h < delta_moment / (2.0 * params.beta):
+    h_max = delta_moment / (2.0 * params.beta)
+    if not h < h_max:
         raise ValueError("need h < delta_moment / (2 beta)")
     log_k = params.n_particles * max(_log_mgf(delta_moment, marginal),
                                      _log_mgf(-delta_moment, marginal))
@@ -583,11 +577,10 @@ def hoelder_certificate(marginal: WallMarginal, delta_moment: float, h: float,
     # tiny relative slack: both sides come from quadrature
     bound_holds = math.log1p(gamma) <= log_bound + 1e-12
     if log_k > 0.0:
-        h_threshold = min(delta_moment / (2.0 * params.beta),
-                          delta_moment * math.log1p(epsilon)
+        h_threshold = min(h_max, delta_moment * math.log1p(epsilon)
                           / (4.0 * params.beta * log_k))
     else:
-        h_threshold = delta_moment / (2.0 * params.beta)
+        h_threshold = h_max
     below = h < h_threshold
     return HoelderCertificate(
         h=h, delta_moment=delta_moment, epsilon=epsilon,

@@ -66,13 +66,19 @@ class ModelParams:
             raise ValueError("field must be finite and >= 0")
 
     @property
+    def wall_layer(self) -> float:
+        """(beta * delta_wall)^(1/12): the width of the layer next to each
+        wall over which the Gibbs weight switches on."""
+        return (self.beta * self.delta_wall) ** (1.0 / 12.0)
+
+    @property
     def bound_regime(self) -> bool:
-        """True iff (beta * delta_wall)^(1/12) < box_side / 3.
+        """True iff wall_layer < box_side / 3.
 
         The closed-form bounds are only valid in this regime; operations that
         evaluate them refuse to run when it fails.
         """
-        return (self.beta * self.delta_wall) ** (1.0 / 12.0) < self.box_side / 3.0
+        return self.wall_layer < self.box_side / 3.0
 
     @property
     def half_box(self) -> float:

@@ -489,9 +489,8 @@ def kernel_records(z, p, params, h, dt, steps_per_record, n_records,
     e = np.full((n_records, rows), np.nan)
     end = _kernel.library().verlet_records(
         z.ctypes.data, p.ctypes.data, rows, n, n_records, steps_per_record,
-        0.5 * dt, dt / params.mass, params.half_box, params.delta_wall, h,
-        0.5 / params.mass, wall_guard * params.half_box, b.ctypes.data,
-        e.ctypes.data)
+        dt, params.mass, params.half_box, params.delta_wall, h, wall_guard,
+        b.ctypes.data, e.ctypes.data)
     return end, b, e, z, p
 
 

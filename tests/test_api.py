@@ -171,6 +171,40 @@ def test_no_kernel_pointer_outlives_its_array():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def _formed_kernel_arguments(source, helpers):
+    """The arguments of each `_kernel.library().<entry>(...)` call in source
+    that hold arithmetic or a call of one of the functions named in
+    helpers, as source text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and ast.unparse(node.func.value) == "_kernel.library()"):
+            found.extend(
+                ast.unparse(arg) for arg in node.args
+                if any(isinstance(sub, ast.BinOp)
+                       or (isinstance(sub, ast.Call)
+                           and getattr(sub.func, "id", None) in helpers)
+                       for sub in ast.walk(arg)))
+    return found
+
+
+def test_the_kernel_forms_its_own_coefficients():
+    # the kernel takes the model's parameters as they are and forms dt/2,
+    # dt/m, sqrt(m)/sqrt(beta) and the guard itself, so each is stated once
+    assert _formed_kernel_arguments(
+        "_kernel.library().f(a.ctypes.data, 0.5 * dt, g(p), -x, p.mass,\n"
+        "                    *m._tables())\nh(0.5 * dt)\n", {"g"}
+    ) == ["0.5 * dt", "g(p)"]
+    sources = {path.name: path.read_text()
+               for path in (ROOT / "src" / "gasrelax").glob("*.py")}
+    helpers = {node.name for source in sources.values()
+               for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef)}
+    found = {name: _formed_kernel_arguments(source, helpers)
+             for name, source in sources.items()}
+    assert {name: args for name, args in found.items() if args} == {}
+
+
 def test_no_gibbs_or_bounds_function_takes_params_and_a_marginal():
     # a marginal carries its params: a second copy could disagree with it
     from gasrelax import bounds, gibbs

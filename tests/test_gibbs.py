@@ -192,8 +192,8 @@ def _kernel_state(rng):
 
 
 @functools.lru_cache(maxsize=None)
-def _small_marginal(n, tilted):
-    return build_marginal(ModelParams(n, 1.0, 1.0, 10.0, field=1e-2,
+def _small_marginal(n, tilted, beta=1.0):
+    return build_marginal(ModelParams(n, beta, 1.0, 10.0, field=1e-2,
                                       mass=2.0), grid_size=256, tilted=tilted)
 
 
@@ -228,13 +228,17 @@ class TestKernelDraws:
             marginal, oracle, 7))
         assert np.array_equal(state, _kernel_state(oracle))
 
-    @pytest.mark.parametrize("tilted", [False, True], ids=["rho0", "rho1"])
+    # at beta 0.3 the momentum scale sqrt(2) / sqrt(0.3) is neither that of
+    # a dropped beta nor of a swapped one, and one ulp above sqrt(2 / 0.3)
+    @pytest.mark.parametrize("tilted, beta", [(False, 1.0), (True, 1.0),
+                                              (True, 0.3)],
+                             ids=["rho0", "rho1", "rho1-beta0.3"])
     @pytest.mark.parametrize("rows", [1, 7, 1024])
     @pytest.mark.parametrize("n", [1, 3, 64, 600])
-    def test_every_shape(self, n, rows, tilted):
+    def test_every_shape(self, n, rows, tilted, beta):
         # rows of one value, rows longer than the kernel's chunk of heights,
         # and shard-sized batches
-        marginal = _small_marginal(n, tilted)
+        marginal = _small_marginal(n, tilted, beta)
         state, oracle = philox_state(DRAW_KEYS[0]), _philox(DRAW_KEYS[0])
         got = gibbs._states(marginal, rows, state)
         _assert_same_states(got, helpers.sample_batch_reference(
@@ -616,13 +620,14 @@ class TestNorms:
         assert np.array_equal(_bits(got), _bits(want))
         assert np.array_equal(whole, split)
 
-    @pytest.mark.parametrize("n, n_samples", [(64, 20000), (7, 20000),
-                                              (300, 1000)])
-    def test_momenta_blocks_equal_one_batch(self, n, n_samples):
+    @pytest.mark.parametrize("n, n_samples, beta", [
+        (64, 20000, 1.0), (7, 20000, 1.0), (300, 1000, 1.0), (64, 1000, 0.3)],
+        ids=["64-20000", "7-20000", "300-1000", "64-1000-beta0.3"])
+    def test_momenta_blocks_equal_one_batch(self, n, n_samples, beta):
         # momenta drawn and summed a row at a time, from the start counter
         # past the heights of a whole batch (4 values per counter value),
         # give the bits of that batch's norm of B
-        params = ModelParams(n, 1.0, 1.0, 10.0, field=1e-3, mass=2.0)
+        params = ModelParams(n, beta, 1.0, 10.0, field=1e-3, mass=2.0)
         marginal = build_marginal(params, grid_size=256, tilted=True)
         est = norm0_B_mc(params, n_samples, philox_key(28, n),
                          n_samples * n // 4)

@@ -171,6 +171,33 @@ class TestVerletRecords:
         assert ours == _outcome(helpers.evolve_batch_reference, z, p, *args)
         assert ours[0] is WallBreachError and "record 1;" in ours[1]
 
+    # 300 rows of 4 particles are three blocks: a bad height in the last one
+    # stops the kernel before the first block steps
+    @pytest.mark.parametrize("row, height", [
+        (0, 0.999 * 5.0), (299, -0.999 * 5.0), (150, 4.9999), (299, np.nan),
+        (0, -np.inf)], ids=["at", "at-neg", "beyond", "nan", "inf"])
+    def test_initial_breach_writes_nothing(self, row, height):
+        rng = np.random.default_rng(13)
+        z = rng.uniform(-3.0, 3.0, (300, 4))
+        p = rng.normal(size=(300, 4))
+        z[row, 1] = height
+        end, b, e, z_out, p_out = helpers.kernel_records(z, p, PARAMS, 1e-3,
+                                                         1e-3, 2, 4)
+        assert end == 0
+        assert np.isnan(b).all() and np.isnan(e).all()
+        assert np.array_equal(_bits(z_out), _bits(z))
+        assert np.array_equal(_bits(p_out), _bits(p))
+
+    def test_initial_breach_raises_before_the_records_are_read(self,
+                                                               nan_empty):
+        # the records are NaN: reading them would raise EnergyDriftError
+        z, p = np.zeros((300, 4)), np.zeros((300, 4))
+        z[299, 3] = 5.0
+        with pytest.raises(WallBreachError) as err:
+            _evolve_batch(z, p, PARAMS, 1e-3, 2, 4, 1e-6, 0.999)
+        assert str(err.value) == ("particle beyond 0.999 of the half-box at "
+                                  "record 0")
+
     def test_records_past_the_breach_are_not_written(self):
         z, p = np.zeros((300, 4)), np.zeros((300, 4))
         z[0, 0], p[0, 0] = -3.0, 8.0
