@@ -17,15 +17,15 @@ than by finite-differencing a noisy response curve.
 Ensembles are sharded with one counter-based stream per shard and reduced
 in shard order, so results are bitwise identical for any worker count.
 Workers are threads of the one process: a shard spends its time in kernel
-calls, which release the GIL.  The kernel draws each shard's states from its
-stream's key (gibbs._states), and the momenta behind ||B||_1 from a key and
-a start counter, so a run never imports numpy.random.
+calls, which release the GIL.  The kernel draws each shard's states, and
+the momenta behind ||B||_1, from their stream's key (gibbs._states,
+gibbs.norm0_B_mc), so a run never imports numpy.random.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,6 +45,11 @@ _SHARD = 1024
 _DISPLACEMENT_FRACS = (0.25, 0.5, 1.0)
 _ETA_MARGIN = 0.05
 _NORM_SAMPLES = 20000
+# the standard errors that each verdict allows (make_relaxation_report)
+_POSITIVITY_K = 2.0
+_CROSSING_K = 2.0  # empirical_relax_time
+_CURVE_K = 3.0
+_DISPLACEMENT_K = 3.0
 
 # the fewest trajectories and record times (t = 0 and one more) of a run
 _MIN_TRAJ = 1
@@ -177,18 +182,16 @@ def _evolve_batch(z, p, params: ModelParams, dt: float,
     return b_rec, float(drift.max()) if drift.size else 0.0
 
 
-def _records_grid(config: IntegratorConfig, n_records: int):
+def _records_grid(dt: float, t_end: float, n_records: int):
     if n_records < _MIN_TIMES:
         raise ValueError("need at least two record times")
-    spacing = config.t_end / (n_records - 1)
-    spr = max(1, int(math.ceil(spacing / config.dt - 1e-12)))
+    spacing = t_end / (n_records - 1)
+    spr = max(1, int(math.ceil(spacing / dt - 1e-12)))
     # the kernel counts steps in a ptrdiff_t, which ctypes would truncate
     if spr > np.iinfo(np.intp).max:
-        raise ValueError(f"dt = {config.dt:g} needs {float(spr):.3g} steps "
+        raise ValueError(f"dt = {dt:g} needs {float(spr):.3g} steps "
                          "per record, more than the integrator can count")
-    dt = spacing / spr
-    times = np.linspace(0.0, config.t_end, n_records)
-    return times, dt, spr
+    return np.linspace(0.0, t_end, n_records), spacing / spr, spr
 
 
 def _autocorr_terms(b_rec):
@@ -201,16 +204,19 @@ def _displacement_terms(b_rec):
 
 
 def _run_ensemble(terms, marginal: WallMarginal, config: IntegratorConfig,
-                  n_traj: int, seed: int, n_records: int, n_workers: int):
-    """Per-record sums s1, s2 of x and x^2, x = terms(b_records), over n_traj.
+                  t_end: float, n_traj: int, seed: int, n_records: int,
+                  n_workers: int):
+    """Per-record means and variances (ddof 1, or 0 for n_traj = 1) of
+    x = terms(b_records) over n_traj, at n_records times on [0, t_end].
 
-    H1 has the field of marginal.params.  Shard k holds trajectories
-    k*_SHARD onward, drawn from the stream philox_key(seed, k), and runs on
-    one of up to n_workers threads.  The shards are summed in shard order
-    whichever thread ran them, so the results do not depend on n_workers.
-    Returns (record times, s1, s2, max relative H1 drift).
+    Steps are config.dt at most; H1 has the field of marginal.params.
+    Shard k holds trajectories k*_SHARD onward, drawn from the stream
+    philox_key(seed, k), and runs on one of up to n_workers threads.  The
+    shards are summed in shard order whichever thread ran them, so the
+    results do not depend on n_workers.  Returns (record times, means,
+    variances, max relative H1 drift).
     """
-    times, dt, spr = _records_grid(config, n_records)
+    times, dt, spr = _records_grid(config.dt, t_end, n_records)
 
     def shard(start):
         z, p = _states(marginal, min(_SHARD, n_traj - start),
@@ -242,19 +248,15 @@ def _run_ensemble(terms, marginal: WallMarginal, config: IntegratorConfig,
         s1 += p1
         s2 += p2
         max_drift = max(max_drift, drift)
-    return times, s1, s2, max_drift
+    mean = s1 / n_traj
+    var = np.maximum((s2 - n_traj * mean * mean) / max(n_traj - 1, 1), 0.0)
+    return times, mean, var, max_drift
 
 
 def _require_traj(n_traj: int) -> None:
     """Raise ValueError unless an ensemble of n_traj trajectories can run."""
     if n_traj < _MIN_TRAJ:
         raise ValueError(f"n_traj must be >= {_MIN_TRAJ}")
-
-
-def _moments(s1, s2, n: int):
-    """Means and variances (ddof 1, or 0 for n = 1) from sums of x, x^2."""
-    mean = s1 / n
-    return mean, np.maximum((s2 - n * mean * mean) / max(n - 1, 1), 0.0)
 
 
 def autocorr_B(params: ModelParams, config: IntegratorConfig, n_traj: int,
@@ -273,10 +275,9 @@ def autocorr_B(params: ModelParams, config: IntegratorConfig, n_traj: int,
     if marginal.params != params or marginal.tilt != 0.0:
         raise ValueError("C(t) samples rho0: pass the untilted marginal of "
                          "params")
-    times, s1, s2, max_drift = _run_ensemble(_autocorr_terms, marginal,
-                                             config, n_traj, seed, n_times,
-                                             n_workers)
-    c, var = _moments(s1, s2, n_traj)
+    times, c, var, max_drift = _run_ensemble(
+        _autocorr_terms, marginal, config, config.t_end, n_traj, seed,
+        n_times, n_workers)
     return CorrelationSeries(times=times, c_values=c,
                              std_errors=np.sqrt(var / n_traj),
                              n_trajectories=n_traj, field_h=params.field,
@@ -284,8 +285,8 @@ def autocorr_B(params: ModelParams, config: IntegratorConfig, n_traj: int,
 
 
 def empirical_relax_time(series: CorrelationSeries) -> Optional[float]:
-    """First grid time where C drops below zero by more than two errors."""
-    below = series.c_values < -2.0 * series.std_errors
+    """First grid time where C drops below -_CROSSING_K standard errors."""
+    below = series.c_values < -_CROSSING_K * series.std_errors
     hits = np.nonzero(below)[0]
     return float(series.times[hits[0]]) if hits.size else None
 
@@ -299,6 +300,7 @@ def displacement_norms(params: ModelParams, times: Sequence[float],
 
     Initial conditions come from rho1, tilted by h = params.field, matching
     the displacement bound being verified; marginal, if given, is its own.
+    The steps are config.dt at most; config.t_end is not read.
     """
     _require_traj(n_traj)
     times = [float(t) for t in times]
@@ -319,10 +321,9 @@ def displacement_norms(params: ModelParams, times: Sequence[float],
         raise ValueError("displacement times must be multiples of the smallest")
     if marginal is None:
         marginal = build_marginal(params, tilted=True)
-    _, s1, s2, _ = _run_ensemble(
-        _displacement_terms, marginal, replace(config, t_end=grid[-1]),
-        n_traj, seed, n_records, n_workers)
-    mean_q, var_q = _moments(s1, s2, n_traj)
+    _, mean_q, var_q, _ = _run_ensemble(
+        _displacement_terms, marginal, config, grid[-1], n_traj, seed,
+        n_records, n_workers)
     # record 0 has zero displacement, so t = 0 gives a norm of 0
     return [NormEstimate.from_moments(mean_q[k], var_q[k], n_traj,
                                       marginal.which_measure)
@@ -373,11 +374,11 @@ def make_relaxation_report(params: ModelParams, config: IntegratorConfig,
                            ) -> tuple[RelaxationReport, CorrelationSeries]:
     """Run the full dynamical campaign against the analytic bound.
 
-    Positivity and curve checks cover the grid times up to t0 (both fail
-    if the run stops before t0); displacement checks run at the
-    _DISPLACEMENT_FRACS of t0 against (1 + _ETA_MARGIN) * eta * t * ||B||_1
-    plus three combined standard errors.  Both marginals are tabulated on
-    grid_size cells.
+    Positivity (_POSITIVITY_K) and curve checks (_CURVE_K standard errors)
+    cover the grid times up to t0 (both fail if the run stops before t0);
+    displacement checks run at the _DISPLACEMENT_FRACS of t0 against
+    (1 + _ETA_MARGIN) * eta * t * ||B||_1 plus _DISPLACEMENT_K combined
+    standard errors.  Both marginals are tabulated on grid_size cells.
     """
     h = params.field
     t0 = _bounds.t_relax_lower(params)
@@ -392,12 +393,12 @@ def make_relaxation_report(params: ModelParams, config: IntegratorConfig,
     window = series.times <= t0 + 1e-12
     c_win = series.c_values[window]
     e_win = series.std_errors[window]
-    positivity_ok = bool(np.all(c_win - 2.0 * e_win > 0.0))
+    positivity_ok = bool(np.all(c_win - _POSITIVITY_K * e_win > 0.0))
 
     if h > 0.0:
         bh = params.beta * h
         curve = lower_bound_curve(params, series.times[window])
-        curve_check = bool(np.all(bh * c_win >= curve - 3.0 * bh * e_win))
+        curve_check = bool(np.all(bh * c_win >= curve - _CURVE_K * bh * e_win))
     else:
         curve_check = positivity_ok
     if series.times[-1] < t0:
@@ -407,18 +408,13 @@ def make_relaxation_report(params: ModelParams, config: IntegratorConfig,
     disp_times = [f * t0 for f in _DISPLACEMENT_FRACS]
     disp = displacement_norms(params, disp_times, n_traj, seed + 1, config,
                               marginal=marginal1, n_workers=n_workers)
-    # ||B||_1 reads only momenta, which a whole batch draws after its
-    # _NORM_SAMPLES * N heights: starting the stream past those, 4 doubles
-    # per Philox counter value (20000 N is a multiple of 4), keeps the same
-    # momenta
-    b1 = norm0_B_mc(params, _NORM_SAMPLES, philox_key(seed, 7001),
-                    _NORM_SAMPLES * params.n_particles // 4)
+    b1 = norm0_B_mc(params, _NORM_SAMPLES, philox_key(seed, 7001))
     details = []
     displacement_ok = True
     for t, est in zip(disp_times, disp):
         bound = (1.0 + _ETA_MARGIN) * eta * t * b1.value
-        slack = 3.0 * (est.std_error
-                       + (1.0 + _ETA_MARGIN) * eta * t * b1.std_error)
+        slack = _DISPLACEMENT_K * (
+            est.std_error + (1.0 + _ETA_MARGIN) * eta * t * b1.std_error)
         passed = est.value <= bound + slack
         displacement_ok = displacement_ok and passed
         details.append({"t": t, "norm": est.value, "std_error": est.std_error,

@@ -423,23 +423,26 @@ def norm0_mc(marginal: WallMarginal, n_samples: int,
     return NormEstimate.from_values(values, marginal.which_measure)
 
 
-def norm0_B_mc(params: ModelParams, n_samples: int, key: np.ndarray,
-               counter: int) -> NormEstimate:
+def norm0_B_mc(params: ModelParams, n_samples: int,
+               key: np.ndarray) -> NormEstimate:
     """Monte-Carlo norm of the momentum sum B, from momenta alone.
 
-    The momenta are those of _states on the stream of (key, counter), the
-    start counter of NumPy's Philox: each row's B is the bits of
-    rng.normal(0.0, sqrt(m / beta), (n_samples, N)).sum(axis=1).  The kernel
-    draws and sums one row at a time, so no block of momenta is held.  The
-    tilt of rho1 moves only the heights, so B has one law under rho0 and
-    rho1; the estimate carries the measure of params.
+    The momenta are those of _states(n_samples rows) on philox_state(key):
+    the stream starts at the Philox block of 4 values where their heights
+    end and reads the heights' share of it into values, which the sums
+    overwrite.  The kernel draws and sums one row at a time.  The tilt
+    of rho1 moves only the heights, so B has one law under rho0 and rho1;
+    the estimate carries the measure of params.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
-    state = philox_state(key, counter)
+    heights = n_samples * params.n_particles
+    state = philox_state(key, heights // 4)
     values = np.empty(n_samples)
     row = np.empty(params.n_particles)
-    _kernel.library().sampled_momentum_sums(
+    lib = _kernel.library()
+    lib.philox_uniforms(state.ctypes.data, values.ctypes.data, heights % 4)
+    lib.sampled_momentum_sums(
         state.ctypes.data, values.ctypes.data, n_samples, params.n_particles,
         params.mass, params.beta, row.ctypes.data)
     return NormEstimate.from_values(values, _measure(params.field))

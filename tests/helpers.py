@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths it is used to check:
 finite differences instead of closed-form derivatives, composite Simpson
 instead of the adaptive rule, rejection sampling instead of inverse-CDF
-lookup, and a deterministic initial-condition grid instead of Monte Carlo.
+lookup, and a deterministic initial-condition grid instead of Monte Carlo,
+with the hard-wall closed form of the single-particle C(t) beside it.
 The allocating NumPy forms of the inverse CDF and its guide table, the wall
 potential and force, the bracket [B, H0], H1 and the Verlet loop, the
 per-panel Kronrod loop (its weighted sums in exact arithmetic, rounded once
@@ -26,7 +27,6 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
 from gasrelax import _kernel
@@ -598,23 +598,21 @@ def chi2_sf(x, dof):
     return 1.0 - regularized_gamma_p(dof / 2.0, x / 2.0)
 
 
-def quadrature_autocorr_n1(params, h, t_end, n_times, n_z=256, n_p=64,
-                           dt=1e-4, drift_tol=1e-4, weight_cut=1e-30):
+def quadrature_autocorr_n1(params, h, t_end, n_times, n_z=64, n_p=256,
+                           dt=2.5e-4, drift_tol=1e-4, weight_cut=1e-30):
     """Single-particle autocorrelation from a deterministic weighted grid.
 
-    Gauss-Legendre nodes in z weighted by the equilibrium density and
-    Gauss-Hermite nodes in p replace the Monte-Carlo average over initial
-    conditions; the flow itself is the same integrator.  Nodes whose weight
-    is below `weight_cut` of the maximum sit deep in the wall layer, carry
-    no measurable probability, and are dropped so they cannot dominate the
+    Gauss-Legendre nodes in z weighted by the equilibrium density and a
+    uniform midpoint grid over |p| <= 7 sigma weighted by the Gaussian
+    replace the Monte-Carlo average over initial conditions; the flow
+    itself is the same integrator.  Nodes whose weight is below
+    `weight_cut` of the maximum sit deep in the wall layer, carry no
+    measurable probability, and are dropped so they cannot dominate the
     step-size requirement.
 
-    Valid for t <= 2 at the reference parameters (beta = delta = 1,
-    L = 10), where it agrees with an orbit-by-orbit quadrature to 6e-6;
-    both callers stop at 2 t0.  Past that the default 64-node
-    Gauss-Hermite rule in p drifts: it puts the zero crossing t* = 2.5956
-    5.5e-4 late, the node count moves it (2.59314 at 32 nodes, 2.59547 at
-    256), and hermegauss overflows at 512 nodes.
+    At beta = delta = 1, h = 1e-3 and L = 10 (20) the defaults put the
+    first zero t* of C within 5e-5 of the orbit-by-orbit quadrature's
+    2.59560 (5.75079).
     """
     from gasrelax.dynamics import IntegratorConfig
     from gasrelax.gibbs import build_marginal
@@ -624,9 +622,9 @@ def quadrature_autocorr_n1(params, h, t_end, n_times, n_z=256, n_p=64,
     x, wz = leggauss(n_z)
     z_nodes = 0.5 * params.box_side * x
     wz = wz * 0.5 * params.box_side * density(marginal, z_nodes)
-    xp, wp = hermegauss(n_p)
-    p_nodes = xp * math.sqrt(params.mass) / math.sqrt(params.beta)
-    wp = wp / math.sqrt(2.0 * math.pi)
+    sigma = math.sqrt(params.mass) / math.sqrt(params.beta)
+    p_nodes = sigma * 7.0 * ((2.0 * np.arange(n_p) + 1.0) / n_p - 1.0)
+    wp = np.exp(-0.5 * (p_nodes / sigma) ** 2)
     z0 = np.repeat(z_nodes, n_p)
     p0 = np.tile(p_nodes, n_z)
     w = (wz[:, None] * wp[None, :]).ravel()
@@ -634,9 +632,48 @@ def quadrature_autocorr_n1(params, h, t_end, n_times, n_z=256, n_p=64,
     z0, p0, w = z0[keep], p0[keep], w[keep]
 
     config = IntegratorConfig(dt=dt, t_end=t_end, energy_drift_tol=drift_tol)
-    times, dt_run, spr = _records_grid(config, n_times)
+    times, dt_run, spr = _records_grid(config.dt, config.t_end, n_times)
     b_rec, _ = _evolve_batch(z0[:, None].copy(), p0[:, None].copy(),
                              replace(params, field=h), dt_run, spr, n_times,
                              drift_tol, config.wall_guard)
     c = (b_rec * (w * p0)[None, :]).sum(axis=1) / w.sum()
     return times, c
+
+
+def c1_hard_wall(t, l_eff, beta, mass, n_p=100_001):
+    """Single-particle C(t) = E[p(t) p(0)] in a hard box of length l_eff.
+
+    A free particle between hard walls keeps |p|; its p(t) p(0), averaged
+    over its uniform position, is p^2 R(|p| t / (m l_eff)) with the triangle
+    wave R(x) = 1 - 4 dist(x / 2, Z).  The average over p ~ N(0, m / beta)
+    is the trapezoid rule on n_p nodes over 0 <= p <= 12 sigma, doubled.
+    """
+    sigma = math.sqrt(mass / beta)
+    p = np.linspace(0.0, 12.0 * sigma, n_p)
+    half = 0.5 * p * t / (mass * l_eff)
+    f = p * p * (1.0 - 4.0 * np.abs(half - np.round(half))) \
+        * np.exp(-0.5 * (p / sigma) ** 2)
+    trapezoid = (p[1] - p[0]) * (f.sum() - 0.5 * (f[0] + f[-1]))
+    return 2.0 * trapezoid / (math.sqrt(2.0 * math.pi) * sigma)
+
+
+def first_zero(f, a, b, rounds=60):
+    """The zero of f in [a, b], where f(a) >= 0 > f(b), by bisection."""
+    assert f(a) >= 0.0 > f(b)
+    for _ in range(rounds):
+        mid = 0.5 * (a + b)
+        if f(mid) >= 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def first_zero_of_records(times, c):
+    """The first zero of a smooth curve sampled at uniform record times:
+    the cubic through the four records around its first sign change, from
+    >= 0 to < 0, solved by bisection between the middle two."""
+    k = int(np.flatnonzero((c[:-1] >= 0.0) & (c[1:] < 0.0))[0])
+    assert 1 <= k <= len(c) - 3
+    cubic = np.polynomial.Polynomial.fit(times[k - 1:k + 3], c[k - 1:k + 3], 3)
+    return first_zero(cubic, times[k], times[k + 1])

@@ -43,6 +43,15 @@ SWEEP = [ModelParams(1, beta, delta, box)
 # plus the edge where (beta*delta)^(1/12) equals box_side/3 exactly
 SWEEP_EDGE = SWEEP + [ModelParams(1, 1.0, (10.0 / 3.0) ** 12, 10.0)]
 
+# criterion 8, per box side L at beta = delta = 1, h = 1e-3: the record
+# window, the first zero t* of the single-particle C(t) and C(2.5) by an
+# orbit-by-orbit quadrature with no time step, and the gap, in percent, by
+# which the hard-wall law at L - 2 falls short of t*
+SINGLE_PARTICLE = {10.0: (2.7, 2.59560, 0.036619, 2.73),
+                   20.0: (6.0, 5.75079, None, 1.22)}
+# the first zero of the hard-wall C(t) in units of l_eff * sqrt(beta * m)
+KAPPA = 0.31558
+
 
 def _verdict(name: str, ok: bool, detail: str) -> str:
     line = f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'} ({detail})"
@@ -66,7 +75,7 @@ def displacement_run(reference_run):
     marginal1 = build_marginal(REF, tilted=True)
     estimates = displacement_norms(REF, times, n_traj=10000, seed=SEED + 1,
                                    config=config, marginal=marginal1)
-    b1 = norm0_B_mc(REF, 20000, philox_key(SEED, 501), 20000 * 64 // 4)
+    b1 = norm0_B_mc(REF, 20000, philox_key(SEED, 501))
     return times, estimates, b1
 
 
@@ -225,4 +234,34 @@ def test_criterion_7_deterministic_oracle_matches_mc():
     line = _verdict(
         "7 (quadrature oracle vs MC)", ok,
         f"8 grid times, max deviation {float(np.max(np.abs(devs))):.2f} sigma")
+    assert ok, line
+
+
+@pytest.mark.parametrize("box", sorted(SINGLE_PARTICLE))
+def test_criterion_8_single_particle_zero(box):
+    # C(t) of one particle by the kernel's flow from a deterministic grid of
+    # initial conditions; t* from the cubic through the records around its
+    # first sign change
+    t_end, t_star_ref, c_ref, gap_ref = SINGLE_PARTICLE[box]
+    params = ModelParams(1, 1.0, 1.0, box, field=1e-3)
+    times, c1 = helpers.quadrature_autocorr_n1(params, params.field, t_end,
+                                               n_times=round(10 * t_end) + 1)
+    t_star = helpers.first_zero_of_records(times, c1)
+    ok = abs(t_star - t_star_ref) <= 1e-4
+    detail = (f"L = {box:g}: t* = {t_star:.6f}, t*/t0 = "
+              f"{t_star / t_relax_lower(params):.2f}")
+    if c_ref is not None:
+        k = int(np.argmin(np.abs(times - 2.5)))
+        assert abs(times[k] - 2.5) <= 1e-12
+        ok = ok and abs(c1[k] - c_ref) <= 1e-5
+        detail += f", c1(2.5) = {c1[k]:.7f}"
+    l_eff = box - 2.0
+    t_hw = helpers.first_zero(
+        lambda t: helpers.c1_hard_wall(t, l_eff, 1.0, 1.0), 0.0, t_star)
+    gap = 100.0 * (1.0 - t_hw / t_star)
+    ok = (ok and abs(t_hw / l_eff - KAPPA) <= 5e-6
+          and abs(gap - gap_ref) <= 0.05)
+    line = _verdict("8 (single-particle t*)", ok,
+                    f"{detail}, hard-wall t*(L - 2) = {t_hw:.5f}, "
+                    f"{gap:.3f} % short")
     assert ok, line

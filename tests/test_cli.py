@@ -554,6 +554,21 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == (
             "runtime error: out of memory: Unable to allocate 763. GiB\n")
 
+    def test_a_step_above_t0_is_shrunk_not_refused(self, tmp_path):
+        # dt = 0.2 lies below t_end = 2 t0 = 0.259 but above t0 = 0.129,
+        # where the displacement ensemble ends; it shrinks dt as the
+        # autocorrelation ensemble does, and curve_check fails as at the
+        # reference
+        config = Path(__file__).resolve().parents[1] / "configs" / \
+            "reference.cfg"
+        code, out, err = _run_quietly([
+            "simulate", "--config", str(config), "--dt", "0.2",
+            "--energy_drift_tol", "0.1", "--n_traj", "16",
+            "--output_dir", str(tmp_path)])
+        assert (code, err) == (EXIT_RUNTIME, "")
+        assert "FAIL curve_check" in out
+        assert (tmp_path / "relaxation_report.json").exists()
+
     def test_quick_campaign(self, tmp_path, capsys):
         path = write_config(tmp_path, output_dir=str(tmp_path))
         code = main(["simulate", "--config", path])

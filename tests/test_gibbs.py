@@ -526,7 +526,7 @@ class TestNorms:
 
     def test_norm0_mc_of_B_matches_gaussian_moment(self, ref_params):
         # E[B^2] = N * Var(p) = N / beta exactly
-        est = norm0_B_mc(ref_params, 20000, philox_key(7, 0), 20000 * 64 // 4)
+        est = norm0_B_mc(ref_params, 20000, philox_key(7, 0))
         exact = math.sqrt(ref_params.n_particles / ref_params.beta)
         assert abs(est.value - exact) <= 3.0 * est.std_error
 
@@ -621,16 +621,17 @@ class TestNorms:
         assert np.array_equal(whole, split)
 
     @pytest.mark.parametrize("n, n_samples, beta", [
-        (64, 20000, 1.0), (7, 20000, 1.0), (300, 1000, 1.0), (64, 1000, 0.3)],
-        ids=["64-20000", "7-20000", "300-1000", "64-1000-beta0.3"])
+        (64, 20000, 1.0), (7, 20000, 1.0), (300, 1000, 1.0), (64, 1000, 0.3),
+        (1, 101, 1.0), (5, 102, 1.0), (7, 101, 1.0)],
+        ids=["64-20000", "7-20000", "300-1000", "64-1000-beta0.3", "1-101",
+             "5-102", "7-101"])
     def test_momenta_blocks_equal_one_batch(self, n, n_samples, beta):
-        # momenta drawn and summed a row at a time, from the start counter
-        # past the heights of a whole batch (4 values per counter value),
-        # give the bits of that batch's norm of B
+        # momenta drawn and summed a row at a time, past the heights of a
+        # whole batch, give the bits of that batch's norm of B; the heights
+        # end 0, 0, 0, 0, 1, 2 and 3 values into a Philox block of 4
         params = ModelParams(n, beta, 1.0, 10.0, field=1e-3, mass=2.0)
         marginal = build_marginal(params, grid_size=256, tilted=True)
-        est = norm0_B_mc(params, n_samples, philox_key(28, n),
-                         n_samples * n // 4)
+        est = norm0_B_mc(params, n_samples, philox_key(28, n))
         _assert_same_estimate(est, helpers.norm0_mc_one_batch(
             observable_B, marginal, n_samples, substream(28, n)))
         assert est.which_measure == "rho1"
@@ -639,7 +640,7 @@ class TestNorms:
         # 20000 states of 64 momenta are 10.2 MB; the kernel draws one row
         # at a time, so the values are all that the norm allocates
         def run():
-            return norm0_B_mc(ref_params, 20000, philox_key(29, 0), 0)
+            return norm0_B_mc(ref_params, 20000, philox_key(29, 0))
 
         run()
         _, peak = helpers.traced_peak(run)
@@ -681,7 +682,7 @@ class TestNorms:
         with pytest.raises(ValueError):
             norm0_mc(ref_marginal, 50, philox_key(8, 0))
         with pytest.raises(ValueError):
-            norm0_B_mc(ref_params, 50, philox_key(8, 0), 0)
+            norm0_B_mc(ref_params, 50, philox_key(8, 0))
 
     def test_norm0_mc_rejects_a_malformed_key(self, ref_marginal):
         with pytest.raises(ValueError, match="key"):
@@ -904,9 +905,8 @@ class TestNormEquivalence:
         for i, h in enumerate((1e-1, 1e-2, 1e-3)):
             params = ModelParams(16, 1.0, 1.0, 10.0, field=h)
             est0 = norm0_B_mc(dataclasses.replace(params, field=0.0), 20000,
-                              philox_key(12, 2 * i), 20000 * 16 // 4)
-            est1 = norm0_B_mc(params, 20000, philox_key(12, 2 * i + 1),
-                              20000 * 16 // 4)
+                              philox_key(12, 2 * i))
+            est1 = norm0_B_mc(params, 20000, philox_key(12, 2 * i + 1))
             diff = est1.value ** 2 - est0.value ** 2
             sigma = 2.0 * math.hypot(est1.value * est1.std_error,
                                      est0.value * est0.std_error)

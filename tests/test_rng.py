@@ -6,9 +6,8 @@ from gasrelax.rng import philox_key, substream
 
 
 def _skip(rng, count):
-    # skips count doubles as the start counter that make_relaxation_report
-    # gives norm0_B_mc does: whole Philox counter values of 4 doubles each
-    # (there count = 20000 N is a multiple of 4), then the rest drawn
+    # skips count doubles as norm0_B_mc skips a batch's heights: whole
+    # Philox counter values of 4 doubles each, then the rest drawn
     rng.bit_generator.advance(count // 4)
     rng.bit_generator.random_raw(count % 4)
     return rng
