@@ -436,13 +436,13 @@ def norm0_B_mc(params: ModelParams, n_samples: int,
     """
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
-    heights = n_samples * params.n_particles
-    state = philox_state(key, heights // 4)
+    block, spent = divmod(n_samples * params.n_particles, 4)
+    state = philox_state(key, block)
     values = np.empty(n_samples)
     row = np.empty(params.n_particles)
-    lib = _kernel.library()
-    lib.philox_uniforms(state.ctypes.data, values.ctypes.data, heights % 4)
-    lib.sampled_momentum_sums(
+    _kernel.library().philox_uniforms(
+        state.ctypes.data, values.ctypes.data, spent)
+    _kernel.library().sampled_momentum_sums(
         state.ctypes.data, values.ctypes.data, n_samples, params.n_particles,
         params.mass, params.beta, row.ctypes.data)
     return NormEstimate.from_values(values, _measure(params.field))

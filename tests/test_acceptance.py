@@ -22,7 +22,9 @@ import pytest
 import helpers
 from gasrelax.bounds import (PhysicalUnits, constant_c, eta_analytic,
                              t0_physical, t_relax_lower)
-from gasrelax.dynamics import IntegratorConfig, autocorr_B, displacement_norms
+from gasrelax.dynamics import (IntegratorConfig, autocorr_B,
+                               displacement_norms, _CURVE_K, _DISPLACEMENT_K,
+                               _ETA_MARGIN, _POSITIVITY_K)
 from gasrelax.gibbs import (build_marginal, gamma_h, gamma_tilde_h,
                             hoelder_certificate, norm0_B_closed, norm0_B_mc,
                             norm0_mc, norm0_poisson_B_H0_quadrature)
@@ -168,11 +170,11 @@ def test_criterion_5b_positivity_window(reference_run):
     window = series.times <= t0 + 1e-12
     c = series.c_values[window]
     err = series.std_errors[window]
-    ok = bool(np.all(c - 2.0 * err > 0.0))
+    ok = bool(np.all(c - _POSITIVITY_K * err > 0.0))
     line = _verdict(
         "5b (kernel positive up to t0)", ok,
-        f"{window.sum()} grid times, min(C - 2 sigma) = "
-        f"{float(np.min(c - 2.0 * err)):.4f}")
+        f"{window.sum()} grid times, min(C - {_POSITIVITY_K:g} sigma) = "
+        f"{float(np.min(c - _POSITIVITY_K * err)):.4f}")
     assert ok, line
 
 
@@ -185,7 +187,7 @@ def test_criterion_5c_bound_curve(reference_run):
     eta = eta_analytic(REF)
     curve = (bh * helpers.norm0_B_sq_exact(REF)
              * (1.0 - 0.5 * eta * eta * t_win * t_win))
-    slack = 3.0 * bh * series.std_errors[window]
+    slack = _CURVE_K * bh * series.std_errors[window]
     violations = kernel < curve - slack
     ok = not bool(np.any(violations))
     first = float(t_win[np.argmax(violations)]) if violations.any() else None
@@ -203,8 +205,9 @@ def test_criterion_5d_displacement_bound(displacement_run):
     ok = True
     details = []
     for t, est in zip(times, estimates):
-        bound = 1.05 * eta * t * b1.value
-        slack = 3.0 * (est.std_error + 1.05 * eta * t * b1.std_error)
+        bound = (1.0 + _ETA_MARGIN) * eta * t * b1.value
+        slack = _DISPLACEMENT_K * (
+            est.std_error + (1.0 + _ETA_MARGIN) * eta * t * b1.std_error)
         ok = ok and est.value <= bound + slack
         details.append(f"t={t:.4f}: {est.value:.3f} <= {bound:.3f}")
     line = _verdict("5d (displacement bound)", ok, "; ".join(details))

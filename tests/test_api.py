@@ -172,13 +172,18 @@ def test_no_kernel_pointer_outlives_its_array():
 
 
 def _formed_kernel_arguments(source, helpers):
-    """The arguments of each `_kernel.library().<entry>(...)` call in source
-    that hold arithmetic or a call of one of the functions named in
-    helpers, as source text."""
+    """The arguments of each `_kernel.library().<entry>(...)` call in source,
+    also through a name bound to `_kernel.library()`, that hold arithmetic
+    or a call of one of the functions named in helpers, as source text."""
+    tree = ast.parse(source)
+    library = {"_kernel.library()"} | {
+        target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+        and ast.unparse(node.value) == "_kernel.library()"
+        for target in node.targets if isinstance(target, ast.Name)}
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and ast.unparse(node.func.value) == "_kernel.library()"):
+                and ast.unparse(node.func.value) in library):
             found.extend(
                 ast.unparse(arg) for arg in node.args
                 if any(isinstance(sub, ast.BinOp)
@@ -190,11 +195,14 @@ def _formed_kernel_arguments(source, helpers):
 
 def test_the_kernel_forms_its_own_coefficients():
     # the kernel takes the model's parameters as they are and forms dt/2,
-    # dt/m, sqrt(m)/sqrt(beta) and the guard itself, so each is stated once
+    # dt/m, sqrt(m)/sqrt(beta) and the guard itself, so each is stated once;
+    # a stream position is not a coefficient, and norm0_B_mc splits its
+    # start into a Philox block and the values spent in it before any call
     assert _formed_kernel_arguments(
         "_kernel.library().f(a.ctypes.data, 0.5 * dt, g(p), -x, p.mass,\n"
-        "                    *m._tables())\nh(0.5 * dt)\n", {"g"}
-    ) == ["0.5 * dt", "g(p)"]
+        "                    *m._tables())\nh(0.5 * dt)\n"
+        "lib = _kernel.library()\nlib.f(n % 4, n)\n", {"g"}
+    ) == ["0.5 * dt", "g(p)", "n % 4"]
     sources = {path.name: path.read_text()
                for path in (ROOT / "src" / "gasrelax").glob("*.py")}
     helpers = {node.name for source in sources.values()

@@ -13,6 +13,7 @@ from gasrelax.dynamics import (CorrelationSeries, EnergyDriftError,
                                IntegratorConfig, WallBreachError, autocorr_B,
                                displacement_norms, empirical_relax_time,
                                lower_bound_curve, make_relaxation_report,
+                               _DISPLACEMENT_K, _ETA_MARGIN, _POSITIVITY_K,
                                _evolve_batch, _records_grid)
 from gasrelax.gibbs import build_marginal, norm0_B_mc, sample_batch
 from gasrelax.model import ModelParams
@@ -347,8 +348,9 @@ class TestDisplacement:
                                   seed=41, config=config, marginal=marginal1)
         b1 = norm0_B_mc(self.PARAMS, 5000, philox_key(41, 99))
         for t, est in zip([0.5 * t0, t0], ests):
-            bound = 1.05 * eta * t * b1.value
-            slack = 3.0 * (est.std_error + 1.05 * eta * t * b1.std_error)
+            bound = (1.0 + _ETA_MARGIN) * eta * t * b1.value
+            slack = _DISPLACEMENT_K * (
+                est.std_error + (1.0 + _ETA_MARGIN) * eta * t * b1.std_error)
             assert est.value <= bound + slack
 
     @pytest.mark.parametrize("times", [[0.0], [0.0, 0.1]],
@@ -449,7 +451,8 @@ class TestRelaxationReport:
         report, series = make_relaxation_report(params, config, n_traj=64,
                                                 seed=42, n_times=4)
         assert series.times[-1] < t0
-        assert np.all(series.c_values - 2.0 * series.std_errors > 0.0)
+        assert np.all(series.c_values - _POSITIVITY_K * series.std_errors
+                      > 0.0)
         assert not report.positivity_ok
         assert not report.curve_check
         assert report.displacement_ok
