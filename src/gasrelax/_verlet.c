@@ -250,26 +250,28 @@ const ptrdiff_t verlet_block = VERLET_BLOCK;
  * initial state.  If some initial |z| is not below wall_guard * half (NaN
  * included), 0 is returned and nothing is written.
  *
- * The rows run in blocks of at most VERLET_BLOCK values, each block through
- * every record before the next starts.  A row longer than that is a block
- * of its own, stepped VERLET_BLOCK values at a time, each part from the
- * force at its z (the same bits as the force kept from its last step).  A
- * block stops after the step that breaches the guard (see advance), and
- * later blocks stop before that record.  Returns the first record whose
- * steps breached in any block, n_records if none did: every row's records
- * below it are written, the later ones not.
+ * Whole rows of at most VERLET_BLOCK values are one block, and a row
+ * longer than that is a block of its own, whose force is held in scratch,
+ * which has room for n values (sampled_force_sums' rule for its heights).
+ * Each block runs through every record before the next starts, one advance
+ * call per record.  A block stops after the step that breaches the guard
+ * (see advance), and later blocks stop before that record.  Returns the
+ * first record whose steps breached in any block, n_records if none did:
+ * every row's records below it are written, the later ones not.
  */
 KERNEL ptrdiff_t verlet_records(double *restrict z, double *restrict p,
                                 ptrdiff_t rows, ptrdiff_t n,
+                                double *restrict scratch,
                                 ptrdiff_t n_records, ptrdiff_t steps,
                                 double dt, double mass, double half,
                                 double delta, double h, double wall_guard,
                                 double *restrict b, double *restrict e)
 {
-    double f[VERLET_BLOCK];
+    double buf[VERLET_BLOCK];
+    double *f = n <= VERLET_BLOCK ? buf : scratch;
     double half_dt = 0.5 * dt, dt_over_m = dt / mass, half_over_m = 0.5 / mass;
     double guard = wall_guard * half, c12 = 12.0 * delta;
-    ptrdiff_t per_block = n < VERLET_BLOCK ? VERLET_BLOCK / n : 1;
+    ptrdiff_t per_block = n <= VERLET_BLOCK ? VERLET_BLOCK / n : 1;
     ptrdiff_t end = n_records;
 
     for (ptrdiff_t i = 0; i < rows * n; i++)
@@ -278,23 +280,13 @@ KERNEL ptrdiff_t verlet_records(double *restrict z, double *restrict p,
 
     for (ptrdiff_t r0 = 0; r0 < rows; r0 += per_block) {
         ptrdiff_t nr = rows - r0 < per_block ? rows - r0 : per_block;
-        ptrdiff_t len = nr * n;
-        int split = len > VERLET_BLOCK;
         double *zb = z + r0 * n, *pb = p + r0 * n;
 
-        if (!split)
-            forces(zb, f, len, half, c12, h);
+        forces(zb, f, nr * n, half, c12, h);
         record(zb, pb, nr, n, half, delta, h, half_over_m, b + r0, e + r0);
         for (ptrdiff_t rec = 1; rec < end; rec++) {
-            int breach = 0;
-            for (ptrdiff_t s0 = 0; s0 < len && !breach; s0 += VERLET_BLOCK) {
-                ptrdiff_t m = len - s0 < VERLET_BLOCK ? len - s0 : VERLET_BLOCK;
-                if (split)
-                    forces(zb + s0, f, m, half, c12, h);
-                breach = advance(zb + s0, pb + s0, f, m, steps, half_dt,
-                                 dt_over_m, half, c12, h, guard);
-            }
-            if (breach) {
+            if (advance(zb, pb, f, nr * n, steps, half_dt, dt_over_m, half,
+                        c12, h, guard)) {
                 end = rec;
                 break;
             }

@@ -134,12 +134,15 @@ def _evolve_batch(z, p, params: ModelParams, dt: float,
     z and p are C-contiguous float64 arrays.  Returns (b_records of shape
     (n_records, rows), max relative H1 drift).  One call of the C kernel
     `verlet_records` runs the whole trajectory: an initial state beyond the
-    guard raises WallBreachError at record 0; else blocks of whole rows step
-    through every record, and at each record it writes every row's B and H1,
-    with NumPy's row sums.  The drift monitor then reads the energies of the
-    records below the first breach.  A drift beyond energy_tol at such a
-    record raises EnergyDriftError at the first one; otherwise a breach
-    raises WallBreachError at its record.
+    guard raises WallBreachError at record 0; else each block steps through
+    every record, and at each record it writes every row's B and H1, with
+    NumPy's row sums.  A block is whole rows of at most the kernel's 512
+    values, or one longer row, whose force the kernel keeps in a scratch
+    array of N values, as `sampled_force_sums` keeps a long row's heights.
+    The drift monitor then reads the energies of the records below the
+    first breach.  A drift beyond energy_tol at such a record raises
+    EnergyDriftError at the first one; otherwise a breach raises
+    WallBreachError at its record.
     """
     for a in (z, p):
         if not (a.dtype == np.float64 and a.ndim == 2 and a.flags.c_contiguous
@@ -151,10 +154,12 @@ def _evolve_batch(z, p, params: ModelParams, dt: float,
     rows, n = z.shape
     b_rec = np.empty((n_records, rows))
     e_rec = np.empty((n_records, rows))
+    scratch = np.empty(n)
     end = _kernel.library().verlet_records(
-        z.ctypes.data, p.ctypes.data, rows, n, n_records, steps_per_record,
-        dt, params.mass, params.half_box, params.delta_wall, params.field,
-        wall_guard, b_rec.ctypes.data, e_rec.ctypes.data)
+        z.ctypes.data, p.ctypes.data, rows, n, scratch.ctypes.data,
+        n_records, steps_per_record, dt, params.mass, params.half_box,
+        params.delta_wall, params.field, wall_guard, b_rec.ctypes.data,
+        e_rec.ctypes.data)
     if end == 0:
         raise WallBreachError(
             f"particle beyond {wall_guard:g} of the half-box at record 0")

@@ -487,10 +487,11 @@ def kernel_records(z, p, params, h, dt, steps_per_record, n_records,
     rows, n = z.shape
     b = np.full((n_records, rows), np.nan)
     e = np.full((n_records, rows), np.nan)
+    scratch = np.empty(n)
     end = _kernel.library().verlet_records(
-        z.ctypes.data, p.ctypes.data, rows, n, n_records, steps_per_record,
-        dt, params.mass, params.half_box, params.delta_wall, h, wall_guard,
-        b.ctypes.data, e.ctypes.data)
+        z.ctypes.data, p.ctypes.data, rows, n, scratch.ctypes.data, n_records,
+        steps_per_record, dt, params.mass, params.half_box, params.delta_wall,
+        h, wall_guard, b.ctypes.data, e.ctypes.data)
     return end, b, e, z, p
 
 

@@ -96,18 +96,20 @@ def nan_empty(monkeypatch):
     monkeypatch.setattr(dynamics, "np", NaNEmpty())
 
 
-# every pairwise branch (< 8, 8 accumulators, remainder, splits), and rows
-# beyond one block
-RECORD_N = [1, 7, 8, 9, 64, 65, 129, 600]
+# every pairwise branch (< 8, 8 accumulators, remainder, splits), a row of
+# exactly one block, and rows beyond one block, whose force the kernel keeps
+# in the caller's scratch
+RECORD_N = [1, 7, 8, 9, 64, 65, 129, 512, 600, 1024]
 RECORD_ROWS = [1, 37, 1027]
 
 
 class TestVerletRecords:
     def test_cases_cover_partial_and_long_blocks(self):
         block = _block()
+        assert block in RECORD_N and 2 * block in RECORD_N
         assert max(RECORD_N) > block
         for n in RECORD_N:
-            if n <= block:
+            if n < block:
                 # the last block of 37 or 1027 rows is not full
                 assert 37 % (block // n) and 1027 % (block // n), n
 
@@ -135,6 +137,31 @@ class TestVerletRecords:
         for rec, (zz, pp) in ((0, (z, p)), (3, (z_ref, p_ref))):
             want = helpers.hamiltonian_reference(zz, pp, params, 1e-3)
             assert np.array_equal(_bits(e[rec]), _bits(want))
+
+    def test_a_long_row_stops_as_one_block(self):
+        # one row of 600 values is one block.  Its particle at -3 with
+        # momentum 8, among the last 88 values, breaches at a step before
+        # the last of its record, and every particle of the row stops there.
+        n, steps = 600, 3
+        params = ModelParams(n, 1.0, 1.0, 10.0)
+        rng = np.random.default_rng(29)
+        z = rng.uniform(-2.0, 2.0, (1, n))
+        p = rng.normal(0.0, 0.3, (1, n))
+        z[0, 550], p[0, 550] = -3.0, 8.0
+        ours, ref = _both_raise(z, p, params, 0.1, steps, 20, 1e300, 0.999)
+        assert ours == ref
+        end, _, _, z_row, p_row = helpers.kernel_records(z, p, params, 0.0,
+                                                         0.1, steps, 20)
+        assert ref.endswith(f"at record {end}; reduce dt")
+        # the particles are independent: as N = 1 rows with one step per
+        # record, the breach record is the breaching particle's step count
+        k, _, _, _, _ = helpers.kernel_records(z.T, p.T, params, 0.0, 0.1, 1,
+                                               20 * steps)
+        assert (end - 1) * steps < k < end * steps
+        _, _, _, z_one, p_one = helpers.kernel_records(z.T, p.T, params, 0.0,
+                                                       0.1, 1, k + 1)
+        assert np.array_equal(_bits(z_row.T), _bits(z_one))
+        assert np.array_equal(_bits(p_row.T), _bits(p_one))
 
     # 300 rows of 4 particles are three blocks; rows at rest at the centre
     # stay there (h = 0) with zero drift.  With dt = 0.1 the particle at -3
