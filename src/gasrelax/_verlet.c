@@ -1,12 +1,13 @@
 /* The wall potential and force with their per-row sums, the weighted sums
  * of the quadrature panels, the velocity-Verlet trajectory with its energy
- * records, the inverse CDF of the wall marginal, and NumPy's Philox stream
- * with the states it samples and their force and momentum sums, in
- * gasrelax.
+ * records, the inverse CDF of the wall marginal with the guide table it
+ * reads, and NumPy's Philox stream with the states it samples and their
+ * force and momentum sums, in gasrelax.
  *
  * Each job has one body, which the other entries call: wall_sums owns the
- * wall and its row sums, philox_uniforms the stream's doubles, inverse_cdf
- * the heights they give, verlet_records the trajectory and
+ * wall and its row sums, philox_uniforms the stream's doubles, guide_table
+ * the brackets the inverse CDF starts from, inverse_cdf the heights the
+ * doubles give, verlet_records the trajectory and
  * sampled_momentum_sums the momentum sums.  Each entry takes the model's
  * parameters as they are and forms its own coefficients: 12 delta, dt/2,
  * dt/m, 1/2m, sqrt(m)/sqrt(beta) and the guard.  Each entry's prototype,
@@ -315,16 +316,33 @@ static inline double hermite(double t, double y0, double m0, double y1,
         + (-2.0 * t3 + 3.0 * t2) * y1 + (t3 - t2) * m1;
 }
 
+/* guide[j] = the bracket of the left edge j / cells of cell j of u, for
+ * j < cells: the last i <= k - 2 with inv_u[i] <= j / cells, 0 if there is
+ * none.  One merge pass over the k >= 2 knots, which for increasing knots
+ * gives what a binary search does; any knots give a bracket in [0, k - 2].
+ */
+KERNEL void guide_table(const double *restrict inv_u, ptrdiff_t k,
+                        int32_t *restrict guide, ptrdiff_t cells)
+{
+    double width = (double)cells;
+    ptrdiff_t i = 0;
+    for (ptrdiff_t j = 0; j < cells; j++) {
+        double edge = (double)j / width;
+        while (i < k - 2 && inv_u[i + 1] <= edge)
+            i++;
+        guide[j] = (int32_t)i;
+    }
+}
+
 /* The monotone-cubic inverse of the CDF knots (inv_u, inv_z) with tangents
  * inv_m at u[i], into out[i], for i < n; out may be u itself.
  *
- * guide[j] is the bracket of the left edge j / cells of cell j, so the
- * bracket of a u in [j, j+1) / cells is guide[j] stepped up past every knot
- * inv_u[i + 1] <= u, as long as i < k - 2: a step for each knot inside the
- * cell, at most k / cells on average; a u below 0 or NaN starts from cell 0,
- * one of 1 or more from the last.  Every value is the one a binary search
- * gives (for a NaN, NaN).  Each chunk is copied and bracketed in one pass,
- * then interpolated.
+ * guide is guide_table's of the knots, so the bracket of a u in [j, j+1) /
+ * cells is guide[j] stepped up past every knot inv_u[i + 1] <= u, as long
+ * as i < k - 2: a step for each knot inside the cell, at most k / cells on
+ * average; a u below 0 or NaN starts from cell 0, one of 1 or more from the
+ * last.  Every value is the one a binary search gives (for a NaN, NaN).
+ * Each chunk is copied and bracketed in one pass, then interpolated.
  */
 KERNEL void inverse_cdf(const double *u, double *out, ptrdiff_t n,
                         const double *restrict inv_u,

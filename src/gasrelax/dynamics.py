@@ -165,8 +165,9 @@ def _evolve_batch(z, p, params: ModelParams, dt: float,
             f"particle beyond {wall_guard:g} of the half-box at record 0")
 
     # the drift of each record below the first breach, formed in place over
-    # those records; a NaN drift fails too
-    e_scale = np.maximum(np.abs(e_rec[0]), 1e-30)
+    # those records; a NaN drift fails too.  The floor guards an exact zero
+    # alone, so the drift is the same in any energy unit
+    e_scale = np.maximum(np.abs(e_rec[0]), np.finfo(float).tiny)
     later = e_rec[1:end]
     np.subtract(later, e_rec[0], out=later)
     np.abs(later, out=later)
@@ -395,7 +396,8 @@ def make_relaxation_report(params: ModelParams, config: IntegratorConfig,
     series = autocorr_B(params, config, n_traj, seed, marginal=marginal0,
                         n_times=n_times, n_workers=n_workers)
 
-    window = series.times <= t0 + 1e-12
+    # relative to t0, so the window is the same in any time unit
+    window = series.times <= t0 * (1.0 + 1e-12)
     c_win = series.c_values[window]
     e_win = series.std_errors[window]
     positivity_ok = bool(np.all(c_win - _POSITIVITY_K * e_win > 0.0))

@@ -11,13 +11,15 @@ monotone-cubic inverse; naive rejection would accept with probability
 z_tilde / L, which degrades for strong walls and is kept only as a test
 oracle.  The lookup runs in the C kernel (`_verlet.c`) and is a guide-table
 (indexed) search: 2^16 equal cells of u in [0, 1) each store the CDF
-bracket of their left edge, so a draw finds its bracket with one gather and
-a step past each knot that lies in its cell (about 2.6 % of the cells on the
-reference grid hold one); a u below 0 or NaN starts from the first cell,
-and one of 1 or more from the last.  The kernel works through the values in
-chunks of a few hundred, so it needs no temporaries beyond the stack, and it
-may write over its input.  Every drawn value is bitwise what a binary search
-over the whole batch and the NumPy cubic give.
+bracket of their left edge, which the kernel finds for every cell in one
+merge pass over the marginal's own knots when the marginal is made.  A draw
+finds its bracket with one gather and a step past each knot that lies in
+its cell (about 2.6 % of the cells on the reference grid hold one); a u
+below 0 or NaN starts from the first cell, and one of 1 or more from the
+last.  The kernel works through the values in chunks of a few hundred, so
+it needs no temporaries beyond the stack, and it may write over its input.
+Every drawn value is bitwise what a binary search over the whole batch and
+the NumPy cubic give.
 
 States are drawn in the C kernel from NumPy's Philox stream, given by its
 key and start counter (rng.philox_state), which the kernel reads once, in
@@ -80,9 +82,6 @@ _LOG_FLOOR = -745.0
 # cells of the inverse-CDF guide table over u in [0, 1); a power of two, so
 # u * _GUIDE_CELLS is exact and its floor is the cell that holds u
 _GUIDE_CELLS = 1 << 16
-# cell edges per searchsorted call of _guide_table: its edges, their
-# indices and brackets (48 KiB) stay under a fifth of the int32 table
-_GUIDE_CHUNK = 1 << 11
 
 # the fewest and the most cells of a CDF table; the guide table holds
 # bracket indices below grid_size as int32
@@ -215,8 +214,10 @@ class WallMarginal:
     their monotone-cubic inverse tangents support vectorized inverse-CDF
     draws.  `_guide` holds, for each of the _GUIDE_CELLS equal cells of u,
     the index of the CDF bracket containing the cell's left edge; the
-    kernel steps up from it past any knot inside the cell.  `_log_mgf`
-    keeps the values of log_mgf_z already evaluated on this marginal.
+    kernel steps up from it past any knot inside the cell.  It is not an
+    argument: the kernel's guide_table builds it from the marginal's own
+    knots once they are checked.  `_log_mgf` keeps the values of log_mgf_z
+    already evaluated on this marginal.
     """
 
     params: ModelParams
@@ -226,23 +227,22 @@ class WallMarginal:
     _inv_u: np.ndarray = field(repr=False)
     _inv_z: np.ndarray = field(repr=False)
     _inv_m: np.ndarray = field(repr=False)
-    _guide: np.ndarray = field(repr=False)
+    _guide: np.ndarray = field(init=False, repr=False, compare=False)
     _log_mgf: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
     def __post_init__(self):
-        # the C inverse CDF reads these tables through bare pointers
+        # the C kernels read these tables through bare pointers
         k = self._inv_u.size
         tables = (self._inv_u, self._inv_z, self._inv_m)
         if not (k >= 2
                 and all(a.dtype == np.float64 and a.shape == (k,)
-                        and a.flags.c_contiguous for a in tables)
-                and self._guide.dtype == np.int32
-                and self._guide.shape == (_GUIDE_CELLS,)
-                and self._guide.flags.c_contiguous
-                and 0 <= self._guide.min() and self._guide.max() <= k - 2):
+                        and a.flags.c_contiguous for a in tables)):
             raise ValueError("inverse-CDF tables of inconsistent size or "
                              "layout")
+        self._guide = np.empty(_GUIDE_CELLS, dtype=np.int32)
+        _kernel.library().guide_table(self._inv_u.ctypes.data, k,
+                                      self._guide.ctypes.data, _GUIDE_CELLS)
 
     @property
     def which_measure(self) -> str:
@@ -266,22 +266,6 @@ class WallMarginal:
         return (self._inv_u.ctypes.data, self._inv_z.ctypes.data,
                 self._inv_m.ctypes.data, self._guide.ctypes.data,
                 self._inv_u.size, _GUIDE_CELLS)
-
-
-def _guide_table(inv_u: np.ndarray) -> np.ndarray:
-    """Bracket index of the left edge j / _GUIDE_CELLS of each cell j of u.
-
-    No u of the cell has a lower bracket; one above it lies past a knot
-    inside the cell.  The table is searched _GUIDE_CHUNK edges at a time
-    and finished in place, so it needs no temporary of its own size.
-    """
-    guide = np.empty(_GUIDE_CELLS, dtype=np.int32)
-    for start in range(0, _GUIDE_CELLS, _GUIDE_CHUNK):
-        stop = start + _GUIDE_CHUNK
-        guide[start:stop] = np.searchsorted(
-            inv_u, np.arange(start, stop) / _GUIDE_CELLS, side="right")
-    guide -= 1
-    return np.clip(guide, 0, inv_u.size - 2, out=guide)
 
 
 def _monotone_tangents(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -354,8 +338,7 @@ def build_marginal(params: ModelParams, grid_size: int = 2048,
     inv_m = _monotone_tangents(inv_u, inv_z)
 
     return WallMarginal(params=params, tilt=tilt, z_tilde=z_tilde,
-                        _inv_u=inv_u, _inv_z=inv_z, _inv_m=inv_m,
-                        _guide=_guide_table(inv_u))
+                        _inv_u=inv_u, _inv_z=inv_z, _inv_m=inv_m)
 
 
 def sample_batch(marginal: WallMarginal, rng: np.random.Generator,

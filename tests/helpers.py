@@ -11,7 +11,7 @@ per-panel Kronrod loop (its weighted sums in exact arithmetic, rounded once
 per fused multiply-add), the NumPy state draw (uniforms on the open
 interval and Generator normals), the whole-batch Monte-Carlo norm and the
 blocked norm of any observable are kept here as the references that the C
-kernels, the chunked guide table, the row-chunked bracket, the batched
+kernels, the kernel's guide table, the row-chunked bracket, the batched
 Kronrod pass, the kernel's state draw and the sampled norms must match bit
 for bit; the Philox rounds run backwards plant a 0.0 in the kernel's
 stream.
@@ -167,7 +167,8 @@ def traced_peak(call):
 
 def guide_table_one_shot(inv_u):
     """The guide table of the knots inv_u, searched for every cell edge at
-    once: gibbs._guide_table before it worked in chunks and in place."""
+    once with NumPy: what the kernel's guide_table builds in one merge
+    pass."""
     edges = np.arange(_GUIDE_CELLS) / _GUIDE_CELLS
     return np.clip(np.searchsorted(inv_u, edges, side="right") - 1,
                    0, inv_u.size - 2)

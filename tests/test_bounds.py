@@ -199,6 +199,26 @@ class TestBoundReport:
         }
         assert all(c["passed"] for c in doc["inequality_checks"])
 
+    def test_verdicts_do_not_depend_on_the_units(self):
+        # the reference system with energies 1e25 times larger and smaller:
+        # each check and the sampled eta ratio read the same
+        reports = [build_bound_report(ModelParams(64, beta, delta, 10.0,
+                                                  field=h),
+                                      n_samples=20000, key=philox_key(3, 101))
+                   for beta, delta, h in [(1.0, 1.0, 1e-3),
+                                          (1e-25, 1e25, 1e22),
+                                          (1e25, 1e-25, 1e-28)]]
+        ratios = [r.eta_empirical.value / r.eta_analytic for r in reports]
+        assert ratios[0] == pytest.approx(0.1152844, rel=1e-6)
+        for report, ratio in zip(reports[1:], ratios[1:]):
+            assert ratio == pytest.approx(ratios[0], rel=1e-12)
+            for got, want in zip(report.inequality_checks,
+                                 reports[0].inequality_checks):
+                assert got.name == want.name
+                assert got.passed == want.passed
+                assert got.lhs / got.rhs == pytest.approx(
+                    want.lhs / want.rhs, rel=1e-12)
+
     def test_regime_refused(self):
         with pytest.raises(RegimeError):
             build_bound_report(ModelParams(4, 2.0, 4.0, 3.0), n_samples=2000,

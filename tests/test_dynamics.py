@@ -123,6 +123,21 @@ class TestEvolve:
         assert b_rec.shape == (64, 1024)
         assert peak < 1.1 * 2 * b_rec.nbytes
 
+    @pytest.mark.parametrize("beta, delta, h", [
+        (1.0, 1.0, 1e-3), (1e-40, 1e40, 1e37), (1e40, 1e-40, 1e-43)])
+    def test_drift_monitor_does_not_depend_on_the_energy_unit(self, beta,
+                                                              delta, h):
+        # one system with energies 1e40 times larger and smaller: a step 16
+        # times the reference's drifts by the same relative amount in each,
+        # where the energies of the last are about 4e-40
+        params = ModelParams(4, beta, delta, 10.0, field=h)
+        config = IntegratorConfig(dt=4e-3 * math.sqrt(beta),
+                                  t_end=2.0 * t_relax_lower(params))
+        with pytest.raises(EnergyDriftError) as err:
+            autocorr_B(params, config, n_traj=256, seed=5, n_times=16)
+        assert err.value.max_drift == pytest.approx(1.0475943781e-4,
+                                                    rel=1e-9)
+
     def test_nan_row_fails_a_monitor(self):
         # a non-finite state must stop the run, not pass as zero drift
         params = ModelParams(2, 1.0, 1.0, 10.0)
@@ -457,6 +472,25 @@ class TestRelaxationReport:
         assert not report.curve_check
         assert report.displacement_ok
         assert not report.all_ok
+
+    def test_verdicts_do_not_depend_on_the_time_unit(self):
+        # the reference system with N = 4 in its own units and with energies
+        # 1e25 times larger, where t0 is 4.09e-14: the window of the t0
+        # checks takes in the same grid times in both
+        verdicts = []
+        for beta, delta, h in [(1.0, 1.0, 1e-3), (1e-25, 1e25, 1e22)]:
+            params = ModelParams(4, beta, delta, 10.0, field=h)
+            t0 = t_relax_lower(params)
+            config = IntegratorConfig(dt=2.5e-4 * math.sqrt(beta),
+                                      t_end=40.0 * t0)
+            report, _ = make_relaxation_report(params, config, n_traj=256,
+                                               seed=5, n_times=41)
+            verdicts.append((report.positivity_ok, report.curve_check,
+                             report.displacement_ok,
+                             report.t_star_empirical / t0))
+        assert verdicts[0][3] == pytest.approx(25.0)
+        assert verdicts[1][:3] == verdicts[0][:3] == (True, False, True)
+        assert verdicts[1][3] == pytest.approx(verdicts[0][3])
 
     def test_B_norm_is_that_of_one_whole_batch(self, ref_params,
                                                ref_marginal_tilted,

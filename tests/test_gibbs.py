@@ -14,7 +14,7 @@ from helpers import mgf_z, observable_B
 from gasrelax import _kernel, gibbs, numerics
 from gasrelax.bounds import eta_empirical
 from gasrelax.gibbs import (_GUIDE_CELLS, _MAX_GRID, NormEstimate,
-                            _guide_table, _wall_breakpoints, _weight,
+                            _wall_breakpoints, _weight,
                             build_marginal, gamma_h, gamma_tilde_h,
                             hoelder_certificate, log_mgf_z, norm0_B_closed,
                             norm0_B_mc, norm0_mc,
@@ -132,7 +132,7 @@ class TestMarginalTableBitwise:
     def test_table_pass_holds_one_block_of_cells(self, ref_params):
         # all 2048 cells at once held 2.2 MB of nodes and integrand
         # temporaries; a block of _KRONROD_BLOCK cells needs an eighth, so
-        # the guide table (0.5 MiB) is most of the peak
+        # the guide table (256 KiB) is most of the peak
         build_marginal(ref_params)
         marginal, peak = helpers.traced_peak(lambda: build_marginal(
             ref_params))
@@ -430,12 +430,7 @@ class TestInverseCdfBitwise:
 
     def test_tables_are_checked_before_the_kernel_reads_them(
             self, ref_marginal):
-        guide = ref_marginal._guide
-        past_last = np.full_like(guide, ref_marginal._inv_u.size - 1)
-        for bad in (dict(_guide=guide[:-1]), dict(_guide=past_last),
-                    dict(_guide=np.full_like(guide, -1)),
-                    dict(_guide=guide.astype(np.int64)),
-                    dict(_inv_z=ref_marginal._inv_z[:-1]),
+        for bad in (dict(_inv_z=ref_marginal._inv_z[:-1]),
                     dict(_inv_m=ref_marginal._inv_m[::-1])):
             with pytest.raises(ValueError, match="inverse-CDF tables"):
                 dataclasses.replace(ref_marginal, **bad)
@@ -463,23 +458,61 @@ class TestGuideTable:
                 build_marginal(ref_params, grid_size)
 
     @pytest.mark.parametrize("tilted", [False, True], ids=["rho0", "rho1"])
-    @pytest.mark.parametrize("grid_size", [64, 2047])
-    def test_equals_one_shot_search_within_its_own_size(self, ref_params,
-                                                        tilted, grid_size):
-        # the chunked, in-place table gives the bits of the one-shot one,
-        # with no second table-sized array on the way
-        inv_u = build_marginal(ref_params, grid_size, tilted)._inv_u
-        guide, peak = helpers.traced_peak(lambda: _guide_table(inv_u))
-        want = helpers.guide_table_one_shot(inv_u)
-        assert guide.dtype == np.int32
-        assert np.array_equal(guide, want)
-        assert peak < 1.25 * guide.nbytes
+    @pytest.mark.parametrize("grid_size", [64, 2047, 2048, 32768])
+    def test_equals_one_shot_search_within_its_own_size(self, grid_size,
+                                                        tilted):
+        # the kernel's merge pass gives the bits of a binary search for
+        # every cell edge, with no second table-sized array on the way; the
+        # boxes of 5 and 15 have knot intervals of subnormal width
+        for box_side in (5.0, 10.0, 15.0, 20.0):
+            params = ModelParams(64, 1.0, 1.0, box_side, field=1e-3)
+            marginal = build_marginal(params, grid_size, tilted)
+            rebuilt, peak = helpers.traced_peak(
+                lambda: dataclasses.replace(marginal))
+            want = helpers.guide_table_one_shot(marginal._inv_u)
+            for guide in (marginal._guide, rebuilt._guide):
+                assert guide.dtype == np.int32
+                assert guide.shape == (_GUIDE_CELLS,)
+                assert np.array_equal(guide, want)
+            assert peak < 1.25 * rebuilt._guide.nbytes
 
+    @pytest.mark.parametrize("knots", [
+        [0.0, 0.25, 0.5, 1.0], [0.0, 1.0], [0.25, 0.5, 1.0],
+        [0.0, 1.0 / _GUIDE_CELLS, 2.0 / _GUIDE_CELLS, 0.5, 1.0],
+        [0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1.0]],
+        ids=["quarters", "two_knots", "first_knot_past_0", "first_cells",
+             "around_one_half"])
+    def test_knots_on_cell_edges(self, ref_params, knots):
+        # a knot on a cell's left edge is that cell's bracket; one just
+        # below or above it is not
+        inv_u = np.array(knots)
+        marginal = gibbs.WallMarginal(ref_params, 0.0, 1.0, inv_u,
+                                      np.linspace(-1.0, 1.0, inv_u.size),
+                                      np.ones(inv_u.size))
+        assert np.array_equal(marginal._guide,
+                              helpers.guide_table_one_shot(inv_u))
 
-def _guide_with(marginal, index, value):
-    guide = marginal._guide.copy()
-    guide[index] = value
-    return guide
+    def test_guide_is_not_an_argument(self, ref_marginal):
+        # it is built from the marginal's own knots, so none can be given
+        with pytest.raises(ValueError, match="_guide"):
+            dataclasses.replace(ref_marginal, _guide=ref_marginal._guide)
+        with pytest.raises(TypeError, match="_guide"):
+            gibbs.WallMarginal(ref_marginal.params, 0.0, 1.0,
+                               ref_marginal._inv_u, ref_marginal._inv_z,
+                               ref_marginal._inv_m,
+                               _guide=ref_marginal._guide)
+
+    def test_swapped_tables_draw_from_their_own_knots(self, ref_marginal,
+                                                      ref_marginal_tilted):
+        # the rho0 tables in the rho1 marginal: its guide follows them, so
+        # every draw is the inverse of the knots it now holds
+        swapped = dataclasses.replace(
+            ref_marginal_tilted, _inv_u=ref_marginal._inv_u,
+            _inv_z=ref_marginal._inv_z, _inv_m=ref_marginal._inv_m)
+        u = substream(30, 0).random(1 << 20)
+        assert np.array_equal(_bits(swapped.inverse_cdf(u)), _bits(
+            helpers.inverse_cdf_searchsorted(swapped, u)))
+        assert np.array_equal(swapped._guide, ref_marginal._guide)
 
 
 @pytest.mark.parametrize("tables", [
@@ -488,12 +521,7 @@ def _guide_with(marginal, index, value):
     lambda m: dict(_inv_u=m._inv_u[:1], _inv_z=m._inv_z[:1],
                    _inv_m=m._inv_m[:1]),
     lambda m: dict(_inv_m=m._inv_m[:-1]),
-    lambda m: dict(_guide=m._guide.astype(np.int64)),
-    lambda m: dict(_guide=m._guide[:-1]),
-    lambda m: dict(_guide=_guide_with(m, 0, -1)),
-    lambda m: dict(_guide=_guide_with(m, -1, m._inv_u.size - 1)),
-], ids=["float32_knots", "strided_heights", "single_knot", "short_tangents",
-        "int64_guide", "short_guide", "guide_below_0", "guide_past_k_2"])
+], ids=["float32_knots", "strided_heights", "single_knot", "short_tangents"])
 def test_wall_marginal_refuses_inconsistent_tables(ref_marginal, tables):
     # the C kernels read these tables through bare pointers; as built, they
     # pass

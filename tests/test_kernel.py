@@ -322,7 +322,8 @@ class TestBuildFlags:
         # an unbound argument list passes doubles as C ints
         signatures = _kernel_signatures()
         assert set(signatures) == {"wall_sums", "verlet_records",
-                                   "inverse_cdf", "philox_uniforms",
+                                   "guide_table", "inverse_cdf",
+                                   "philox_uniforms",
                                    "sampled_force_sums", "sampled_states",
                                    "sampled_momentum_sums", "kronrod_sums"}
         lib = _kernel.library()
