@@ -10,10 +10,10 @@
  * doubles give, verlet_records the trajectory and
  * sampled_momentum_sums the momentum sums.  Each entry takes the model's
  * parameters as they are and forms its own coefficients: 12 delta, dt/2,
- * dt/m, 1/2m, sqrt(m)/sqrt(beta) and the guard.  Each entry's prototype,
- * `KERNEL <type> <name>(<params>)` from the start of a line, with pointer,
- * double and ptrdiff_t parameters, is its only signature: gasrelax._kernel
- * reads the ctypes of each call from it.
+ * 1/sqrt(beta) and the guard; the particle mass is the unit.  Each entry's
+ * prototype, `KERNEL <type> <name>(<params>)` from the start of a line,
+ * with pointer, double and ptrdiff_t parameters, is its only signature:
+ * gasrelax._kernel reads the ctypes of each call from it.
  *
  * Every result is bit for bit what the former NumPy expressions gave, so the
  * operation order below is part of the contract.  Potential: u*u, u2*u2,
@@ -184,16 +184,15 @@ KERNEL void kronrod_sums(const double *restrict pairs, ptrdiff_t rows,
     }
 }
 
-/* B = sum p and H1 = (sum p^2/2m + sum V(z)) - h sum z of each of `rows`
+/* B = sum p and H1 = (sum p^2/2 + sum V(z)) - h sum z of each of `rows`
  * rows of n values, into b[i] and e[i] */
 static inline void record(const double *z, const double *p, ptrdiff_t rows,
                           ptrdiff_t n, double half, double delta, double h,
-                          double half_over_m, double *b, double *e)
+                          double *b, double *e)
 {
     for (ptrdiff_t i = 0; i < rows; i++) {
         const double *zi = z + i * n, *pi = p + i * n;
-        double kinetic = half_over_m
-            * (0.0 + pairwise(pi, n, SQUARE, half, delta));
+        double kinetic = 0.5 * (0.0 + pairwise(pi, n, SQUARE, half, delta));
         double wall = 0.0 + pairwise(zi, n, POTENTIAL, half, delta);
         double field = h * (0.0 + pairwise(zi, n, VALUE, half, delta));
         b[i] = 0.0 + pairwise(pi, n, VALUE, half, delta);
@@ -218,14 +217,14 @@ static inline void forces(const double *restrict z, double *restrict f,
  */
 static inline int advance(double *restrict z, double *restrict p,
                           double *restrict f, ptrdiff_t n, ptrdiff_t steps,
-                          double half_dt, double dt_over_m, double half,
+                          double half_dt, double dt, double half,
                           double c12, double h, double guard)
 {
     for (ptrdiff_t s = 0; s < steps; s++) {
         int breach = 0;
         for (ptrdiff_t i = 0; i < n; i++) {
             double pi = p[i] + f[i] * half_dt;
-            double zi = z[i] + pi * dt_over_m;
+            double zi = z[i] + pi * dt;
             double fi = force(zi, half, c12) + h;
             breach |= !(fabs(zi) < guard);
             z[i] = zi;
@@ -244,7 +243,7 @@ static inline int advance(double *restrict z, double *restrict p,
 
 const ptrdiff_t verlet_block = VERLET_BLOCK;
 
-/* Evolve `rows` independent rows of n >= 1 particles of mass m, z and p
+/* Evolve `rows` independent rows of n >= 1 particles of unit mass, z and p
  * row-major and changed in place, through records 0 .. n_records - 1 that
  * lie `steps` velocity-Verlet steps of dt apart.  Row i's B and H1 at
  * record r go to b[r * rows + i] and e[r * rows + i]; record 0 is the
@@ -264,13 +263,13 @@ KERNEL ptrdiff_t verlet_records(double *restrict z, double *restrict p,
                                 ptrdiff_t rows, ptrdiff_t n,
                                 double *restrict scratch,
                                 ptrdiff_t n_records, ptrdiff_t steps,
-                                double dt, double mass, double half,
+                                double dt, double half,
                                 double delta, double h, double wall_guard,
                                 double *restrict b, double *restrict e)
 {
     double buf[VERLET_BLOCK];
     double *f = n <= VERLET_BLOCK ? buf : scratch;
-    double half_dt = 0.5 * dt, dt_over_m = dt / mass, half_over_m = 0.5 / mass;
+    double half_dt = 0.5 * dt;
     double guard = wall_guard * half, c12 = 12.0 * delta;
     ptrdiff_t per_block = n <= VERLET_BLOCK ? VERLET_BLOCK / n : 1;
     ptrdiff_t end = n_records;
@@ -284,15 +283,15 @@ KERNEL ptrdiff_t verlet_records(double *restrict z, double *restrict p,
         double *zb = z + r0 * n, *pb = p + r0 * n;
 
         forces(zb, f, nr * n, half, c12, h);
-        record(zb, pb, nr, n, half, delta, h, half_over_m, b + r0, e + r0);
+        record(zb, pb, nr, n, half, delta, h, b + r0, e + r0);
         for (ptrdiff_t rec = 1; rec < end; rec++) {
-            if (advance(zb, pb, f, nr * n, steps, half_dt, dt_over_m, half,
-                        c12, h, guard)) {
+            if (advance(zb, pb, f, nr * n, steps, half_dt, dt, half, c12, h,
+                        guard)) {
                 end = rec;
                 break;
             }
-            record(zb, pb, nr, n, half, delta, h, half_over_m,
-                   b + rec * rows + r0, e + rec * rows + r0);
+            record(zb, pb, nr, n, half, delta, h, b + rec * rows + r0,
+                   e + rec * rows + r0);
         }
     }
     return end;
@@ -500,13 +499,13 @@ static double bitgen_double(void *s)
 }
 
 /* out[i] = NumPy's random_normal(0.0, sigma) on the stream of *s, for
- * i < n, with sigma = sqrt(mass) / sqrt(beta), the momentum scale of
- * exp(-beta p^2 / 2m): the bits of rng.normal(0.0, sigma, n), ziggurat tail
- * and wedges included */
+ * i < n, with sigma = 1 / sqrt(beta), the momentum scale of
+ * exp(-beta p^2 / 2) at unit mass: the bits of rng.normal(0.0, sigma, n),
+ * ziggurat tail and wedges included */
 static inline void normals(struct philox *s, double *out, ptrdiff_t n,
-                           double mass, double beta)
+                           double beta)
 {
-    double sigma = sqrt(mass) / sqrt(beta);
+    double sigma = 1.0 / sqrt(beta);
     bitgen_t bitgen = {s, bitgen_word, NULL, bitgen_double, bitgen_word};
     for (ptrdiff_t i = 0; i < n; i++)
         out[i] = random_normal(&bitgen, 0.0, sigma);
@@ -555,15 +554,14 @@ KERNEL ptrdiff_t sampled_force_sums(struct philox *s, double *restrict out,
  */
 KERNEL void sampled_states(struct philox *s, double *restrict z,
                            double *restrict p, ptrdiff_t rows, ptrdiff_t n,
-                           double mass, double beta,
-                           const double *restrict inv_u,
+                           double beta, const double *restrict inv_u,
                            const double *restrict inv_z,
                            const double *restrict inv_m,
                            const int32_t *restrict guide, ptrdiff_t k,
                            ptrdiff_t cells)
 {
     heights(s, z, rows * n, inv_u, inv_z, inv_m, guide, k, cells);
-    normals(s, p, rows * n, mass, beta);
+    normals(s, p, rows * n, beta);
 }
 
 /* b[i] = 0.0 plus the pairwise sum of the n momenta of row i (see
@@ -573,11 +571,11 @@ KERNEL void sampled_states(struct philox *s, double *restrict z,
  * values.  *s is left past the last value read.
  */
 KERNEL void sampled_momentum_sums(struct philox *s, double *restrict b,
-                                  ptrdiff_t rows, ptrdiff_t n, double mass,
-                                  double beta, double *restrict row)
+                                  ptrdiff_t rows, ptrdiff_t n, double beta,
+                                  double *restrict row)
 {
     for (ptrdiff_t i = 0; i < rows; i++) {
-        normals(s, row, n, mass, beta);
+        normals(s, row, n, beta);
         b[i] = 0.0 + pairwise(row, n, VALUE, 0.0, 0.0);
     }
 }

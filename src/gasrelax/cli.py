@@ -95,6 +95,8 @@ class RunConfig:
                               "box_m, temperature_k")
         _require_positive_finite(self, "delta_moment", "epsilon", "h_min",
                                  "h_max")
+        if self.h_min > self.h_max:
+            raise ConfigError("h_min must be <= h_max")
         # the floors of the library calls that take these keys; h_points
         # is the length of a np.geomspace grid.  seed needs none: philox_key
         # folds any integer mod 2^64
@@ -107,9 +109,11 @@ class RunConfig:
         # the ceiling of build_marginal, whose guide table is int32
         if self.grid_size > _MAX_GRID:
             raise ConfigError(f"grid_size must be <= {_MAX_GRID}")
-        if self.sigma != 1.0:
-            raise ConfigError("sigma must be 1: lengths are in units of "
-                              "sigma; give its physical size as sigma_m")
+        # sigma and mass are the units of length and mass
+        for key, si_key in (("sigma", "sigma_m"), ("mass", "mass_kg")):
+            if getattr(self, key) != 1.0:
+                raise ConfigError(f"{key} must be 1: it is a unit; give its "
+                                  f"physical size as {si_key}")
         # each class checks its own keys, for every command
         self.model_params()
         self.physical_units()
@@ -118,7 +122,7 @@ class RunConfig:
     def model_params(self) -> ModelParams:
         return ModelParams(n_particles=self.n_particles, beta=self.beta,
                            delta_wall=self.delta_wall, box_side=self.box_side,
-                           field=self.field, mass=self.mass)
+                           field=self.field)
 
     def physical_units(self) -> Optional[PhysicalUnits]:
         if self.mass_kg is None:

@@ -157,9 +157,8 @@ def _evolve_batch(z, p, params: ModelParams, dt: float,
     scratch = np.empty(n)
     end = _kernel.library().verlet_records(
         z.ctypes.data, p.ctypes.data, rows, n, scratch.ctypes.data,
-        n_records, steps_per_record, dt, params.mass, params.half_box,
-        params.delta_wall, params.field, wall_guard, b_rec.ctypes.data,
-        e_rec.ctypes.data)
+        n_records, steps_per_record, dt, params.half_box, params.delta_wall,
+        params.field, wall_guard, b_rec.ctypes.data, e_rec.ctypes.data)
     if end == 0:
         raise WallBreachError(
             f"particle beyond {wall_guard:g} of the half-box at record 0")
@@ -341,7 +340,7 @@ def lower_bound_curve(params: ModelParams, t):
     closed-form norm.
 
     ||B||_0^2 is the specified closed form 2N/beta (norm0_B_closed squared),
-    twice E_rho0[B^2] = N m / beta.  At t = 0 the curve therefore sits a
+    twice E_rho0[B^2] = N / beta.  At t = 0 the curve therefore sits a
     factor of two above the kernel beta*h*C(0) that the dynamics produce,
     which is why `simulate` reports curve_check = False on the reference
     configuration.

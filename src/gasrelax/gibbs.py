@@ -4,7 +4,7 @@ The full phase-space measure factorizes over particles and over (z, p), so
 everything here reduces to the one-dimensional wall marginal with density
 proportional to exp(-beta V(z)) (or its field-tilted variant
 exp(-beta V(z) + h beta z) for the perturbed measure) times independent
-Gaussian momenta of variance m/beta.
+Gaussian momenta of variance 1/beta.
 
 Positions are drawn by inverse-CDF lookup from a tabulated marginal with a
 monotone-cubic inverse; naive rejection would accept with probability
@@ -76,7 +76,7 @@ __all__ = [
     "hoelder_certificate",
 ]
 
-# exp underflows to 0 below ~-745; anything smaller is identically zero mass
+# exp underflows to 0 below ~-745; anything smaller is identically zero weight
 _LOG_FLOOR = -745.0
 
 # cells of the inverse-CDF guide table over u in [0, 1); a power of two, so
@@ -355,7 +355,7 @@ def _states(marginal: WallMarginal, rows: int,
 
     The heights are the inverse CDF of the stream's next rows * N values
     that are not 0.0: a 0.0 would put a particle on the wall (probability
-    2^-53 each), so it is skipped.  The momenta, of variance m / beta, are
+    2^-53 each), so it is skipped.  The momenta, of variance 1 / beta, are
     NumPy's normals drawn on from there.
     """
     params = marginal.params
@@ -363,15 +363,14 @@ def _states(marginal: WallMarginal, rows: int,
     p = np.empty_like(z)
     _kernel.library().sampled_states(
         state.ctypes.data, z.ctypes.data, p.ctypes.data, rows,
-        params.n_particles, params.mass, params.beta,
-        *marginal._kernel_tables())
+        params.n_particles, params.beta, *marginal._kernel_tables())
     return z, p
 
 
 def norm0_B_closed(params: ModelParams) -> float:
     """Closed form sqrt(2 N / beta) for the momentum-sum norm, as specified.
 
-    Its square 2N/beta is twice E_rho0[B^2] = N m / beta, the value that the
+    Its square 2N/beta is twice E_rho0[B^2] = N / beta, the value that the
     Gaussian momenta give exactly (and that the sampled C(0) reproduces).
     The eta checks, eta_empirical and the bound curve are built on this
     constant, which is why `simulate` reports curve_check = False on the
@@ -427,7 +426,7 @@ def norm0_B_mc(params: ModelParams, n_samples: int,
         state.ctypes.data, values.ctypes.data, spent)
     _kernel.library().sampled_momentum_sums(
         state.ctypes.data, values.ctypes.data, n_samples, params.n_particles,
-        params.mass, params.beta, row.ctypes.data)
+        params.beta, row.ctypes.data)
     return NormEstimate.from_values(values, _measure(params.field))
 
 

@@ -45,8 +45,8 @@ class ModelParams:
     """Physical parameters: all finite, and strictly positive except field,
     which is >= 0.
 
-    Lengths are in units of the wall range sigma = 1; physical values, its
-    size sigma_m among them, are only introduced at the reporting boundary.
+    Lengths are in units of the wall range sigma, masses in units of the
+    particle mass; their SI sizes enter only at the reporting boundary.
     """
 
     n_particles: int
@@ -54,14 +54,12 @@ class ModelParams:
     delta_wall: float
     box_side: float
     field: float = 0.0
-    mass: float = 1.0
 
     def __post_init__(self):
         n = self.n_particles
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError("n_particles must be a positive integer")
-        _require_positive_finite(self, "beta", "delta_wall", "box_side",
-                                 "mass")
+        _require_positive_finite(self, "beta", "delta_wall", "box_side")
         if not 0.0 <= self.field < math.inf:
             raise ValueError("field must be finite and >= 0")
 

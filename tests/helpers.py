@@ -45,14 +45,15 @@ def density(marginal, z):
 
 
 def norm0_B_sq_exact(params):
-    """Exact rho0 norm ||B||_0^2 = E_rho0[B^2] = N m / beta of the momentum sum.
+    """Exact rho0 norm ||B||_0^2 = E_rho0[B^2] = N / beta of the momentum sum.
 
     Under rho0 the momenta are independent of the heights and of each other,
-    each Gaussian with mean 0 and variance m / beta (the Boltzmann factor of
-    the kinetic term p^2 / 2m).  B = sum_j p_j is then Gaussian with mean 0,
-    so E[B^2] = Var(B) = sum_j Var(p_j) = N m / beta.
+    each Gaussian with mean 0 and variance 1 / beta (the Boltzmann factor of
+    the kinetic term p^2 / 2, the particle mass being the unit).  B = sum_j
+    p_j is then Gaussian with mean 0, so E[B^2] = Var(B) = sum_j Var(p_j)
+    = N / beta.
     """
-    return params.n_particles * params.mass / params.beta
+    return params.n_particles / params.beta
 
 
 def observable_A(z, p):
@@ -73,8 +74,7 @@ def mgf_z(t, marginal):
 def gaussian_moment(n, beta):
     """E[p^n] under the density proportional to exp(-beta p^2 / 2).
 
-    Even n: (n-1)!! * beta^(-n/2).  Odd moments vanish by symmetry.  A
-    momentum of mass m has the moments of gaussian_moment(n, beta / m).
+    Even n: (n-1)!! * beta^(-n/2).  Odd moments vanish by symmetry.
     """
     if n < 0 or int(n) != n:
         raise ValueError("moment order must be a nonnegative integer")
@@ -193,13 +193,13 @@ def open_uniforms(rng, shape):
 def sample_batch_reference(marginal, rng, n_states):
     """The states of gibbs._states drawn by the NumPy Generator rng, as they
     were before the kernel drew them: the inverse CDF of open_uniforms, then
-    rng.normal momenta of variance m / beta.  _states on rng's state, packed
+    rng.normal momenta of variance 1 / beta.  _states on rng's state, packed
     into the kernel's words, gives the same bits and leaves the words where
     this leaves rng."""
     params = marginal.params
     u = open_uniforms(rng, (n_states, params.n_particles))
     z = marginal.inverse_cdf(u)
-    p = rng.normal(0.0, math.sqrt(params.mass) / math.sqrt(params.beta),
+    p = rng.normal(0.0, 1.0 / math.sqrt(params.beta),
                    (n_states, params.n_particles))
     return z, p
 
@@ -215,8 +215,7 @@ def norm0_mc_one_batch(f, marginal, n_samples, rng):
     u = rng.random((n_samples, params.n_particles))
     assert u.min() > 0.0
     z = inverse_cdf_searchsorted(marginal, u)
-    p = rng.normal(0.0, math.sqrt(params.mass) / math.sqrt(params.beta),
-                   u.shape)
+    p = rng.normal(0.0, 1.0 / math.sqrt(params.beta), u.shape)
     sq = np.asarray(f(z, p), dtype=float) ** 2
     return NormEstimate.from_moments(float(np.mean(sq)),
                                      float(np.var(sq, ddof=1)), n_samples,
@@ -321,7 +320,7 @@ def wall_potential_reference(z, params):
 def hamiltonian_reference(z, p, params, h=0.0):
     """H1 per row with the NumPy potential and allocating passes."""
     v = wall_potential_reference(z, params)
-    return (0.5 / params.mass) * np.sum(p * p, axis=-1) + np.sum(v, axis=-1) \
+    return 0.5 * np.sum(p * p, axis=-1) + np.sum(v, axis=-1) \
         - h * np.sum(z, axis=-1)
 
 
@@ -444,7 +443,6 @@ def evolve_batch_reference(z, p, params, dt, steps_per_record, n_records,
     h = params.field
     half = params.half_box
     guard = wall_guard * half
-    dt_over_m = dt / params.mass
     half_dt = 0.5 * dt
 
     b_rec = np.empty((n_records, z.shape[0]))
@@ -457,7 +455,7 @@ def evolve_batch_reference(z, p, params, dt, steps_per_record, n_records,
     for rec in range(1, n_records):
         for _ in range(steps_per_record):
             p += half_dt * f
-            z += dt_over_m * p
+            z += dt * p
             if not np.max(np.abs(z)) < guard:
                 raise WallBreachError(
                     f"particle beyond {wall_guard:g} of the half-box at "
@@ -491,8 +489,8 @@ def kernel_records(z, p, params, h, dt, steps_per_record, n_records,
     scratch = np.empty(n)
     end = _kernel.library().verlet_records(
         z.ctypes.data, p.ctypes.data, rows, n, scratch.ctypes.data, n_records,
-        steps_per_record, dt, params.mass, params.half_box, params.delta_wall,
-        h, wall_guard, b.ctypes.data, e.ctypes.data)
+        steps_per_record, dt, params.half_box, params.delta_wall, h,
+        wall_guard, b.ctypes.data, e.ctypes.data)
     return end, b, e, z, p
 
 
@@ -624,7 +622,7 @@ def quadrature_autocorr_n1(params, h, t_end, n_times, n_z=64, n_p=256,
     x, wz = leggauss(n_z)
     z_nodes = 0.5 * params.box_side * x
     wz = wz * 0.5 * params.box_side * density(marginal, z_nodes)
-    sigma = math.sqrt(params.mass) / math.sqrt(params.beta)
+    sigma = 1.0 / math.sqrt(params.beta)
     p_nodes = sigma * 7.0 * ((2.0 * np.arange(n_p) + 1.0) / n_p - 1.0)
     wp = np.exp(-0.5 * (p_nodes / sigma) ** 2)
     z0 = np.repeat(z_nodes, n_p)
@@ -642,17 +640,17 @@ def quadrature_autocorr_n1(params, h, t_end, n_times, n_z=64, n_p=256,
     return times, c
 
 
-def c1_hard_wall(t, l_eff, beta, mass, n_p=100_001):
+def c1_hard_wall(t, l_eff, beta, n_p=100_001):
     """Single-particle C(t) = E[p(t) p(0)] in a hard box of length l_eff.
 
     A free particle between hard walls keeps |p|; its p(t) p(0), averaged
-    over its uniform position, is p^2 R(|p| t / (m l_eff)) with the triangle
-    wave R(x) = 1 - 4 dist(x / 2, Z).  The average over p ~ N(0, m / beta)
+    over its uniform position, is p^2 R(|p| t / l_eff) with the triangle
+    wave R(x) = 1 - 4 dist(x / 2, Z).  The average over p ~ N(0, 1 / beta)
     is the trapezoid rule on n_p nodes over 0 <= p <= 12 sigma, doubled.
     """
-    sigma = math.sqrt(mass / beta)
+    sigma = math.sqrt(1.0 / beta)
     p = np.linspace(0.0, 12.0 * sigma, n_p)
-    half = 0.5 * p * t / (mass * l_eff)
+    half = 0.5 * p * t / l_eff
     f = p * p * (1.0 - 4.0 * np.abs(half - np.round(half))) \
         * np.exp(-0.5 * (p / sigma) ** 2)
     trapezoid = (p[1] - p[0]) * (f.sum() - 0.5 * (f[0] + f[-1]))

@@ -6,9 +6,10 @@ not tuned at runtime.
 
 The dynamical checks 5a and 5c compare the measured response kernel
 K(t) = beta*h*C(t) with the exact rho0 norm of the momentum sum,
-||B||_0^2 = E_rho0[B^2] = N m / beta (helpers.norm0_B_sq_exact), computed
-from the parameters alone.  5a asks for K(0) = beta*h*||B||_0^2; 5c asks for
-K(t) >= beta*h*||B||_0^2 (1 - eta^2 t^2 / 2) on [0, t0].  The program's own
+||B||_0^2 = E_rho0[B^2] = N / beta (helpers.norm0_B_sq_exact), computed
+from the parameters alone, the particle mass being the unit.  5a asks for
+K(0) = beta*h*||B||_0^2; 5c asks for K(t) >= beta*h*||B||_0^2
+(1 - eta^2 t^2 / 2) on [0, t0].  The program's own
 closed form norm0_B_closed, sqrt(2N/beta), is twice that norm squared and
 is not used as a target here; the failure messages carry the measured
 numbers.
@@ -51,7 +52,7 @@ SWEEP_EDGE = SWEEP + [ModelParams(1, 1.0, (10.0 / 3.0) ** 12, 10.0)]
 # which the hard-wall law at L - 2 falls short of t*
 SINGLE_PARTICLE = {10.0: (2.7, 2.59560, 0.036619, 2.73),
                    20.0: (6.0, 5.75079, None, 1.22)}
-# the first zero of the hard-wall C(t) in units of l_eff * sqrt(beta * m)
+# the first zero of the hard-wall C(t) in units of l_eff * sqrt(beta)
 KAPPA = 0.31558
 
 
@@ -159,8 +160,8 @@ def test_criterion_5a_initial_kernel(reference_run):
     window = 3.0 * bh * series.std_errors[0]
     ok = abs(measured - target) <= window
     line = _verdict(
-        "5a (initial kernel = N h m)", ok,
-        f"beta*h*C(0) = {measured:.5f}, target N*h*m = {target:.5f}, "
+        "5a (initial kernel = N h)", ok,
+        f"beta*h*C(0) = {measured:.5f}, target N*h = {target:.5f}, "
         f"3-sigma window {window:.5f}")
     assert ok, line
 
@@ -260,7 +261,7 @@ def test_criterion_8_single_particle_zero(box):
         detail += f", c1(2.5) = {c1[k]:.7f}"
     l_eff = box - 2.0
     t_hw = helpers.first_zero(
-        lambda t: helpers.c1_hard_wall(t, l_eff, 1.0, 1.0), 0.0, t_star)
+        lambda t: helpers.c1_hard_wall(t, l_eff, 1.0), 0.0, t_star)
     gap = 100.0 * (1.0 - t_hw / t_star)
     ok = (ok and abs(t_hw / l_eff - KAPPA) <= 5e-6
           and abs(gap - gap_ref) <= 0.05)

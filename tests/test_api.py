@@ -195,11 +195,11 @@ def _formed_kernel_arguments(source, helpers):
 
 def test_the_kernel_forms_its_own_coefficients():
     # the kernel takes the model's parameters as they are and forms dt/2,
-    # dt/m, sqrt(m)/sqrt(beta) and the guard itself, so each is stated once;
+    # 1/sqrt(beta) and the guard itself, so each is stated once;
     # a stream position is not a coefficient, and norm0_B_mc splits its
     # start into a Philox block and the values spent in it before any call
     assert _formed_kernel_arguments(
-        "_kernel.library().f(a.ctypes.data, 0.5 * dt, g(p), -x, p.mass,\n"
+        "_kernel.library().f(a.ctypes.data, 0.5 * dt, g(p), -x, p.beta,\n"
         "                    *m._tables())\nh(0.5 * dt)\n"
         "lib = _kernel.library()\nlib.f(n % 4, n)\n", {"g"}
     ) == ["0.5 * dt", "g(p)", "n % 4"]

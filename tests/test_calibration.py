@@ -45,12 +45,14 @@ def test_bracket_norm_against_quadrature(delta):
 
 
 def test_initial_kernel_against_momentum_variance():
-    # C(0) = E[B^2] = N m / beta exactly, whatever the walls; one step of
-    # 2000 trajectories of 16 particles per seed
-    params = ModelParams(16, 0.5, 1.0, 10.0, mass=2.0)
+    # C(0) = E[B^2] = N / beta exactly, whatever the walls; one step of
+    # 2000 trajectories of 16 particles per seed.  The step is 1e-3 / sqrt(2):
+    # one of 1e-3 drifts H1 by 1.5e-5, past the default tolerance
+    params = ModelParams(16, 0.5, 1.0, 10.0)
     marginal = build_marginal(params)
-    config = IntegratorConfig(dt=1e-3, t_end=1e-3)
-    target = params.n_particles * params.mass / params.beta
+    dt = 1e-3 / math.sqrt(2.0)
+    config = IntegratorConfig(dt=dt, t_end=dt)
+    target = params.n_particles / params.beta
     z = []
     for k in range(K):
         series = autocorr_B(params, config, 2000, SEED + k,

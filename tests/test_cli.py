@@ -330,6 +330,15 @@ class TestSweepAndRunControlKeys:
             "strictly positive and finite\n")
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_h_min_above_h_max_is_a_validation_error(self, tmp_path):
+        # the sweep ran from 0.2 down to 0.1
+        path = write_config(tmp_path, output_dir=str(tmp_path))
+        code, out, err = _run_quietly(["gamma", "--config", path,
+                                       "--h_min=0.2", "--h_max=0.1"])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == "validation error: h_min must be <= h_max\n"
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestSizeKeys:
     """The size keys and h_points are checked for every command, against
@@ -402,13 +411,19 @@ class TestEveryCommandChecksTheClassKeys:
         assert "Traceback" not in err
         assert out == "" and not list(tmp_path.iterdir())
 
-    def test_sigma_other_than_one_is_a_validation_error(self, tmp_path):
-        # lengths are in units of sigma: its size is the SI key sigma_m
-        code, _, err = _run_quietly(["bounds", "--sigma", "2",
+    @pytest.mark.parametrize("command", ["bounds", "gamma", "simulate",
+                                         "report"])
+    @pytest.mark.parametrize("key, si_key", [("sigma", "sigma_m"),
+                                             ("mass", "mass_kg")])
+    def test_sigma_other_than_one_is_a_validation_error(self, tmp_path,
+                                                        command, key, si_key):
+        # sigma and mass are the units of length and mass: their sizes are
+        # the SI keys
+        code, _, err = _run_quietly([command, f"--{key}", "2",
                                      "--output_dir", str(tmp_path)])
         assert code == EXIT_VALIDATION
-        assert err.startswith("validation error: sigma must be 1")
-        assert "sigma_m" in err
+        assert err.startswith(f"validation error: {key} must be 1")
+        assert si_key in err
         assert not list(tmp_path.iterdir())
 
 
@@ -568,6 +583,19 @@ class TestSimulateCommand:
         assert (code, err) == (EXIT_RUNTIME, "")
         assert "FAIL curve_check" in out
         assert (tmp_path / "relaxation_report.json").exists()
+
+    def test_a_smaller_mass_unit_is_refused(self, tmp_path):
+        # the reference flow in a time unit 100 times smaller printed a t*
+        # below t0 and failed positivity: t0 is the bound at unit mass
+        config = Path(__file__).resolve().parents[1] / "configs" / \
+            "reference.cfg"
+        code, out, err = _run_quietly([
+            "simulate", "--config", str(config), "--n_particles", "4",
+            "--n_traj", "32", "--n_times", "41", "--mass", "1e-4",
+            "--dt", "2.5e-6", "--output_dir", str(tmp_path)])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert "mass_kg" in err
+        assert not (tmp_path / "relaxation_report.json").exists()
 
     def test_quick_campaign(self, tmp_path, capsys):
         path = write_config(tmp_path, output_dir=str(tmp_path))

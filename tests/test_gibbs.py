@@ -192,9 +192,9 @@ def _kernel_state(rng):
 
 
 @functools.lru_cache(maxsize=None)
-def _small_marginal(n, tilted, beta=1.0):
-    return build_marginal(ModelParams(n, beta, 1.0, 10.0, field=1e-2,
-                                      mass=2.0), grid_size=256, tilted=tilted)
+def _small_marginal(n, tilted, beta=0.5):
+    return build_marginal(ModelParams(n, beta, 1.0, 10.0, field=1e-2),
+                          grid_size=256, tilted=tilted)
 
 
 # keys of the kernel-draw checks: seeds and stream ids of every size
@@ -228,9 +228,9 @@ class TestKernelDraws:
             marginal, oracle, 7))
         assert np.array_equal(state, _kernel_state(oracle))
 
-    # at beta 0.3 the momentum scale sqrt(2) / sqrt(0.3) is neither that of
-    # a dropped beta nor of a swapped one, and one ulp above sqrt(2 / 0.3)
-    @pytest.mark.parametrize("tilted, beta", [(False, 1.0), (True, 1.0),
+    # the momentum scale 1 / sqrt(beta) is neither that of a dropped beta
+    # nor of an inverted one, and at beta 0.5 one ulp below sqrt(1 / 0.5)
+    @pytest.mark.parametrize("tilted, beta", [(False, 0.5), (True, 0.5),
                                               (True, 0.3)],
                              ids=["rho0", "rho1", "rho1-beta0.3"])
     @pytest.mark.parametrize("rows", [1, 7, 1024])
@@ -323,16 +323,16 @@ class TestSampling:
         assert np.array_equal(state, _kernel_state(oracle))
 
     def test_momentum_moments(self, ref_marginal, ref_params):
-        # variance m / beta, from the kinetic Boltzmann factor exp(-beta p^2/2m)
-        heavy = ModelParams(64, 1.0, 1.0, 10.0, field=1e-3, mass=4.0)
-        for marginal in (ref_marginal, build_marginal(heavy, grid_size=256)):
+        # variance 1 / beta, from the kinetic Boltzmann factor exp(-beta p^2/2)
+        wide = ModelParams(64, 0.25, 1.0, 10.0, field=1e-3)
+        for marginal in (ref_marginal, build_marginal(wide, grid_size=256)):
             params = marginal.params
             z, p = sample_batch(marginal, substream(2, 0), 16000)
             draws = p.ravel()  # ~1e6 independent Gaussians
             n = draws.size
             sem = draws.std() / math.sqrt(n)
             assert abs(draws.mean()) < 4.0 * sem
-            var = helpers.gaussian_moment(2, params.beta / params.mass)
+            var = helpers.gaussian_moment(2, params.beta)
             assert abs(draws.var() - var) < 0.01 * var
 
     def test_positions_match_density_chi2(self, ref_marginal):
@@ -649,15 +649,15 @@ class TestNorms:
         assert np.array_equal(whole, split)
 
     @pytest.mark.parametrize("n, n_samples, beta", [
-        (64, 20000, 1.0), (7, 20000, 1.0), (300, 1000, 1.0), (64, 1000, 0.3),
-        (1, 101, 1.0), (5, 102, 1.0), (7, 101, 1.0)],
+        (64, 20000, 0.5), (7, 20000, 0.5), (300, 1000, 0.5), (64, 1000, 0.3),
+        (1, 101, 0.5), (5, 102, 0.5), (7, 101, 0.5)],
         ids=["64-20000", "7-20000", "300-1000", "64-1000-beta0.3", "1-101",
              "5-102", "7-101"])
     def test_momenta_blocks_equal_one_batch(self, n, n_samples, beta):
         # momenta drawn and summed a row at a time, past the heights of a
         # whole batch, give the bits of that batch's norm of B; the heights
         # end 0, 0, 0, 0, 1, 2 and 3 values into a Philox block of 4
-        params = ModelParams(n, beta, 1.0, 10.0, field=1e-3, mass=2.0)
+        params = ModelParams(n, beta, 1.0, 10.0, field=1e-3)
         marginal = build_marginal(params, grid_size=256, tilted=True)
         est = norm0_B_mc(params, n_samples, philox_key(28, n))
         _assert_same_estimate(est, helpers.norm0_mc_one_batch(

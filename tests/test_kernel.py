@@ -116,7 +116,7 @@ class TestVerletRecords:
     @pytest.mark.parametrize("rows", RECORD_ROWS)
     @pytest.mark.parametrize("n", RECORD_N)
     def test_bit_equal_to_reference(self, n, rows):
-        params = ModelParams(n, 1.0, 1.0, 10.0, field=1e-3, mass=2.0)
+        params = ModelParams(n, 1.0, 1.0, 10.0, field=1e-3)
         rng = np.random.default_rng(1000 * n + rows)
         z = rng.uniform(-4.0, 4.0, (rows, n))
         p = rng.normal(size=(rows, n))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,6 @@ class TestModelParams:
         dict(delta_wall=0.0),
         dict(box_side=-2.0),
         dict(field=-1e-9),
-        dict(mass=0.0),
         dict(beta=float("inf")),
         dict(box_side=float("nan")),
         dict(delta_wall=float("inf")),
@@ -286,20 +287,22 @@ class TestBrackets:
         assert fd == pytest.approx(observable_B(z, p), rel=1e-7)
 
 
-@pytest.mark.parametrize("h, mass", [(0.0, 1.0), (1e-3, 1.0), (0.3, 4.0)])
-def test_hamiltonian_bitwise_equal_to_allocating_expression(shard, h, mass):
-    # H1 of every row, as the kernel records it for the drift monitor
-    params = ModelParams(64, 1.0, 1.0, 10.0, field=h, mass=mass)
+@pytest.mark.parametrize("h, var", [(0.0, 1.0), (1e-3, 1.0), (0.3, 4.0)])
+def test_hamiltonian_bitwise_equal_to_allocating_expression(shard, h, var):
+    # H1 of every row, as the kernel records it for the drift monitor, with
+    # momenta of variance var: 4.0 is that of beta = 0.25
+    params = ModelParams(64, 1.0, 1.0, 10.0, field=h)
     z, p = shard
+    p = p * math.sqrt(var)
     _, _, e, _, _ = helpers.kernel_records(z, p, params, h, 1e-3, 1, 1)
     want = _bits(helpers.hamiltonian_reference(z, p, params, h))
     assert np.array_equal(_bits(e[0]), want)
 
 
 def test_hamiltonian_terms():
-    params = ModelParams(2, 1.0, 1.0, 10.0, mass=2.0)
+    params = ModelParams(2, 1.0, 1.0, 10.0)
     z, p = np.array([0.0, 1.0]), np.array([2.0, 0.0])
-    expected = 4.0 / (2.0 * 2.0) + wall_potential(0.0, params) \
+    expected = 4.0 / 2.0 + wall_potential(0.0, params) \
         + wall_potential(1.0, params) - 0.5 * 1.0
     _, _, e, _, _ = helpers.kernel_records(z, p, params, 0.5, 1e-3, 1, 1)
     assert e[0, 0] == pytest.approx(expected, rel=1e-14)
