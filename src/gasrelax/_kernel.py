@@ -12,11 +12,12 @@ prototype in the source, the only place that states it.
 The library is built with `cc` into `__pycache__/` beside the source, under
 a name keyed by the source, the flags, `cc --version` and the bytes of
 NumPy's static library, so a changed kernel, compiler or NumPy builds
-afresh.  Each build writes a file of its own and renames it into place, so
-processes that build at once all load a whole library; a build then removes
-the libraries of other keys from the directory.  When that directory is not
-writable, the library is built in a temporary directory of the
-process and removed once loaded.
+afresh.  A process builds it once, also when several of its threads ask
+for it at once: the first load holds a lock.  Each build writes a file of
+its own and renames it into place, so processes that build at once all load
+a whole library; a build then removes the libraries of other keys from the
+directory.  When that directory is not writable, the library is built in a
+temporary directory of the process and removed once loaded.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import hashlib
 import os
 import re
 import subprocess
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,8 @@ _CTYPES = {"void": None, "double": ctypes.c_double,
            "ptrdiff_t": ctypes.c_ssize_t}
 
 _lib = None
+# held by the first load: threads of one process build into one file name
+_load_lock = threading.Lock()
 
 
 class KernelBuildError(RuntimeError):
@@ -127,8 +131,11 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
 
 
 def library() -> ctypes.CDLL:
-    """The loaded kernels, built on the first call of the process."""
+    """The loaded kernels, built on the first call of the process; threads
+    that call at once wait for that one build."""
     global _lib
     if _lib is None:
-        _lib = _load(_SOURCE.parent / "__pycache__", "cc")
+        with _load_lock:
+            if _lib is None:
+                _lib = _load(_SOURCE.parent / "__pycache__", "cc")
     return _lib

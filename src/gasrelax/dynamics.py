@@ -102,7 +102,7 @@ class IntegratorConfig:
             raise ValueError("wall_guard must lie in (0, 1)")
 
 
-@dataclass
+@dataclass(eq=False)
 class CorrelationSeries:
     """Ensemble autocorrelation C(t) = E[B(x_t) B(x_0)] with standard errors."""
 
@@ -240,8 +240,6 @@ def _run_ensemble(terms, marginal: WallMarginal, config: IntegratorConfig,
         # imported here, not with the module: only workers > 1 need it, and
         # it adds several ms to every CLI start
         from concurrent.futures import ThreadPoolExecutor
-        # loaded first, so that no two threads build the kernel
-        _kernel.library()
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(shard, starts))
     else:
@@ -298,23 +296,20 @@ def empirical_relax_time(series: CorrelationSeries) -> Optional[float]:
 
 def displacement_norms(params: ModelParams, times: Sequence[float],
                        n_traj: int, seed: int, config: IntegratorConfig,
-                       marginal: Optional[WallMarginal] = None,
+                       grid_size: int = 2048,
                        n_workers: int = 1) -> list[NormEstimate]:
     """rho1 norms ||B(x_t) - B(x_0)||_1 at the requested times, one per
     time in the order given.
 
     Initial conditions come from rho1, tilted by h = params.field, matching
-    the displacement bound being verified; marginal, if given, is its own.
-    The steps are config.dt at most; config.t_end is not read.
+    the displacement bound being verified; their marginal is built here on
+    grid_size cells, once a time above 0 needs it.  The steps are config.dt
+    at most; config.t_end is not read.
     """
     _require_traj(n_traj)
     times = [float(t) for t in times]
     if not times or not all(0.0 <= t < math.inf for t in times):
         raise ValueError("displacement times must be finite and nonnegative")
-    if marginal is not None and (marginal.params != params
-                                 or marginal.tilt != params.field):
-        raise ValueError("displacement norms sample rho1: pass the marginal "
-                         "of params tilted by its field")
     grid = sorted(t for t in times if t > 0.0)
     if not grid:
         return [NormEstimate(0.0, 0.0, n_traj, _measure(params.field))
@@ -324,8 +319,7 @@ def displacement_norms(params: ModelParams, times: Sequence[float],
     n_records = int(round(grid[-1] / base)) + 1
     if any(abs(t / base - round(t / base)) > 1e-9 for t in grid):
         raise ValueError("displacement times must be multiples of the smallest")
-    if marginal is None:
-        marginal = build_marginal(params, tilted=True)
+    marginal = build_marginal(params, grid_size=grid_size, tilted=True)
     _, mean_q, var_q, _ = _run_ensemble(
         _displacement_terms, marginal, config, grid[-1], n_traj, seed,
         n_records, n_workers)
@@ -383,14 +377,13 @@ def make_relaxation_report(params: ModelParams, config: IntegratorConfig,
     cover the grid times up to t0 (both fail if the run stops before t0);
     displacement checks run at the _DISPLACEMENT_FRACS of t0 against
     (1 + _ETA_MARGIN) * eta * t * ||B||_1 plus _DISPLACEMENT_K combined
-    standard errors.  Both marginals are tabulated on grid_size cells.
+    standard errors.  The rho0 marginal built here, and the rho1 marginal
+    that displacement_norms builds, are tabulated on grid_size cells.
     """
     h = params.field
     t0 = _bounds.t_relax_lower(params)
     eta = _bounds.eta_analytic(params)
     marginal0 = build_marginal(params, grid_size=grid_size)
-    marginal1 = (build_marginal(params, grid_size=grid_size, tilted=True)
-                 if h != 0.0 else marginal0)
 
     series = autocorr_B(params, config, n_traj, seed, marginal=marginal0,
                         n_times=n_times, n_workers=n_workers)
@@ -413,7 +406,7 @@ def make_relaxation_report(params: ModelParams, config: IntegratorConfig,
 
     disp_times = [f * t0 for f in _DISPLACEMENT_FRACS]
     disp = displacement_norms(params, disp_times, n_traj, seed + 1, config,
-                              marginal=marginal1, n_workers=n_workers)
+                              grid_size=grid_size, n_workers=n_workers)
     b1 = norm0_B_mc(params, _NORM_SAMPLES, philox_key(seed, 7001))
     details = []
     displacement_ok = True

@@ -205,7 +205,7 @@ class NormEstimate:
                                 which_measure)
 
 
-@dataclass
+@dataclass(eq=False)
 class WallMarginal:
     """Tabulated single-particle height marginal with its normalization.
 
@@ -227,9 +227,8 @@ class WallMarginal:
     _inv_u: np.ndarray = field(repr=False)
     _inv_z: np.ndarray = field(repr=False)
     _inv_m: np.ndarray = field(repr=False)
-    _guide: np.ndarray = field(init=False, repr=False, compare=False)
-    _log_mgf: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    _guide: np.ndarray = field(init=False, repr=False)
+    _log_mgf: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         # the C kernels read these tables through bare pointers

@@ -75,9 +75,8 @@ def reference_run():
 def displacement_run(reference_run):
     t0, config, _ = reference_run
     times = [0.25 * t0, 0.5 * t0, 1.0 * t0]
-    marginal1 = build_marginal(REF, tilted=True)
     estimates = displacement_norms(REF, times, n_traj=10000, seed=SEED + 1,
-                                   config=config, marginal=marginal1)
+                                   config=config)
     b1 = norm0_B_mc(REF, 20000, philox_key(SEED, 501))
     return times, estimates, b1
 

@@ -5,6 +5,7 @@ import ast
 import importlib.util
 import inspect
 import math
+import re
 import types
 from pathlib import Path
 
@@ -171,26 +172,29 @@ def test_no_kernel_pointer_outlives_its_array():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-def _formed_kernel_arguments(source, helpers):
-    """The arguments of each `_kernel.library().<entry>(...)` call in source,
-    also through a name bound to `_kernel.library()`, that hold arithmetic
-    or a call of one of the functions named in helpers, as source text."""
+def _kernel_calls(source):
+    """Each `_kernel.library().<entry>(...)` call in source, also through a
+    name bound to `_kernel.library()`."""
     tree = ast.parse(source)
     library = {"_kernel.library()"} | {
         target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
         and ast.unparse(node.value) == "_kernel.library()"
         for target in node.targets if isinstance(target, ast.Name)}
-    found = []
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and ast.unparse(node.func.value) in library):
-            found.extend(
-                ast.unparse(arg) for arg in node.args
-                if any(isinstance(sub, ast.BinOp)
-                       or (isinstance(sub, ast.Call)
-                           and getattr(sub.func, "id", None) in helpers)
-                       for sub in ast.walk(arg)))
-    return found
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and ast.unparse(node.func.value) in library]
+
+
+def _formed_kernel_arguments(source, helpers):
+    """The arguments of each kernel call in source that hold arithmetic or a
+    call of one of the functions named in helpers, as source text."""
+    return [ast.unparse(arg) for node in _kernel_calls(source)
+            for arg in node.args
+            if any(isinstance(sub, ast.BinOp)
+                   or (isinstance(sub, ast.Call)
+                       and getattr(sub.func, "id", None) in helpers)
+                   for sub in ast.walk(arg))]
 
 
 def test_the_kernel_forms_its_own_coefficients():
@@ -211,6 +215,29 @@ def test_the_kernel_forms_its_own_coefficients():
     found = {name: _formed_kernel_arguments(source, helpers)
              for name, source in sources.items()}
     assert {name: args for name, args in found.items() if args} == {}
+
+
+def _unmatched_kernel_entries(c_source, sources):
+    """The `KERNEL <type> <name>(...)` prototypes of c_source that no kernel
+    call in the Python sources names, and the names called that have none."""
+    entries = set(re.findall(r"^KERNEL \w+ (\w+)\(", c_source, re.MULTILINE))
+    called = {node.func.attr for source in sources
+              for node in _kernel_calls(source)}
+    return entries ^ called
+
+
+def test_every_kernel_entry_has_a_caller():
+    # an entry goes with its last caller
+    assert _unmatched_kernel_entries(
+        "KERNEL void a(double x)\nstatic KERNEL double s(double x)\n"
+        "KERNEL ptrdiff_t b(const double *z,\n    ptrdiff_t n)\n"
+        "KERNEL void dead(double x)\n",
+        ["_kernel.library().a(1.0)\n",
+         "lib = _kernel.library()\nlib.b(z, 2)\n"]) == {"dead"}
+    src = ROOT / "src" / "gasrelax"
+    assert _unmatched_kernel_entries(
+        (src / "_verlet.c").read_text(),
+        [path.read_text() for path in src.glob("*.py")]) == set()
 
 
 def test_no_gibbs_or_bounds_function_takes_params_and_a_marginal():

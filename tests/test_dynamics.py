@@ -291,6 +291,19 @@ class TestEmpiricalRelaxTime:
         assert t_star == pytest.approx(math.pi / 2.0, abs=0.02)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: build_marginal(ModelParams(4, 1.0, 1.0, 10.0), grid_size=64),
+    lambda: CorrelationSeries(times=[0.0, 1.0], c_values=[1.0, 0.5],
+                              std_errors=[0.1, 0.1], n_trajectories=4,
+                              field_h=0.0),
+], ids=["WallMarginal", "CorrelationSeries"])
+def test_objects_holding_arrays_compare_without_raising(make):
+    # a generated __eq__ compared their NumPy arrays and raised "truth value
+    # of an array is ambiguous"; they compare by identity
+    a, b = make(), make()
+    assert (a == b) is False and (a == a) is True
+
+
 class TestDisplacement:
     PARAMS = ModelParams(16, 1.0, 1.0, 10.0, field=1e-3)
 
@@ -325,14 +338,6 @@ class TestDisplacement:
         assert [(e.value, e.std_error, e.n_samples, e.which_measure)
                 for e in ests] == [(0.0, 0.0, 3, measure)] * 2
 
-    def test_zero_times_still_check_the_marginal(self):
-        config = IntegratorConfig(dt=1e-3, t_end=1.0)
-        with pytest.raises(ValueError, match="rho1"):
-            displacement_norms(self.PARAMS, [0.0], n_traj=100, seed=1,
-                               config=config,
-                               marginal=build_marginal(self.PARAMS,
-                                                       grid_size=64))
-
     def test_one_estimate_per_time_in_the_order_given(self):
         # the ensemble runs on the sorted grid; the estimates come back in
         # the order of the request, a repeated time repeated
@@ -358,9 +363,8 @@ class TestDisplacement:
         t0 = t_relax_lower(self.PARAMS)
         eta = eta_analytic(self.PARAMS)
         config = IntegratorConfig(dt=5e-4, t_end=t0, energy_drift_tol=1e-4)
-        marginal1 = build_marginal(self.PARAMS, tilted=True)
         ests = displacement_norms(self.PARAMS, [0.5 * t0, t0], n_traj=2000,
-                                  seed=41, config=config, marginal=marginal1)
+                                  seed=41, config=config)
         b1 = norm0_B_mc(self.PARAMS, 5000, philox_key(41, 99))
         for t, est in zip([0.5 * t0, t0], ests):
             bound = (1.0 + _ETA_MARGIN) * eta * t * b1.value
@@ -400,22 +404,6 @@ class TestDisplacement:
                                              "finite and nonnegative$"):
             displacement_norms(self.PARAMS, times, n_traj=4, seed=1,
                                config=config)
-
-    def test_untilted_marginal_rejected(self):
-        config = IntegratorConfig(dt=1e-3, t_end=1.0)
-        with pytest.raises(ValueError):
-            displacement_norms(self.PARAMS, [0.1], n_traj=100, seed=1,
-                               config=config,
-                               marginal=build_marginal(self.PARAMS))
-
-
-    def test_marginal_tilted_by_another_field_rejected(self):
-        config = IntegratorConfig(dt=1e-3, t_end=1.0)
-        other = build_marginal(replace(self.PARAMS, field=5e-2), grid_size=64,
-                               tilted=True)
-        with pytest.raises(ValueError, match="rho1"):
-            displacement_norms(self.PARAMS, [0.1], n_traj=100, seed=1,
-                               config=config, marginal=other)
 
 
 class TestLowerBoundCurve:

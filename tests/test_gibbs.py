@@ -76,6 +76,19 @@ class TestBuildMarginal:
         assert abs(mean_plain) < 1e-10
         assert mean_tilted > 0.1
 
+    @pytest.mark.parametrize("field", [0.0, -0.0])
+    def test_tilt_by_a_zero_field_is_the_rho0_marginal(self, ref_params,
+                                                        field):
+        # displacement_norms builds the tilted marginal at every field: at
+        # h = 0 it samples rho0 from the rho0 table, bit for bit
+        params = dataclasses.replace(ref_params, field=field)
+        plain = build_marginal(params)
+        tilted = build_marginal(params, tilted=True)
+        assert tilted.which_measure == "rho0"
+        for name in ("z_tilde", "_inv_u", "_inv_z", "_inv_m"):
+            assert np.array_equal(_bits(getattr(tilted, name)),
+                                  _bits(getattr(plain, name))), name
+
     @settings(max_examples=25, deadline=None, database=None)
     @given(beta=st.floats(0.2, 5.0), delta=st.floats(1e-3, 10.0),
            box_side=st.floats(3.5, 40.0), field=st.floats(0.0, 0.1),

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -394,6 +395,34 @@ class TestLoader:
             assert out.strip() == str(_bits(want).tolist())
         # one library, and no partial file left behind
         assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
+
+    def test_threads_that_ask_at_once_load_once(self, monkeypatch):
+        # the threads of one process build into one `.part` file name, so
+        # they must not build side by side
+        calls = []
+
+        def slow_load(cache_dir, cc):
+            calls.append(cc)
+            time.sleep(0.05)
+            return object()
+
+        monkeypatch.setattr(_kernel, "_lib", None)
+        monkeypatch.setattr(_kernel, "_load", slow_load)
+        barrier = threading.Barrier(4)
+        got = []
+
+        def ask():
+            barrier.wait(timeout=10)
+            got.append(_kernel.library())
+
+        threads = [threading.Thread(target=ask) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(calls) == 1
+        assert len(got) == 4 and all(lib is got[0] for lib in got)
 
     def test_a_build_removes_the_stale_libraries(self, tmp_path):
         # a library of an older key goes; another process's build does not
