@@ -2,7 +2,9 @@
  * of the quadrature panels, the velocity-Verlet trajectory with its energy
  * records, the inverse CDF of the wall marginal with the guide table it
  * reads, and NumPy's Philox stream with the states it samples and their
- * force and momentum sums, in gasrelax.
+ * force and momentum sums, in gasrelax.  The inverse CDF is one table of
+ * 3 rows of k values, C order: the CDF knots u, the heights z and the
+ * tangents m; its guide has GUIDE_CELLS entries.
  *
  * Each job has one body, which the other entries call: wall_sums owns the
  * wall and its row sums, philox_uniforms the stream's doubles, guide_table
@@ -315,44 +317,49 @@ static inline double hermite(double t, double y0, double m0, double y1,
         + (-2.0 * t3 + 3.0 * t2) * y1 + (t3 - t2) * m1;
 }
 
-/* guide[j] = the bracket of the left edge j / cells of cell j of u, for
- * j < cells: the last i <= k - 2 with inv_u[i] <= j / cells, 0 if there is
- * none.  One merge pass over the k >= 2 knots, which for increasing knots
- * gives what a binary search does; any knots give a bracket in [0, k - 2].
+/* cells of the inverse-CDF guide over u in [0, 1); a power of two, so
+ * u * GUIDE_CELLS is exact and its floor is the cell that holds u */
+#define GUIDE_CELLS (1 << 16)
+
+const ptrdiff_t guide_cells = GUIDE_CELLS;
+
+/* guide[j] = the bracket of the left edge j / GUIDE_CELLS of cell j of u,
+ * for j < GUIDE_CELLS: the last i <= k - 2 with inv_u[i] <= j / GUIDE_CELLS,
+ * 0 if there is none.  One merge pass over the k >= 2 knots (the table's
+ * first row), which for increasing knots gives what a binary search does;
+ * any knots give a bracket in [0, k - 2].
  */
 KERNEL void guide_table(const double *restrict inv_u, ptrdiff_t k,
-                        int32_t *restrict guide, ptrdiff_t cells)
+                        int32_t *restrict guide)
 {
-    double width = (double)cells;
     ptrdiff_t i = 0;
-    for (ptrdiff_t j = 0; j < cells; j++) {
-        double edge = (double)j / width;
+    for (ptrdiff_t j = 0; j < GUIDE_CELLS; j++) {
+        double edge = (double)j / GUIDE_CELLS;
         while (i < k - 2 && inv_u[i + 1] <= edge)
             i++;
         guide[j] = (int32_t)i;
     }
 }
 
-/* The monotone-cubic inverse of the CDF knots (inv_u, inv_z) with tangents
- * inv_m at u[i], into out[i], for i < n; out may be u itself.
+/* The monotone-cubic inverse at u[i], into out[i], for i < n, of the
+ * table's k CDF knots inv_u, heights inv_z and tangents inv_m; out may be u
+ * itself.
  *
  * guide is guide_table's of the knots, so the bracket of a u in [j, j+1) /
- * cells is guide[j] stepped up past every knot inv_u[i + 1] <= u, as long
- * as i < k - 2: a step for each knot inside the cell, at most k / cells on
- * average; a u below 0 or NaN starts from cell 0, one of 1 or more from the
- * last.  Every value is the one a binary search gives (for a NaN, NaN).
- * Each chunk is copied and bracketed in one pass, then interpolated.
+ * GUIDE_CELLS is guide[j] stepped up past every knot inv_u[i + 1] <= u, as
+ * long as i < k - 2: a step for each knot inside the cell, at most
+ * k / GUIDE_CELLS on average; a u below 0 or NaN starts from cell 0, one of
+ * 1 or more from the last.  Every value is the one a binary search gives
+ * (for a NaN, NaN).  Each chunk is copied and bracketed in one pass, then
+ * interpolated.
  */
 KERNEL void inverse_cdf(const double *u, double *out, ptrdiff_t n,
-                        const double *restrict inv_u,
-                        const double *restrict inv_z,
-                        const double *restrict inv_m,
-                        const int32_t *restrict guide, ptrdiff_t k,
-                        ptrdiff_t cells)
+                        const double *restrict table,
+                        const int32_t *restrict guide, ptrdiff_t k)
 {
+    const double *inv_u = table, *inv_z = table + k, *inv_m = table + 2 * k;
     double uc[INVERSE_CDF_CHUNK];
     ptrdiff_t idx[INVERSE_CDF_CHUNK];
-    double width = (double)cells;
 
     for (ptrdiff_t start = 0; start < n; start += INVERSE_CDF_CHUNK) {
         ptrdiff_t len = n - start;
@@ -360,9 +367,10 @@ KERNEL void inverse_cdf(const double *u, double *out, ptrdiff_t n,
             len = INVERSE_CDF_CHUNK;
         for (ptrdiff_t i = 0; i < len; i++) {
             double ui = u[start + i];
-            double cell = ui * width;
+            double cell = ui * GUIDE_CELLS;
             ptrdiff_t j = guide[!(cell >= 0.0) ? 0
-                                : cell < width ? (ptrdiff_t)cell : cells - 1];
+                                : cell < GUIDE_CELLS ? (ptrdiff_t)cell
+                                : GUIDE_CELLS - 1];
             while (j < k - 2 && ui >= inv_u[j + 1])
                 j++;
             uc[i] = ui;
@@ -473,17 +481,14 @@ static __attribute__((noinline, cold)) void drop_zero(struct philox *s,
 /* z[i] = the inverse CDF of the next value of *s that is not 0.0, for
  * i < len: a 0.0, which would put a particle on the wall, is skipped. */
 static inline void heights(struct philox *s, double *z, ptrdiff_t len,
-                           const double *restrict inv_u,
-                           const double *restrict inv_z,
-                           const double *restrict inv_m,
-                           const int32_t *restrict guide, ptrdiff_t k,
-                           ptrdiff_t cells)
+                           const double *restrict table,
+                           const int32_t *restrict guide, ptrdiff_t k)
 {
     philox_uniforms(s, z, len);
     for (ptrdiff_t i = 0; i < len; i++)
         while (z[i] == 0.0)
             drop_zero(s, z, i, len);
-    inverse_cdf(z, z, len, inv_u, inv_z, inv_m, guide, k, cells);
+    inverse_cdf(z, z, len, table, guide, k);
 }
 
 /* the callbacks of NumPy's bitgen_t on a struct philox; a normal deviate
@@ -528,11 +533,9 @@ KERNEL ptrdiff_t sampled_force_sums(struct philox *s, double *restrict out,
                                     ptrdiff_t rows, ptrdiff_t n,
                                     double *restrict scratch,
                                     double half, double delta,
-                                    const double *restrict inv_u,
-                                    const double *restrict inv_z,
-                                    const double *restrict inv_m,
+                                    const double *restrict table,
                                     const int32_t *restrict guide,
-                                    ptrdiff_t k, ptrdiff_t cells)
+                                    ptrdiff_t k)
 {
     double buf[INVERSE_CDF_CHUNK];
     double *z = n <= INVERSE_CDF_CHUNK ? buf : scratch;
@@ -540,7 +543,7 @@ KERNEL ptrdiff_t sampled_force_sums(struct philox *s, double *restrict out,
     ptrdiff_t outside = 0;
     for (ptrdiff_t r0 = 0; r0 < rows; r0 += per_chunk) {
         ptrdiff_t nr = rows - r0 < per_chunk ? rows - r0 : per_chunk;
-        heights(s, z, nr * n, inv_u, inv_z, inv_m, guide, k, cells);
+        heights(s, z, nr * n, table, guide, k);
         outside += wall_sums(z, out + r0, nr, n, 1, half, delta);
     }
     return outside;
@@ -554,13 +557,10 @@ KERNEL ptrdiff_t sampled_force_sums(struct philox *s, double *restrict out,
  */
 KERNEL void sampled_states(struct philox *s, double *restrict z,
                            double *restrict p, ptrdiff_t rows, ptrdiff_t n,
-                           double beta, const double *restrict inv_u,
-                           const double *restrict inv_z,
-                           const double *restrict inv_m,
-                           const int32_t *restrict guide, ptrdiff_t k,
-                           ptrdiff_t cells)
+                           double beta, const double *restrict table,
+                           const int32_t *restrict guide, ptrdiff_t k)
 {
-    heights(s, z, rows * n, inv_u, inv_z, inv_m, guide, k, cells);
+    heights(s, z, rows * n, table, guide, k);
     normals(s, p, rows * n, beta);
 }
 

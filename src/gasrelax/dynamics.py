@@ -110,7 +110,6 @@ class CorrelationSeries:
     c_values: np.ndarray
     std_errors: np.ndarray
     n_trajectories: int
-    field_h: float
     max_energy_drift: float = 0.0
 
     def __post_init__(self):
@@ -283,7 +282,7 @@ def autocorr_B(params: ModelParams, config: IntegratorConfig, n_traj: int,
         n_times, n_workers)
     return CorrelationSeries(times=times, c_values=c,
                              std_errors=np.sqrt(var / n_traj),
-                             n_trajectories=n_traj, field_h=params.field,
+                             n_trajectories=n_traj,
                              max_energy_drift=max_drift)
 
 

@@ -7,19 +7,20 @@ exp(-beta V(z) + h beta z) for the perturbed measure) times independent
 Gaussian momenta of variance 1/beta.
 
 Positions are drawn by inverse-CDF lookup from a tabulated marginal with a
-monotone-cubic inverse; naive rejection would accept with probability
-z_tilde / L, which degrades for strong walls and is kept only as a test
-oracle.  The lookup runs in the C kernel (`_verlet.c`) and is a guide-table
-(indexed) search: 2^16 equal cells of u in [0, 1) each store the CDF
-bracket of their left edge, which the kernel finds for every cell in one
-merge pass over the marginal's own knots when the marginal is made.  A draw
-finds its bracket with one gather and a step past each knot that lies in
-its cell (about 2.6 % of the cells on the reference grid hold one); a u
-below 0 or NaN starts from the first cell, and one of 1 or more from the
-last.  The kernel works through the values in chunks of a few hundred, so
-it needs no temporaries beyond the stack, and it may write over its input.
-Every drawn value is bitwise what a binary search over the whole batch and
-the NumPy cubic give.
+monotone-cubic inverse, one (3, k) table of its CDF knots, heights and
+tangents; naive rejection would accept with probability z_tilde / L, which
+degrades for strong walls and is kept only as a test oracle.  The lookup
+runs in the C kernel (`_verlet.c`) and is a guide-table (indexed) search:
+the kernel's guide_cells (2^16) equal cells of u in [0, 1) each store the
+CDF bracket of their left edge, which the kernel finds for every cell in
+one merge pass over the marginal's own knots when the marginal is made.  A
+draw finds its bracket with one gather and a step past each knot that
+lies in its cell (about 2.6 % of the cells on the reference grid hold
+one); a u below 0 or NaN starts from the first cell, and one of 1 or more
+from the last.  The kernel works through the values in chunks of a few
+hundred, so it needs no temporaries beyond the stack, and it may write over
+its input.  Every drawn value is bitwise what a binary search over the
+whole batch and the NumPy cubic give.
 
 States are drawn in the C kernel from NumPy's Philox stream, given by its
 key and start counter (rng.philox_state), which the kernel reads once, in
@@ -50,6 +51,7 @@ wall limit, but the power overflows first if formed naively.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
@@ -78,10 +80,6 @@ __all__ = [
 
 # exp underflows to 0 below ~-745; anything smaller is identically zero weight
 _LOG_FLOOR = -745.0
-
-# cells of the inverse-CDF guide table over u in [0, 1); a power of two, so
-# u * _GUIDE_CELLS is exact and its floor is the cell that holds u
-_GUIDE_CELLS = 1 << 16
 
 # the fewest and the most cells of a CDF table; the guide table holds
 # bracket indices below grid_size as int32
@@ -150,8 +148,18 @@ def _wall_breakpoints(params: ModelParams) -> tuple:
 def _box_integral(f, params: ModelParams, **options) -> float:
     """The integral of f over the box, by adaptive quadrature to a relative
     tolerance of 1e-10, seeded at both wall layers (_wall_breakpoints);
-    options, such as abs_floor, go to integrate_finite."""
+    options, such as abs_floor, go to integrate_finite.
+
+    A box whose float spacing at the walls is past 2^-21 of the wall layer
+    (box_side past 2^32 layers) is refused: positions there are too coarse
+    for the layer, and its integrals came out wrong or did not converge.
+    """
     half = params.half_box
+    spacing = math.ulp(half)
+    if spacing > 2.0**-21 * params.wall_layer:
+        raise ValueError(f"box_side {params.box_side!r} is too wide: floats "
+                         f"at its walls are {spacing:.3g} apart, more than "
+                         f"2^-21 of the wall layer {params.wall_layer:.3g}")
     return integrate_finite(f, -half, half, rel_tol=1e-10,
                             breakpoints=_wall_breakpoints(params),
                             **options).value
@@ -210,38 +218,37 @@ class WallMarginal:
     """Tabulated single-particle height marginal with its normalization.
 
     `z_tilde` is the partition integral of the (possibly tilted) weight over
-    the box.  The CDF knots, the grid nodes where the CDF increases, and
-    their monotone-cubic inverse tangents support vectorized inverse-CDF
-    draws.  `_guide` holds, for each of the _GUIDE_CELLS equal cells of u,
-    the index of the CDF bracket containing the cell's left edge; the
-    kernel steps up from it past any knot inside the cell.  It is not an
-    argument: the kernel's guide_table builds it from the marginal's own
-    knots once they are checked.  `_log_mgf` keeps the values of log_mgf_z
-    already evaluated on this marginal.
+    the box.  `_table` is the monotone-cubic inverse map u -> z, a
+    C-ordered float64 array of shape (3, k): its rows are the CDF knots
+    (strictly increasing), the grid nodes where the CDF increases, and the
+    tangents.  `_guide` holds, for each of the kernel's guide_cells equal
+    cells of u, the index of the CDF bracket containing the cell's left
+    edge; the kernel steps up from it past any knot inside the cell.  It is
+    not an argument: the kernel's guide_table builds it from the marginal's
+    own knots once the table is checked.  `_log_mgf` keeps the values of
+    log_mgf_z already evaluated on this marginal.
     """
 
     params: ModelParams
     tilt: float
     z_tilde: float
-    # strictly increasing knots of the inverse map u -> z and its tangents
-    _inv_u: np.ndarray = field(repr=False)
-    _inv_z: np.ndarray = field(repr=False)
-    _inv_m: np.ndarray = field(repr=False)
+    _table: np.ndarray = field(repr=False)
     _guide: np.ndarray = field(init=False, repr=False)
     _log_mgf: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        # the C kernels read these tables through bare pointers
-        k = self._inv_u.size
-        tables = (self._inv_u, self._inv_z, self._inv_m)
-        if not (k >= 2
-                and all(a.dtype == np.float64 and a.shape == (k,)
-                        and a.flags.c_contiguous for a in tables)):
-            raise ValueError("inverse-CDF tables of inconsistent size or "
-                             "layout")
-        self._guide = np.empty(_GUIDE_CELLS, dtype=np.int32)
-        _kernel.library().guide_table(self._inv_u.ctypes.data, k,
-                                      self._guide.ctypes.data, _GUIDE_CELLS)
+        # the C kernels read the table through one bare pointer
+        table = self._table
+        if not (table.dtype == np.float64 and table.ndim == 2
+                and table.shape[0] == 3 and table.shape[1] >= 2
+                and table.flags.c_contiguous):
+            raise ValueError("the inverse-CDF table must be a C-ordered "
+                             "float64 array of shape (3, k), k >= 2")
+        lib = _kernel.library()
+        cells = ctypes.c_ssize_t.in_dll(lib, "guide_cells").value
+        self._guide = np.empty(cells, dtype=np.int32)
+        lib.guide_table(table.ctypes.data, table.shape[1],
+                        self._guide.ctypes.data)
 
     @property
     def which_measure(self) -> str:
@@ -260,11 +267,10 @@ class WallMarginal:
         return out if out.ndim else out[()]
 
     def _kernel_tables(self) -> tuple:
-        """The inverse-CDF arguments of the C kernels: the knot, height and
-        tangent tables, the guide table, the knot count and the cells."""
-        return (self._inv_u.ctypes.data, self._inv_z.ctypes.data,
-                self._inv_m.ctypes.data, self._guide.ctypes.data,
-                self._inv_u.size, _GUIDE_CELLS)
+        """The inverse-CDF arguments of the C kernels: the (3, k) table, the
+        guide and the knot count k."""
+        return (self._table.ctypes.data, self._guide.ctypes.data,
+                self._table.shape[1])
 
 
 def _monotone_tangents(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -332,12 +338,10 @@ def build_marginal(params: ModelParams, grid_size: int = 2048,
     cdf[-1] = 1.0
 
     keep = np.concatenate(([True], np.diff(cdf) > 0.0))
-    inv_u = cdf[keep]
-    inv_z = nodes[keep]
-    inv_m = _monotone_tangents(inv_u, inv_z)
-
+    inv_u, inv_z = cdf[keep], nodes[keep]
+    table = np.stack((inv_u, inv_z, _monotone_tangents(inv_u, inv_z)))
     return WallMarginal(params=params, tilt=tilt, z_tilde=z_tilde,
-                        _inv_u=inv_u, _inv_z=inv_z, _inv_m=inv_m)
+                        _table=table)
 
 
 def sample_batch(marginal: WallMarginal, rng: np.random.Generator,
@@ -518,11 +522,7 @@ class HoelderCertificate:
     the threshold, the epsilon claim too.
     """
 
-    h: float
-    delta_moment: float
-    epsilon: float
     k: float
-    log_k: float
     hoelder_bound: float
     gamma: float
     gamma_tilde: float
@@ -567,8 +567,6 @@ def hoelder_certificate(marginal: WallMarginal, delta_moment: float, h: float,
         h_threshold = h_max
     below = h < h_threshold
     return HoelderCertificate(
-        h=h, delta_moment=delta_moment, epsilon=epsilon,
-        k=math.exp(log_k), log_k=log_k, hoelder_bound=math.exp(log_bound),
-        gamma=gamma, gamma_tilde=gtilde, bound_holds=bound_holds,
-        h_threshold=h_threshold, h_below_threshold=below,
-        gamma_below_epsilon=gamma < epsilon)
+        k=math.exp(log_k), hoelder_bound=math.exp(log_bound), gamma=gamma,
+        gamma_tilde=gtilde, bound_holds=bound_holds, h_threshold=h_threshold,
+        h_below_threshold=below, gamma_below_epsilon=gamma < epsilon)

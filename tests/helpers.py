@@ -21,6 +21,7 @@ trajectory kernel, which records it, and the normalized density of a wall
 marginal) live here too.
 """
 
+import ctypes
 import math
 import tracemalloc
 from dataclasses import replace
@@ -32,8 +33,8 @@ from numpy.polynomial.legendre import leggauss
 from gasrelax import _kernel
 from gasrelax.dynamics import (EnergyDriftError, WallBreachError,
                                _evolve_batch, _records_grid)
-from gasrelax.gibbs import (_GUIDE_CELLS, NormEstimate, _centered_mgf,
-                            _monotone_tangents, _weight)
+from gasrelax.gibbs import (NormEstimate, _centered_mgf, _monotone_tangents,
+                            _weight)
 from gasrelax.rng import philox_state
 from gasrelax.numerics import (_WG, _WGK, _XGK, QuadratureError,
                                integrate_finite)
@@ -138,7 +139,7 @@ def inverse_cdf_searchsorted(marginal, u):
     its guide table and its C kernel, on the whole batch at once.
     """
     u = np.asarray(u, dtype=float)
-    inv_u, inv_z, inv_m = marginal._inv_u, marginal._inv_z, marginal._inv_m
+    inv_u, inv_z, inv_m = marginal._table
     idx = np.clip(np.searchsorted(inv_u, u, side="right") - 1,
                   0, inv_u.size - 2)
     x0 = inv_u[idx]
@@ -165,11 +166,17 @@ def traced_peak(call):
     return result, peak
 
 
+def guide_cells():
+    """Cells of the kernel's inverse-CDF guide, as built."""
+    return ctypes.c_ssize_t.in_dll(_kernel.library(), "guide_cells").value
+
+
 def guide_table_one_shot(inv_u):
     """The guide table of the knots inv_u, searched for every cell edge at
     once with NumPy: what the kernel's guide_table builds in one merge
     pass."""
-    edges = np.arange(_GUIDE_CELLS) / _GUIDE_CELLS
+    cells = guide_cells()
+    edges = np.arange(cells) / cells
     return np.clip(np.searchsorted(inv_u, edges, side="right") - 1,
                    0, inv_u.size - 2)
 
@@ -410,8 +417,9 @@ def cdf_values(marginal, grid_size=2048):
     """
     half = marginal.params.half_box
     nodes = np.linspace(-half, half, grid_size + 1)
-    kept = np.searchsorted(marginal._inv_z, nodes, side="right") - 1
-    return marginal._inv_u[kept]
+    inv_u, inv_z, _ = marginal._table
+    kept = np.searchsorted(inv_z, nodes, side="right") - 1
+    return inv_u[kept]
 
 
 def _recip_pow13(u):

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -270,20 +271,19 @@ class TestBoundsFlags:
         assert (err == "") == (code == EXIT_OK)
 
     @pytest.mark.parametrize("extreme", [
-        # 1/eta: eta underflows to zero
-        (["--box_side=1e300", "--beta=1e300", "--delta_wall=21.4"],
-         "float division by zero"),
-        # delta^2 overflows in the bracket norm; the message comes without
-        # the errno of a float ** overflow
-        (["--box_side=3.4e165", "--beta=0.001", "--delta_wall=3.4e165"],
-         "Numerical result out of range"),
+        # 1/(k_B T): k_B T underflows to zero
+        (["--mass_kg=4.65e-26", "--sigma_m=1e-10", "--box_m=1.0",
+          "--temperature_k=1e-320"], "float division by zero"),
         # the Gibbs weight of the (z+L/2)^-26 term overflows exp, with no
         # RuntimeWarning on the way
-        (["--delta_wall=1e-190"], "overflow encountered in exp"),
-        # delta^2 again, at the default box and a tiny beta
+        (["--box_side=1e-15", "--delta_wall=1e-190"],
+         "overflow encountered in exp"),
+        # delta^2 overflows in the bracket norm, at the default box and a
+        # tiny beta; the message comes without the errno of a float **
+        # overflow
         (["--beta=1e-300", "--delta_wall=1e300"],
          "Numerical result out of range"),
-    ])
+    ], ids=["extreme0", "extreme2", "extreme3"])
     def test_float_range_is_a_validation_error(self, flags_dir, extreme):
         flags, reason = extreme
         code, _, err = _run_quietly(["bounds", "--n_particles", "4",
@@ -292,6 +292,34 @@ class TestBoundsFlags:
         assert code == EXIT_VALIDATION
         assert err == ("validation error: parameters out of numeric range: "
                        f"{reason}\n")
+
+    @pytest.mark.parametrize("flags", [
+        ["--box_side=1e10"], ["--box_side=1e16"],
+        ["--box_side=1e300", "--beta=1e300", "--delta_wall=21.4"],
+        ["--box_side=3.4e165", "--beta=0.001", "--delta_wall=3.4e165"],
+        ["--delta_wall=1e-190"],
+    ], ids=["box_1e10", "box_1e16", "eta_underflow", "delta_squared_overflow",
+            "tiny_wall_layer"])
+    def test_a_box_too_wide_for_its_wall_layer_is_refused(self, tmp_path,
+                                                          flags):
+        # floats at the walls more than 2^-21 of the wall layer apart: the
+        # layer's integrals came out wrong (at L = 1e16 they still passed)
+        # or failed to converge
+        code, _, err = _run_quietly(["bounds", "--n_particles", "4",
+                                     "--n_samples=1000", "--grid_size=100",
+                                     *flags, "--output_dir", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert re.fullmatch(r"validation error: box_side \S+ is too wide: "
+                            r"floats at its walls are \S+ apart, more than "
+                            r"2\^-21 of the wall layer \S+\n", err), err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_box_within_float_resolution_is_evaluated(self, tmp_path):
+        code, _, err = _run_quietly(["bounds", "--n_particles", "4",
+                                     "--n_samples=1000", "--grid_size=100",
+                                     "--box_side=1e9", "--output_dir",
+                                     str(tmp_path)])
+        assert (code, err) == (EXIT_OK, "")
 
     @pytest.mark.parametrize("units", [
         *(f"--{key}=inf"

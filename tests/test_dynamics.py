@@ -279,14 +279,14 @@ class TestEmpiricalRelaxTime:
         series = CorrelationSeries(times=np.linspace(0, 1, 5),
                                    c_values=np.ones(5),
                                    std_errors=np.full(5, 0.01),
-                                   n_trajectories=100, field_h=0.0)
+                                   n_trajectories=100)
         assert empirical_relax_time(series) is None
 
     def test_cosine_crossing(self):
         times = np.linspace(0.0, 4.0, 401)
         series = CorrelationSeries(times=times, c_values=np.cos(times),
                                    std_errors=np.full(401, 1e-6),
-                                   n_trajectories=100, field_h=0.0)
+                                   n_trajectories=100)
         t_star = empirical_relax_time(series)
         assert t_star == pytest.approx(math.pi / 2.0, abs=0.02)
 
@@ -294,8 +294,7 @@ class TestEmpiricalRelaxTime:
 @pytest.mark.parametrize("make", [
     lambda: build_marginal(ModelParams(4, 1.0, 1.0, 10.0), grid_size=64),
     lambda: CorrelationSeries(times=[0.0, 1.0], c_values=[1.0, 0.5],
-                              std_errors=[0.1, 0.1], n_trajectories=4,
-                              field_h=0.0),
+                              std_errors=[0.1, 0.1], n_trajectories=4),
 ], ids=["WallMarginal", "CorrelationSeries"])
 def test_objects_holding_arrays_compare_without_raising(make):
     # a generated __eq__ compared their NumPy arrays and raised "truth value

@@ -13,9 +13,8 @@ import helpers
 from helpers import mgf_z, observable_B
 from gasrelax import _kernel, gibbs, numerics
 from gasrelax.bounds import eta_empirical
-from gasrelax.gibbs import (_GUIDE_CELLS, _MAX_GRID, NormEstimate,
-                            _wall_breakpoints, _weight,
-                            build_marginal, gamma_h, gamma_tilde_h,
+from gasrelax.gibbs import (_MAX_GRID, NormEstimate, _wall_breakpoints,
+                            _weight, build_marginal, gamma_h, gamma_tilde_h,
                             hoelder_certificate, log_mgf_z, norm0_B_closed,
                             norm0_B_mc, norm0_mc,
                             norm0_poisson_B_H0_quadrature, sample_batch)
@@ -85,7 +84,7 @@ class TestBuildMarginal:
         plain = build_marginal(params)
         tilted = build_marginal(params, tilted=True)
         assert tilted.which_measure == "rho0"
-        for name in ("z_tilde", "_inv_u", "_inv_z", "_inv_m"):
+        for name in ("z_tilde", "_table"):
             assert np.array_equal(_bits(getattr(tilted, name)),
                                   _bits(getattr(plain, name))), name
 
@@ -105,7 +104,7 @@ class TestBuildMarginal:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             marginal = build_marginal(params, tilted=tilted)
-        assert np.all(np.isfinite(marginal._inv_m))
+        assert np.all(np.isfinite(marginal._table[2]))
         u = np.concatenate([[0.0, 5e-324, 1e-300, 1e-200, 1e-16,
                              np.nextafter(1.0, 0.0)],
                             substream(16, 0).random(4096)])
@@ -137,9 +136,8 @@ class TestMarginalTableBitwise:
         want = helpers.kronrod_masses_loop(ref_params, grid_size, tilted)
         assert np.array_equal(_bits(masses), _bits(want))
         marginal = build_marginal(ref_params, grid_size, tilted)
-        got = (marginal._inv_u, marginal._inv_z, marginal._inv_m)
-        for mine, theirs in zip(got, helpers.inverse_table_reference(
-                ref_params, grid_size, tilted)):
+        want = helpers.inverse_table_reference(ref_params, grid_size, tilted)
+        for mine, theirs in zip(marginal._table, want):
             assert np.array_equal(_bits(mine), _bits(theirs))
 
     def test_table_pass_holds_one_block_of_cells(self, ref_params):
@@ -410,8 +408,9 @@ class TestInverseCdfBitwise:
     """The guide-table lookup gives the bits of a binary search over all knots."""
 
     def test_knots_cell_edges_and_out_of_range(self, any_marginal):
-        knots = any_marginal._inv_u
-        edges = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
+        knots = any_marginal._table[0]
+        cells = helpers.guide_cells()
+        edges = np.arange(cells + 1) / cells
         u = np.concatenate([
             [0.0, -0.0, np.nextafter(1.0, 0.0), 1.0, -0.5, 1.5, np.nan],
             knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
@@ -442,18 +441,21 @@ class TestInverseCdfBitwise:
             [np.inf, -np.inf, tiny, -tiny, 2 * tiny, np.nextafter(tiny, 0.0)]))
 
     def test_tables_are_checked_before_the_kernel_reads_them(
-            self, ref_marginal):
-        for bad in (dict(_inv_z=ref_marginal._inv_z[:-1]),
-                    dict(_inv_m=ref_marginal._inv_m[::-1])):
-            with pytest.raises(ValueError, match="inverse-CDF tables"):
-                dataclasses.replace(ref_marginal, **bad)
+            self, ref_marginal, monkeypatch):
+        # a table without its tangents, and one read backwards: refused
+        # before guide_table runs, so the kernel never reads them
+        table = ref_marginal._table
+        monkeypatch.setattr(_kernel, "library", _no_kernel)
+        for bad in (table[:2], table[:, ::-1]):
+            with pytest.raises(ValueError, match="inverse-CDF table"):
+                dataclasses.replace(ref_marginal, _table=bad)
 
     @pytest.mark.parametrize("box_side", [5.0, 15.0])
     def test_subnormal_cdf_increments_are_covered(self, box_side):
         # the L5 and L15 marginals checked above have a knot interval of
         # subnormal width (about 1e-313) next to each wall; L20 has none,
         # its narrowest is about 3e-271
-        widths = np.diff(_box_marginal(box_side)._inv_u)
+        widths = np.diff(_box_marginal(box_side)._table[0])
         assert 0.0 < widths.min() < np.finfo(float).tiny
 
 
@@ -482,26 +484,28 @@ class TestGuideTable:
             marginal = build_marginal(params, grid_size, tilted)
             rebuilt, peak = helpers.traced_peak(
                 lambda: dataclasses.replace(marginal))
-            want = helpers.guide_table_one_shot(marginal._inv_u)
+            want = helpers.guide_table_one_shot(marginal._table[0])
             for guide in (marginal._guide, rebuilt._guide):
                 assert guide.dtype == np.int32
-                assert guide.shape == (_GUIDE_CELLS,)
+                assert guide.shape == (helpers.guide_cells(),)
                 assert np.array_equal(guide, want)
             assert peak < 1.25 * rebuilt._guide.nbytes
 
     @pytest.mark.parametrize("knots", [
-        [0.0, 0.25, 0.5, 1.0], [0.0, 1.0], [0.25, 0.5, 1.0],
-        [0.0, 1.0 / _GUIDE_CELLS, 2.0 / _GUIDE_CELLS, 0.5, 1.0],
-        [0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1.0]],
+        lambda cells: [0.0, 0.25, 0.5, 1.0], lambda cells: [0.0, 1.0],
+        lambda cells: [0.25, 0.5, 1.0],
+        lambda cells: [0.0, 1.0 / cells, 2.0 / cells, 0.5, 1.0],
+        lambda cells: [0.0, np.nextafter(0.5, 0.0), 0.5,
+                       np.nextafter(0.5, 1.0), 1.0]],
         ids=["quarters", "two_knots", "first_knot_past_0", "first_cells",
              "around_one_half"])
     def test_knots_on_cell_edges(self, ref_params, knots):
         # a knot on a cell's left edge is that cell's bracket; one just
         # below or above it is not
-        inv_u = np.array(knots)
-        marginal = gibbs.WallMarginal(ref_params, 0.0, 1.0, inv_u,
-                                      np.linspace(-1.0, 1.0, inv_u.size),
-                                      np.ones(inv_u.size))
+        inv_u = np.array(knots(helpers.guide_cells()))
+        table = np.stack((inv_u, np.linspace(-1.0, 1.0, inv_u.size),
+                          np.ones(inv_u.size)))
+        marginal = gibbs.WallMarginal(ref_params, 0.0, 1.0, table)
         assert np.array_equal(marginal._guide,
                               helpers.guide_table_one_shot(inv_u))
 
@@ -511,37 +515,44 @@ class TestGuideTable:
             dataclasses.replace(ref_marginal, _guide=ref_marginal._guide)
         with pytest.raises(TypeError, match="_guide"):
             gibbs.WallMarginal(ref_marginal.params, 0.0, 1.0,
-                               ref_marginal._inv_u, ref_marginal._inv_z,
-                               ref_marginal._inv_m,
+                               ref_marginal._table,
                                _guide=ref_marginal._guide)
 
     def test_swapped_tables_draw_from_their_own_knots(self, ref_marginal,
                                                       ref_marginal_tilted):
-        # the rho0 tables in the rho1 marginal: its guide follows them, so
+        # the rho0 table in the rho1 marginal: its guide follows it, so
         # every draw is the inverse of the knots it now holds
-        swapped = dataclasses.replace(
-            ref_marginal_tilted, _inv_u=ref_marginal._inv_u,
-            _inv_z=ref_marginal._inv_z, _inv_m=ref_marginal._inv_m)
+        swapped = dataclasses.replace(ref_marginal_tilted,
+                                      _table=ref_marginal._table)
         u = substream(30, 0).random(1 << 20)
         assert np.array_equal(_bits(swapped.inverse_cdf(u)), _bits(
             helpers.inverse_cdf_searchsorted(swapped, u)))
         assert np.array_equal(swapped._guide, ref_marginal._guide)
 
 
-@pytest.mark.parametrize("tables", [
-    lambda m: dict(_inv_u=m._inv_u.astype(np.float32)),
-    lambda m: dict(_inv_z=np.repeat(m._inv_z, 2)[::2]),
-    lambda m: dict(_inv_u=m._inv_u[:1], _inv_z=m._inv_z[:1],
-                   _inv_m=m._inv_m[:1]),
-    lambda m: dict(_inv_m=m._inv_m[:-1]),
-], ids=["float32_knots", "strided_heights", "single_knot", "short_tangents"])
-def test_wall_marginal_refuses_inconsistent_tables(ref_marginal, tables):
-    # the C kernels read these tables through bare pointers; as built, they
-    # pass
+def _no_kernel():
+    raise AssertionError("a refused table reaches no kernel")
+
+
+@pytest.mark.parametrize("table", [
+    lambda t: np.zeros_like(t, dtype=np.float32),
+    lambda t: np.repeat(t, 2, axis=1)[:, ::2],
+    lambda t: t[:, :1].copy(),
+    lambda t: t[:2].copy(),
+    lambda t: np.vstack((t, t[:1])),
+    lambda t: np.asfortranarray(t),
+], ids=["float32_knots", "strided_heights", "single_knot", "two_rows",
+        "four_rows", "fortran_order"])
+def test_wall_marginal_refuses_inconsistent_tables(ref_marginal, table,
+                                                   monkeypatch):
+    # the C kernels read the table through one bare pointer; as built, it
+    # passes, and a refused one is never handed to guide_table
     dataclasses.replace(ref_marginal)
-    with pytest.raises(ValueError, match="inverse-CDF tables of inconsistent "
-                                         "size or layout"):
-        dataclasses.replace(ref_marginal, **tables(ref_marginal))
+    monkeypatch.setattr(_kernel, "library", _no_kernel)
+    with pytest.raises(ValueError, match=r"the inverse-CDF table must be a "
+                                         r"C-ordered float64 array of shape "
+                                         r"\(3, k\), k >= 2"):
+        dataclasses.replace(ref_marginal, _table=table(ref_marginal._table))
 
 
 def _one_batch_estimate(marginal, u):
@@ -732,8 +743,9 @@ class TestNorms:
     def test_heights_outside_the_box_are_refused(self, ref_marginal):
         # knots stretched past the walls: the kernel counts the heights
         # outside, as poisson_B_H0 does
-        wide = dataclasses.replace(ref_marginal,
-                                   _inv_z=2.0 * ref_marginal._inv_z)
+        table = ref_marginal._table.copy()
+        table[1] *= 2.0
+        wide = dataclasses.replace(ref_marginal, _table=table)
         with pytest.raises(ValueError, match="outside the open box"):
             norm0_mc(wide, 1000, philox_key(8, 2))
 

@@ -1,6 +1,7 @@
 """Edges of the C kernels: breaches, non-finite states, array layouts, the
-record pass of the trajectory kernel, the ctypes bindings, the build flags
-and the build-on-first-use loader."""
+record pass of the trajectory kernel, the ctypes bindings, the build flags,
+the restrict rule of the inverse-CDF table and the build-on-first-use
+loader."""
 
 import ctypes
 import os
@@ -361,6 +362,49 @@ class TestBuildFlags:
              str(_kernel._SOURCE)],
             capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+
+# the declarations of the inverse-CDF table and its guide in every function
+# that reads the table: without restrict on the table, inverse_cdf took
+# about 40 % longer per value (ROADMAP, "Measured ceilings")
+_TABLE_RULE = {"table": "const double *restrict table",
+               "guide": "const int32_t *restrict guide"}
+
+
+def _table_rule(text):
+    """(the C functions defined in text that take a parameter `table`,
+    [(function, declaration)] of their table and guide parameters that are
+    not declared as _TABLE_RULE says)."""
+    checked, bad = set(), []
+    for name, params in re.findall(r"(\w+)\(([^)]*)\)\s*\{", text):
+        decls = {re.findall(r"\w+", d)[-1]: d
+                 for d in (" ".join(p.split()) for p in params.split(","))
+                 if d}
+        if "table" not in decls:
+            continue
+        checked.add(name)
+        bad.extend((name, decls.get(key)) for key, want in _TABLE_RULE.items()
+                   if decls.get(key) != want)
+    return checked, bad
+
+
+class TestTableRule:
+    def test_every_reader_of_the_table_declares_it_restrict(self):
+        checked, bad = _table_rule(_kernel._SOURCE.read_text())
+        assert checked == {"inverse_cdf", "heights", "sampled_force_sums",
+                           "sampled_states"}
+        assert bad == []
+
+    def test_the_rule_finds_a_table_or_guide_without_restrict(self):
+        snippet = (
+            "KERNEL void f(const double *u, const double *table,\n"
+            "              const int32_t *restrict guide, ptrdiff_t k)\n"
+            "{\n}\n"
+            "static inline void g(const double *restrict table,\n"
+            "                     const int32_t *guide, ptrdiff_t k)\n"
+            "{\n    if (k) {\n    }\n}\n")
+        assert _table_rule(snippet) == ({"f", "g"}, [
+            ("f", "const double *table"), ("g", "const int32_t *guide")])
 
 
 def _loader_script(cache, start):
