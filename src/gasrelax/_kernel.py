@@ -9,15 +9,15 @@ imports `numpy.random`.
 Each entry's ctypes signature is read from its `KERNEL <type> <name>(...)`
 prototype in the source, the only place that states it.
 
-The library is built with `cc` into `__pycache__/` beside the source, under
-a name keyed by the source, the flags, `cc --version` and the bytes of
-NumPy's static library, so a changed kernel, compiler or NumPy builds
-afresh.  A process builds it once, also when several of its threads ask
-for it at once: the first load holds a lock.  Each build writes a file of
-its own and renames it into place, so processes that build at once all load
-a whole library; a build then removes the libraries of other keys from the
-directory.  When that directory is not writable, the library is built in a
-temporary directory of the process and removed once loaded.
+The library is built with `cc` into `__pycache__/` beside the source, under a
+name keyed by what its bits depend on: the source, the flags and the bytes of
+NumPy's static library.  Only a build runs `cc`, so a built library loads
+without it; after a compiler change, deleting `__pycache__/_verlet-*.so`
+rebuilds it.  Each build writes a file of its own and renames it into place, so
+processes that build at once all load a whole library; a build then removes the
+libraries of other keys from the directory.  When that directory is not
+writable, the library is built in a temporary directory of the process and
+removed once loaded.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import ctypes
 import hashlib
 import os
 import re
-import subprocess
 import threading
 from pathlib import Path
 
@@ -56,38 +55,38 @@ class KernelBuildError(RuntimeError):
     """The C kernel could not be compiled."""
 
 
-def _run_cc(cc: str, args: list) -> bytes:
+def _run_cc(out: Path) -> None:
+    import subprocess
     try:
-        return subprocess.run([cc, *args], capture_output=True,
-                              check=True).stdout
+        subprocess.run(["cc", *_FLAGS, "-o", str(out), str(_SOURCE),
+                        str(_NPYRANDOM), "-lm"], capture_output=True,
+                       check=True, errors="replace")
     except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", None) or b""
-        raise KernelBuildError(f"cannot build {_SOURCE.name} with {cc!r}: "
-                               f"{exc} {detail.decode(errors='replace')}"
-                               .rstrip()) from None
+        detail = getattr(exc, "stderr", None) or ""
+        raise KernelBuildError(f"cannot build {_SOURCE.name} with 'cc': "
+                               f"{exc} {detail}".rstrip()) from None
 
 
-def _build_args(out: Path) -> list:
-    return [*_FLAGS, "-o", str(out), str(_SOURCE), str(_NPYRANDOM), "-lm"]
+def _require(path: Path) -> None:
+    if not path.is_file():
+        raise KernelBuildError(f"cannot build {_SOURCE.name}: NumPy's "
+                               f"random C-API file {path} is missing")
 
 
-def _library_name(cc: str) -> str:
-    """The library's file name, keyed by everything that its bits depend on:
-    the source, the flags, the compiler and NumPy's static library."""
-    for path in (_BITGEN_HEADER, _NPYRANDOM):
-        if not path.is_file():
-            raise KernelBuildError(f"cannot build {_SOURCE.name}: NumPy's "
-                                   f"random C-API file {path} is missing")
+def _library_name() -> str:
+    """The library's file name, keyed by what its bits depend on: the
+    source, the flags and NumPy's static library, but not the compiler."""
+    _require(_NPYRANDOM)
     key = hashlib.sha256(b"\0".join([_SOURCE.read_bytes(),
                                      " ".join(_FLAGS).encode(),
-                                     _run_cc(cc, ["--version"]),
                                      _NPYRANDOM.read_bytes()]))
     return f"_verlet-{key.hexdigest()[:16]}.so"
 
 
-def _load(cache_dir, cc: str) -> ctypes.CDLL:
-    path = Path(cache_dir) / _library_name(cc)
+def _load(cache_dir) -> ctypes.CDLL:
+    path = Path(cache_dir) / _library_name()
     if not path.exists():
+        _require(_BITGEN_HEADER)
         try:
             path.parent.mkdir(exist_ok=True)
         except OSError:
@@ -96,10 +95,10 @@ def _load(cache_dir, cc: str) -> ctypes.CDLL:
             import tempfile
             with tempfile.TemporaryDirectory() as private:
                 part = Path(private) / path.name
-                _run_cc(cc, _build_args(part))
+                _run_cc(part)
                 return _bind(ctypes.CDLL(str(part)))
         part = path.with_name(f"{path.name}.{os.getpid()}.part")
-        _run_cc(cc, _build_args(part))
+        _run_cc(part)
         os.replace(part, path)
         _prune(path)
     return _bind(ctypes.CDLL(str(path)))
@@ -137,5 +136,5 @@ def library() -> ctypes.CDLL:
     if _lib is None:
         with _load_lock:
             if _lib is None:
-                _lib = _load(_SOURCE.parent / "__pycache__", "cc")
+                _lib = _load(_SOURCE.parent / "__pycache__")
     return _lib

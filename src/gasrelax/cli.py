@@ -159,6 +159,8 @@ def _coerce(key: str, raw: str):
 
 def parse_config_file(path: str) -> dict:
     values = {}
+    # key -> the line that set it: a key set twice is refused, not overridden
+    set_on = {}
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -173,6 +175,10 @@ def parse_config_file(path: str) -> dict:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _KEY_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is already set "
+                              f"on line {set_on[key]}")
+        set_on[key] = lineno
         values[key] = _coerce(key, raw)
     return values
 

@@ -129,6 +129,38 @@ def test_only_the_cli_imports_json():
     assert found == {"cli.py"}
 
 
+def _subprocess_importers(source):
+    """The function around each import of subprocess in source, in order;
+    None for an import that runs when the module is imported."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, (ast.Import, ast.ImportFrom))
+                    and "subprocess" in _imported_modules(ast.unparse(child))):
+                found.append(owner)
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_a_kernel_build_imports_subprocess():
+    # a process that loads a built kernel starts no child process, so it
+    # does not import subprocess: only a build runs `cc`
+    assert _subprocess_importers(
+        "import subprocess\n"
+        "def f():\n    from subprocess import run\n"
+        "class C:\n    import os, subprocess.x\n"
+        "    def g(self):\n        from . import subprocess\n") == [
+            None, "f", None]
+    found = {path.name: _subprocess_importers(path.read_text())
+             for path in (ROOT / "src" / "gasrelax").glob("*.py")}
+    assert {name: owners for name, owners in found.items() if owners} == {
+        "_kernel.py": ["_run_cc"]}
+
+
 def _bit_generator_state_lines(source):
     """The lines of source that read or write `state` on a name or an
     attribute called bit_generator."""

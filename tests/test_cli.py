@@ -38,7 +38,10 @@ seed = 7
 
 
 def write_config(tmp_path, text=QUICK, **extra):
-    lines = [text]
+    """text with each key of extra set to its value: a line of text that
+    sets one of them goes, since a config file sets each key once."""
+    lines = [line for line in text.splitlines()
+             if line.split("=", 1)[0].strip() not in extra]
     for key, value in extra.items():
         lines.append(f"{key} = {value}")
     path = tmp_path / "run.cfg"
@@ -91,6 +94,22 @@ class TestConfigParsing:
             err = capsys.readouterr().err
             assert err.startswith("validation error: cannot read config "
                                   f"file {path}: ")
+
+    def test_a_key_set_twice_is_refused(self, tmp_path, capsys):
+        # the later value used to win silently; a flag may still override
+        # a key of the file (test_flag_overrides_file)
+        path = tmp_path / "twice.cfg"
+        path.write_text("n_particles = 4\nbeta = 1\nbeta = 2\n"
+                        "n_samples = 1000\n")
+        out = tmp_path / "out"
+        for command in ("bounds", "gamma", "simulate", "report"):
+            code = main([command, "--config", str(path),
+                         "--output_dir", str(out)])
+            assert code == EXIT_VALIDATION, command
+            assert capsys.readouterr().err == (
+                f"validation error: {path}:3: key 'beta' is already set on "
+                "line 2\n")
+        assert not out.exists()
 
     def test_incomplete_units(self, tmp_path):
         path = write_config(tmp_path, mass_kg=4.65e-26)

@@ -6,6 +6,7 @@ loader."""
 import ctypes
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -407,6 +408,14 @@ class TestTableRule:
             ("f", "const double *table"), ("g", "const int32_t *guide")])
 
 
+def _child_env(**extra):
+    """os.environ, with extra, for a child interpreter that imports this
+    package."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(gasrelax.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]), **extra)
+
+
 def _loader_script(cache, start):
     return f"""
 import time
@@ -414,7 +423,7 @@ import numpy as np
 from gasrelax import _kernel
 while time.time() < {start!r}:
     time.sleep(0.001)
-lib = _kernel._load({str(cache)!r}, "cc")
+lib = _kernel._load({str(cache)!r})
 z = np.linspace(-4.9, 4.9, 101)
 out = np.empty_like(z)
 lib.wall_sums(z.ctypes.data, out.ctypes.data, z.size, 1, 1, 5.0, 1.0)
@@ -424,11 +433,9 @@ print(out.view(np.int64).tolist())
 
 class TestLoader:
     def test_concurrent_builds_into_one_cache(self, tmp_path):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(gasrelax.__file__).parents[1]),
-             os.environ.get("PYTHONPATH", "")]))
         script = _loader_script(tmp_path, time.time() + 1.5)
-        procs = [subprocess.Popen([sys.executable, "-c", script], env=env,
+        procs = [subprocess.Popen([sys.executable, "-c", script],
+                                  env=_child_env(),
                                   stdout=subprocess.PIPE, text=True)
                  for _ in range(2)]
         outputs = [proc.communicate(timeout=120)[0] for proc in procs]
@@ -445,8 +452,8 @@ class TestLoader:
         # they must not build side by side
         calls = []
 
-        def slow_load(cache_dir, cc):
-            calls.append(cc)
+        def slow_load(cache_dir):
+            calls.append(cache_dir)
             time.sleep(0.05)
             return object()
 
@@ -473,14 +480,14 @@ class TestLoader:
         (tmp_path / "_verlet-0000000000000000.so").write_bytes(b"old")
         part = tmp_path / "_verlet-0000000000000000.so.1.part"
         part.write_bytes(b"building")
-        _kernel._load(tmp_path, "cc")
+        _kernel._load(tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            [_kernel._library_name("cc"), part.name])
+            [_kernel._library_name(), part.name])
 
     def test_unwritable_cache_builds_in_a_private_directory(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
-        lib = _kernel._load(blocker / "cache", "cc")
+        lib = _kernel._load(blocker / "cache")
         z = np.array([0.5, -1.5])
         out = np.empty(2)
         lib.wall_sums(z.ctypes.data, out.ctypes.data, 2, 1, 1, 5.0, 1.0)
@@ -488,9 +495,12 @@ class TestLoader:
                               _bits(helpers.wall_force_reference(z, PARAMS)))
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
-    def test_missing_compiler(self, tmp_path):
-        with pytest.raises(_kernel.KernelBuildError, match="no-such-cc"):
-            _kernel._load(tmp_path, str(tmp_path / "no-such-cc"))
+    def test_missing_compiler(self, tmp_path, monkeypatch):
+        empty = tmp_path / "bin"
+        empty.mkdir()
+        monkeypatch.setenv("PATH", str(empty))
+        with pytest.raises(_kernel.KernelBuildError, match="'cc'"):
+            _kernel._load(tmp_path / "cache")
 
     @pytest.mark.parametrize("name", ["_NPYRANDOM", "_BITGEN_HEADER"])
     def test_missing_numpy_random_c_api(self, tmp_path, monkeypatch, name):
@@ -499,7 +509,7 @@ class TestLoader:
         cache = tmp_path / "cache"
         with pytest.raises(_kernel.KernelBuildError,
                            match=re.escape(str(missing))):
-            _kernel._load(cache, "cc")
+            _kernel._load(cache)
         assert not cache.exists()
 
     def test_missing_static_library_is_a_runtime_error_in_the_cli(
@@ -520,17 +530,95 @@ class TestLoader:
         # a new NumPy brings new normals: the library is built afresh
         copy = tmp_path / "libnpyrandom.a"
         copy.write_bytes(_kernel._NPYRANDOM.read_bytes())
-        name = _kernel._library_name("cc")
+        name = _kernel._library_name()
         monkeypatch.setattr(_kernel, "_NPYRANDOM", copy)
-        assert _kernel._library_name("cc") == name
+        assert _kernel._library_name() == name
         with open(copy, "ab") as fh:
             fh.write(b"\n")
-        assert _kernel._library_name("cc") != name
+        assert _kernel._library_name() != name
+
+    @pytest.mark.parametrize("edit", ["source", "flags"])
+    def test_changed_source_or_flags_change_the_cache_key(
+            self, tmp_path, monkeypatch, edit):
+        name = _kernel._library_name()
+        if edit == "source":
+            copy = tmp_path / "_verlet.c"
+            copy.write_text(_kernel._SOURCE.read_text())
+            monkeypatch.setattr(_kernel, "_SOURCE", copy)
+            assert _kernel._library_name() == name
+            with open(copy, "a") as fh:
+                fh.write("/* one more comment */\n")
+        else:
+            monkeypatch.setattr(_kernel, "_FLAGS",
+                                (*_kernel._FLAGS, "-DGASRELAX_EDITED=1"))
+        assert _kernel._library_name() != name
+
+    def test_another_compiler_keeps_the_cache_key(self, tmp_path,
+                                                  monkeypatch):
+        # the key is what the library's bits depend on, not `cc --version`:
+        # a build by another compiler lands under the same name
+        real = shutil.which("cc")
+        if real is None:
+            pytest.skip("cc is not on PATH")
+        bindir = tmp_path / "bin"
+        bindir.mkdir()
+        (bindir / "cc").write_text(
+            '#!/bin/sh\n'
+            'if [ "$1" = --version ]; then echo "other-cc 99.0"; exit 0; fi\n'
+            f'exec {shlex.quote(real)} "$@"\n')
+        (bindir / "cc").chmod(0o755)
+        name = _kernel._library_name()
+        monkeypatch.setenv("PATH", f"{bindir}{os.pathsep}{os.environ['PATH']}")
+        assert subprocess.run(["cc", "--version"], capture_output=True,
+                              text=True).stdout == "other-cc 99.0\n"
+        assert _kernel._library_name() == name
+        _kernel._load(tmp_path / "cache")
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [name]
+
+    def test_a_built_library_runs_without_a_compiler(self, tmp_path):
+        # the first run builds the library if it is missing; the second,
+        # with no `cc` on PATH, loads it and writes the same report
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_particles = 4\nn_samples = 1000\noutput_dir = out\n")
+        empty = tmp_path / "bin"
+        empty.mkdir()
+        reports = []
+        for i, path in enumerate([os.environ["PATH"], str(empty)]):
+            cwd = tmp_path / f"run{i}"
+            cwd.mkdir()
+            result = subprocess.run(
+                [sys.executable, "-m", "gasrelax.cli", "bounds", "--config",
+                 str(cfg)], cwd=cwd, env=_child_env(PATH=path),
+                capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            reports.append((cwd / "out" / "bounds_report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_a_cached_library_loads_without_a_child_process(self):
+        _kernel.library()
+        script = ("import sys\n"
+                  "from gasrelax import _kernel, cli\n"
+                  "_kernel.library()\n"
+                  "print('subprocess' in sys.modules)\n")
+        result = subprocess.run([sys.executable, "-c", script],
+                                env=_child_env(), capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
 
     def test_missing_compiler_is_a_runtime_error_in_the_cli(
             self, tmp_path, monkeypatch, capsys):
+        # a source copy of its own, whose empty __pycache__ forces a build;
+        # new flags would build into the package's cache and prune the
+        # library that is there
+        source = tmp_path / "pkg" / "_verlet.c"
+        source.parent.mkdir()
+        source.write_bytes(_kernel._SOURCE.read_bytes())
+        empty = tmp_path / "bin"
+        empty.mkdir()
         monkeypatch.setattr(_kernel, "_lib", None)
-        monkeypatch.setenv("PATH", str(tmp_path))
+        monkeypatch.setattr(_kernel, "_SOURCE", source)
+        monkeypatch.setenv("PATH", str(empty))
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n_particles = 4\nn_samples = 1000\n"
                        f"output_dir = {tmp_path}\n")
