@@ -11,7 +11,11 @@ prototype in the source, the only place that states it.
 
 The library is built with `cc` into `__pycache__/` beside the source, under a
 name keyed by what its bits depend on: the source, the flags and the bytes of
-NumPy's static library.  Only a build runs `cc`, so a built library loads
+NumPy's static library.  The source is read once per load: the key, the code
+`cc` compiles (fed on its stdin, so its diagnostics name `<stdin>`, while a
+`KernelBuildError` still names `_verlet.c`) and the ctypes signatures all come
+from those bytes, so an edit made during a build cannot reach a library named
+by the text before it.  Only a build runs `cc`, so a built library loads
 without it; after a compiler change, deleting `__pycache__/_verlet-*.so`
 rebuilds it.  Each build writes a file of its own and renames it into place, so
 processes that build at once all load a whole library; a build then removes the
@@ -55,14 +59,16 @@ class KernelBuildError(RuntimeError):
     """The C kernel could not be compiled."""
 
 
-def _run_cc(out: Path) -> None:
+def _run_cc(out: Path, source: bytes) -> None:
+    """Compile source, fed on stdin as C (`-x c -`), into out; `-x none`
+    links NumPy's static library as an archive again."""
     import subprocess
     try:
-        subprocess.run(["cc", *_FLAGS, "-o", str(out), str(_SOURCE),
-                        str(_NPYRANDOM), "-lm"], capture_output=True,
-                       check=True, errors="replace")
+        subprocess.run(["cc", *_FLAGS, "-o", str(out), "-x", "c", "-",
+                        "-x", "none", str(_NPYRANDOM), "-lm"], input=source,
+                       capture_output=True, check=True)
     except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", None) or ""
+        detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace")
         raise KernelBuildError(f"cannot build {_SOURCE.name} with 'cc': "
                                f"{exc} {detail}".rstrip()) from None
 
@@ -73,18 +79,18 @@ def _require(path: Path) -> None:
                                f"random C-API file {path} is missing")
 
 
-def _library_name() -> str:
+def _library_name(source: bytes) -> str:
     """The library's file name, keyed by what its bits depend on: the
-    source, the flags and NumPy's static library, but not the compiler."""
+    source given, the flags and NumPy's static library, not the compiler."""
     _require(_NPYRANDOM)
-    key = hashlib.sha256(b"\0".join([_SOURCE.read_bytes(),
-                                     " ".join(_FLAGS).encode(),
+    key = hashlib.sha256(b"\0".join([source, " ".join(_FLAGS).encode(),
                                      _NPYRANDOM.read_bytes()]))
     return f"_verlet-{key.hexdigest()[:16]}.so"
 
 
 def _load(cache_dir) -> ctypes.CDLL:
-    path = Path(cache_dir) / _library_name()
+    source = _SOURCE.read_bytes()
+    path = Path(cache_dir) / _library_name(source)
     if not path.exists():
         _require(_BITGEN_HEADER)
         try:
@@ -95,13 +101,13 @@ def _load(cache_dir) -> ctypes.CDLL:
             import tempfile
             with tempfile.TemporaryDirectory() as private:
                 part = Path(private) / path.name
-                _run_cc(part)
-                return _bind(ctypes.CDLL(str(part)))
+                _run_cc(part, source)
+                return _bind(ctypes.CDLL(str(part)), source)
         part = path.with_name(f"{path.name}.{os.getpid()}.part")
-        _run_cc(part)
+        _run_cc(part, source)
         os.replace(part, path)
         _prune(path)
-    return _bind(ctypes.CDLL(str(path)))
+    return _bind(ctypes.CDLL(str(path)), source)
 
 
 def _prune(path: Path) -> None:
@@ -116,11 +122,11 @@ def _prune(path: Path) -> None:
                 pass
 
 
-def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
+def _bind(lib: ctypes.CDLL, source: bytes) -> ctypes.CDLL:
     """Set restype and argtypes of each entry from its `KERNEL <type>
-    <name>(...)` prototype in the source."""
+    <name>(...)` prototype in source, the text lib was built from."""
     for ret, name, params in re.findall(r"^KERNEL (\w+) (\w+)\(([^)]*)\)",
-                                        _SOURCE.read_text(), re.MULTILINE):
+                                        source.decode(), re.MULTILINE):
         entry = getattr(lib, name)
         entry.restype = _CTYPES[ret]
         entry.argtypes = [ctypes.c_void_p if "*" in param

@@ -239,11 +239,16 @@ static inline int advance(double *restrict z, double *restrict p,
     return 0;
 }
 
-/* values per verlet_records block: its z, p and force (12 KiB) stay in L1
- * through every record */
-#define VERLET_BLOCK 512
+/* values per block, which stays in L1: a verlet_records block's z, p and
+ * force (12 KiB) through every record; an inverse_cdf pass's copy of u and
+ * its bracket indices, so its passes over them read no main memory; and the
+ * heights that sampled_force_sums draws, inverts and sums at once.  In
+ * verlet_records and sampled_force_sums, whole rows of at most BLOCK values
+ * form one block, and a longer row is a block of its own in the caller's
+ * scratch of n values. */
+#define BLOCK 512
 
-const ptrdiff_t verlet_block = VERLET_BLOCK;
+const ptrdiff_t block = BLOCK;
 
 /* Evolve `rows` independent rows of n >= 1 particles of unit mass, z and p
  * row-major and changed in place, through records 0 .. n_records - 1 that
@@ -252,14 +257,13 @@ const ptrdiff_t verlet_block = VERLET_BLOCK;
  * initial state.  If some initial |z| is not below wall_guard * half (NaN
  * included), 0 is returned and nothing is written.
  *
- * Whole rows of at most VERLET_BLOCK values are one block, and a row
- * longer than that is a block of its own, whose force is held in scratch,
- * which has room for n values (sampled_force_sums' rule for its heights).
- * Each block runs through every record before the next starts, one advance
- * call per record.  A block stops after the step that breaches the guard
- * (see advance), and later blocks stop before that record.  Returns the
- * first record whose steps breached in any block, n_records if none did:
- * every row's records below it are written, the later ones not.
+ * The rows are stepped in blocks (see BLOCK), a long row's force held in
+ * scratch, which has room for n values.  Each block runs through every
+ * record before the next starts, one advance call per record.  A block
+ * stops after the step that breaches the guard (see advance), and later
+ * blocks stop before that record.  Returns the first record whose steps
+ * breached in any block, n_records if none did: every row's records below
+ * it are written, the later ones not.
  */
 KERNEL ptrdiff_t verlet_records(double *restrict z, double *restrict p,
                                 ptrdiff_t rows, ptrdiff_t n,
@@ -269,11 +273,11 @@ KERNEL ptrdiff_t verlet_records(double *restrict z, double *restrict p,
                                 double delta, double h, double wall_guard,
                                 double *restrict b, double *restrict e)
 {
-    double buf[VERLET_BLOCK];
-    double *f = n <= VERLET_BLOCK ? buf : scratch;
+    double buf[BLOCK];
+    double *f = n <= BLOCK ? buf : scratch;
     double half_dt = 0.5 * dt;
     double guard = wall_guard * half, c12 = 12.0 * delta;
-    ptrdiff_t per_block = n <= VERLET_BLOCK ? VERLET_BLOCK / n : 1;
+    ptrdiff_t per_block = n <= BLOCK ? BLOCK / n : 1;
     ptrdiff_t end = n_records;
 
     for (ptrdiff_t i = 0; i < rows * n; i++)
@@ -298,13 +302,6 @@ KERNEL ptrdiff_t verlet_records(double *restrict z, double *restrict p,
     }
     return end;
 }
-
-/* values per inverse_cdf pass: the copy of u and the bracket indices of one
- * chunk stay in L1, so the three passes over it read no main memory; also
- * the most values that sampled_force_sums draws, inverts and sums at once */
-#define INVERSE_CDF_CHUNK 512
-
-const ptrdiff_t inverse_cdf_chunk = INVERSE_CDF_CHUNK;
 
 /* (2t^3 - 3t^2 + 1) y0 + (t^3 - 2t^2 + t) m0 + (-2t^3 + 3t^2) y1
  * + (t^3 - t^2) m1, with the tangents m0, m1 already scaled by dx */
@@ -350,21 +347,21 @@ KERNEL void guide_table(const double *restrict inv_u, ptrdiff_t k,
  * long as i < k - 2: a step for each knot inside the cell, at most
  * k / GUIDE_CELLS on average; a u below 0 or NaN starts from cell 0, one of
  * 1 or more from the last.  Every value is the one a binary search gives
- * (for a NaN, NaN).  Each chunk is copied and bracketed in one pass, then
- * interpolated.
+ * (for a NaN, NaN).  Each block (see BLOCK) of u is copied and bracketed in
+ * one pass, then interpolated.
  */
 KERNEL void inverse_cdf(const double *u, double *out, ptrdiff_t n,
                         const double *restrict table,
                         const int32_t *restrict guide, ptrdiff_t k)
 {
     const double *inv_u = table, *inv_z = table + k, *inv_m = table + 2 * k;
-    double uc[INVERSE_CDF_CHUNK];
-    ptrdiff_t idx[INVERSE_CDF_CHUNK];
+    double uc[BLOCK];
+    ptrdiff_t idx[BLOCK];
 
-    for (ptrdiff_t start = 0; start < n; start += INVERSE_CDF_CHUNK) {
+    for (ptrdiff_t start = 0; start < n; start += BLOCK) {
         ptrdiff_t len = n - start;
-        if (len > INVERSE_CDF_CHUNK)
-            len = INVERSE_CDF_CHUNK;
+        if (len > BLOCK)
+            len = BLOCK;
         for (ptrdiff_t i = 0; i < len; i++) {
             double ui = u[start + i];
             double cell = ui * GUIDE_CELLS;
@@ -523,11 +520,10 @@ static inline void normals(struct philox *s, double *out, ptrdiff_t n,
  * signs.
  *
  * The heights are drawn by heights (see there) from the stream of *s, row
- * by row, and *s is left past the last value read.  Whole rows of at
- * most INVERSE_CDF_CHUNK values are drawn, inverted and summed before the
- * next rows start; a row longer than that is one chunk of its own, held in
- * scratch, which has room for n values.  Returns how many heights are not
- * strictly inside (-half, half), as wall_sums does.
+ * by row, and *s is left past the last value read.  Each block of rows
+ * (see BLOCK) is drawn, inverted and summed before the next starts, a long
+ * row's heights held in scratch, which has room for n values.  Returns how
+ * many heights are not strictly inside (-half, half), as wall_sums does.
  */
 KERNEL ptrdiff_t sampled_force_sums(struct philox *s, double *restrict out,
                                     ptrdiff_t rows, ptrdiff_t n,
@@ -537,12 +533,12 @@ KERNEL ptrdiff_t sampled_force_sums(struct philox *s, double *restrict out,
                                     const int32_t *restrict guide,
                                     ptrdiff_t k)
 {
-    double buf[INVERSE_CDF_CHUNK];
-    double *z = n <= INVERSE_CDF_CHUNK ? buf : scratch;
-    ptrdiff_t per_chunk = n <= INVERSE_CDF_CHUNK ? INVERSE_CDF_CHUNK / n : 1;
+    double buf[BLOCK];
+    double *z = n <= BLOCK ? buf : scratch;
+    ptrdiff_t per_block = n <= BLOCK ? BLOCK / n : 1;
     ptrdiff_t outside = 0;
-    for (ptrdiff_t r0 = 0; r0 < rows; r0 += per_chunk) {
-        ptrdiff_t nr = rows - r0 < per_chunk ? rows - r0 : per_chunk;
+    for (ptrdiff_t r0 = 0; r0 < rows; r0 += per_block) {
+        ptrdiff_t nr = rows - r0 < per_block ? rows - r0 : per_block;
         heights(s, z, nr * n, table, guide, k);
         outside += wall_sums(z, out + r0, nr, n, 1, half, delta);
     }

@@ -135,7 +135,7 @@ def _evolve_batch(z, p, params: ModelParams, dt: float,
     `verlet_records` runs the whole trajectory: an initial state beyond the
     guard raises WallBreachError at record 0; else each block steps through
     every record, and at each record it writes every row's B and H1, with
-    NumPy's row sums.  A block is whole rows of at most the kernel's 512
+    NumPy's row sums.  A block is whole rows of at most the kernel's BLOCK
     values, or one longer row, whose force the kernel keeps in a scratch
     array of N values, as `sampled_force_sums` keeps a long row's heights.
     The drift monitor then reads the energies of the records below the

@@ -171,6 +171,12 @@ def guide_cells():
     return ctypes.c_ssize_t.in_dll(_kernel.library(), "guide_cells").value
 
 
+def block():
+    """Values per block of the kernel's row loops and inverse-CDF passes,
+    as built."""
+    return ctypes.c_ssize_t.in_dll(_kernel.library(), "block").value
+
+
 def guide_table_one_shot(inv_u):
     """The guide table of the knots inv_u, searched for every cell edge at
     once with NumPy: what the kernel's guide_table builds in one merge

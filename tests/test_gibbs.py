@@ -1,4 +1,3 @@
-import ctypes
 import dataclasses
 import functools
 import math
@@ -398,12 +397,6 @@ def any_marginal(request, ref_params):
         {"rho0": "ref_marginal", "rho1": "ref_marginal_tilted"}[request.param])
 
 
-def _inverse_cdf_chunk():
-    """The values per pass of the C inverse CDF."""
-    return ctypes.c_ssize_t.in_dll(_kernel.library(),
-                                   "inverse_cdf_chunk").value
-
-
 class TestInverseCdfBitwise:
     """The guide-table lookup gives the bits of a binary search over all knots."""
 
@@ -419,7 +412,7 @@ class TestInverseCdfBitwise:
 
     def test_shapes_and_chunk_boundaries(self, any_marginal):
         rng = substream(14, 0)
-        chunk = _inverse_cdf_chunk()
+        chunk = helpers.block()
         for shape in [(chunk - 1,), (chunk,), (chunk + 1,), (), (300, 64)]:
             _assert_same_bits(any_marginal, rng.random(shape))
 
@@ -620,7 +613,7 @@ class TestNorms:
     def test_equals_the_blocked_norm_of_any_observable(self, n):
         # 1001 rows are no whole number of the kernel's chunks for any n
         params = ModelParams(n, 1.0, 1.0, 10.0, field=1e-3)
-        chunk = _inverse_cdf_chunk()
+        chunk = helpers.block()
         assert 1001 % (chunk // n) != 0
         for marginal in (build_marginal(params, grid_size=256),
                          build_marginal(params, grid_size=256, tilted=True)):

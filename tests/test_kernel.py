@@ -70,11 +70,6 @@ class TestVerletSteps:
                 _evolve_batch(z.copy(), bad, PARAMS, 1e-3, 1, 2, 1.0, 0.999)
 
 
-def _block():
-    """Values per verlet_records block, as built."""
-    return ctypes.c_ssize_t.in_dll(_kernel.library(), "verlet_block").value
-
-
 def _outcome(run, z, p, params, *args):
     """(exception type, message) of one run on copies of z and p."""
     try:
@@ -108,7 +103,7 @@ RECORD_ROWS = [1, 37, 1027]
 
 class TestVerletRecords:
     def test_cases_cover_partial_and_long_blocks(self):
-        block = _block()
+        block = helpers.block()
         assert block in RECORD_N and 2 * block in RECORD_N
         assert max(RECORD_N) > block
         for n in RECORD_N:
@@ -335,6 +330,16 @@ class TestBuildFlags:
             assert fn.restype is restype, name
             assert list(fn.argtypes or ()) == argtypes, name
 
+    def test_the_exported_constants_are_the_guide_and_the_block(self):
+        # one constant per rule: the guide's cells and the values per block
+        # that the row loops and the inverse-CDF passes share
+        names = re.findall(r"^const ptrdiff_t (\w+) =",
+                           _kernel._SOURCE.read_text(), re.MULTILINE)
+        assert names == ["block", "guide_cells"]
+        lib = _kernel.library()
+        assert [ctypes.c_ssize_t.in_dll(lib, name).value
+                for name in names] == [512, 1 << 16]
+
     def test_no_fused_multiply_add_in_the_library(self):
         # -ffp-contract=off keeps every a*b+c rounding twice, as NumPy did
         objdump = shutil.which("objdump")
@@ -416,6 +421,11 @@ def _child_env(**extra):
          os.environ.get("PYTHONPATH", "")]), **extra)
 
 
+def _cache_name():
+    """The cache name of the library built from the source as it is now."""
+    return _kernel._library_name(_kernel._SOURCE.read_bytes())
+
+
 def _loader_script(cache, start):
     return f"""
 import time
@@ -482,7 +492,7 @@ class TestLoader:
         part.write_bytes(b"building")
         _kernel._load(tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            [_kernel._library_name(), part.name])
+            [_cache_name(), part.name])
 
     def test_unwritable_cache_builds_in_a_private_directory(self, tmp_path):
         blocker = tmp_path / "file"
@@ -530,28 +540,69 @@ class TestLoader:
         # a new NumPy brings new normals: the library is built afresh
         copy = tmp_path / "libnpyrandom.a"
         copy.write_bytes(_kernel._NPYRANDOM.read_bytes())
-        name = _kernel._library_name()
+        name = _cache_name()
         monkeypatch.setattr(_kernel, "_NPYRANDOM", copy)
-        assert _kernel._library_name() == name
+        assert _cache_name() == name
         with open(copy, "ab") as fh:
             fh.write(b"\n")
-        assert _kernel._library_name() != name
+        assert _cache_name() != name
 
     @pytest.mark.parametrize("edit", ["source", "flags"])
     def test_changed_source_or_flags_change_the_cache_key(
             self, tmp_path, monkeypatch, edit):
-        name = _kernel._library_name()
+        name = _cache_name()
         if edit == "source":
             copy = tmp_path / "_verlet.c"
             copy.write_text(_kernel._SOURCE.read_text())
             monkeypatch.setattr(_kernel, "_SOURCE", copy)
-            assert _kernel._library_name() == name
+            assert _cache_name() == name
             with open(copy, "a") as fh:
                 fh.write("/* one more comment */\n")
         else:
             monkeypatch.setattr(_kernel, "_FLAGS",
                                 (*_kernel._FLAGS, "-DGASRELAX_EDITED=1"))
-        assert _kernel._library_name() != name
+        assert _cache_name() != name
+
+    def test_an_edit_after_the_read_does_not_reach_the_library(
+            self, tmp_path, monkeypatch):
+        # the key, the compiled code and the bindings come from one read:
+        # an edit that lands on disk just after it is not built under the
+        # name of the text before it
+        class EditedAfterRead(type(Path())):
+            def read_bytes(self):
+                text = super().read_bytes()
+                if b"edited_marker" not in text:
+                    with open(self, "ab") as fh:
+                        fh.write(b"const ptrdiff_t edited_marker = 1;\n")
+                return text
+
+        text = _kernel._SOURCE.read_bytes()
+        (tmp_path / "_verlet.c").write_bytes(text)
+        monkeypatch.setattr(_kernel, "_SOURCE",
+                            EditedAfterRead(tmp_path / "_verlet.c"))
+        lib = _kernel._load(tmp_path / "cache")
+        assert b"edited_marker" in (tmp_path / "_verlet.c").read_bytes()
+        assert not hasattr(lib, "edited_marker")
+        assert Path(lib._name).name == _kernel._library_name(text)
+
+    def test_a_load_reads_the_source_once(self, tmp_path, monkeypatch):
+        # once when it builds the library, and once when it loads it
+        reads = []
+
+        class CountedReads(type(Path())):
+            def open(self, *args, **kwargs):
+                reads.append(args)
+                return super().open(*args, **kwargs)
+
+        (tmp_path / "_verlet.c").write_bytes(_kernel._SOURCE.read_bytes())
+        monkeypatch.setattr(_kernel, "_SOURCE",
+                            CountedReads(tmp_path / "_verlet.c"))
+        cache = tmp_path / "cache"
+        for _ in ("build", "load"):
+            reads.clear()
+            _kernel._load(cache)
+            assert len(reads) == 1
+            assert [p.name for p in cache.iterdir()] == [_cache_name()]
 
     def test_another_compiler_keeps_the_cache_key(self, tmp_path,
                                                   monkeypatch):
@@ -567,11 +618,11 @@ class TestLoader:
             'if [ "$1" = --version ]; then echo "other-cc 99.0"; exit 0; fi\n'
             f'exec {shlex.quote(real)} "$@"\n')
         (bindir / "cc").chmod(0o755)
-        name = _kernel._library_name()
+        name = _cache_name()
         monkeypatch.setenv("PATH", f"{bindir}{os.pathsep}{os.environ['PATH']}")
         assert subprocess.run(["cc", "--version"], capture_output=True,
                               text=True).stdout == "other-cc 99.0\n"
-        assert _kernel._library_name() == name
+        assert _cache_name() == name
         _kernel._load(tmp_path / "cache")
         assert [p.name for p in (tmp_path / "cache").iterdir()] == [name]
 
