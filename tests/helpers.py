@@ -23,9 +23,11 @@ marginal) live here too.
 
 import ctypes
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -175,6 +177,13 @@ def block():
     """Values per block of the kernel's row loops and inverse-CDF passes,
     as built."""
     return ctypes.c_ssize_t.in_dll(_kernel.library(), "block").value
+
+
+def child_env(**extra):
+    """os.environ, with extra, for a child that imports gasrelax and tests/."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(_kernel.__file__).parents[1]), str(Path(__file__).parent),
+         os.environ.get("PYTHONPATH", "")]), **extra)
 
 
 def guide_table_one_shot(inv_u):

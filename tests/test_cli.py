@@ -3,7 +3,6 @@ import gc
 import io
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -14,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gasrelax
 import helpers
 from gasrelax import bounds, cli, dynamics, gibbs
 from gasrelax.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, RunConfig,
@@ -190,11 +188,9 @@ class TestBoundsCommand:
                   "from gasrelax import cli\n"
                   f"code = cli.main(['bounds', '--config', {path!r}])\n"
                   "print(code, 'numpy.random' in sys.modules)\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(gasrelax.__file__).parents[1]),
-             os.environ.get("PYTHONPATH", "")]))
-        result = subprocess.run([sys.executable, "-c", script], env=env,
-                                capture_output=True, text=True, timeout=120)
+        result = subprocess.run([sys.executable, "-c", script],
+                                env=helpers.child_env(), capture_output=True,
+                                text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == f"{EXIT_OK} False"
 
@@ -583,11 +579,9 @@ class TestSimulateCommand:
                   f"'--workers', '{workers}', '--n_traj', '{n_traj}'])\n"
                   "print(code, 'numpy.random' in sys.modules,\n"
                   "      'multiprocessing' in sys.modules)\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(gasrelax.__file__).parents[1]),
-             os.environ.get("PYTHONPATH", "")]))
-        result = subprocess.run([sys.executable, "-c", script], env=env,
-                                capture_output=True, text=True, timeout=120)
+        result = subprocess.run([sys.executable, "-c", script],
+                                env=helpers.child_env(), capture_output=True,
+                                text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         # exit 1 is the curve_check verdict
         assert result.stdout.splitlines()[-1] == f"{EXIT_RUNTIME} False False"

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 import helpers
-import gasrelax
 from gasrelax import _kernel, dynamics
 from gasrelax.cli import EXIT_RUNTIME, main
 from gasrelax.dynamics import EnergyDriftError, WallBreachError, _evolve_batch
@@ -315,6 +314,13 @@ def _kernel_signatures():
     return out
 
 
+def _bindings(lib):
+    """{name: (restype, argtypes)} of lib's entries named in _verlet.c."""
+    return {name: (getattr(lib, name).restype,
+                   list(getattr(lib, name).argtypes or ()))
+            for name in _kernel_signatures()}
+
+
 class TestBuildFlags:
     def test_every_kernel_is_bound_with_its_c_types(self):
         # an unbound argument list passes doubles as C ints
@@ -324,11 +330,7 @@ class TestBuildFlags:
                                    "philox_uniforms",
                                    "sampled_force_sums", "sampled_states",
                                    "sampled_momentum_sums", "kronrod_sums"}
-        lib = _kernel.library()
-        for name, (restype, argtypes) in signatures.items():
-            fn = getattr(lib, name)
-            assert fn.restype is restype, name
-            assert list(fn.argtypes or ()) == argtypes, name
+        assert _bindings(_kernel.library()) == signatures
 
     def test_the_exported_constants_are_the_guide_and_the_block(self):
         # one constant per rule: the guide's cells and the values per block
@@ -413,49 +415,79 @@ class TestTableRule:
             ("f", "const double *table"), ("g", "const int32_t *guide")])
 
 
-def _child_env(**extra):
-    """os.environ, with extra, for a child interpreter that imports this
-    package."""
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(gasrelax.__file__).parents[1]),
-         os.environ.get("PYTHONPATH", "")]), **extra)
-
-
 def _cache_name():
     """The cache name of the library built from the source as it is now."""
     return _kernel._library_name(_kernel._SOURCE.read_bytes())
 
 
-def _loader_script(cache, start):
-    return f"""
-import time
-import numpy as np
-from gasrelax import _kernel
-while time.time() < {start!r}:
-    time.sleep(0.001)
-lib = _kernel._load({str(cache)!r})
-z = np.linspace(-4.9, 4.9, 101)
-out = np.empty_like(z)
-lib.wall_sums(z.ctypes.data, out.ctypes.data, z.size, 1, 1, 5.0, 1.0)
-print(out.view(np.int64).tolist())
-"""
+@pytest.fixture
+def stub(tmp_path, monkeypatch):
+    """_SOURCE pointed at tmp_path/_verlet.c: the KERNEL macro of _verlet.c
+    and one entry taking each C type that _bind reads."""
+    macro = re.search(r"^#define KERNEL .*", _kernel._SOURCE.read_text(),
+                      re.MULTILINE).group()
+    source = tmp_path / "_verlet.c"
+    source.write_text(
+        f"#include <stddef.h>\n{macro}\n\n"
+        "KERNEL double scaled(const double *x, ptrdiff_t i, double a)\n"
+        "{\n    return a * x[i];\n}\n")
+    monkeypatch.setattr(_kernel, "_SOURCE", source)
+    return source
+
+
+def _wrap_cc(tmp_path, monkeypatch, body):
+    """Put first on PATH a `cc` that runs body, then the real `cc`."""
+    real = shutil.which("cc")
+    if real is None:
+        pytest.skip("cc is not on PATH")
+    bindir = tmp_path / "bin"
+    bindir.mkdir()
+    (bindir / "cc").write_text(
+        f'#!/bin/sh\n{body}\nexec {shlex.quote(real)} "$@"\n')
+    (bindir / "cc").chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bindir}{os.pathsep}{os.environ['PATH']}")
 
 
 class TestLoader:
-    def test_concurrent_builds_into_one_cache(self, tmp_path):
-        script = _loader_script(tmp_path, time.time() + 1.5)
+    def test_builds_the_kernel_and_binds_every_entry(self, tmp_path,
+                                                     monkeypatch):
+        # the one loader test that compiles _verlet.c, fed to `cc` on stdin;
+        # the others build the stub
+        log = shlex.quote(str(tmp_path / "cc.log"))
+        _wrap_cc(tmp_path, monkeypatch, f'echo "$@" >> {log}')
+        cache = tmp_path / "cache"
+        lib = _kernel._load(cache)
+        assert (tmp_path / "cc.log").read_text().endswith(
+            f" -x c - -x none {_kernel._NPYRANDOM} -lm\n")
+        assert [p.name for p in cache.iterdir()] == [_cache_name()]
+        assert _bindings(lib) == _kernel_signatures()
+
+    def test_concurrent_builds_into_one_cache(self, stub, tmp_path,
+                                              monkeypatch):
+        # each `cc` logs its build and waits until both children build, so
+        # both write a `.part` of their own and rename it into place
+        log = shlex.quote(str(tmp_path / "builds"))
+        _wrap_cc(tmp_path, monkeypatch, (
+            f"echo build >> {log}\n"
+            f'for i in $(seq 400); do [ "$(wc -l < {log})" -ge 2 ] && break\n'
+            "    sleep 0.05; done"))
+        cache = tmp_path / "cache"
+        script = ("import pathlib\nimport numpy as np\n"
+                  "from gasrelax import _kernel\n"
+                  f"_kernel._SOURCE = pathlib.Path({str(stub)!r})\n"
+                  f"lib = _kernel._load({str(cache)!r})\n"
+                  "x = np.array([1.0, 2.0, 4.0])\n"
+                  "print(lib.scaled(x.ctypes.data, 2, 0.5))\n")
         procs = [subprocess.Popen([sys.executable, "-c", script],
-                                  env=_child_env(),
+                                  env=helpers.child_env(),
                                   stdout=subprocess.PIPE, text=True)
                  for _ in range(2)]
         outputs = [proc.communicate(timeout=120)[0] for proc in procs]
         assert [proc.returncode for proc in procs] == [0, 0]
-        want = helpers.wall_force_reference(np.linspace(-4.9, 4.9, 101),
-                                            PARAMS)
-        for out in outputs:
-            assert out.strip() == str(_bits(want).tolist())
+        assert outputs == ["2.0\n", "2.0\n"]
+        assert (tmp_path / "builds").read_text() == "build\nbuild\n"
         # one library, and no partial file left behind
-        assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
+        assert [p.suffix for p in cache.iterdir()] == [".so"]
 
     def test_threads_that_ask_at_once_load_once(self, monkeypatch):
         # the threads of one process build into one `.part` file name, so
@@ -485,25 +517,25 @@ class TestLoader:
         assert len(calls) == 1
         assert len(got) == 4 and all(lib is got[0] for lib in got)
 
-    def test_a_build_removes_the_stale_libraries(self, tmp_path):
+    def test_a_build_removes_the_stale_libraries(self, stub, tmp_path):
         # a library of an older key goes; another process's build does not
-        (tmp_path / "_verlet-0000000000000000.so").write_bytes(b"old")
-        part = tmp_path / "_verlet-0000000000000000.so.1.part"
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "_verlet-0000000000000000.so").write_bytes(b"old")
+        part = cache / "_verlet-0000000000000000.so.1.part"
         part.write_bytes(b"building")
-        _kernel._load(tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        _kernel._load(cache)
+        assert sorted(p.name for p in cache.iterdir()) == sorted(
             [_cache_name(), part.name])
 
-    def test_unwritable_cache_builds_in_a_private_directory(self, tmp_path):
+    def test_unwritable_cache_builds_in_a_private_directory(self, stub,
+                                                            tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
         lib = _kernel._load(blocker / "cache")
-        z = np.array([0.5, -1.5])
-        out = np.empty(2)
-        lib.wall_sums(z.ctypes.data, out.ctypes.data, 2, 1, 1, 5.0, 1.0)
-        assert np.array_equal(_bits(out),
-                              _bits(helpers.wall_force_reference(z, PARAMS)))
-        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        x = np.array([1.0, 2.0, 4.0])
+        assert lib.scaled(x.ctypes.data, 2, 0.5) == 2.0
+        assert {p.name for p in tmp_path.iterdir()} == {"file", stub.name}
 
     def test_missing_compiler(self, tmp_path, monkeypatch):
         empty = tmp_path / "bin"
@@ -522,18 +554,24 @@ class TestLoader:
             _kernel._load(cache)
         assert not cache.exists()
 
-    def test_missing_static_library_is_a_runtime_error_in_the_cli(
-            self, tmp_path, monkeypatch, capsys):
-        missing = tmp_path / "libnpyrandom.a"
+    @pytest.mark.parametrize("missing", ["cc", "libnpyrandom.a"])
+    def test_a_missing_build_input_is_a_runtime_error_in_the_cli(
+            self, stub, tmp_path, monkeypatch, capsys, missing):
+        # a build into the stub's own __pycache__: the package's stays as it is
         monkeypatch.setattr(_kernel, "_lib", None)
-        monkeypatch.setattr(_kernel, "_NPYRANDOM", missing)
+        if missing == "cc":
+            monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+            named = "'cc'"
+        else:
+            named = str(tmp_path / missing)
+            monkeypatch.setattr(_kernel, "_NPYRANDOM", tmp_path / missing)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n_particles = 4\nn_samples = 1000\n"
                        f"output_dir = {tmp_path}\n")
         assert main(["bounds", "--config", str(cfg)]) == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("runtime error: cannot build _verlet.c")
-        assert str(missing) in err and "Traceback" not in err
+        assert named in err and "Traceback" not in err
 
     def test_changed_static_library_changes_the_cache_key(self, tmp_path,
                                                           monkeypatch):
@@ -564,7 +602,7 @@ class TestLoader:
         assert _cache_name() != name
 
     def test_an_edit_after_the_read_does_not_reach_the_library(
-            self, tmp_path, monkeypatch):
+            self, stub, tmp_path, monkeypatch):
         # the key, the compiled code and the bindings come from one read:
         # an edit that lands on disk just after it is not built under the
         # name of the text before it
@@ -576,16 +614,14 @@ class TestLoader:
                         fh.write(b"const ptrdiff_t edited_marker = 1;\n")
                 return text
 
-        text = _kernel._SOURCE.read_bytes()
-        (tmp_path / "_verlet.c").write_bytes(text)
-        monkeypatch.setattr(_kernel, "_SOURCE",
-                            EditedAfterRead(tmp_path / "_verlet.c"))
+        text = stub.read_bytes()
+        monkeypatch.setattr(_kernel, "_SOURCE", EditedAfterRead(stub))
         lib = _kernel._load(tmp_path / "cache")
-        assert b"edited_marker" in (tmp_path / "_verlet.c").read_bytes()
+        assert b"edited_marker" in stub.read_bytes()
         assert not hasattr(lib, "edited_marker")
         assert Path(lib._name).name == _kernel._library_name(text)
 
-    def test_a_load_reads_the_source_once(self, tmp_path, monkeypatch):
+    def test_a_load_reads_the_source_once(self, stub, tmp_path, monkeypatch):
         # once when it builds the library, and once when it loads it
         reads = []
 
@@ -594,9 +630,7 @@ class TestLoader:
                 reads.append(args)
                 return super().open(*args, **kwargs)
 
-        (tmp_path / "_verlet.c").write_bytes(_kernel._SOURCE.read_bytes())
-        monkeypatch.setattr(_kernel, "_SOURCE",
-                            CountedReads(tmp_path / "_verlet.c"))
+        monkeypatch.setattr(_kernel, "_SOURCE", CountedReads(stub))
         cache = tmp_path / "cache"
         for _ in ("build", "load"):
             reads.clear()
@@ -604,22 +638,13 @@ class TestLoader:
             assert len(reads) == 1
             assert [p.name for p in cache.iterdir()] == [_cache_name()]
 
-    def test_another_compiler_keeps_the_cache_key(self, tmp_path,
+    def test_another_compiler_keeps_the_cache_key(self, stub, tmp_path,
                                                   monkeypatch):
         # the key is what the library's bits depend on, not `cc --version`:
         # a build by another compiler lands under the same name
-        real = shutil.which("cc")
-        if real is None:
-            pytest.skip("cc is not on PATH")
-        bindir = tmp_path / "bin"
-        bindir.mkdir()
-        (bindir / "cc").write_text(
-            '#!/bin/sh\n'
-            'if [ "$1" = --version ]; then echo "other-cc 99.0"; exit 0; fi\n'
-            f'exec {shlex.quote(real)} "$@"\n')
-        (bindir / "cc").chmod(0o755)
         name = _cache_name()
-        monkeypatch.setenv("PATH", f"{bindir}{os.pathsep}{os.environ['PATH']}")
+        _wrap_cc(tmp_path, monkeypatch, (
+            'if [ "$1" = --version ]; then echo "other-cc 99.0"; exit 0; fi'))
         assert subprocess.run(["cc", "--version"], capture_output=True,
                               text=True).stdout == "other-cc 99.0\n"
         assert _cache_name() == name
@@ -639,7 +664,7 @@ class TestLoader:
             cwd.mkdir()
             result = subprocess.run(
                 [sys.executable, "-m", "gasrelax.cli", "bounds", "--config",
-                 str(cfg)], cwd=cwd, env=_child_env(PATH=path),
+                 str(cfg)], cwd=cwd, env=helpers.child_env(PATH=path),
                 capture_output=True, text=True, timeout=120)
             assert result.returncode == 0, result.stderr
             reports.append((cwd / "out" / "bounds_report.json").read_bytes())
@@ -652,28 +677,7 @@ class TestLoader:
                   "_kernel.library()\n"
                   "print('subprocess' in sys.modules)\n")
         result = subprocess.run([sys.executable, "-c", script],
-                                env=_child_env(), capture_output=True,
+                                env=helpers.child_env(), capture_output=True,
                                 text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\n"
-
-    def test_missing_compiler_is_a_runtime_error_in_the_cli(
-            self, tmp_path, monkeypatch, capsys):
-        # a source copy of its own, whose empty __pycache__ forces a build;
-        # new flags would build into the package's cache and prune the
-        # library that is there
-        source = tmp_path / "pkg" / "_verlet.c"
-        source.parent.mkdir()
-        source.write_bytes(_kernel._SOURCE.read_bytes())
-        empty = tmp_path / "bin"
-        empty.mkdir()
-        monkeypatch.setattr(_kernel, "_lib", None)
-        monkeypatch.setattr(_kernel, "_SOURCE", source)
-        monkeypatch.setenv("PATH", str(empty))
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_particles = 4\nn_samples = 1000\n"
-                       f"output_dir = {tmp_path}\n")
-        assert main(["bounds", "--config", str(cfg)]) == EXIT_RUNTIME
-        err = capsys.readouterr().err
-        assert err.startswith("runtime error: cannot build _verlet.c")
-        assert "Traceback" not in err
