@@ -1,21 +1,24 @@
 /* The wall potential and force with their per-row sums, the weighted sums
- * of the quadrature panels, the velocity-Verlet trajectory with its energy
- * records, the inverse CDF of the wall marginal with the guide table it
- * reads, and NumPy's Philox stream with the states it samples and their
- * force and momentum sums, in gasrelax.  The inverse CDF is one table of
- * 3 rows of k values, C order: the CDF knots u, the heights z and the
- * tangents m; its guide has GUIDE_CELLS entries.
+ * of the quadrature panels, the velocity-Verlet trajectory of given or
+ * sampled states with its records and their energy drift, the inverse CDF
+ * of the wall marginal with the guide table it reads, and NumPy's Philox
+ * stream with the states it samples and their force and momentum sums, in
+ * gasrelax.  The inverse CDF is one table of 3 rows of k values, C order:
+ * the CDF knots u, the heights z and the tangents m; its guide has
+ * GUIDE_CELLS entries.
  *
  * Each job has one body, which the other entries call: wall_sums owns the
  * wall and its row sums, philox_uniforms the stream's doubles, guide_table
  * the brackets the inverse CDF starts from, inverse_cdf the heights the
- * doubles give, verlet_records the trajectory and
- * sampled_momentum_sums the momentum sums.  Each entry takes the model's
- * parameters as they are and forms its own coefficients: 12 delta, dt/2,
- * 1/sqrt(beta) and the guard; the particle mass is the unit.  Each entry's
- * prototype, `KERNEL <type> <name>(<params>)` from the start of a line,
- * with pointer, double and ptrdiff_t parameters, is its only signature:
- * gasrelax._kernel reads the ctypes of each call from it.
+ * doubles give, heights and normals the states drawn from the stream,
+ * verlet_records the trajectory, which loads its states or draws them a
+ * block at a time, and sampled_momentum_sums the momentum sums.  Each
+ * entry takes the model's parameters as they are and forms its own
+ * coefficients: 12 delta, dt/2, 1/sqrt(beta) and the guard; the particle
+ * mass is the unit.  Each entry's prototype, `KERNEL <type> <name>(<params>)`
+ * from the start of a line, with pointer, double and ptrdiff_t parameters,
+ * is its only signature: gasrelax._kernel reads the ctypes of each call from
+ * it.
  *
  * Every result is bit for bit what the former NumPy expressions gave, so the
  * operation order below is part of the contract.  Potential: u*u, u2*u2,
@@ -27,14 +30,17 @@
  * AVX-512 ddot adds a short row (see kronrod_sums below).  Inverse CDF: the
  * Hermite cubic as the sum, left to right, of its four basis terms (see
  * hermite below).  Normals: NumPy's own code, linked from its
- * libnpyrandom.a (see normals below).  Build with -ffp-contract=off (a
- * fused multiply-add rounds once where the NumPy passes rounded twice) and
- * -fno-builtin-fma (libm's fma() stays a call, so the library holds no
- * fused instruction at all), and never with fast-math options, which
- * reassociate.  The clones only widen the vector registers: every lane
- * makes the same correctly rounded IEEE operations as scalar code.
+ * libnpyrandom.a (see normals below).  Energy drift: the drift monitor's
+ * NumPy arithmetic (see relative_drift below).  Build with
+ * -ffp-contract=off (a fused multiply-add rounds once where the NumPy
+ * passes rounded twice) and -fno-builtin-fma (libm's fma() stays a call, so
+ * the library holds no fused instruction at all), and never with fast-math
+ * options, which reassociate.  The clones only widen the vector registers:
+ * every lane makes the same correctly rounded IEEE operations as scalar
+ * code.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -186,20 +192,44 @@ KERNEL void kronrod_sums(const double *restrict pairs, ptrdiff_t rows,
     }
 }
 
+/* The drift monitor's relative drift of an energy e from its initial e0,
+ * |e - e0| / max(|e0|, tiny), tiny the least normal double
+ * (np.finfo(float).tiny): a NaN |e0| stays NaN, as in np.maximum */
+static inline double relative_drift(double e, double e0)
+{
+    double scale = fabs(e0);
+    if (scale < DBL_MIN)
+        scale = DBL_MIN;
+    return fabs(e - e0) / scale;
+}
+
 /* B = sum p and H1 = (sum p^2/2 + sum V(z)) - h sum z of each of `rows`
- * rows of n values, into b[i] and e[i] */
+ * rows of n values: B into b[i], and H1 into e[i] unless e is NULL.  At the
+ * first record, each H1 is kept in e0[i] first.  *drift is raised to each
+ * row's relative_drift from e0[i], and a NaN one stays, as np.max keeps it.
+ */
 static inline void record(const double *z, const double *p, ptrdiff_t rows,
                           ptrdiff_t n, double half, double delta, double h,
-                          double *b, double *e)
+                          double *b, double *e, double *e0, int first,
+                          double *drift)
 {
+    double most = *drift;
     for (ptrdiff_t i = 0; i < rows; i++) {
         const double *zi = z + i * n, *pi = p + i * n;
         double kinetic = 0.5 * (0.0 + pairwise(pi, n, SQUARE, half, delta));
         double wall = 0.0 + pairwise(zi, n, POTENTIAL, half, delta);
         double field = h * (0.0 + pairwise(zi, n, VALUE, half, delta));
+        double ei = (kinetic + wall) - field;
         b[i] = 0.0 + pairwise(pi, n, VALUE, half, delta);
-        e[i] = (kinetic + wall) - field;
+        if (e)
+            e[i] = ei;
+        if (first)
+            e0[i] = ei;
+        double d = relative_drift(ei, e0[i]);
+        if (d > most || isnan(d))
+            most = d;
     }
+    *drift = most;
 }
 
 /* f = the force plus h at z */
@@ -240,68 +270,15 @@ static inline int advance(double *restrict z, double *restrict p,
 }
 
 /* values per block, which stays in L1: a verlet_records block's z, p and
- * force (12 KiB) through every record; an inverse_cdf pass's copy of u and
- * its bracket indices, so its passes over them read no main memory; and the
- * heights that sampled_force_sums draws, inverts and sums at once.  In
- * verlet_records and sampled_force_sums, whole rows of at most BLOCK values
- * form one block, and a longer row is a block of its own in the caller's
- * scratch of n values. */
+ * force (12 KiB), drawn or loaded, through every record; an inverse_cdf
+ * pass's copy of u and its bracket indices, so its passes over them read no
+ * main memory; and the heights that sampled_force_sums draws, inverts and
+ * sums at once.  In verlet_records and sampled_force_sums, whole rows of at
+ * most BLOCK values form one block, and a longer row is a block of its own
+ * in the caller's scratch. */
 #define BLOCK 512
 
 const ptrdiff_t block = BLOCK;
-
-/* Evolve `rows` independent rows of n >= 1 particles of unit mass, z and p
- * row-major and changed in place, through records 0 .. n_records - 1 that
- * lie `steps` velocity-Verlet steps of dt apart.  Row i's B and H1 at
- * record r go to b[r * rows + i] and e[r * rows + i]; record 0 is the
- * initial state.  If some initial |z| is not below wall_guard * half (NaN
- * included), 0 is returned and nothing is written.
- *
- * The rows are stepped in blocks (see BLOCK), a long row's force held in
- * scratch, which has room for n values.  Each block runs through every
- * record before the next starts, one advance call per record.  A block
- * stops after the step that breaches the guard (see advance), and later
- * blocks stop before that record.  Returns the first record whose steps
- * breached in any block, n_records if none did: every row's records below
- * it are written, the later ones not.
- */
-KERNEL ptrdiff_t verlet_records(double *restrict z, double *restrict p,
-                                ptrdiff_t rows, ptrdiff_t n,
-                                double *restrict scratch,
-                                ptrdiff_t n_records, ptrdiff_t steps,
-                                double dt, double half,
-                                double delta, double h, double wall_guard,
-                                double *restrict b, double *restrict e)
-{
-    double buf[BLOCK];
-    double *f = n <= BLOCK ? buf : scratch;
-    double half_dt = 0.5 * dt;
-    double guard = wall_guard * half, c12 = 12.0 * delta;
-    ptrdiff_t per_block = n <= BLOCK ? BLOCK / n : 1;
-    ptrdiff_t end = n_records;
-
-    for (ptrdiff_t i = 0; i < rows * n; i++)
-        if (!(fabs(z[i]) < guard))
-            return 0;
-
-    for (ptrdiff_t r0 = 0; r0 < rows; r0 += per_block) {
-        ptrdiff_t nr = rows - r0 < per_block ? rows - r0 : per_block;
-        double *zb = z + r0 * n, *pb = p + r0 * n;
-
-        forces(zb, f, nr * n, half, c12, h);
-        record(zb, pb, nr, n, half, delta, h, b + r0, e + r0);
-        for (ptrdiff_t rec = 1; rec < end; rec++) {
-            if (advance(zb, pb, f, nr * n, steps, half_dt, dt, half, c12, h,
-                        guard)) {
-                end = rec;
-                break;
-            }
-            record(zb, pb, nr, n, half, delta, h, b + rec * rows + r0,
-                   e + rec * rows + r0);
-        }
-    }
-    return end;
-}
 
 /* (2t^3 - 3t^2 + 1) y0 + (t^3 - 2t^2 + t) m0 + (-2t^3 + 3t^2) y1
  * + (t^3 - t^2) m1, with the tangents m0, m1 already scaled by dx */
@@ -464,6 +441,25 @@ KERNEL void philox_uniforms(struct philox *restrict s, double *restrict out,
         out[i] = philox_double(s);
 }
 
+/* *s moved past its next m values, as if they were read: the words left in
+ * the buffer, then whole blocks by raising the counter with carry, as
+ * rng.philox_state(key, counter + blocks) starts, then the rest of one
+ * block. */
+static inline void philox_skip(struct philox *s, ptrdiff_t m)
+{
+    for (; m > 0 && s->next < 4; m--)
+        s->next++;
+    uint64_t carry = (uint64_t)(m / 4);
+    for (int i = 0; i < 4 && carry; i++) {
+        s->ctr[i] += carry;
+        carry = s->ctr[i] < carry;
+    }
+    if (m % 4) {
+        philox_block(s);
+        s->next = (uint64_t)(m % 4);
+    }
+}
+
 /* z[i] == 0.0 dropped: z[i + 1 .. len) move down one place, and the next
  * value of *s fills z[len - 1].  Kept out of line, so that heights' loop
  * runs as fast as without it: a value is 0.0 with probability 2^-53. */
@@ -476,16 +472,19 @@ static __attribute__((noinline, cold)) void drop_zero(struct philox *s,
 }
 
 /* z[i] = the inverse CDF of the next value of *s that is not 0.0, for
- * i < len: a 0.0, which would put a particle on the wall, is skipped. */
-static inline void heights(struct philox *s, double *z, ptrdiff_t len,
-                           const double *restrict table,
-                           const int32_t *restrict guide, ptrdiff_t k)
+ * i < len: a 0.0, which would put a particle on the wall, is skipped.
+ * Returns how many were skipped. */
+static inline ptrdiff_t heights(struct philox *s, double *z, ptrdiff_t len,
+                                const double *restrict table,
+                                const int32_t *restrict guide, ptrdiff_t k)
 {
+    ptrdiff_t skipped = 0;
     philox_uniforms(s, z, len);
     for (ptrdiff_t i = 0; i < len; i++)
-        while (z[i] == 0.0)
+        for (; z[i] == 0.0; skipped++)
             drop_zero(s, z, i, len);
     inverse_cdf(z, z, len, table, guide, k);
+    return skipped;
 }
 
 /* the callbacks of NumPy's bitgen_t on a struct philox; a normal deviate
@@ -573,5 +572,115 @@ KERNEL void sampled_momentum_sums(struct philox *s, double *restrict b,
     for (ptrdiff_t i = 0; i < rows; i++) {
         normals(s, row, n, beta);
         b[i] = 0.0 + pairwise(row, n, VALUE, 0.0, 0.0);
+    }
+}
+
+/* 1 if some |z[i]|, i < n, is not below guard, NaN included */
+static inline int beyond(const double *z, ptrdiff_t n, double guard)
+{
+    int out = 0;
+    for (ptrdiff_t i = 0; i < n; i++)
+        out |= !(fabs(z[i]) < guard);
+    return out;
+}
+
+/* Evolve `rows` independent rows of n >= 1 particles of unit mass through
+ * records 0 .. n_records - 1 that lie `steps` velocity-Verlet steps of dt
+ * apart; record 0 is the initial state.
+ *
+ * The states are loaded or drawn.  Loaded (z not NULL): z and p are the
+ * caller's, row-major and changed in place, and s, beta and the table are
+ * not read; if some initial |z| is not below wall_guard * half (NaN
+ * included), 0 is returned and nothing is written.  Drawn (z and p NULL):
+ * each block's states are those that sampled_states draws from *s with the
+ * marginal's table, made just before the block steps: its heights by
+ * heights, on from where the last block's stopped, and its momenta by
+ * normals from a second cursor that starts rows * n values past *s, where
+ * the heights end unless one was skipped.  If one was, the whole run is
+ * made again with that cursor where they do end, so the common run reads
+ * each value once.  A drawn block with an initial |z| not below the guard
+ * returns 0, the earlier blocks' records written.  *s is left past the
+ * heights.
+ *
+ * Row i's B at record r goes to b[r * rows + i], and its H1 to
+ * e[r * rows + i] unless e is NULL.  drift[r] is the largest relative_drift
+ * of the rows' H1 at record r from their H1 at record 0, NaN if any is NaN:
+ * the bits of np.max over the rows of the drift monitor's NumPy arithmetic.
+ *
+ * The rows are stepped in blocks (see BLOCK), a long row's force, and its
+ * states when drawn, held in scratch, which has room for 3n values.  Each
+ * block runs through every record before the next starts, one advance call
+ * per record.  A block stops after the step that breaches the guard (see
+ * advance), and later blocks stop before that record.  Returns the first
+ * record whose steps breached in any block, n_records if none did: every
+ * row's records below it are written, and drift[r] of those records covers
+ * every row; the later records are not written, or not for every row.
+ */
+KERNEL ptrdiff_t verlet_records(double *restrict z, double *restrict p,
+                                struct philox *s, double beta,
+                                const double *restrict table,
+                                const int32_t *restrict guide, ptrdiff_t k,
+                                ptrdiff_t rows, ptrdiff_t n,
+                                double *restrict scratch,
+                                ptrdiff_t n_records, ptrdiff_t steps,
+                                double dt, double half,
+                                double delta, double h, double wall_guard,
+                                double *restrict b, double *restrict e,
+                                double *restrict drift)
+{
+    double zbuf[BLOCK], pbuf[BLOCK], fbuf[BLOCK], e0[BLOCK];
+    int long_row = n > BLOCK;
+    double *f = long_row ? scratch : fbuf;
+    double half_dt = 0.5 * dt;
+    double guard = wall_guard * half, c12 = 12.0 * delta;
+    ptrdiff_t per_block = long_row ? 1 : BLOCK / n;
+    struct philox start, momenta;
+
+    if (z && beyond(z, rows * n, guard))
+        return 0;
+    if (!z)
+        start = *s;
+
+    /* a run that skips as many heights as the one before it is the last */
+    for (ptrdiff_t skip = 0;;) {
+        ptrdiff_t end = n_records, skipped = 0;
+        if (!z) {
+            *s = momenta = start;
+            philox_skip(&momenta, rows * n + skip);
+        }
+        for (ptrdiff_t rec = 0; rec < n_records; rec++)
+            drift[rec] = 0.0;
+
+        for (ptrdiff_t r0 = 0; r0 < rows; r0 += per_block) {
+            ptrdiff_t nr = rows - r0 < per_block ? rows - r0 : per_block;
+            double *zb, *pb;
+            if (z) {
+                zb = z + r0 * n;
+                pb = p + r0 * n;
+            } else {
+                zb = long_row ? scratch + n : zbuf;
+                pb = long_row ? scratch + 2 * n : pbuf;
+                skipped += heights(s, zb, nr * n, table, guide, k);
+                if (beyond(zb, nr * n, guard))
+                    return 0;
+                normals(&momenta, pb, nr * n, beta);
+            }
+
+            forces(zb, f, nr * n, half, c12, h);
+            record(zb, pb, nr, n, half, delta, h, b + r0, e ? e + r0 : NULL,
+                   e0, 1, drift);
+            for (ptrdiff_t rec = 1; rec < end; rec++) {
+                if (advance(zb, pb, f, nr * n, steps, half_dt, dt, half, c12,
+                            h, guard)) {
+                    end = rec;
+                    break;
+                }
+                record(zb, pb, nr, n, half, delta, h, b + rec * rows + r0,
+                       e ? e + rec * rows + r0 : NULL, e0, 0, drift + rec);
+            }
+        }
+        if (skipped == skip)
+            return end;
+        skip = skipped;
     }
 }

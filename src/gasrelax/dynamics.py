@@ -4,9 +4,11 @@ Trajectories use a fixed-step velocity-Verlet scheme.  Adaptive stepping
 would break symplecticity, so accuracy is enforced the other way around: a
 per-trajectory energy monitor aborts loudly when the relative drift of H1
 exceeds the configured tolerance.  One call of the C kernel per shard,
-given the parameters as they are, runs the wall guard, the steps and, at
-every record time, the row sums of B and H1; the monitor then reads the
-recorded energies, so a shard's steps never return to Python.
+given the parameters as they are, draws the shard's states a block at a
+time and runs the wall guard, the steps and, at every record time, the row
+sums of B and H1, which it reduces to each record's largest relative drift;
+the monitor then reads those drifts, so a shard's steps never return to
+Python, and its only array is its B records.
 
 The central estimator follows the mixed-measure protocol of the bound being
 tested: initial conditions are drawn from the unperturbed Gibbs measure,
@@ -17,9 +19,9 @@ than by finite-differencing a noisy response curve.
 Ensembles are sharded with one counter-based stream per shard and reduced
 in shard order, so results are bitwise identical for any worker count.
 Workers are threads of the one process: a shard spends its time in kernel
-calls, which release the GIL.  The kernel draws each shard's states, and
-the momenta behind ||B||_1, from their stream's key (gibbs._states,
-gibbs.norm0_B_mc), so a run never imports numpy.random.
+calls, which release the GIL.  The kernel draws each shard's states, the
+bits of gibbs._states, and the momenta behind ||B||_1 (gibbs.norm0_B_mc)
+from their stream's key, so a run never imports numpy.random.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import numpy as np
 
 from . import _kernel
 from . import bounds as _bounds
-from .gibbs import (WallMarginal, NormEstimate, _measure, _states,
-                    build_marginal, gamma_h, gamma_tilde_h, norm0_B_mc)
+from .gibbs import (WallMarginal, NormEstimate, _measure, build_marginal,
+                    gamma_h, gamma_tilde_h, norm0_B_mc)
 from .model import ModelParams, _require_positive_finite
 from .rng import philox_key, philox_state
 
@@ -130,47 +132,75 @@ def _evolve_batch(z, p, params: ModelParams, dt: float,
     """Velocity-Verlet the (rows, N) batch in place under H1 with the field of
     params, recording B at each grid time.
 
-    z and p are C-contiguous float64 arrays.  Returns (b_records of shape
-    (n_records, rows), max relative H1 drift).  One call of the C kernel
-    `verlet_records` runs the whole trajectory: an initial state beyond the
-    guard raises WallBreachError at record 0; else each block steps through
-    every record, and at each record it writes every row's B and H1, with
-    NumPy's row sums.  A block is whole rows of at most the kernel's BLOCK
-    values, or one longer row, whose force the kernel keeps in a scratch
-    array of N values, as `sampled_force_sums` keeps a long row's heights.
-    The drift monitor then reads the energies of the records below the
-    first breach.  A drift beyond energy_tol at such a record raises
-    EnergyDriftError at the first one; otherwise a breach raises
-    WallBreachError at its record.
+    z and p are C-contiguous float64 arrays, which the C kernel
+    `verlet_records` loads and steps: an initial state beyond the guard
+    raises WallBreachError at record 0, before any step.  Returns (b_records
+    of shape (n_records, rows), max relative H1 drift); see _verlet.
     """
     for a in (z, p):
         if not (a.dtype == np.float64 and a.ndim == 2 and a.flags.c_contiguous
                 and a.flags.writeable and a.shape == z.shape):
             raise ValueError("z and p must be writeable C-contiguous float64 "
                              "arrays of one (rows, N) shape")
+    return _verlet((z.ctypes.data, p.ctypes.data, None, 0.0, None, None, 0),
+                   z.shape, params, dt, steps_per_record, n_records,
+                   energy_tol, wall_guard)
+
+
+def _evolve_sampled(marginal: WallMarginal, rows: int, state: np.ndarray,
+                    dt: float, steps_per_record: int, n_records: int,
+                    energy_tol: float, wall_guard: float):
+    """_evolve_batch of the states _states(marginal, rows, state) would give,
+    under the field of marginal.params, with no state array made.
+
+    The kernel draws each block's heights and momenta from the Philox state
+    (rng.philox_state) on its stack just before the block steps, so a
+    block's initial state beyond the guard raises WallBreachError at record
+    0 after the earlier blocks have stepped.  Returns (b_records, max
+    relative H1 drift), with the bits of _evolve_batch on those states.
+    """
+    params = marginal.params
+    return _verlet((None, None, state.ctypes.data, params.beta,
+                    *marginal._kernel_tables()),
+                   (rows, params.n_particles), params, dt, steps_per_record,
+                   n_records, energy_tol, wall_guard)
+
+
+def _verlet(states: tuple, shape: tuple, params: ModelParams, dt: float,
+            steps_per_record: int, n_records: int, energy_tol: float,
+            wall_guard: float):
+    """One `verlet_records` call on states, its loaded (z, p) or drawn
+    (Philox state, beta and inverse-CDF tables) arguments, and the drift
+    monitor.
+
+    The kernel runs the whole trajectory: each block steps through every
+    record, and at each record it writes every row's B, with NumPy's row
+    sums, and raises that record's largest relative H1 drift over the rows.
+    A block is whole rows of at most the kernel's BLOCK values, or one
+    longer row, whose force, and states when drawn, the kernel keeps in a
+    scratch array of 3 N values.  The monitor then reads the drifts of the
+    records below the first breach.  A drift beyond energy_tol at such a
+    record raises EnergyDriftError at the first one; otherwise a breach
+    raises WallBreachError at its record.
+    """
     if n_records < 1:
         raise ValueError("n_records must be >= 1")
-    rows, n = z.shape
+    rows, n = shape
     b_rec = np.empty((n_records, rows))
-    e_rec = np.empty((n_records, rows))
-    scratch = np.empty(n)
+    drift = np.empty(n_records)
+    scratch = np.empty(3 * n)
     end = _kernel.library().verlet_records(
-        z.ctypes.data, p.ctypes.data, rows, n, scratch.ctypes.data,
-        n_records, steps_per_record, dt, params.half_box, params.delta_wall,
-        params.field, wall_guard, b_rec.ctypes.data, e_rec.ctypes.data)
+        *states, rows, n, scratch.ctypes.data, n_records, steps_per_record,
+        dt, params.half_box, params.delta_wall, params.field, wall_guard,
+        b_rec.ctypes.data, None, drift.ctypes.data)
     if end == 0:
         raise WallBreachError(
             f"particle beyond {wall_guard:g} of the half-box at record 0")
 
-    # the drift of each record below the first breach, formed in place over
-    # those records; a NaN drift fails too.  The floor guards an exact zero
-    # alone, so the drift is the same in any energy unit
-    e_scale = np.maximum(np.abs(e_rec[0]), np.finfo(float).tiny)
-    later = e_rec[1:end]
-    np.subtract(later, e_rec[0], out=later)
-    np.abs(later, out=later)
-    later /= e_scale
-    drift = np.max(later, axis=1)
+    # the drift of each record below the first breach; a NaN drift fails
+    # too.  The floor of the drift's scale guards an exact zero alone, so
+    # the drift is the same in any energy unit
+    drift = drift[1:end]
     failed = np.flatnonzero(~(drift <= energy_tol))
     if failed.size:
         rec = int(failed[0]) + 1
@@ -198,20 +228,27 @@ def _records_grid(dt: float, t_end: float, n_records: int):
     return np.linspace(0.0, t_end, n_records), spacing / spr, spr
 
 
+# the terms of each trajectory at each record, formed in b_rec's own memory
+# from a copy of its row 0: one multiply, or one subtract and square, per
+# element
+
 def _autocorr_terms(b_rec):
-    return b_rec * b_rec[0]
+    b_rec *= b_rec[0].copy()
+    return b_rec
 
 
 def _displacement_terms(b_rec):
-    d = b_rec - b_rec[0]
-    return d * d
+    b_rec -= b_rec[0].copy()
+    b_rec *= b_rec
+    return b_rec
 
 
 def _run_ensemble(terms, marginal: WallMarginal, config: IntegratorConfig,
                   t_end: float, n_traj: int, seed: int, n_records: int,
                   n_workers: int):
     """Per-record means and variances (ddof 1, or 0 for n_traj = 1) of
-    x = terms(b_records) over n_traj, at n_records times on [0, t_end].
+    x = terms(b_records), which forms x in b_records' memory, over n_traj,
+    at n_records times on [0, t_end].
 
     Steps are config.dt at most; H1 has the field of marginal.params.
     Shard k holds trajectories k*_SHARD onward, drawn from the stream
@@ -223,13 +260,10 @@ def _run_ensemble(terms, marginal: WallMarginal, config: IntegratorConfig,
     times, dt, spr = _records_grid(config.dt, t_end, n_records)
 
     def shard(start):
-        z, p = _states(marginal, min(_SHARD, n_traj - start),
-                       philox_state(philox_key(seed, start // _SHARD)))
-        b_rec, drift = _evolve_batch(z, p, marginal.params, dt, spr,
-                                     n_records, config.energy_drift_tol,
-                                     config.wall_guard)
-        # the states are spent: freed before the terms are formed
-        del z, p
+        b_rec, drift = _evolve_sampled(
+            marginal, min(_SHARD, n_traj - start),
+            philox_state(philox_key(seed, start // _SHARD)), dt, spr,
+            n_records, config.energy_drift_tol, config.wall_guard)
         x = terms(b_rec)
         s1 = x.sum(axis=1)
         return s1, np.square(x, out=x).sum(axis=1), drift

@@ -498,23 +498,63 @@ def evolve_batch_reference(z, p, params, dt, steps_per_record, n_records,
 
 
 def kernel_records(z, p, params, h, dt, steps_per_record, n_records,
-                   wall_guard=0.999):
+                   wall_guard=0.999, drift=None):
     """One call of the C kernel verlet_records on copies of the (rows, N) z, p.
 
     Returns (first breach record, B records, H1 records, final z, final p);
-    record rows at or past the breach are NaN rather than unwritten.
+    record rows at or past the breach are NaN rather than unwritten.  The
+    kernel's per-record drift goes to drift, an array of n_records values,
+    when it is given.
     """
     z = np.array(z, dtype=float, order="C", ndmin=2)
     p = np.array(p, dtype=float, order="C", ndmin=2)
     rows, n = z.shape
     b = np.full((n_records, rows), np.nan)
     e = np.full((n_records, rows), np.nan)
-    scratch = np.empty(n)
+    if drift is None:
+        drift = np.empty(n_records)
+    assert drift.shape == (n_records,) and drift.dtype == np.float64
+    scratch = np.empty(3 * n)
     end = _kernel.library().verlet_records(
-        z.ctypes.data, p.ctypes.data, rows, n, scratch.ctypes.data, n_records,
-        steps_per_record, dt, params.half_box, params.delta_wall, h,
-        wall_guard, b.ctypes.data, e.ctypes.data)
+        z.ctypes.data, p.ctypes.data, None, 0.0, None, None, 0, rows, n,
+        scratch.ctypes.data, n_records, steps_per_record, dt, params.half_box,
+        params.delta_wall, h, wall_guard, b.ctypes.data, e.ctypes.data,
+        drift.ctypes.data)
     return end, b, e, z, p
+
+
+def kernel_sampled_records(marginal, state, rows, dt, steps_per_record,
+                           n_records, wall_guard=0.999):
+    """One call of the C kernel verlet_records that draws its `rows` states
+    from the Philox state (rng.philox_state), leaving it past their
+    heights, and evolves them under the field of marginal.params.
+
+    Returns (first breach record, B records, H1 records, per-record drift);
+    record rows at or past the breach are NaN rather than unwritten.
+    """
+    params = marginal.params
+    n = params.n_particles
+    b = np.full((n_records, rows), np.nan)
+    e = np.full((n_records, rows), np.nan)
+    drift = np.empty(n_records)
+    scratch = np.empty(3 * n)
+    end = _kernel.library().verlet_records(
+        None, None, state.ctypes.data, params.beta,
+        *marginal._kernel_tables(), rows, n, scratch.ctypes.data, n_records,
+        steps_per_record, dt, params.half_box, params.delta_wall,
+        params.field, wall_guard, b.ctypes.data, e.ctypes.data,
+        drift.ctypes.data)
+    return end, b, e, drift
+
+
+def monitor_drift(e, end):
+    """The drift monitor's NumPy arithmetic on H1 records e: each record's
+    largest relative drift |e_r - e_0| / max(|e_0|, tiny) over the rows,
+    for the records 1 .. end - 1."""
+    e_scale = np.maximum(np.abs(e[0]), np.finfo(float).tiny)
+    later = np.abs(e[1:end] - e[0])
+    later /= e_scale
+    return np.max(later, axis=1)
 
 
 def simpson_integral(f, a, b, n=1 << 15):

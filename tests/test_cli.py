@@ -604,7 +604,7 @@ class TestSimulateCommand:
         def no_memory(*args):
             raise MemoryError("Unable to allocate 763. GiB")
 
-        monkeypatch.setattr(dynamics, "_states", no_memory)
+        monkeypatch.setattr(dynamics, "_evolve_sampled", no_memory)
         path = write_config(tmp_path, output_dir=str(tmp_path))
         assert main(["simulate", "--config", path]) == EXIT_RUNTIME
         assert capsys.readouterr().err == (

@@ -218,13 +218,13 @@ class TestAutocorr:
         kwargs = dict(n_traj=2500, seed=35, n_times=8)
         serial = autocorr_B(params, config, n_workers=1, **kwargs)
         ran_on = []
-        evolve = dynamics._evolve_batch
+        evolve = dynamics._evolve_sampled
 
         def recorded(*args):
             ran_on.append(threading.get_ident())
             return evolve(*args)
 
-        monkeypatch.setattr(dynamics, "_evolve_batch", recorded)
+        monkeypatch.setattr(dynamics, "_evolve_sampled", recorded)
         result = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -243,6 +243,22 @@ class TestAutocorr:
             assert np.array_equal(getattr(pooled, field).view(np.int64),
                                   getattr(serial, field).view(np.int64))
         assert pooled.max_energy_drift == serial.max_energy_drift
+
+    def test_a_shard_holds_its_b_records_and_little_else(self, ref_params):
+        # one 1024 x 64 shard through 64 records: its B records (0.5 MiB),
+        # turned into the terms in place, and the rho0 marginal that
+        # autocorr_B builds; no state array and no H1 records
+        config = IntegratorConfig(dt=2.5e-4, t_end=0.063,
+                                  energy_drift_tol=1e-4)
+
+        def run():
+            return autocorr_B(ref_params, config, n_traj=1024, seed=46,
+                              n_times=64)
+
+        run()
+        series, peak = helpers.traced_peak(run)
+        assert series.c_values.shape == (64,)
+        assert peak <= 1 << 20
 
     def test_marginal_of_another_measure_rejected(self):
         # C(t) is a rho0 correlation of the params it flows with

@@ -4,6 +4,7 @@ the restrict rule of the inverse-CDF table and the build-on-first-use
 loader."""
 
 import ctypes
+import functools
 import os
 import re
 import shlex
@@ -19,11 +20,14 @@ import numpy as np
 import pytest
 
 import helpers
-from gasrelax import _kernel, dynamics
+from gasrelax import _kernel, dynamics, gibbs
+from gasrelax.bounds import t_relax_lower
 from gasrelax.cli import EXIT_RUNTIME, main
-from gasrelax.dynamics import EnergyDriftError, WallBreachError, _evolve_batch
+from gasrelax.dynamics import (EnergyDriftError, WallBreachError,
+                               _evolve_batch, _evolve_sampled, _records_grid)
 from gasrelax.model import ModelParams, wall_force, wall_potential
 from gasrelax.numerics import _WG, _WGK
+from gasrelax.rng import philox_key, philox_state
 
 PARAMS = ModelParams(4, 1.0, 1.0, 10.0)
 
@@ -232,6 +236,185 @@ class TestVerletRecords:
         assert np.isnan(b[8:]).all() and np.isnan(e[8:]).all()
 
 
+@functools.lru_cache(maxsize=None)
+def _stream_marginal(n, tilted):
+    return gibbs.build_marginal(ModelParams(n, 1.0, 1.0, 10.0, field=1e-2),
+                                grid_size=256, tilted=tilted)
+
+
+def _result(run, *args):
+    """(the bits of the B records, max drift) of run(*args), or (exception
+    type, message)."""
+    try:
+        b_rec, drift = run(*args)
+    except (WallBreachError, EnergyDriftError) as exc:
+        return type(exc), str(exc)
+    return _bits(b_rec).tobytes(), drift
+
+
+def _assert_streamed_as_loaded(marginal, key, counter, rows,
+                               wall_guard=0.999):
+    """verlet_records drawing `rows` states from the stream of (key,
+    counter) gives the bits of _states' states evolved as loaded states:
+    the same end and, unless that is 0, every record and every drift, and it
+    leaves the stream past the heights; so dynamics gives the same result or
+    error.  Returns the streamed (end, b, e, drift)."""
+    params = marginal.params
+    grid = (1e-3, 2, 4)
+    state = philox_state(key, counter)
+    streamed = helpers.kernel_sampled_records(marginal, state, rows, *grid,
+                                              wall_guard)
+    z, p = gibbs._states(marginal, rows, philox_state(key, counter))
+    drift = np.empty(4)
+    end, b, e, _, _ = helpers.kernel_records(z, p, params, params.field,
+                                             *grid, wall_guard, drift=drift)
+    assert streamed[0] == end
+    if end:
+        # (an initial breach stops a loaded run before any block steps)
+        for got, want in zip(streamed[1:3], (b, e)):
+            assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(streamed[3][:end]), _bits(drift[:end]))
+        # the heights' cursor stops where the heights of _states end
+        heights_end = philox_state(key, counter)
+        helpers.kernel_force_sums(marginal, heights_end, rows)
+        assert np.array_equal(state, heights_end)
+    args = (*grid, 1e-6, wall_guard)
+    assert _result(_evolve_sampled, marginal, rows,
+                   philox_state(key, counter), *args) == _result(
+        _evolve_batch, z, p, params, *args)
+    return streamed
+
+
+class TestStreamedShard:
+    """verlet_records drawing its states block by block is _states plus
+    the loaded-state evolution, bit for bit."""
+
+    @pytest.mark.parametrize("tilted", [False, True], ids=["rho0", "rho1"])
+    @pytest.mark.parametrize("rows", [1, 9, 1024])
+    @pytest.mark.parametrize("n", [1, 3, 64, 600])
+    def test_bit_equal_to_states_evolved(self, n, rows, tilted):
+        # rows of one value, of three, of a shard's 64 and longer than a
+        # block; one row, a partial block and a whole shard
+        assert 600 > helpers.block()
+        _assert_streamed_as_loaded(_stream_marginal(n, tilted),
+                                   philox_key(37, n, rows), 0, rows)
+
+    @pytest.mark.parametrize("n, rows", [(64, 1024), (600, 9), (1, 9)])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_planted_zeros_rerun_the_shard(self, n, rows, where):
+        # a skipped 0.0 moves the heights' end, and so the momenta, one
+        # value on: two zeros in the first block or one as the last height
+        # of the last block, whose replacement is the value the momenta
+        # would start at
+        zeros = [0, 2] if where == "first" else [rows * n - 1]
+        key = philox_key(38, n)
+        counter = helpers.philox_counter_with_zeros(key, zeros)
+        uniforms = helpers.kernel_uniforms(key, counter, rows * n + 4)
+        assert np.flatnonzero(uniforms == 0.0).tolist() == zeros
+        end, b, _, _ = _assert_streamed_as_loaded(
+            _stream_marginal(n, False), key, counter, rows)
+        assert end == 4 and np.isfinite(b).all()
+
+    def test_initial_breach_in_a_late_block(self):
+        # the guard lies between the two largest |z| of a 1024 x 64 shard,
+        # the largest in a late block: the blocks before it step, and the
+        # run still stops with a WallBreachError at record 0
+        marginal = _stream_marginal(64, False)
+        key = philox_key(39, 0)
+        z, _ = gibbs._states(marginal, 1024, philox_state(key))
+        a = np.sort(np.abs(z), axis=None)
+        row = int(np.argmax(np.abs(z)) // 64)
+        per_block = helpers.block() // 64
+        first = row - row % per_block
+        assert first >= 4 * per_block
+        guard = 0.5 * (a[-1] + a[-2]) / marginal.params.half_box
+        end, b, e, _ = _assert_streamed_as_loaded(marginal, key, 0, 1024,
+                                                  wall_guard=guard)
+        # the blocks before it wrote their records
+        assert end == 0
+        assert np.isfinite(b[0, :first]).all()
+        assert np.isnan(b[:, first:]).all() and np.isnan(e[:, first:]).all()
+        with pytest.raises(WallBreachError, match="at record 0$"):
+            _evolve_sampled(marginal, 1024, philox_state(key), 1e-3, 2, 4,
+                            1e300, guard)
+
+
+class TestKernelDrift:
+    """The kernel's per-record drift is the drift monitor's NumPy
+    arithmetic on the H1 records, bit for bit."""
+
+    def test_reference_shard(self, ref_marginal):
+        # shard 0 of simulate's autocorrelation run on the reference config
+        params = ref_marginal.params
+        _, dt, spr = _records_grid(2.5e-4, 2.0 * t_relax_lower(params), 64)
+        z, p = gibbs._states(ref_marginal, 1024,
+                             philox_state(philox_key(20260808, 0)))
+        drift = np.empty(64)
+        end, _, e, _, _ = helpers.kernel_records(z, p, params, params.field,
+                                                 dt, spr, 64, drift=drift)
+        assert end == 64
+        assert np.array_equal(_bits(drift[1:]),
+                              _bits(helpers.monitor_drift(e, end)))
+        assert _bits(drift[0]) == _bits(0.0)
+        assert 1e-7 < drift.max() < 1e-5
+
+    def test_nan_energy_outranks_a_larger_drift(self):
+        # row 1's momentum of 1e155 squares to inf and h sum z overflows
+        # too, so its H1 is inf - inf = NaN at every record; row 0, before
+        # it, drifts by far more than any finite drift of row 1 could
+        # show.  dt is so small that nobody nears the wall
+        params = ModelParams(2, 1.0, 1.0, 10.0)
+        z = np.array([[1.0, -1.0], [2.0, 2.0]])
+        p = np.array([[0.5, -0.5], [1e155, 0.0]])
+        drift = np.empty(3)
+        end, _, e, _, _ = helpers.kernel_records(z, p, params, 1e308, 1e-300,
+                                                 1, 3, drift=drift)
+        assert end == 3
+        assert np.isnan(e[:, 1]).all() and np.isfinite(e[:, 0]).all()
+        assert np.array_equal(_bits(drift[1:]),
+                              _bits(helpers.monitor_drift(e, end)))
+        assert np.isnan(drift).all()
+        with pytest.raises(EnergyDriftError, match="drift nan exceeds"):
+            _evolve_batch(z, p, replace(params, field=1e308), 1e-300, 1, 3,
+                          1e300, 0.999)
+
+    def test_zero_initial_energy_is_scaled_by_tiny(self):
+        # walls so weak that V underflows to 0: row 0, at rest at the
+        # centre, starts at H1 = 0 exactly, and the field moves it, so its
+        # drift is its energy over the least normal double
+        params = ModelParams(2, 1.0, 5e-324, 10.0)
+        z = np.array([[0.0, 0.0], [1.0, -2.0]])
+        p = np.array([[0.0, 0.0], [0.3, 0.1]])
+        drift = np.empty(4)
+        end, _, e, _, _ = helpers.kernel_records(z, p, params, 1e-3, 1e-3, 5,
+                                                 4, drift=drift)
+        assert end == 4
+        assert _bits(e[0, 0]) == _bits(0.0)
+        assert (e[1:, 0] != 0.0).all()
+        assert np.array_equal(_bits(drift[1:]),
+                              _bits(helpers.monitor_drift(e, end)))
+        assert np.array_equal(
+            drift[1:], np.abs(e[1:, 0]) / np.finfo(float).tiny)
+
+    def test_drift_wins_over_a_later_breach(self):
+        # row 0 breaches the guard during record 8, and row 1 drifts
+        # beyond 1e-3 at record 3 and breaches during record 7: the drift
+        # monitor reads the kernel's drift of the records below the first
+        # breach and raises first
+        z, p = np.zeros((2, 4)), np.zeros((2, 4))
+        z[0, 0], p[0, 0] = -3.0, 8.0
+        p[1, 0] = 6.0
+        drift = np.empty(10)
+        end, _, e, _, _ = helpers.kernel_records(z, p, PARAMS, 0.0, 0.1, 2,
+                                                 10, drift=drift)
+        assert end == 7
+        assert np.array_equal(_bits(drift[1:end]),
+                              _bits(helpers.monitor_drift(e, end)))
+        assert (drift[1:3] <= 1e-3).all() and drift[3] > 1e-3
+        with pytest.raises(EnergyDriftError, match="at t=0.6$"):
+            _evolve_batch(z, p, PARAMS, 0.1, 2, 10, 1e-3, 0.999)
+
+
 LAYOUTS = pytest.mark.parametrize("z", [
     0.3, np.float64(-4.2), np.array(4.99), np.linspace(-4.9, 4.9, 64),
     np.linspace(-4.9, 4.9, 21).reshape(3, 7),
@@ -400,7 +583,7 @@ class TestTableRule:
     def test_every_reader_of_the_table_declares_it_restrict(self):
         checked, bad = _table_rule(_kernel._SOURCE.read_text())
         assert checked == {"inverse_cdf", "heights", "sampled_force_sums",
-                           "sampled_states"}
+                           "sampled_states", "verlet_records"}
         assert bad == []
 
     def test_the_rule_finds_a_table_or_guide_without_restrict(self):
