@@ -135,16 +135,17 @@ def _evolve_batch(z, p, params: ModelParams, dt: float,
     z and p are C-contiguous float64 arrays, which the C kernel
     `verlet_records` loads and steps: an initial state beyond the guard
     raises WallBreachError at record 0, before any step.  Returns (b_records
-    of shape (n_records, rows), max relative H1 drift); see _verlet.
+    of shape (n_records, rows), max relative H1 drift); see
+    _verlet_records.
     """
     for a in (z, p):
         if not (a.dtype == np.float64 and a.ndim == 2 and a.flags.c_contiguous
                 and a.flags.writeable and a.shape == z.shape):
             raise ValueError("z and p must be writeable C-contiguous float64 "
                              "arrays of one (rows, N) shape")
-    return _verlet((z.ctypes.data, p.ctypes.data, None, 0.0, None, None, 0),
-                   z.shape, params, dt, steps_per_record, n_records,
-                   energy_tol, wall_guard)
+    return _verlet_records(
+        (z.ctypes.data, p.ctypes.data, None, 0.0, None, None, 0), z.shape,
+        params, dt, steps_per_record, n_records, energy_tol, wall_guard)
 
 
 def _evolve_sampled(marginal: WallMarginal, rows: int, state: np.ndarray,
@@ -160,15 +161,15 @@ def _evolve_sampled(marginal: WallMarginal, rows: int, state: np.ndarray,
     relative H1 drift), with the bits of _evolve_batch on those states.
     """
     params = marginal.params
-    return _verlet((None, None, state.ctypes.data, params.beta,
-                    *marginal._kernel_tables()),
-                   (rows, params.n_particles), params, dt, steps_per_record,
-                   n_records, energy_tol, wall_guard)
+    return _verlet_records(
+        (None, None, state.ctypes.data, params.beta,
+         *marginal._kernel_tables()), (rows, params.n_particles), params, dt,
+        steps_per_record, n_records, energy_tol, wall_guard)
 
 
-def _verlet(states: tuple, shape: tuple, params: ModelParams, dt: float,
-            steps_per_record: int, n_records: int, energy_tol: float,
-            wall_guard: float):
+def _verlet_records(states: tuple, shape: tuple, params: ModelParams,
+                    dt: float, steps_per_record: int, n_records: int,
+                    energy_tol: float, wall_guard: float):
     """One `verlet_records` call on states, its loaded (z, p) or drawn
     (Philox state, beta and inverse-CDF tables) arguments, and the drift
     monitor.
@@ -228,16 +229,16 @@ def _records_grid(dt: float, t_end: float, n_records: int):
     return np.linspace(0.0, t_end, n_records), spacing / spr, spr
 
 
-# the terms of each trajectory at each record, formed in b_rec's own memory
-# from a copy of its row 0: one multiply, or one subtract and square, per
-# element
-
 def _autocorr_terms(b_rec):
+    """b_rec[r] * b_rec[0] at each record r, formed in b_rec's own memory
+    from a copy of its row 0."""
     b_rec *= b_rec[0].copy()
     return b_rec
 
 
 def _displacement_terms(b_rec):
+    """(b_rec[r] - b_rec[0])^2 at each record r, formed in b_rec's own
+    memory from a copy of its row 0."""
     b_rec -= b_rec[0].copy()
     b_rec *= b_rec
     return b_rec

@@ -299,6 +299,14 @@ class TestStreamedShard:
         _assert_streamed_as_loaded(_stream_marginal(n, tilted),
                                    philox_key(37, n, rows), 0, rows)
 
+    @pytest.mark.parametrize("counter", [2**64 - 3, 2**192 - 2, 2**256 - 2],
+                             ids=["2^64-3", "2^192-2", "2^256-2"])
+    def test_momenta_cursor_carries_the_counter(self, counter):
+        # the momenta start 16384 Philox blocks on: the counter carries into
+        # its next words, or wraps, on the way
+        _assert_streamed_as_loaded(_stream_marginal(64, False),
+                                   philox_key(40, 0), counter, 1024)
+
     @pytest.mark.parametrize("n, rows", [(64, 1024), (600, 9), (1, 9)])
     @pytest.mark.parametrize("where", ["first", "last"])
     def test_planted_zeros_rerun_the_shard(self, n, rows, where):
