@@ -8,17 +8,17 @@
  * GUIDE_CELLS entries.
  *
  * Each job has one body, which the other entries call: wall_sums owns the
- * wall and its row sums, philox_uniforms the stream's doubles, guide_table
- * the brackets the inverse CDF starts from, inverse_cdf the heights the
- * doubles give, heights and normals the states drawn from the stream,
- * verlet_records the trajectory, which loads its states or draws them a
- * block at a time, and sampled_momentum_sums the momentum sums.  Each
- * entry takes the model's parameters as they are and forms its own
- * coefficients: 12 delta, dt/2, 1/sqrt(beta) and the guard; the particle
- * mass is the unit.  Each entry's prototype, `KERNEL <type> <name>(<params>)`
- * from the start of a line, with pointer, double and ptrdiff_t parameters,
- * is its only signature: gasrelax._kernel reads the ctypes of each call from
- * it.
+ * wall and its row sums, philox_uniforms the stream's doubles and
+ * philox_skip the values passed unread, guide_table the brackets the
+ * inverse CDF starts from, inverse_cdf the heights the doubles give,
+ * heights and normals the states drawn from the stream, verlet_records the
+ * trajectory, which loads its states or draws them a block at a time, and
+ * sampled_momentum_sums the momentum sums.  Each entry takes the model's
+ * parameters as they are and forms its own coefficients: 12 delta, dt/2,
+ * 1/sqrt(beta) and the guard; the particle mass is the unit.  Each entry's
+ * prototype, `KERNEL <type> <name>(<params>)` from the start of a line,
+ * with pointer, double and ptrdiff_t parameters, is its only signature:
+ * gasrelax._kernel reads the ctypes of each call from it.
  *
  * Every result is bit for bit what the former NumPy expressions gave, so the
  * operation order below is part of the contract.  Potential: u*u, u2*u2,
@@ -424,9 +424,10 @@ static inline double philox_double(struct philox *s)
 
 /* out[i] = the next value of *s as a double, for i < n; *s is left past
  * them.  The words left in the buffer are read first, then whole blocks
- * straight into out, then the rest one at a time. */
-KERNEL void philox_uniforms(struct philox *restrict s, double *restrict out,
-                            ptrdiff_t n)
+ * straight into out, then the rest one at a time.  Inline: one copy out of
+ * line, for the default target alone, made norm0_mc 4 % slower. */
+static inline void philox_uniforms(struct philox *restrict s,
+                                   double *restrict out, ptrdiff_t n)
 {
     ptrdiff_t i = 0;
     for (; i < n && s->next < 4; i++)
@@ -559,16 +560,18 @@ KERNEL void sampled_states(struct philox *s, double *restrict z,
     normals(s, p, rows * n, beta);
 }
 
-/* b[i] = 0.0 plus the pairwise sum of the n momenta of row i (see
- * sampled_states), drawn row after row from the stream of *s, for
- * i < rows: the bits of rng.normal(0.0, sigma, (rows, n)).sum(axis=1),
- * sigma as in normals.  Each row is drawn into `row`, which has room for n
+/* b[i] = 0.0 plus the pairwise sum of the n momenta of row i of the `rows`
+ * states of sampled_states on *s, for i < rows, whose heights' rows * n
+ * values are skipped unread (see verlet_records on a skipped 0.0): the bits
+ * of rng.normal(0.0, sigma, (rows, n)).sum(axis=1), sigma as in normals, on
+ * the stream past them.  Each row is drawn into `row`, which has room for n
  * values.  *s is left past the last value read.
  */
 KERNEL void sampled_momentum_sums(struct philox *s, double *restrict b,
                                   ptrdiff_t rows, ptrdiff_t n, double beta,
                                   double *restrict row)
 {
+    philox_skip(s, rows * n);
     for (ptrdiff_t i = 0; i < rows; i++) {
         normals(s, row, n, beta);
         b[i] = 0.0 + pairwise(row, n, VALUE, 0.0, 0.0);

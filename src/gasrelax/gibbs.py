@@ -23,15 +23,15 @@ its input.  Every drawn value is bitwise what a binary search over the
 whole batch and the NumPy cubic give.
 
 States are drawn in the C kernel from NumPy's Philox stream, given by its
-key and start counter (rng.philox_state), which the kernel reads once, in
-order.  The heights are the inverse CDF of its values, a 0.0 (a particle on
-the wall, probability 2^-53) skipped; the momenta are NumPy's own normals,
-its ziggurat linked from numpy/random/lib/libnpyrandom.a, drawn on from
-where the heights stopped.  Without a 0.0 the bits are those of a NumPy
-Generator on the same stream, and numpy.random is never imported.  The
-ensemble shards of `dynamics` draw these states from a key alone, inside the
-Verlet kernel, and sample_batch from the next two raw words of a Generator,
-whose state it never reads.
+key alone (rng.philox_state), which the kernel reads once, in order,
+passing unread what a draw does not use.  The heights are the inverse CDF
+of its values, a 0.0 (a particle on the wall, probability 2^-53) skipped;
+the momenta are NumPy's own normals, its ziggurat linked from
+numpy/random/lib/libnpyrandom.a, drawn on from where the heights stopped.
+Without a 0.0 the bits are those of a NumPy Generator on the same stream,
+and numpy.random is never imported.  The ensemble shards of `dynamics` draw
+these states from a key alone, inside the Verlet kernel, and sample_batch
+from the next two raw words of a Generator, whose state it never reads.
 
 A Monte-Carlo norm draws only what its observable reads, so it holds no
 array of all the sampled states.  norm0_mc, the norm of the bracket [B, H0],
@@ -413,25 +413,20 @@ def norm0_B_mc(params: ModelParams, n_samples: int,
                key: np.ndarray) -> NormEstimate:
     """Monte-Carlo norm of the momentum sum B, from momenta alone.
 
-    The momenta start n_samples * N values into the stream of
-    philox_state(key): at the Philox block of 4 values where those heights
-    end, whose heights' share is read into values, which the sums
-    overwrite.  The kernel draws and sums one row at a time.  They are the
-    momenta of _states(n_samples rows) on that state when none of the
-    heights' values is 0.0 (probability 2^-53 each); each 0.0 that _states
-    skips starts its momenta one value later, so these then start that
-    many values early, with the same law of B.  The tilt of rho1 moves only
-    the heights, so B has one law under rho0 and rho1; the estimate carries
-    the measure of params.
+    One kernel call skips the n_samples * N values of the heights in the
+    stream of philox_state(key) unread, then draws and sums the momenta one
+    row at a time.  They are the momenta of _states(n_samples rows) on that
+    state when none of the heights' values is 0.0 (probability 2^-53 each);
+    each 0.0 that _states skips starts its momenta one value later, so these
+    then start that many values early, with the same law of B.  The tilt of
+    rho1 moves only the heights, so B has one law under rho0 and rho1; the
+    estimate carries the measure of params.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
-    block, spent = divmod(n_samples * params.n_particles, 4)
-    state = philox_state(key, block)
+    state = philox_state(key)
     values = np.empty(n_samples)
     row = np.empty(params.n_particles)
-    _kernel.library().philox_uniforms(
-        state.ctypes.data, values.ctypes.data, spent)
     _kernel.library().sampled_momentum_sums(
         state.ctypes.data, values.ctypes.data, n_samples, params.n_particles,
         params.beta, row.ctypes.data)

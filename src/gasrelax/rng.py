@@ -7,11 +7,11 @@ with distinct ids are statistically independent, and the mapping
 split across processes.
 
 philox_key is the one place a stream's key is derived.  The C kernel reads
-the stream of NumPy's Philox from a philox_state, key and start counter
-alone, and draws its uniforms, heights and normals (NumPy's own ziggurat)
-from it, so `bounds` and `simulate` never import numpy.random.  substream
-wraps the key in NumPy's Philox Generator; only the benchmark and the tests
-use it.
+NumPy's Philox stream from a philox_state of the key alone, finds where
+each draw starts, and draws its uniforms, heights and normals (NumPy's own
+ziggurat) from it, so `bounds` and `simulate` never import numpy.random.
+substream wraps the key in NumPy's Philox Generator; only the benchmark and
+the tests use it.
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ from gasrelax.dynamics import (EnergyDriftError, WallBreachError,
                                _evolve_batch, _records_grid)
 from gasrelax.gibbs import (NormEstimate, _centered_mgf, _monotone_tangents,
                             _weight)
-from gasrelax.rng import philox_state
 from gasrelax.numerics import (_WG, _WGK, _XGK, QuadratureError,
                                integrate_finite)
 
@@ -316,13 +315,12 @@ def kernel_force_sums(marginal, state, rows):
     return out
 
 
-def kernel_uniforms(key, counter, n):
-    """The first n doubles of the kernel's Philox stream of (key, counter)."""
-    # held for the call: the kernel reads and advances the state in place
-    state = philox_state(key, counter)
-    out = np.empty(n)
-    _kernel.library().philox_uniforms(state.ctypes.data, out.ctypes.data, n)
-    return out
+def kernel_state(rng):
+    """The kernel's 11 words (rng.philox_state) of the Philox Generator
+    rng: key, counter, buffer and buffer position."""
+    st = rng.bit_generator.state
+    return np.array([*st["state"]["key"], *st["state"]["counter"],
+                     *st["buffer"], st["buffer_pos"]], dtype=np.uint64)
 
 
 def _recip_pow12(u):

@@ -184,6 +184,27 @@ def test_the_library_holds_no_generator_state():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def _positioned_stream_lines(source):
+    """The lines of source that call philox_state, bare or as an attribute,
+    with more than the key."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and "philox_state" in (getattr(node.func, "id", None),
+                                         getattr(node.func, "attr", None))
+                  and len(node.args) + len(node.keywords) > 1)
+
+
+def test_only_the_kernel_positions_a_stream():
+    # a library module starts each stream at its key; where a draw starts
+    # within it, past a batch's heights, the kernel finds
+    assert _positioned_stream_lines(
+        "philox_state(key)\nrng.philox_state(k, 3)\n"
+        "philox_state(k, counter=c)\nf(key, 2)\n") == [2, 3]
+    found = {path.name: _positioned_stream_lines(path.read_text())
+             for path in (ROOT / "src" / "gasrelax").glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def _ctypes_of_a_call_lines(source):
     """The lines of source that take `.ctypes` of a call's result."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
@@ -231,9 +252,7 @@ def _formed_kernel_arguments(source, helpers):
 
 def test_the_kernel_forms_its_own_coefficients():
     # the kernel takes the model's parameters as they are and forms dt/2,
-    # 1/sqrt(beta) and the guard itself, so each is stated once;
-    # a stream position is not a coefficient, and norm0_B_mc splits its
-    # start into a Philox block and the values spent in it before any call
+    # 1/sqrt(beta) and the guard itself, so each is stated once
     assert _formed_kernel_arguments(
         "_kernel.library().f(a.ctypes.data, 0.5 * dt, g(p), -x, p.beta,\n"
         "                    *m._tables())\nh(0.5 * dt)\n"

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import mgf_z, observable_B
+from helpers import kernel_state, mgf_z, observable_B
 from gasrelax import _kernel, gibbs, numerics
 from gasrelax.bounds import eta_empirical
 from gasrelax.gibbs import (_MAX_GRID, NormEstimate, _wall_breakpoints,
@@ -193,14 +193,6 @@ def _assert_same_states(got, want):
         assert np.array_equal(_bits(mine), _bits(theirs))
 
 
-def _kernel_state(rng):
-    """The kernel's 11 words (rng.philox_state) of the Philox Generator
-    rng: key, counter, buffer and buffer position."""
-    st = rng.bit_generator.state
-    return np.array([*st["state"]["key"], *st["state"]["counter"],
-                     *st["buffer"], st["buffer_pos"]], dtype=np.uint64)
-
-
 @functools.lru_cache(maxsize=None)
 def _small_marginal(n, tilted, beta=0.5):
     return build_marginal(ModelParams(n, beta, 1.0, 10.0, field=1e-2),
@@ -231,12 +223,12 @@ class TestKernelDraws:
         st = oracle.bit_generator.state
         st["buffer_pos"] = buffer_pos
         oracle.bit_generator.state = st
-        state = _kernel_state(oracle)
+        state = kernel_state(oracle)
         marginal = _small_marginal(3, True)
         got = gibbs._states(marginal, 7, state)
         _assert_same_states(got, helpers.sample_batch_reference(
             marginal, oracle, 7))
-        assert np.array_equal(state, _kernel_state(oracle))
+        assert np.array_equal(state, kernel_state(oracle))
 
     # the momentum scale 1 / sqrt(beta) is neither that of a dropped beta
     # nor of an inverted one, and at beta 0.5 one ulp below sqrt(1 / 0.5)
@@ -253,15 +245,17 @@ class TestKernelDraws:
         got = gibbs._states(marginal, rows, state)
         _assert_same_states(got, helpers.sample_batch_reference(
             marginal, oracle, rows))
-        assert np.array_equal(state, _kernel_state(oracle))
+        assert np.array_equal(state, kernel_state(oracle))
 
     @pytest.mark.parametrize("n, rows, zeros", [
         (64, 7, [0]), (64, 7, [4, 5]), (3, 34, [100, 102]), (600, 1, [601]),
-        (1, 3, [1, 3])])
+        (1, 3, [1, 3]), (1, 8, [3]), (1, 4106, [4101])])
     def test_planted_zero(self, n, rows, zeros):
         # each 0.0 is skipped: the heights are the stream's first rows * n
         # values that are not 0.0, in order (at 3 x 34 the heights end at
-        # value 103, past both zeros), and the momenta follow
+        # value 103, past both zeros), and the momenta follow; a lone zero
+        # 4 values before the last height, at 3 and at 4101, the indices
+        # that test_rng plants in NumPy's stream
         key = DRAW_KEYS[1]
         counter = helpers.philox_counter_with_zeros(key, zeros)
         assert np.flatnonzero(_philox(key, counter).random(rows * n + 4)
@@ -272,7 +266,7 @@ class TestKernelDraws:
         assert np.all(np.abs(got[0]) < marginal.params.half_box)
         _assert_same_states(got, helpers.sample_batch_reference(
             marginal, oracle, rows))
-        assert np.array_equal(state, _kernel_state(oracle))
+        assert np.array_equal(state, kernel_state(oracle))
 
     def test_ziggurat_tail_and_wedges(self, ref_marginal):
         # 1.02e6 unit normals: only the tail branch of NumPy's ziggurat
@@ -285,7 +279,7 @@ class TestKernelDraws:
         assert np.abs(p).max() > 3.6541528853610088
         _assert_same_states((z, p), helpers.sample_batch_reference(
             ref_marginal, oracle, 16000))
-        assert np.array_equal(state, _kernel_state(oracle))
+        assert np.array_equal(state, kernel_state(oracle))
 
     def test_sample_batch_keys_a_stream_with_two_raw_words(self,
                                                             ref_marginal):
@@ -295,7 +289,7 @@ class TestKernelDraws:
         got = sample_batch(ref_marginal, rng, 5)
         _assert_same_states(got, gibbs._states(
             ref_marginal, 5, philox_state(twin.bit_generator.random_raw(2))))
-        assert np.array_equal(_kernel_state(rng), _kernel_state(twin))
+        assert np.array_equal(kernel_state(rng), kernel_state(twin))
 
 
 class TestSampling:
@@ -330,7 +324,7 @@ class TestSampling:
         oracle = _philox(key, counter)
         _assert_same_states((z, p), helpers.sample_batch_reference(
             ref_marginal, oracle, 2))
-        assert np.array_equal(state, _kernel_state(oracle))
+        assert np.array_equal(state, kernel_state(oracle))
 
     def test_momentum_moments(self, ref_marginal, ref_params):
         # variance 1 / beta, from the kinetic Boltzmann factor exp(-beta p^2/2)
@@ -680,6 +674,22 @@ class TestNorms:
         _assert_same_estimate(est, helpers.norm0_mc_one_batch(
             observable_B, marginal, n_samples, substream(28, n)))
         assert est.which_measure == "rho1"
+
+    @pytest.mark.parametrize("n, rows", [
+        (1, 100), (1, 101), (1, 102), (1, 103), (5, 101), (5, 103), (7, 101),
+        (7, 102), (64, 1024), (600, 100)])
+    def test_momenta_are_those_of_a_drawn_shard(self, n, rows):
+        # norm0_B_mc and a drawn verlet_records shard both start their
+        # momenta rows * n values on, 0, 1, 2 or 3 into a Philox block of
+        # 4: the norm of the shard's record-0 B has the bits of norm0_B_mc
+        marginal = _small_marginal(n, False)
+        key = philox_key(43, n, rows)
+        end, b, _, _ = helpers.kernel_sampled_records(
+            marginal, philox_state(key), rows, 1e-3, 1, 1)
+        assert end == 1
+        _assert_same_estimate(
+            norm0_B_mc(marginal.params, rows, key),
+            NormEstimate.from_values(b[0].copy(), "rho1"))
 
     def test_states_are_not_held_all_at_once(self, ref_params):
         # 20000 states of 64 momenta are 10.2 MB; the kernel draws one row

@@ -317,7 +317,8 @@ class TestStreamedShard:
         zeros = [0, 2] if where == "first" else [rows * n - 1]
         key = philox_key(38, n)
         counter = helpers.philox_counter_with_zeros(key, zeros)
-        uniforms = helpers.kernel_uniforms(key, counter, rows * n + 4)
+        uniforms = np.random.Generator(np.random.Philox(
+            key=key, counter=counter)).random(rows * n + 4)
         assert np.flatnonzero(uniforms == 0.0).tolist() == zeros
         end, b, _, _ = _assert_streamed_as_loaded(
             _stream_marginal(n, False), key, counter, rows)
@@ -518,7 +519,6 @@ class TestBuildFlags:
         signatures = _kernel_signatures()
         assert set(signatures) == {"wall_sums", "verlet_records",
                                    "guide_table", "inverse_cdf",
-                                   "philox_uniforms",
                                    "sampled_force_sums", "sampled_states",
                                    "sampled_momentum_sums", "kronrod_sums"}
         assert _bindings(_kernel.library()) == signatures
